@@ -98,9 +98,9 @@ struct DistinctConfig {
   /// are bit-identical across thread counts.
   int num_threads = 1;
   /// Which pair kernel fills the similarity matrices. kFused (the default)
-  /// streams a flat profile arena and skips provably-zero pairs via an
-  /// inverted-index candidate set; bit-identical to kReference, which runs
-  /// the three-pass merges over the per-profile vectors.
+  /// streams a flat profile arena and skips provably-zero (pair, path)
+  /// joins via per-path candidate bits; bit-identical to kReference, which
+  /// runs the three-pass merges over the per-profile vectors.
   PairKernelType kernel = PairKernelType::kFused;
   /// Fused kernel only, opt-in: additionally skip candidate pairs whose
   /// mass-bound combined-similarity upper bound is below min_sim when the

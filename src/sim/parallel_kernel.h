@@ -10,12 +10,12 @@
 // bit-identical to the serial loop at any thread count.
 //
 // Two kernels fill the cells (fused_kernel.h documents the fused one):
-//  - kFused (default): flattens the store into a ProfileArena, skips
-//    non-candidate pairs via the inverted-index candidate set (their cells
-//    stay at the 0.0 init, which is exactly their value), and computes each
-//    remaining cell with one merge-join per path. Bit-identical to the
-//    reference kernel; optionally prunes candidates whose mass-bound
-//    similarity upper bound falls below `prune_min_sim`.
+//  - kFused (default): flattens the store into a ProfileArena, builds the
+//    per-path candidate bits from inverted indexes, and computes each cell
+//    with one merge-join per path on which the pair shares a tuple (cells
+//    with none stay at the 0.0 init, which is exactly their value).
+//    Bit-identical to the reference kernel; optionally prunes candidates
+//    whose mass-bound similarity upper bound falls below `prune_min_sim`.
 //  - kReference: three sorted merges per (pair, path) over the
 //    array-of-structs profiles — the exactness baseline.
 

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
 
@@ -33,6 +34,33 @@ int64_t WorkspacePool::num_created() const {
   return created_;
 }
 
+void ProfileStore::BuildIndex() {
+  index_.clear();
+  index_.reserve(refs_.size());
+  for (size_t i = 0; i < refs_.size(); ++i) {
+    index_.emplace_back(refs_[i], i);
+  }
+  // Stable sort by ref only: duplicates keep their first position, like
+  // the hash map this replaces.
+  std::stable_sort(index_.begin(), index_.end(),
+                   [](const std::pair<int32_t, size_t>& a,
+                      const std::pair<int32_t, size_t>& b) {
+                     return a.first < b.first;
+                   });
+}
+
+ProfileStore ProfileStore::FromProfiles(
+    std::vector<int32_t> refs,
+    std::vector<std::vector<NeighborProfile>> profiles) {
+  DISTINCT_CHECK(refs.size() == profiles.size());
+  ProfileStore store;
+  store.refs_ = std::move(refs);
+  store.num_paths_ = profiles.empty() ? 0 : profiles[0].size();
+  store.profiles_ = std::move(profiles);
+  store.BuildIndex();
+  return store;
+}
+
 ProfileStore ProfileStore::Build(const PropagationEngine& engine,
                                  const std::vector<JoinPath>& paths,
                                  const PropagationOptions& options,
@@ -46,17 +74,7 @@ ProfileStore ProfileStore::Build(const PropagationEngine& engine,
   store.refs_ = std::move(refs);
   store.num_paths_ = paths.size();
   store.profiles_.resize(store.refs_.size());
-  store.index_.reserve(store.refs_.size());
-  for (size_t i = 0; i < store.refs_.size(); ++i) {
-    store.index_.emplace_back(store.refs_[i], i);
-  }
-  // Stable sort by ref only: duplicates keep their first position, like
-  // the hash map this replaces.
-  std::stable_sort(store.index_.begin(), store.index_.end(),
-                   [](const std::pair<int32_t, size_t>& a,
-                      const std::pair<int32_t, size_t>& b) {
-                     return a.first < b.first;
-                   });
+  store.BuildIndex();
 
   const bool dense =
       options.algorithm == PropagationAlgorithm::kWorkspace;
@@ -125,18 +143,7 @@ void ProfileStore::Update(const PropagationEngine& engine,
     refs_.push_back(ref);
     profiles_.emplace_back();
   }
-  // Rebuilt whole with Build()'s exact construction (stable sort, first
-  // position wins for duplicates).
-  index_.clear();
-  index_.reserve(refs_.size());
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    index_.emplace_back(refs_[i], i);
-  }
-  std::stable_sort(index_.begin(), index_.end(),
-                   [](const std::pair<int32_t, size_t>& a,
-                      const std::pair<int32_t, size_t>& b) {
-                     return a.first < b.first;
-                   });
+  BuildIndex();
 
   const bool dense = options.algorithm == PropagationAlgorithm::kWorkspace;
   WorkspacePool local_workspaces(engine.link());

@@ -108,6 +108,13 @@ class ProfileStore {
               WorkspacePool* shared_workspaces = nullptr,
               const std::vector<uint64_t>* position_path_masks = nullptr);
 
+  /// Wraps already-computed profiles (profiles[position][path]) — the test
+  /// seam that lets kernel suites fill matrices without an engine. Every
+  /// inner vector must have the same number of paths.
+  static ProfileStore FromProfiles(
+      std::vector<int32_t> refs,
+      std::vector<std::vector<NeighborProfile>> profiles);
+
   size_t num_refs() const { return refs_.size(); }
   size_t num_paths() const { return num_paths_; }
   const std::vector<int32_t>& refs() const { return refs_; }
@@ -128,6 +135,9 @@ class ProfileStore {
 
  private:
   ProfileStore() = default;
+
+  /// Rebuilds index_ from refs_.
+  void BuildIndex();
 
   std::vector<int32_t> refs_;
   size_t num_paths_ = 0;

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "catalog/ingest.h"
 #include "catalog/reader.h"
@@ -35,10 +38,19 @@ DistinctConfig UnsupervisedConfig() {
 
 class IngestDifferentialTest : public ::testing::Test {
  protected:
+  // Per-process paths: ctest runs each case in its own process, and with
+  // -j they run concurrently, so a shared path let one case's set-up
+  // overwrite or delete the corpus another was reading.
+  static std::string XmlPath() { return Base() + ".xml"; }
+  static std::string CatalogDir() { return Base() + ".catalog"; }
+  static std::string Base() {
+    return ::testing::TempDir() + "/ingest_differential." +
+           std::to_string(::getpid());
+  }
+
   static void SetUpTestSuite() {
-    const std::string base = ::testing::TempDir() + "/ingest_differential";
-    const std::string xml_path = base + ".xml";
-    const std::string catalog_dir = base + ".catalog";
+    const std::string xml_path = XmlPath();
+    const std::string catalog_dir = CatalogDir();
     std::filesystem::remove_all(catalog_dir);
 
     XmlCorpusConfig corpus;
@@ -60,12 +72,12 @@ class IngestDifferentialTest : public ::testing::Test {
     ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
     catalog_db_ = new Database(std::move(materialized->db));
     generation_ = (*reader)->generation();
-
-    std::remove(xml_path.c_str());
-    std::filesystem::remove_all(catalog_dir);
   }
 
   static void TearDownTestSuite() {
+    std::error_code ignored;
+    std::filesystem::remove(XmlPath(), ignored);
+    std::filesystem::remove_all(CatalogDir(), ignored);
     delete loaded_db_;
     delete catalog_db_;
     loaded_db_ = nullptr;
@@ -82,6 +94,8 @@ Database* IngestDifferentialTest::catalog_db_ = nullptr;
 int64_t IngestDifferentialTest::generation_ = 0;
 
 TEST_F(IngestDifferentialTest, ResolverOutputIsBitIdentical) {
+  ASSERT_NE(loaded_db_, nullptr);
+  ASSERT_NE(catalog_db_, nullptr);
   auto loaded_engine =
       Distinct::Create(*loaded_db_, DblpReferenceSpec(), UnsupervisedConfig());
   ASSERT_TRUE(loaded_engine.ok()) << loaded_engine.status().ToString();
@@ -134,6 +148,7 @@ TEST_F(IngestDifferentialTest, ResolverOutputIsBitIdentical) {
 }
 
 TEST_F(IngestDifferentialTest, CatalogGenerationStampsTheEngine) {
+  ASSERT_NE(catalog_db_, nullptr);
   DistinctConfig config = UnsupervisedConfig();
   config.base_catalog_version = generation_;
   auto engine = Distinct::Create(*catalog_db_, DblpReferenceSpec(), config);
