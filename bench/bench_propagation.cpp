@@ -143,8 +143,8 @@ int main(int argc, char** argv) {
     const bool memo_on = dense && row.cache_bytes > 0;
     // Warm regime: subtrees are already memoized by earlier work — in the
     // bulk scan, by the name groups of this reference's co-authors, which
-    // reach the same junction tuples (the same papers). One warm-up build
-    // outside the timed loop stands in for that earlier work.
+    // reach the same junction tuples (the same proceedings and papers).
+    // One warm-up build outside the timed loop stands in for that work.
     SubtreeCache warm_cache(options.cache_bytes);
     if (row.warm) {
       (void)ProfileStore::Build(prop_engine, paths, options, *refs,
@@ -218,10 +218,11 @@ int main(int argc, char** argv) {
   json.Write();
   std::printf(
       "\nmemo-enabled speedup vs level-wise: %.2fx cold, %.2fx warm "
-      "(acceptance floor: 2x). cold hits need references sharing junction "
-      "tuples within one name; the warm row is the bulk-scan regime, where "
-      "one memo spans every name group. profiles are bit-identical with "
-      "the memo on, off, cold, or warm.\n",
+      "(acceptance floor: 2x). cold hits come from references of one name "
+      "that share a hub tuple (the proceedings of their papers, a "
+      "co-author); the warm row is the bulk-scan regime, where one memo "
+      "spans every name group. profiles are bit-identical with the memo "
+      "on, off, cold, or warm.\n",
       levelwise_rate > 0 ? memo_rate / levelwise_rate : 0.0,
       levelwise_rate > 0 ? warm_rate / levelwise_rate : 0.0);
   return 0;

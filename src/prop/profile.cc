@@ -8,10 +8,12 @@ namespace distinct {
 
 NeighborProfile::NeighborProfile(std::vector<ProfileEntry> entries)
     : entries_(std::move(entries)) {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const ProfileEntry& a, const ProfileEntry& b) {
-              return a.tuple < b.tuple;
-            });
+  const auto by_tuple = [](const ProfileEntry& a, const ProfileEntry& b) {
+    return a.tuple < b.tuple;
+  };
+  if (!std::is_sorted(entries_.begin(), entries_.end(), by_tuple)) {
+    std::sort(entries_.begin(), entries_.end(), by_tuple);
+  }
   for (size_t i = 1; i < entries_.size(); ++i) {
     DISTINCT_DCHECK(entries_[i - 1].tuple != entries_[i].tuple);
   }

@@ -26,8 +26,9 @@ class NeighborProfile {
  public:
   NeighborProfile() = default;
 
-  /// Takes entries in any order; sorts them. Duplicate tuples are not
-  /// allowed (propagation accumulates before constructing).
+  /// Takes entries in any order; sorts them unless they already ascend (the
+  /// dense engine's output always does). Duplicate tuples are not allowed
+  /// (propagation accumulates before constructing).
   explicit NeighborProfile(std::vector<ProfileEntry> entries);
 
   const std::vector<ProfileEntry>& entries() const { return entries_; }

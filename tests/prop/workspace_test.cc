@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -267,23 +268,149 @@ TEST(SubtreeCacheTest, SharedCacheHitsAcrossBuilds) {
   EXPECT_EQ(stats.misses, misses_first);
 }
 
-TEST(SubtreeJunctionLevelTest, PicksDeepestOriginLevelUnderExclusion) {
+/// A path whose steps walk forward (`f`) or reverse (`r`), e.g. "ffrr".
+JoinPath PathWithSteps(const std::string& directions) {
   JoinPath path;
   path.start_node = 0;
-  path.steps.resize(4);
-  // Publish -> Publications -> Publish -> Authors -> Publish-like shape.
+  for (const char direction : directions) {
+    path.steps.push_back(JoinStep{0, direction == 'f'});
+  }
+  return path;
+}
+
+TEST(SubtreeJunctionLevelTest, ReverseStepStopsForwardChainAdvances) {
+  // Publish -> Publications -> Proceedings <- Publications -> Conferences:
+  // two forward steps reach the hub (level 2), the reverse step stops.
+  const std::vector<int> chain = {0, 1, 2, 1, 3};
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("ffrf"), chain, true), 2u);
+  // A reverse first step stops at level 0, clamped up to level 1.
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("rfff"), chain, true), 1u);
+  // Forward steps only: everything is prefix, nothing is memoized.
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("ffff"), chain, true), 4u);
+}
+
+TEST(SubtreeJunctionLevelTest, LastStartNodeLevelIsMemoized) {
+  // Publish -> Publications -> Proceedings <- Publications <- Publish: the
+  // co-proceedings path ends on the start node yet is keyed by the hub.
+  const std::vector<int> node_at = {0, 1, 2, 1, 0};
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("ffrr"), node_at, true), 2u);
+  // Publish -> Publications <- Publish: keyed by the paper.
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("fr"), {0, 1, 0}, true), 1u);
+}
+
+TEST(SubtreeJunctionLevelTest, InnerStartNodeLevelBoundsTheJunction) {
+  // Publish -> Authors <- Publish -> Publications <- Publish: the walk
+  // starts at the inner start-node level 2 and advances over its forward
+  // step to the paper.
   const std::vector<int> node_at = {0, 1, 0, 2, 0};
-  EXPECT_EQ(SubtreeJunctionLevel(path, node_at, true), 4u);
-  EXPECT_EQ(SubtreeJunctionLevel(path, node_at, false), 1u);
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("frfr"), node_at, true), 3u);
+  // A reverse step right after the inner level keeps the junction there.
+  const std::vector<int> reverse_after = {0, 1, 0, 3, 4};
+  EXPECT_EQ(
+      SubtreeJunctionLevel(PathWithSteps("frrf"), reverse_after, true), 2u);
+  // The deepest inner level wins, even past an earlier forward chain.
+  const std::vector<int> two_inner = {0, 1, 0, 1, 0, 2};
+  EXPECT_EQ(
+      SubtreeJunctionLevel(PathWithSteps("frfrr"), two_inner, true), 4u);
+}
 
-  // Origin node reappears only mid-path: the suffix below it is shareable.
-  const std::vector<int> mid = {0, 1, 0, 2, 3};
-  EXPECT_EQ(SubtreeJunctionLevel(path, mid, true), 2u);
+TEST(SubtreeJunctionLevelTest, ExclusionOffIgnoresStartNodeLevels) {
+  const std::vector<int> node_at = {0, 1, 0, 2, 0};
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("frfr"), node_at, false), 1u);
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("ffrr"), {0, 1, 2, 1, 0},
+                                 false),
+            2u);
+  EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("rfrf"), node_at, false), 1u);
+}
 
-  // Origin never reappears: everything past level 1 is shareable.
-  const std::vector<int> none = {0, 1, 2, 3, 4};
-  EXPECT_EQ(SubtreeJunctionLevel(path, none, true), 1u);
-  EXPECT_EQ(SubtreeJunctionLevel(path, none, false), 1u);
+/// Schema node at every level of `path`.
+std::vector<int> NodesOf(const SchemaGraph& schema, const JoinPath& path) {
+  std::vector<int> node_at = {path.start_node};
+  for (const JoinStep& step : path.steps) {
+    node_at.push_back(schema.Traverse(
+        node_at.back(), IncidentEdge{step.edge_id, step.forward}));
+  }
+  return node_at;
+}
+
+/// Complete walks of `path` from `origin`, pruning walks into the origin
+/// at start-node levels (the last level only when `prune_last`).
+int64_t CountWalks(const LinkGraph& link, const JoinPath& path,
+                   const std::vector<int>& node_at, int32_t origin,
+                   bool prune_last, size_t depth = 0, int32_t tuple = -1) {
+  const size_t k = path.steps.size();
+  if (depth == k) {
+    return 1;
+  }
+  int64_t walks = 0;
+  for (const int32_t target :
+       link.Neighbors(path.steps[depth], depth == 0 ? origin : tuple)) {
+    const bool prune = node_at[depth + 1] == node_at[0] &&
+                       (depth + 1 < k || prune_last) && target == origin;
+    if (!prune) {
+      walks += CountWalks(link, path, node_at, origin, prune_last,
+                          depth + 1, target);
+    }
+  }
+  return walks;
+}
+
+TEST(WorkspaceBudgetTest, OriginWalksLeaveTheInstanceCount) {
+  const World world = MakeMiniWorld();
+  PropagationEngine engine(*world.link);
+  PropagationOptions unbounded;  // kWorkspace, origin exclusion on
+  PropagationOptions dfs = unbounded;
+  dfs.algorithm = PropagationAlgorithm::kDepthFirst;
+
+  int checked = 0;
+  for (const JoinPath& path : world.paths) {
+    const std::vector<int> node_at = NodesOf(*world.schema, path);
+    const size_t k = path.steps.size();
+    if (node_at[k] != node_at[0] ||
+        SubtreeJunctionLevel(path, node_at, true) == k) {
+      continue;  // only memoized paths that end on the start node
+    }
+    for (const int32_t ref : world.refs) {
+      const int64_t walks =
+          CountWalks(*world.link, path, node_at, ref, /*prune_last=*/true);
+      const int64_t with_origin =
+          CountWalks(*world.link, path, node_at, ref, /*prune_last=*/false);
+      if (walks == 0 || with_origin == walks) {
+        continue;  // the origin's walks must be there to leave the count
+      }
+      ++checked;
+      const std::string context =
+          path.Describe(*world.schema) + " ref " + std::to_string(ref);
+      PropagationWorkspace workspace(*world.link);
+      SubtreeCache cache(64 << 20);
+      const std::optional<NeighborProfile> full = PropagateDense(
+          *world.link, path, ref, unbounded, node_at, workspace, &cache, 0);
+      ASSERT_TRUE(full.has_value()) << context;
+
+      PropagationOptions exact = unbounded;
+      exact.max_instances = walks;
+      const std::optional<NeighborProfile> at_budget = PropagateDense(
+          *world.link, path, ref, exact, node_at, workspace, &cache, 0);
+      ASSERT_TRUE(at_budget.has_value()) << context;
+      EXPECT_FALSE(at_budget->truncated()) << context;
+      ExpectProfilesIdentical(*full, *at_budget, context);
+
+      PropagationOptions short_by_one = exact;
+      short_by_one.max_instances = walks - 1;
+      EXPECT_FALSE(PropagateDense(*world.link, path, ref, short_by_one,
+                                  node_at, workspace, &cache, 0)
+                       .has_value())
+          << context;
+      PropagationOptions dfs_short = dfs;
+      dfs_short.max_instances = walks - 1;
+      const NeighborProfile expected = engine.Compute(path, ref, dfs_short);
+      EXPECT_TRUE(expected.truncated()) << context;
+      ExpectProfilesIdentical(
+          expected, engine.Compute(path, ref, short_by_one, workspace, &cache),
+          context);
+    }
+  }
+  EXPECT_GT(checked, 0);  // some memoized path must drop origin walks
 }
 
 /// The tentpole's end-to-end guarantee: identical clustering with the memo
