@@ -91,20 +91,6 @@ void BM_PropagationWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_PropagationWorkspace)->Arg(0)->Arg(2)->Arg(6)->Arg(17);
 
-void BM_PropagationLevelWise(benchmark::State& state) {
-  Fixture& fixture = GetFixture();
-  const JoinPath& path = fixture.paths[static_cast<size_t>(state.range(0))];
-  PropagationOptions options;
-  options.algorithm = PropagationAlgorithm::kLevelWise;
-  size_t i = 0;
-  for (auto _ : state) {
-    const int32_t ref = fixture.refs[i++ % fixture.refs.size()];
-    benchmark::DoNotOptimize(fixture.engine->Compute(path, ref, options));
-  }
-  state.SetLabel(path.Describe(*fixture.schema));
-}
-BENCHMARK(BM_PropagationLevelWise)->Arg(0)->Arg(2)->Arg(6)->Arg(17);
-
 void BM_SetResemblance(benchmark::State& state) {
   Fixture& fixture = GetFixture();
   // Longest path = richest profiles.

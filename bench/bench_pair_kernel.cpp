@@ -1,15 +1,16 @@
 // Pair-kernel comparison on a sparse-overlap workload: one synthetic
 // mega-name whose references spread over many distinct entities (and
 // therefore many communities), so most reference pairs share no neighbor
-// tuples. Rows: the three-pass reference kernel; the fused arena kernel
-// once per merge-join ISA (scalar, gallop, avx2 — every row must
-// reproduce the reference matrices bit-for-bit, hard failure otherwise);
-// the fused kernel with bitset candidate generation forced on; the fused
-// kernel at its defaults (auto ISA); and the fused kernel with the
-// mass-bound prune (must leave the clustering at the prune floor
-// unchanged). The serial fill is measured so the row ratio is the kernel
-// speedup itself, not a parallelization artifact.
+// tuples. Rows: the three-pass exactness oracle (ReferencePairMatrices);
+// the fused arena kernel with grouped candidate generation pinned, with
+// bitset candidate generation forced on, and at its defaults (every fused
+// row must reproduce the oracle's matrices bit-for-bit, hard failure
+// otherwise); and the fused kernel with the mass-bound prune (must leave
+// the clustering at the prune floor unchanged). The serial fill is
+// measured so the row ratio is the kernel speedup itself, not a
+// parallelization artifact.
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
                  "sparser pair overlap");
   flags.AddInt64("repeat", 3, "timed repetitions per row");
   flags.AddDouble("prune-min-sim", 0.25,
-                  "merge floor of the fused+prune row (sits inside the "
+                  "merge floor of the fused+prune row, > 0 (sits inside the "
                   "mass-bound range on this workload so the prune visibly "
                   "fires; the paper's 3e-2 floor is below every bound here)");
   if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
@@ -62,10 +63,19 @@ int main(int argc, char** argv) {
                  flags.Help().c_str());
     return 1;
   }
+  // A floor that is not a positive number disables the prune, and the
+  // prune row would time the unpruned fill under the prune's name.
+  const double prune_min_sim = flags.GetDouble("prune-min-sim");
+  if (!(prune_min_sim > 0.0) || !std::isfinite(prune_min_sim)) {
+    std::fprintf(stderr,
+                 "--prune-min-sim must be a finite number > 0, got %g\n",
+                 prune_min_sim);
+    return 1;
+  }
 
   PrintBanner("bench_pair_kernel",
-              "fused vs reference pair kernel (implementation, not a paper "
-              "figure)");
+              "fused pair kernel vs its three-pass oracle (implementation, "
+              "not a paper figure)");
 
   GeneratorConfig generator = StandardGeneratorConfig(
       static_cast<uint64_t>(flags.GetInt64("seed")));
@@ -106,68 +116,55 @@ int main(int argc, char** argv) {
                   : 0.0);
 
   const int repeat = MustIntInRange(flags, "repeat", 1, 1 << 20);
-  const double prune_min_sim = flags.GetDouble("prune-min-sim");
 
-  auto time_fill = [&](const PairKernelOptions& options,
+  // Mean seconds over `repeat` runs of `fill`; `out` keeps the last result.
+  auto time_fill = [&](const auto& fill,
                        std::pair<PairMatrix, PairMatrix>* out) {
     double seconds = 0.0;
     for (int r = 0; r < repeat; ++r) {
       Stopwatch watch;
-      auto matrices =
-          ComputePairMatrices(store, engine.model(), nullptr, options);
+      auto matrices = fill();
       seconds += watch.Seconds();
       *out = std::move(matrices);
     }
     return seconds / repeat;
   };
-
-  PairKernelOptions reference_options;
-  reference_options.kernel = PairKernelType::kReference;
-  std::pair<PairMatrix, PairMatrix> reference(PairMatrix(0), PairMatrix(0));
-  const double reference_s = time_fill(reference_options, &reference);
-
-  // One row per merge-join ISA, candidate generation pinned to the sparse
-  // grouped path so the rows differ only in the join itself.
-  struct VariantRow {
-    const char* name;
-    KernelIsa isa;
-    double seconds = 0.0;
-    bool exact = false;
+  auto fused_fill = [&](const PairKernelOptions& options) {
+    return [&store, &engine, options] {
+      return ComputePairMatrices(store, engine.model(), nullptr, options);
+    };
   };
-  VariantRow variants[] = {{"fused[scalar]", KernelIsa::kScalar},
-                           {"fused[gallop]", KernelIsa::kGallop},
-                           {"fused[avx2]", KernelIsa::kAvx2}};
-  for (VariantRow& row : variants) {
-    PairKernelOptions options;
-    options.kernel = PairKernelType::kFused;
-    options.isa = row.isa;
-    options.candidates.bitset_min_refs = 1 << 30;  // force the sparse path
-    std::pair<PairMatrix, PairMatrix> out(PairMatrix(0), PairMatrix(0));
-    row.seconds = time_fill(options, &out);
-    row.exact = MatricesEqual(out, reference);
-  }
 
-  // Bitset candidate generation forced on (auto ISA): same bits, built
-  // word-parallel.
+  std::pair<PairMatrix, PairMatrix> reference(PairMatrix(0), PairMatrix(0));
+  const double reference_s = time_fill(
+      [&] { return ReferencePairMatrices(store, engine.model()); },
+      &reference);
+
+  // Candidate generation pinned to the sparse grouped marking.
+  PairKernelOptions grouped_options;
+  grouped_options.candidates.bitset_min_refs = 1 << 30;
+  std::pair<PairMatrix, PairMatrix> grouped(PairMatrix(0), PairMatrix(0));
+  const double grouped_s = time_fill(fused_fill(grouped_options), &grouped);
+  const bool grouped_exact = MatricesEqual(grouped, reference);
+
+  // Bitset candidate generation forced on: same bits, built word-parallel.
   PairKernelOptions bitset_options;
-  bitset_options.kernel = PairKernelType::kFused;
   bitset_options.candidates.bitset_min_refs = 0;
   bitset_options.candidates.bitset_cost_factor = 0.0;
   std::pair<PairMatrix, PairMatrix> bitset(PairMatrix(0), PairMatrix(0));
-  const double bitset_s = time_fill(bitset_options, &bitset);
+  const double bitset_s = time_fill(fused_fill(bitset_options), &bitset);
   const bool bitset_exact = MatricesEqual(bitset, reference);
 
   PairKernelOptions fused_options;
-  fused_options.kernel = PairKernelType::kFused;
   std::pair<PairMatrix, PairMatrix> fused(PairMatrix(0), PairMatrix(0));
-  const double fused_s = time_fill(fused_options, &fused);
+  const double fused_s = time_fill(fused_fill(fused_options), &fused);
   const bool fused_exact = MatricesEqual(fused, reference);
 
   PairKernelOptions prune_options = fused_options;
   prune_options.pruning = true;
   prune_options.prune_min_sim = prune_min_sim;
   std::pair<PairMatrix, PairMatrix> pruned(PairMatrix(0), PairMatrix(0));
-  const double prune_s = time_fill(prune_options, &pruned);
+  const double prune_s = time_fill(fused_fill(prune_options), &pruned);
 
   // The prune contract: dropped cells read 0.0, and clustering at the
   // prune floor is unchanged.
@@ -196,20 +193,15 @@ int main(int argc, char** argv) {
   TextTable table({"kernel", "matrix (s)", "speedup", "exact", "pruned"});
   for (size_t c = 1; c <= 4; ++c) table.SetRightAlign(c);
   table.AddRow({"reference", Fmt3(reference_s), "1.00", "-", "-"});
-  for (const VariantRow& row : variants) {
-    table.AddRow(
-        {row.name, Fmt3(row.seconds),
-         StrFormat("%.2f",
-                   row.seconds > 0 ? reference_s / row.seconds : 0.0),
-         row.exact ? "yes" : "NO", "0"});
-  }
+  table.AddRow(
+      {"fused[grouped-cand]", Fmt3(grouped_s),
+       StrFormat("%.2f", grouped_s > 0 ? reference_s / grouped_s : 0.0),
+       grouped_exact ? "yes" : "NO", "0"});
   table.AddRow(
       {"fused[bitset-cand]", Fmt3(bitset_s),
        StrFormat("%.2f", bitset_s > 0 ? reference_s / bitset_s : 0.0),
        bitset_exact ? "yes" : "NO", "0"});
-  table.AddRow({StrFormat("fused[auto=%s]",
-                          KernelIsaName(ResolveKernelIsa(KernelIsa::kAuto))),
-                Fmt3(fused_s),
+  table.AddRow({"fused", Fmt3(fused_s),
                 StrFormat("%.2f", fused_s > 0 ? reference_s / fused_s : 0.0),
                 fused_exact ? "yes" : "NO", "0"});
   table.AddRow({StrFormat("fused+prune@%.2f", prune_min_sim), Fmt3(prune_s),
@@ -227,20 +219,14 @@ int main(int argc, char** argv) {
   json.Add("total_pairs", total_pairs);
   json.Add("candidate_pairs", candidates.count());
   json.Add("reference_matrix_s", reference_s);
-  // fused_* is the defaults row (auto ISA); the per-variant keys pin one
-  // merge-join ISA (sparse candidates) or force bitset candidates.
+  // fused_* is the defaults row; grouped_* and bitset_* pin one candidate
+  // machine.
   json.Add("fused_matrix_s", fused_s);
   json.Add("fused_speedup", fused_s > 0 ? reference_s / fused_s : 0.0);
   json.Add("fused_exact", static_cast<int64_t>(fused_exact ? 1 : 0));
-  const char* variant_keys[] = {"scalar", "gallop", "simd"};
-  for (size_t v = 0; v < 3; ++v) {
-    const VariantRow& row = variants[v];
-    json.Add(std::string(variant_keys[v]) + "_matrix_s", row.seconds);
-    json.Add(std::string(variant_keys[v]) + "_speedup",
-             row.seconds > 0 ? reference_s / row.seconds : 0.0);
-    json.Add(std::string(variant_keys[v]) + "_exact",
-             static_cast<int64_t>(row.exact ? 1 : 0));
-  }
+  json.Add("grouped_matrix_s", grouped_s);
+  json.Add("grouped_speedup", grouped_s > 0 ? reference_s / grouped_s : 0.0);
+  json.Add("grouped_exact", static_cast<int64_t>(grouped_exact ? 1 : 0));
   json.Add("bitset_matrix_s", bitset_s);
   json.Add("bitset_speedup", bitset_s > 0 ? reference_s / bitset_s : 0.0);
   json.Add("bitset_exact", static_cast<int64_t>(bitset_exact ? 1 : 0));
@@ -255,13 +241,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\nevery fused row must reproduce the reference matrices bit-for-bit; "
       "the prune row must leave the clustering at its floor unchanged.\n");
-  for (const VariantRow& row : variants) {
-    if (!row.exact) {
-      std::fprintf(stderr,
-                   "error: %s diverged from the reference matrices\n",
-                   row.name);
-      return 1;
-    }
+  if (!grouped_exact) {
+    std::fprintf(stderr,
+                 "error: grouped candidate generation diverged from the "
+                 "reference matrices\n");
+    return 1;
   }
   if (!bitset_exact) {
     std::fprintf(stderr,

@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "dblp/schema.h"
 #include "obs/json_writer.h"
-#include "sim/intersect.h"
 
 namespace distinct {
 namespace bench {
@@ -111,10 +110,6 @@ void WriteProvenance(obs::JsonWriter& json) {
 #else
   json.Value("debug");
 #endif
-  // What kAuto dispatches to on this host/build — kernel numbers from two
-  // files only compare when this matches.
-  json.Key("kernel_isa");
-  json.Value(std::string(KernelIsaName(ResolveKernelIsa(KernelIsa::kAuto))));
   // CI exports GITHUB_SHA; local builds can set DISTINCT_GIT_SHA.
   const char* sha = std::getenv("DISTINCT_GIT_SHA");
   if (sha == nullptr || *sha == '\0') {

@@ -117,9 +117,7 @@ void Usage() {
                "--dir)\n"
                "                --threads=N --stopping=fixed|largest-gap\n"
                "                --no-incremental --prop-cache-mb=N\n"
-               "                --kernel=fused|reference "
-               "--kernel-pruning\n"
-               "                --kernel-isa=auto|scalar|gallop|avx2\n"
+               "                --kernel-pruning\n"
                "                --verbosity=0|1|2\n"
                "                --report --metrics-json=FILE "
                "--trace-json=FILE\n"
@@ -203,28 +201,6 @@ Status ExportTrace(const std::string& path) {
   return obs::WriteChromeTrace(path, processes);
 }
 
-/// Applies --kernel / --kernel-pruning (shared by every engine-building
-/// command).
-Status ApplyKernelFlags(const FlagParser& flags, DistinctConfig* config) {
-  const std::string kernel = flags.GetString("kernel");
-  if (kernel == "fused") {
-    config->kernel = PairKernelType::kFused;
-  } else if (kernel == "reference") {
-    config->kernel = PairKernelType::kReference;
-  } else {
-    return InvalidArgumentError(
-        "--kernel must be 'fused' or 'reference', got '" + kernel + "'");
-  }
-  config->kernel_pruning = flags.GetBool("kernel-pruning");
-  const std::string isa = flags.GetString("kernel-isa");
-  if (!ParseKernelIsa(isa, &config->kernel_isa)) {
-    return InvalidArgumentError(
-        "--kernel-isa must be 'auto', 'scalar', 'gallop' or 'avx2', got '" +
-        isa + "'");
-  }
-  return Status::Ok();
-}
-
 /// The database a command runs over, plus where it came from. When
 /// --catalog is set the database is materialised from the mmap'd columnar
 /// catalog and `catalog_generation` carries the ingest generation to stamp
@@ -283,7 +259,7 @@ StatusOr<Distinct> MakeEngine(const Database& db, const FlagParser& flags,
   config.scan_memory_mb = *scan_memory_mb;
   config.incremental = flags.GetBool("incremental");
   config.supervised = !flags.GetBool("unsupervised");
-  if (Status s = ApplyKernelFlags(flags, &config); !s.ok()) return s;
+  config.kernel_pruning = flags.GetBool("kernel-pruning");
   config.observability = obs::Enabled();
   const std::string stopping = flags.GetString("stopping");
   if (stopping == "largest-gap" || stopping == "gap") {
@@ -400,7 +376,7 @@ int RunTrain(const FlagParser& flags) {
   auto cache_mb = IntFlagInRange(flags, "prop-cache-mb", 0, 1 << 20);
   if (!cache_mb.ok()) return Fail(cache_mb.status());
   config.propagation_cache_mb = *cache_mb;
-  if (Status s = ApplyKernelFlags(flags, &config); !s.ok()) return Fail(s);
+  config.kernel_pruning = flags.GetBool("kernel-pruning");
   config.observability = obs::Enabled();
   auto engine = Distinct::Create(db->db, DblpReferenceSpec(), config);
   if (!engine.ok()) return Fail(engine.status());
@@ -763,20 +739,12 @@ int main(int argc, char** argv) {
   flags.AddBool("verify", false,
                 "append: rebuild from scratch afterwards and check the "
                 "incremental catalog matches it exactly");
-  flags.AddString("kernel", "fused",
-                  "pair-similarity kernel: fused (flat arena, one "
-                  "merge-join per pair+path, candidate skipping) | "
-                  "reference (three-pass exactness baseline)");
   flags.AddBool("kernel-pruning", false,
                 "fused kernel, opt-in approximation: skip pairs whose "
                 "mass-bound similarity upper bound is below min-sim when "
                 "clustering; may shift merges whose cluster-average sits "
                 "near the floor (off by default — every candidate is "
                 "computed exactly)");
-  flags.AddString("kernel-isa", "auto",
-                  "fused-kernel merge-join variant: auto (fastest this "
-                  "host supports) | scalar | gallop | avx2 (falls back to "
-                  "scalar when unsupported); all bit-identical");
   flags.AddDouble("min-sim", 3e-2, "clustering merge threshold");
   flags.AddBool("auto-min-sim", false,
                 "derive min-sim from the training pairs (ignores --min-sim)");

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
 #include "obs/trace.h"
 #include "sim/parallel_kernel.h"
 #include "sim/profile_store.h"
@@ -55,12 +54,6 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
   if (engine.config_.observability) {
     obs::SetEnabled(true);
   }
-  // Resolve the merge-join ISA once and stamp it into every run report
-  // collected by this process — the dispatched variant is a runtime fact
-  // (CPU features + build flags) that numbers are meaningless without.
-  obs::SetRunAttribute(
-      "kernel_isa",
-      KernelIsaName(ResolveKernelIsa(engine.config_.kernel_isa)));
   DISTINCT_TRACE_SPAN("create");
 
   auto resolved = ResolveReferenceSpec(db, spec);
@@ -193,8 +186,6 @@ StatusOr<std::vector<int32_t>> Distinct::RefsForName(
 
 PairKernelOptions Distinct::kernel_options(bool for_clustering) const {
   PairKernelOptions options;
-  options.kernel = config_.kernel;
-  options.isa = config_.kernel_isa;
   if (for_clustering && config_.kernel_pruning) {
     options.pruning = true;
     options.prune_min_sim = config_.min_sim;

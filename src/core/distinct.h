@@ -97,28 +97,17 @@ struct DistinctConfig {
   /// one shared pool. 1 keeps everything on the calling thread. Results
   /// are bit-identical across thread counts.
   int num_threads = 1;
-  /// Which pair kernel fills the similarity matrices. kFused (the default)
-  /// streams a flat profile arena and skips provably-zero (pair, path)
-  /// joins via per-path candidate bits; bit-identical to kReference, which
-  /// runs the three-pass merges over the per-profile vectors.
-  PairKernelType kernel = PairKernelType::kFused;
-  /// Fused kernel only, opt-in: additionally skip candidate pairs whose
-  /// mass-bound combined-similarity upper bound is below min_sim when the
-  /// matrices feed clustering (ResolveName/ResolveRefs and the bulk
-  /// scans). A pruned pair can never trigger a singleton merge, but its
-  /// cell reads 0.0 instead of a sub-floor value, and sub-floor cells
-  /// still contribute to Average-Link cluster sums — so pruning is an
-  /// approximation that may shift merges whose cluster-pair average sits
-  /// near the floor (DESIGN.md §11 has the three-reference
-  /// counterexample). Off by default; ComputeMatrices() never prunes
-  /// regardless — its matrices serve threshold sweeps below min_sim.
+  /// Opt-in: skip candidate pairs whose mass-bound combined-similarity
+  /// upper bound is below min_sim when the matrices feed clustering
+  /// (ResolveName/ResolveRefs and the bulk scans). A pruned pair can never
+  /// trigger a singleton merge, but its cell reads 0.0 instead of a
+  /// sub-floor value, and sub-floor cells still contribute to Average-Link
+  /// cluster sums — so pruning is an approximation that may shift merges
+  /// whose cluster-pair average sits near the floor (DESIGN.md §11 has the
+  /// three-reference counterexample). Off by default; ComputeMatrices()
+  /// never prunes regardless — its matrices serve threshold sweeps below
+  /// min_sim.
   bool kernel_pruning = false;
-  /// Merge-join ISA of the fused kernel (sim/intersect.h). kAuto resolves
-  /// once to the fastest variant this host supports (AVX2 where present,
-  /// galloping otherwise); explicit values pin one variant, with an avx2
-  /// request on a host or build without it degrading to scalar. Every
-  /// variant returns bit-identical matrices — this is purely a speed knob.
-  KernelIsa kernel_isa = KernelIsa::kAuto;
   /// Per-shard memory budget (in MiB) of the sharded bulk scan
   /// (core/scan_shard.h). Sizes the shard's SubtreeCache and bounds how
   /// many concurrent PropagationWorkspaces (and therefore worker threads)

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <map>
-#include <mutex>
 
 #include "common/io_util.h"
 #include "common/string_util.h"
@@ -92,32 +91,11 @@ std::vector<std::pair<std::string, double>> ComputeDerived(
   return derived;
 }
 
-/// The run-attribute registry: std::map so snapshots come out key-sorted
-/// (deterministic report ordering, like the metrics snapshot).
-std::mutex& AttributeMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-std::map<std::string, std::string>& AttributeMap() {
-  static std::map<std::string, std::string> attributes;
-  return attributes;
-}
-
 }  // namespace
-
-void SetRunAttribute(const std::string& key, const std::string& value) {
-  const std::lock_guard<std::mutex> lock(AttributeMutex());
-  AttributeMap()[key] = value;
-}
 
 RunReport CollectRunReport(std::string label) {
   RunReport report;
   report.label = std::move(label);
-  {
-    const std::lock_guard<std::mutex> lock(AttributeMutex());
-    report.attributes.assign(AttributeMap().begin(), AttributeMap().end());
-  }
   report.metrics = MetricsRegistry::Global().Snapshot();
   report.spans = Tracer::Global().Snapshot();
   report.spans_dropped = Tracer::Global().DroppedSpans();
@@ -134,12 +112,6 @@ std::string RunReportToJson(const RunReport& report) {
   json.Key("distinct_run_report").Value(RunReport::kSchemaVersion);
   json.Key("label").Value(report.label);
   json.Key("spans_dropped").Value(report.spans_dropped);
-
-  json.Key("attributes").BeginObject();
-  for (const auto& [key, value] : report.attributes) {
-    json.Key(key).Value(value);
-  }
-  json.EndObject();
 
   json.Key("stages").BeginArray();
   for (const StageSummary& stage : report.stages) {
@@ -244,15 +216,6 @@ std::string RunReportToJson(const RunReport& report) {
 std::string RunReportToText(const RunReport& report) {
   std::string out =
       StrFormat("run report: %s\n\n", report.label.c_str());
-
-  if (!report.attributes.empty()) {
-    TextTable attributes({"attribute", "value"});
-    for (const auto& [key, value] : report.attributes) {
-      attributes.AddRow({key, value});
-    }
-    out += attributes.Render();
-    out += "\n";
-  }
 
   if (!report.stages.empty()) {
     TextTable stages({"stage", "calls", "total (s)"});

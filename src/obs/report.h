@@ -43,9 +43,6 @@ struct RunReport {
   static constexpr int kSchemaVersion = 1;
 
   std::string label;  // e.g. the CLI command
-  /// Process-wide string facts registered via SetRunAttribute (dispatched
-  /// kernel ISA, ...), sorted by key.
-  std::vector<std::pair<std::string, std::string>> attributes;
   MetricsSnapshot metrics;
   std::vector<SpanRecord> spans;
   /// Spans the tracer refused at capacity; non-zero = truncated trace.
@@ -59,12 +56,6 @@ struct RunReport {
   /// Caller-attached tables, rendered after the derived ratios.
   std::vector<ReportTable> tables;
 };
-
-/// Registers (or overwrites) a process-wide string attribute that every
-/// subsequently collected RunReport carries — runtime facts that are
-/// neither counters nor gauges, e.g. which merge-join ISA the kernel
-/// dispatch resolved to. Thread-safe; obs/ stays ignorant of the values.
-void SetRunAttribute(const std::string& key, const std::string& value);
 
 /// Snapshots the global registry and tracer and computes stage summaries
 /// and derived ratios.

@@ -60,106 +60,8 @@ void Dfs(DfsContext& ctx, size_t depth, int32_t tuple, double forward,
   }
 }
 
-/// Level-wise computation. Forward: F_0 = {origin: 1}; F_{i+1}(t) =
-/// Σ_s F_i(s) / fanout_i(s) over s's step-i neighbors t. Backward:
-/// B_0 = {origin: 1}; B_{i+1}(t) = Σ_{s ∈ step-(i+1) neighbors of t,
-/// walked backwards} B_i(s) / reverse_fanout_{i+1}(t). The profile pairs
-/// F_k with B_k. Origin exclusion zeroes the origin's mass at every
-/// intermediate level whose node is the start node.
-///
-/// The sweep itself is budget-free; complete path instances are counted
-/// alongside the mass (doubles are exact below 2^53, far past any real
-/// instance count), and nullopt is returned when the count exceeds
-/// options.max_instances so the caller can rerun depth-first with the DFS
-/// engine's exact truncation semantics.
-std::optional<NeighborProfile> ComputeLevelWise(
-    const LinkGraph& link, const JoinPath& path, int32_t start_tuple,
-    const PropagationOptions& options, const std::vector<int>& node_at) {
-  const size_t k = path.steps.size();
-  // Per tuple: (forward mass, number of walks arriving here).
-  using Dist = std::unordered_map<int32_t, std::pair<double, double>>;
-
-  // Forward sweep.
-  std::vector<Dist> forward(k + 1);
-  forward[0][start_tuple] = {1.0, 1.0};
-  for (size_t i = 0; i < k; ++i) {
-    const JoinStep& step = path.steps[i];
-    const bool exclude_target = options.exclude_start_tuple &&
-                                node_at[i + 1] == node_at[0];
-    for (const auto& [tuple, slot] : forward[i]) {
-      const std::span<const int32_t> targets = link.Neighbors(step, tuple);
-      if (targets.empty()) {
-        continue;
-      }
-      const double share =
-          slot.first / static_cast<double>(targets.size());
-      for (const int32_t target : targets) {
-        if (exclude_target && target == start_tuple) {
-          continue;
-        }
-        auto& next = forward[i + 1][target];
-        next.first += share;
-        next.second += slot.second;
-      }
-    }
-  }
-
-  double total_instances = 0.0;
-  for (const auto& [tuple, slot] : forward[k]) {
-    total_instances += slot.second;
-  }
-  if (total_instances > static_cast<double>(options.max_instances)) {
-    return std::nullopt;
-  }
-
-  // Backward sweep: B_i lives on level i's universe; the recurrence walks
-  // step i in reverse, from level i-1 values.
-  std::unordered_map<int32_t, double> backward_prev;
-  backward_prev[start_tuple] = 1.0;
-  for (size_t i = 0; i < k; ++i) {
-    const JoinStep& step = path.steps[i];
-    std::unordered_map<int32_t, double> backward;
-    const bool exclude_here = options.exclude_start_tuple && i + 1 < k &&
-                              node_at[i + 1] == node_at[0];
-    // Only tuples actually reachable forward matter for the profile.
-    for (const auto& [tuple, unused] : forward[i + 1]) {
-      if (exclude_here && tuple == start_tuple) {
-        continue;
-      }
-      const std::span<const int32_t> sources =
-          step.forward ? link.Reverse(step.edge_id, tuple)
-                       : link.Forward(step.edge_id, tuple);
-      if (sources.empty()) {
-        continue;
-      }
-      double mass = 0.0;
-      for (const int32_t source : sources) {
-        auto it = backward_prev.find(source);
-        if (it != backward_prev.end()) {
-          mass += it->second;
-        }
-      }
-      if (mass > 0.0) {
-        backward[tuple] = mass / static_cast<double>(sources.size());
-      }
-    }
-    backward_prev = std::move(backward);
-  }
-
-  std::vector<ProfileEntry> entries;
-  entries.reserve(forward[k].size());
-  for (const auto& [tuple, slot] : forward[k]) {
-    auto it = backward_prev.find(tuple);
-    const double rev = it == backward_prev.end() ? 0.0 : it->second;
-    entries.push_back(ProfileEntry{tuple, slot.first, rev});
-  }
-  NeighborProfile profile(std::move(entries));
-  profile.set_truncated(false);
-  return profile;
-}
-
 /// Depth-first computation with the instance budget (the only engine with
-/// mid-traversal truncation; the sweep engines fall back to it when their
+/// mid-traversal truncation; the workspace sweep falls back to it when its
 /// exact instance count exceeds the budget).
 NeighborProfile ComputeDepthFirst(const LinkGraph& link, const JoinPath& path,
                                   int32_t start_tuple,
@@ -213,18 +115,8 @@ NeighborProfile PropagationEngine::Compute(
   DISTINCT_DCHECK(start_tuple >= 0 &&
                   start_tuple < link_->NumTuples(path.start_node));
 
-  std::vector<int> node_at = NodeAtLevels(*link_, path);
-
-  if (options.algorithm == PropagationAlgorithm::kLevelWise) {
-    std::optional<NeighborProfile> profile =
-        ComputeLevelWise(*link_, path, start_tuple, options, node_at);
-    if (profile.has_value()) {
-      return *std::move(profile);
-    }
-  }
-
   return ComputeDepthFirst(*link_, path, start_tuple, options,
-                           std::move(node_at));
+                           NodeAtLevels(*link_, path));
 }
 
 NeighborProfile PropagationEngine::Compute(const JoinPath& path,

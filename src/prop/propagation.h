@@ -19,22 +19,20 @@
 
 namespace distinct {
 
-/// How profiles are computed. All three produce the same probabilities (up
-/// to floating-point summation order; kWorkspace and kLevelWise sum in the
-/// same deterministic tuple-id order).
+/// How profiles are computed. Both produce the same probabilities up to
+/// floating-point summation order. kWorkspace is the production engine;
+/// kDepthFirst is its budget fallback and the oracle tests compare it
+/// against.
 enum class PropagationAlgorithm {
   /// Depth-first enumeration of path instances (the paper's Fig. 3
   /// procedure). Cost grows with the number of instances.
   kDepthFirst,
-  /// Level-wise dynamic programming: one forward and one backward sweep
-  /// over the distinct tuples of each path level. Cost grows with the
-  /// number of distinct (level, tuple) pairs — much cheaper on paths that
-  /// fan out and reconverge (e.g. Publish -> Publications -> Publish ->
-  /// Authors -> Publish).
-  kLevelWise,
   /// Level-wise sweeps over epoch-stamped dense scratch arrays (no
   /// per-tuple hashing or allocation) with per-path-suffix memoization
-  /// shared across references — see prop/workspace.h. The default.
+  /// shared across references — see prop/workspace.h. Cost grows with the
+  /// number of distinct (level, tuple) pairs — much cheaper than
+  /// kDepthFirst on paths that fan out and reconverge (e.g. Publish ->
+  /// Publications -> Publish -> Authors -> Publish). The default.
   kWorkspace,
 };
 
@@ -43,10 +41,10 @@ struct PropagationOptions {
   PropagationAlgorithm algorithm = PropagationAlgorithm::kWorkspace;
 
   /// Cap on visited path instances. kDepthFirst truncates the traversal
-  /// beyond it and flags the profile; kLevelWise and kWorkspace are
-  /// budget-free, so they count complete instances and rerun the profile
-  /// depth-first when the count exceeds the cap — truncation semantics are
-  /// identical across algorithms. Guards against pathological fanouts.
+  /// beyond it and flags the profile; kWorkspace is budget-free, so it
+  /// counts complete instances and reruns the profile depth-first when the
+  /// count exceeds the cap — truncation semantics are identical across
+  /// algorithms. Guards against pathological fanouts.
   int64_t max_instances = 5'000'000;
 
   /// Byte budget of the shared subtree memo (kWorkspace only; see

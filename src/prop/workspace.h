@@ -1,11 +1,10 @@
 // Dense scratch-space propagation with shared subtree memoization — the
 // PropagationAlgorithm::kWorkspace engine.
 //
-// The DFS and level-wise engines in propagation.cc push every tuple through
-// per-level unordered_maps and re-walk identical subtrees for every
-// reference (all co-authors of one paper traverse the same
-// Paper -> Conference subtree once per reference). This layer removes both
-// costs:
+// The DFS engine in propagation.cc pushes every tuple through an
+// unordered_map and re-walks identical subtrees for every reference (all
+// co-authors of one paper traverse the same Paper -> Conference subtree
+// once per reference). This layer removes both costs:
 //
 //  * PropagationWorkspace owns reusable dense slabs — per schema node,
 //    forward/reverse/instance-count arrays sized by LinkGraph::NumTuples

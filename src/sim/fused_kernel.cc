@@ -7,14 +7,12 @@
 
 namespace distinct {
 
-PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j,
-                           KernelIsa isa) {
-  const MergeJoinFn join = MergeJoinForIsa(ResolveKernelIsa(isa));
+PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j) {
   PairFeatures features;
   features.resemblance.resize(arena.num_paths());
   features.walk.resize(arena.num_paths());
   for (size_t p = 0; p < arena.num_paths(); ++p) {
-    const FusedPathFeatures fused = join(arena.path(p), i, j);
+    const FusedPathFeatures fused = FusedMergeJoin(arena.path(p), i, j);
     features.resemblance[p] = fused.resemblance;
     features.walk[p] = fused.walk;
   }

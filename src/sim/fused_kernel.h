@@ -33,27 +33,85 @@
 #ifndef DISTINCT_SIM_FUSED_KERNEL_H_
 #define DISTINCT_SIM_FUSED_KERNEL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "cluster/agglomerative.h"
 #include "sim/feature_vector.h"
-#include "sim/intersect.h"
 #include "sim/profile_arena.h"
 #include "sim/similarity_model.h"
 
 namespace distinct {
 
-// The merge-join itself (FusedPathFeatures, FusedMergeJoin and its
-// gallop/AVX2 siblings, KernelIsa dispatch) lives in sim/intersect.h;
-// this header keeps the candidate set and the mass-bound prune.
+/// One path's pair features out of a single merge-join.
+struct FusedPathFeatures {
+  double resemblance = 0.0;
+  double walk = 0.0;  // symmetric: mean of both directions
+};
+
+/// Single-pass resemblance + both walk directions for the pair (i, j) of
+/// one path slab. Accumulators advance in the same visit order as the
+/// three-pass reference — one denominator add per union element in
+/// increasing tuple order, numerator and walk contributions per match in
+/// match order — so each value is bit-identical to SetResemblance /
+/// SymmetricWalkProbability on the original profiles. Defined inline: it
+/// is the fused fill's innermost call, and keeping the body visible lets
+/// the per-cell loop inline it instead of paying a cross-TU call per
+/// (pair, path).
+inline FusedPathFeatures FusedMergeJoin(const ProfileArena::Path& path,
+                                        size_t i, size_t j) {
+  FusedPathFeatures features;
+  size_t x = path.offsets[i];
+  const size_t x_end = path.offsets[i + 1];
+  size_t y = path.offsets[j];
+  const size_t y_end = path.offsets[j + 1];
+  // SetResemblance defines an empty side as 0 before any accumulation; the
+  // walk sums have no matches to visit either way.
+  if (x == x_end || y == y_end) {
+    return features;
+  }
+
+  double numerator = 0.0;
+  double denominator = 0.0;
+  double walk_ij = 0.0;  // Walk_P(i -> j): forward_i · reverse_j
+  double walk_ji = 0.0;  // Walk_P(j -> i): forward_j · reverse_i
+  while (x < x_end && y < y_end) {
+    const int32_t tx = path.tuples[x];
+    const int32_t ty = path.tuples[y];
+    if (tx < ty) {
+      denominator += path.forward[x];
+      ++x;
+    } else if (ty < tx) {
+      denominator += path.forward[y];
+      ++y;
+    } else {
+      numerator += std::min(path.forward[x], path.forward[y]);
+      denominator += std::max(path.forward[x], path.forward[y]);
+      walk_ij += path.forward[x] * path.reverse[y];
+      walk_ji += path.forward[y] * path.reverse[x];
+      ++x;
+      ++y;
+    }
+  }
+  for (; x < x_end; ++x) {
+    denominator += path.forward[x];
+  }
+  for (; y < y_end; ++y) {
+    denominator += path.forward[y];
+  }
+  if (denominator > 0.0) {
+    features.resemblance = numerator / denominator;
+  }
+  // Same addition order as 0.5 * (Walk(i, j) + Walk(j, i)).
+  features.walk = 0.5 * (walk_ij + walk_ji);
+  return features;
+}
 
 /// All-path features of pair (i, j) — the fused drop-in for
-/// ProfileStore::Features / ComputePairFeatures (testing seam). `isa`
-/// picks the merge-join variant; every ISA returns bit-identical values.
-PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j,
-                           KernelIsa isa = KernelIsa::kScalar);
+/// ProfileStore::Features / ComputePairFeatures (testing seam).
+PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j);
 
 /// How CandidateSet::Build marks the pairs of one path: pairwise within
 /// tuple groups (cost ~ shared-tuple incidences — right for sparse

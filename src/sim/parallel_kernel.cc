@@ -88,28 +88,9 @@ void ForEachRowSegment(size_t n, ThreadPool* pool,
 /// cell verbatim (UpdatePairMatrices). Each cell depends only on its two
 /// profiles and the model, so the partial fill is bit-identical to a full
 /// one on the marked cells.
-void FillReference(const ProfileStore& store, const SimilarityModel& model,
-                   ThreadPool* pool, const PairKernelOptions& options,
-                   PairMatrix* resem, PairMatrix* walk,
-                   const std::vector<char>* recompute = nullptr) {
-  ForEachRowSegment(
-      store.num_refs(), pool, options,
-      [&](size_t i, size_t j_begin, size_t j_end, TileStats* /*stats*/) {
-        for (size_t j = j_begin; j < j_end; ++j) {
-          if (recompute != nullptr && !((*recompute)[i] | (*recompute)[j])) {
-            continue;
-          }
-          const PairFeatures features = store.Features(i, j);
-          resem->set(i, j, model.Resemblance(features));
-          walk->set(i, j, model.Walk(features));
-        }
-      });
-}
-
-void FillFused(const ProfileStore& store, const ProfileArena& arena,
-               const SimilarityModel& model, ThreadPool* pool,
-               const PairKernelOptions& options, PairMatrix* resem,
-               PairMatrix* walk,
+void FillFused(const ProfileArena& arena, const SimilarityModel& model,
+               ThreadPool* pool, const PairKernelOptions& options,
+               PairMatrix* resem, PairMatrix* walk,
                const std::vector<char>* recompute = nullptr) {
   Stopwatch kernel_watch;
   // A full fill builds the complete candidate set; the partial fill builds
@@ -129,13 +110,11 @@ void FillFused(const ProfileStore& store, const ProfileArena& arena,
                            options.combine};
   // Weighted per-path accumulation in path order — the same floating-point
   // op sequence as SimilarityModel::Resemblance/Walk over a PairFeatures
-  // vector, without materializing one per pair. The merge-join variant is
-  // resolved once per fill, never per cell.
-  const KernelIsa isa = ResolveKernelIsa(options.isa);
+  // vector, without materializing one per pair.
   const std::vector<double>& resem_weights = model.resem_weights();
   const std::vector<double>& walk_weights = model.walk_weights();
   const size_t num_paths = arena.num_paths();
-  const size_t n = store.num_refs();
+  const size_t n = arena.num_refs();
 
   // Only paths on which some pair shares a tuple can contribute, and a
   // cell runs the merge-join of path P only when its bit of P is set. A
@@ -156,97 +135,72 @@ void FillFused(const ProfileStore& store, const ProfileArena& arena,
   // the union falls back to joining every path.
   const bool use_path_sets = live.size() <= 64;
 
-  // Generic over the join callable so the scalar instantiation inlines
-  // FusedMergeJoin (header-inline) straight into the cell loop — the
-  // innermost call of the whole fill — while gallop/AVX2 instantiations
-  // pay one direct call per (pair, path).
-  const auto run_cells = [&](auto join) {
-    const auto fill_cell = [&, join](size_t i, size_t j, uint64_t paths,
-                                     TileStats* stats) {
-      if (prune && PairSimilarityUpperBound(arena, model, policy, i, j) <
-                       policy.min_sim) {
-        ++stats->pruned;
-        return;
-      }
-      double resem_sim = 0.0;
-      double walk_sim = 0.0;
-      if (use_path_sets) {
-        for (uint64_t m = paths; m != 0; m &= m - 1) {
-          const size_t p = live[static_cast<size_t>(std::countr_zero(m))];
-          const uint64_t rest = m & (m - 1);
-          if (rest != 0) {
-            // Overlap the next path's slice loads with this join.
-            const ProfileArena::Path& next =
-                arena.path(live[static_cast<size_t>(std::countr_zero(rest))]);
-            __builtin_prefetch(next.tuples.data() + next.offsets[i]);
-            __builtin_prefetch(next.tuples.data() + next.offsets[j]);
-          }
-          const FusedPathFeatures features = join(arena.path(p), i, j);
-          resem_sim += resem_weights[p] * features.resemblance;
-          walk_sim += walk_weights[p] * features.walk;
+  const auto fill_cell = [&](size_t i, size_t j, uint64_t paths,
+                             TileStats* stats) {
+    if (prune && PairSimilarityUpperBound(arena, model, policy, i, j) <
+                     policy.min_sim) {
+      ++stats->pruned;
+      return;
+    }
+    double resem_sim = 0.0;
+    double walk_sim = 0.0;
+    if (use_path_sets) {
+      for (uint64_t m = paths; m != 0; m &= m - 1) {
+        const size_t p = live[static_cast<size_t>(std::countr_zero(m))];
+        const uint64_t rest = m & (m - 1);
+        if (rest != 0) {
+          // Overlap the next path's slice loads with this join.
+          const ProfileArena::Path& next =
+              arena.path(live[static_cast<size_t>(std::countr_zero(rest))]);
+          __builtin_prefetch(next.tuples.data() + next.offsets[i]);
+          __builtin_prefetch(next.tuples.data() + next.offsets[j]);
         }
-        stats->path_joins += std::popcount(paths);
-      } else {
-        for (size_t p = 0; p < num_paths; ++p) {
-          const FusedPathFeatures features = join(arena.path(p), i, j);
-          resem_sim += resem_weights[p] * features.resemblance;
-          walk_sim += walk_weights[p] * features.walk;
-        }
-        stats->path_joins += static_cast<int64_t>(num_paths);
+        const FusedPathFeatures features = FusedMergeJoin(arena.path(p), i, j);
+        resem_sim += resem_weights[p] * features.resemblance;
+        walk_sim += walk_weights[p] * features.walk;
       }
-      resem->set(i, j, std::max(resem_sim, 0.0));
-      walk->set(i, j, std::max(walk_sim, 0.0));
-    };
-    ForEachRowSegment(
-        n, pool, options,
-        [&](size_t i, size_t j_begin, size_t j_end, TileStats* stats) {
-          // Up to 64 cells at a time: one window per live path, their OR
-          // picks the cells to visit, and bit b of every window transposes
-          // into cell b's path set.
-          const size_t row_base = i * (i - 1) / 2;
-          uint64_t window[64];
-          for (size_t j0 = j_begin; j0 < j_end; j0 += 64) {
-            const size_t len = std::min<size_t>(64, j_end - j0);
-            uint64_t any = 0;
-            for (size_t k = 0; k < live.size(); ++k) {
-              const uint64_t w =
-                  candidates.Window(live[k], row_base + j0, len);
-              if (use_path_sets) {
-                window[k] = w;
-              }
-              any |= w;
-            }
-            for (; any != 0; any &= any - 1) {
-              const int b = std::countr_zero(any);
-              uint64_t paths = 0;
-              if (use_path_sets) {
-                for (size_t k = 0; k < live.size(); ++k) {
-                  paths |= ((window[k] >> b) & 1) << k;
-                }
-              }
-              fill_cell(i, j0 + static_cast<size_t>(b), paths, stats);
-            }
-          }
-        });
+      stats->path_joins += std::popcount(paths);
+    } else {
+      for (size_t p = 0; p < num_paths; ++p) {
+        const FusedPathFeatures features = FusedMergeJoin(arena.path(p), i, j);
+        resem_sim += resem_weights[p] * features.resemblance;
+        walk_sim += walk_weights[p] * features.walk;
+      }
+      stats->path_joins += static_cast<int64_t>(num_paths);
+    }
+    resem->set(i, j, std::max(resem_sim, 0.0));
+    walk->set(i, j, std::max(walk_sim, 0.0));
   };
-  switch (isa) {
-    case KernelIsa::kGallop:
-      run_cells([](const ProfileArena::Path& path, size_t i, size_t j) {
-        return FusedMergeJoinGallop(path, i, j);
+  ForEachRowSegment(
+      n, pool, options,
+      [&](size_t i, size_t j_begin, size_t j_end, TileStats* stats) {
+        // Up to 64 cells at a time: one window per live path, their OR
+        // picks the cells to visit, and bit b of every window transposes
+        // into cell b's path set.
+        const size_t row_base = i * (i - 1) / 2;
+        uint64_t window[64];
+        for (size_t j0 = j_begin; j0 < j_end; j0 += 64) {
+          const size_t len = std::min<size_t>(64, j_end - j0);
+          uint64_t any = 0;
+          for (size_t k = 0; k < live.size(); ++k) {
+            const uint64_t w = candidates.Window(live[k], row_base + j0, len);
+            if (use_path_sets) {
+              window[k] = w;
+            }
+            any |= w;
+          }
+          for (; any != 0; any &= any - 1) {
+            const int b = std::countr_zero(any);
+            uint64_t paths = 0;
+            if (use_path_sets) {
+              for (size_t k = 0; k < live.size(); ++k) {
+                paths |= ((window[k] >> b) & 1) << k;
+              }
+            }
+            fill_cell(i, j0 + static_cast<size_t>(b), paths, stats);
+          }
+        }
       });
-      break;
-    case KernelIsa::kAvx2:
-      run_cells([](const ProfileArena::Path& path, size_t i, size_t j) {
-        return FusedMergeJoinAvx2(path, i, j);
-      });
-      break;
-    case KernelIsa::kAuto:  // ResolveKernelIsa never returns kAuto
-    case KernelIsa::kScalar:
-      run_cells([](const ProfileArena::Path& path, size_t i, size_t j) {
-        return FusedMergeJoin(path, i, j);
-      });
-      break;
-  }
 
   if (full_fill) {
     DISTINCT_COUNTER_ADD("sim.candidate_pairs", candidates.count());
@@ -259,37 +213,21 @@ void FillFused(const ProfileStore& store, const ProfileArena& arena,
 std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
     const ProfileStore& store, const SimilarityModel& model,
     ThreadPool* pool, const PairKernelOptions& options) {
-  if (options.kernel == PairKernelType::kFused) {
-    return ComputePairMatrices(store, ProfileArena::FromStore(store), model,
-                               pool, options);
-  }
-  // Metrics are aggregated per fill (and per tile above), never per cell,
-  // so the instrumented hot loop is byte-for-byte the uninstrumented one.
-  Stopwatch watch;
-  const size_t n = store.num_refs();
-  PairMatrix resem(n);
-  PairMatrix walk(n);
-  FillReference(store, model, pool, options, &resem, &walk);
-  DISTINCT_COUNTER_ADD("sim.matrix_fills", 1);
-  DISTINCT_COUNTER_ADD("sim.pairs_computed",
-                       static_cast<int64_t>(n < 2 ? 0 : n * (n - 1) / 2));
-  DISTINCT_HISTOGRAM_RECORD("sim.pair_matrix_nanos", watch.ElapsedNanos());
-  return std::make_pair(std::move(resem), std::move(walk));
+  return ComputePairMatrices(store, ProfileArena::FromStore(store), model,
+                             pool, options);
 }
 
 std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
     const ProfileStore& store, const ProfileArena& arena,
     const SimilarityModel& model, ThreadPool* pool,
     const PairKernelOptions& options) {
+  // Metrics are aggregated per fill (and per tile above), never per cell,
+  // so the instrumented hot loop is byte-for-byte the uninstrumented one.
   Stopwatch watch;
   const size_t n = store.num_refs();
   PairMatrix resem(n);
   PairMatrix walk(n);
-  if (options.kernel == PairKernelType::kFused) {
-    FillFused(store, arena, model, pool, options, &resem, &walk);
-  } else {
-    FillReference(store, model, pool, options, &resem, &walk);
-  }
+  FillFused(arena, model, pool, options, &resem, &walk);
   DISTINCT_COUNTER_ADD("sim.matrix_fills", 1);
   DISTINCT_COUNTER_ADD("sim.pairs_computed",
                        static_cast<int64_t>(n < 2 ? 0 : n * (n - 1) / 2));
@@ -328,15 +266,26 @@ std::pair<PairMatrix, PairMatrix> UpdatePairMatrices(
     }
   }
 
-  if (options.kernel == PairKernelType::kFused) {
-    FillFused(store, arena, model, pool, options, &resem, &walk, &dirty);
-  } else {
-    FillReference(store, model, pool, options, &resem, &walk, &dirty);
-  }
+  FillFused(arena, model, pool, options, &resem, &walk, &dirty);
 
   DISTINCT_COUNTER_ADD("sim.matrix_updates", 1);
   DISTINCT_COUNTER_ADD("sim.pairs_carried_over", copied);
   DISTINCT_HISTOGRAM_RECORD("sim.pair_matrix_nanos", watch.ElapsedNanos());
+  return std::make_pair(std::move(resem), std::move(walk));
+}
+
+std::pair<PairMatrix, PairMatrix> ReferencePairMatrices(
+    const ProfileStore& store, const SimilarityModel& model) {
+  const size_t n = store.num_refs();
+  PairMatrix resem(n);
+  PairMatrix walk(n);
+  for (size_t i = 1; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      const PairFeatures features = store.Features(i, j);
+      resem.set(i, j, model.Resemblance(features));
+      walk.set(i, j, model.Walk(features));
+    }
+  }
   return std::make_pair(std::move(resem), std::move(walk));
 }
 

@@ -9,15 +9,15 @@
 // never on neighbouring cells or on scheduling, so the parallel result is
 // bit-identical to the serial loop at any thread count.
 //
-// Two kernels fill the cells (fused_kernel.h documents the fused one):
-//  - kFused (default): flattens the store into a ProfileArena, builds the
-//    per-path candidate bits from inverted indexes, and computes each cell
-//    with one merge-join per path on which the pair shares a tuple (cells
-//    with none stay at the 0.0 init, which is exactly their value).
-//    Bit-identical to the reference kernel; optionally prunes candidates
-//    whose mass-bound similarity upper bound falls below `prune_min_sim`.
-//  - kReference: three sorted merges per (pair, path) over the
-//    array-of-structs profiles — the exactness baseline.
+// The fused kernel fills the cells (fused_kernel.h documents it): it
+// flattens the store into a ProfileArena, builds the per-path candidate
+// bits from inverted indexes, and computes each cell with one merge-join
+// per path on which the pair shares a tuple (cells with none stay at the
+// 0.0 init, which is exactly their value). It optionally prunes candidates
+// whose mass-bound similarity upper bound falls below `prune_min_sim`.
+// ReferencePairMatrices is the exactness oracle the fused fill is tested
+// against: three sorted merges per (pair, path) over the array-of-structs
+// profiles.
 
 #ifndef DISTINCT_SIM_PARALLEL_KERNEL_H_
 #define DISTINCT_SIM_PARALLEL_KERNEL_H_
@@ -29,17 +29,10 @@
 #include "common/cancel.h"
 #include "common/thread_pool.h"
 #include "sim/fused_kernel.h"
-#include "sim/intersect.h"
 #include "sim/profile_store.h"
 #include "sim/similarity_model.h"
 
 namespace distinct {
-
-/// Which pair kernel fills the matrices.
-enum class PairKernelType {
-  kFused,      // arena + single merge-join + candidate skipping
-  kReference,  // three-pass merges over NeighborProfile vectors
-};
 
 struct PairKernelOptions {
   /// Side length of the square tiles the lower triangle is cut into. One
@@ -49,14 +42,9 @@ struct PairKernelOptions {
   /// Below this many references the fill runs inline even when a pool is
   /// supplied.
   int min_parallel_refs = 32;
-  PairKernelType kernel = PairKernelType::kFused;
-  /// Merge-join variant for the fused kernel (sim/intersect.h). Resolved
-  /// once per fill — kAuto picks the best the host supports. Every ISA is
-  /// bit-identical, so this is purely a speed knob.
-  KernelIsa isa = KernelIsa::kAuto;
-  /// Sparse-vs-bitset thresholds for CandidateSet::Build (kFused only).
+  /// Sparse-vs-bitset thresholds for CandidateSet::Build.
   CandidateBuildOptions candidates;
-  /// Mass-bound candidate pruning (kFused only): skip candidate pairs whose
+  /// Mass-bound candidate pruning: skip candidate pairs whose
   /// combined-similarity upper bound is below `prune_min_sim`, leaving
   /// their cells 0.0. Heuristic — pruned cells lose their (sub-floor) true
   /// values — so exactness tests and threshold sweeps must keep it off.
@@ -84,8 +72,8 @@ std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
 
 class ProfileArena;
 
-/// As above, with a caller-supplied arena over the same store (the fused
-/// kernel skips its internal flatten). Callers that keep artifacts
+/// As above, with a caller-supplied arena over the same store (the fill
+/// skips its internal flatten). Callers that keep artifacts
 /// resident build the arena once and patch it across deltas.
 std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
     const ProfileStore& store, const ProfileArena& arena,
@@ -103,12 +91,19 @@ std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
 /// on its two profiles and the model); cells with a dirty endpoint are
 /// recomputed by the same per-cell kernel as ComputePairMatrices. The
 /// result is bit-identical to a full ComputePairMatrices over `store`,
-/// for both kernels, with or without the mass-bound prune.
+/// with or without the mass-bound prune.
 std::pair<PairMatrix, PairMatrix> UpdatePairMatrices(
     const ProfileStore& store, const ProfileArena& arena,
     const SimilarityModel& model, const std::vector<char>& dirty,
     const PairMatrix& old_resem, const PairMatrix& old_walk,
     ThreadPool* pool = nullptr, const PairKernelOptions& options = {});
+
+/// The exactness oracle: fills every cell serially from
+/// ProfileStore::Features (three sorted merges per (pair, path)) and the
+/// model. ComputePairMatrices without the prune must match it bit for bit;
+/// tests and benches call it, the engine never does.
+std::pair<PairMatrix, PairMatrix> ReferencePairMatrices(
+    const ProfileStore& store, const SimilarityModel& model);
 
 }  // namespace distinct
 

@@ -282,35 +282,6 @@ TEST_F(ReportTest, JsonCarriesRecordedValuesAndDerivedRates) {
   EXPECT_FALSE(fill.Get("buckets")->array.empty());
 }
 
-TEST_F(ReportTest, AttributesAppearInJsonAndTextSortedByKey) {
-  SetRunAttribute("kernel_isa", "avx2");
-  SetRunAttribute("build", "release");
-  SetRunAttribute("kernel_isa", "scalar");  // last write wins
-
-  const RunReport report = CollectRunReport("unit-test");
-  ASSERT_EQ(report.attributes.size(), 2u);
-  // std::map snapshot: key-sorted, deterministic across runs.
-  EXPECT_EQ(report.attributes[0].first, "build");
-  EXPECT_EQ(report.attributes[0].second, "release");
-  EXPECT_EQ(report.attributes[1].first, "kernel_isa");
-  EXPECT_EQ(report.attributes[1].second, "scalar");
-
-  const std::string json = RunReportToJson(report);
-  JsonParser parser(json);
-  auto root = parser.Parse();
-  ASSERT_NE(root, nullptr) << json;
-  const JsonValue* attributes = root->Get("attributes");
-  ASSERT_NE(attributes, nullptr);
-  ASSERT_EQ(attributes->kind, JsonValue::Kind::kObject);
-  const JsonValue* isa = attributes->Get("kernel_isa");
-  ASSERT_NE(isa, nullptr);
-  EXPECT_EQ(isa->string_value, "scalar");
-
-  const std::string text = RunReportToText(report);
-  EXPECT_NE(text.find("kernel_isa"), std::string::npos);
-  EXPECT_NE(text.find("scalar"), std::string::npos);
-}
-
 TEST_F(ReportTest, JsonRoundTripsThroughAFile) {
   RecordFixture();
   const RunReport report = CollectRunReport("round-trip");

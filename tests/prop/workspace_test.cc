@@ -1,7 +1,6 @@
-// The dense workspace/memo engine must agree with the depth-first and
-// level-wise references on every path, tuple, and option combination — and
-// be bit-identical to itself across cache capacities, hit/miss patterns,
-// and thread counts.
+// The dense workspace/memo engine must agree with the depth-first reference
+// on every path, tuple, and option combination — and be bit-identical to
+// itself across cache capacities, hit/miss patterns, and thread counts.
 
 #include <gtest/gtest.h>
 
@@ -110,8 +109,6 @@ TEST_P(WorkspaceEquivalenceTest, AgreesWithBothReferenceEngines) {
     PropagationOptions dfs;
     dfs.algorithm = PropagationAlgorithm::kDepthFirst;
     dfs.exclude_start_tuple = exclude;
-    PropagationOptions level = dfs;
-    level.algorithm = PropagationAlgorithm::kLevelWise;
     PropagationOptions dense = dfs;
     dense.algorithm = PropagationAlgorithm::kWorkspace;
     dense.cache_bytes = cache_bytes;
@@ -123,14 +120,10 @@ TEST_P(WorkspaceEquivalenceTest, AgreesWithBothReferenceEngines) {
         const JoinPath& path = world.paths[p];
         const std::string context =
             path.Describe(*world.schema) + " ref " + std::to_string(ref);
-        const NeighborProfile expected = engine.Compute(path, ref, dfs);
-        ExpectProfilesNear(expected, engine.Compute(path, ref, level),
-                           context + " (level-wise)");
-        ExpectProfilesNear(
-            expected,
-            engine.Compute(path, ref, dense, workspace, &cache,
-                           static_cast<int>(p)),
-            context + " (workspace)");
+        ExpectProfilesNear(engine.Compute(path, ref, dfs),
+                           engine.Compute(path, ref, dense, workspace, &cache,
+                                          static_cast<int>(p)),
+                           context);
       }
     }
   }
@@ -446,6 +439,34 @@ TEST(WorkspaceEndToEndTest, ClusteringIdenticalCacheOnOffAcrossThreads) {
       }
     }
   }
+}
+
+/// The whole pipeline over the default engine clusters exactly as over
+/// the depth-first oracle.
+TEST(WorkspaceEndToEndTest, ClusteringMatchesDepthFirst) {
+  GeneratorConfig generator;
+  generator.seed = 29;
+  generator.num_communities = 8;
+  generator.authors_per_community = 12;
+  generator.ambiguous = {{"Wei Wang", 4, 24}};
+  auto dataset = GenerateDblpDataset(generator);
+  ASSERT_TRUE(dataset.ok());
+
+  DistinctConfig config;
+  config.supervised = false;
+  config.promotions = DblpDefaultPromotions();
+  DistinctConfig dfs_config = config;
+  dfs_config.propagation.algorithm = PropagationAlgorithm::kDepthFirst;
+
+  auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+  auto dfs_engine =
+      Distinct::Create(dataset->db, DblpReferenceSpec(), dfs_config);
+  ASSERT_TRUE(engine.ok() && dfs_engine.ok());
+
+  auto result = engine->ResolveName("Wei Wang");
+  auto dfs_result = dfs_engine->ResolveName("Wei Wang");
+  ASSERT_TRUE(result.ok() && dfs_result.ok());
+  EXPECT_EQ(result->clustering.assignment, dfs_result->clustering.assignment);
 }
 
 }  // namespace

@@ -163,8 +163,8 @@ TEST_F(ParallelKernelTest, EngineComputeMatricesMatchesAcrossThreadCounts) {
 
 // The incremental-catalog seam: matrices patched with UpdatePairMatrices
 // after a store splice must be bit-identical to a full fill over the
-// updated store — for both kernels, with conservative extra dirty marks,
-// and with the mass-bound prune armed.
+// updated store — with conservative extra dirty marks, and with the
+// mass-bound prune armed.
 TEST_F(ParallelKernelTest, UpdatePairMatricesMatchesFullFill) {
   ASSERT_GE(refs_.size(), 20u);
   const size_t old_n = refs_.size() - 8;  // last 8 refs play the append
@@ -172,52 +172,43 @@ TEST_F(ParallelKernelTest, UpdatePairMatricesMatchesFullFill) {
                                       refs_.begin() + old_n);
   const std::vector<int32_t> new_refs(refs_.begin() + old_n, refs_.end());
 
-  for (const PairKernelType kernel :
-       {PairKernelType::kFused, PairKernelType::kReference}) {
-    for (const bool prune : {false, true}) {
-      if (prune && kernel == PairKernelType::kReference) {
-        continue;  // the prune is fused-only
-      }
-      SCOPED_TRACE(std::string(kernel == PairKernelType::kFused ? "fused"
-                                                                : "reference") +
-                   (prune ? "+prune" : ""));
-      PairKernelOptions options;
-      options.kernel = kernel;
-      options.pruning = prune;
-      options.prune_min_sim = prune ? 1e-3 : 0.0;
+  for (const bool prune : {false, true}) {
+    SCOPED_TRACE(prune ? "prune" : "exact");
+    PairKernelOptions options;
+    options.pruning = prune;
+    options.prune_min_sim = prune ? 1e-3 : 0.0;
 
-      ProfileStore store = ProfileStore::Build(
-          engine_->propagation_engine(), engine_->paths(),
-          engine_->config().propagation, old_refs, /*pool=*/nullptr);
-      ProfileArena arena = ProfileArena::FromStore(store);
-      const auto old_matrices =
-          ComputePairMatrices(store, arena, engine_->model(),
-                              /*pool=*/nullptr, options);
+    ProfileStore store = ProfileStore::Build(
+        engine_->propagation_engine(), engine_->paths(),
+        engine_->config().propagation, old_refs, /*pool=*/nullptr);
+    ProfileArena arena = ProfileArena::FromStore(store);
+    const auto old_matrices =
+        ComputePairMatrices(store, arena, engine_->model(),
+                            /*pool=*/nullptr, options);
 
-      // Splice in the "appended" refs; additionally mark every 5th
-      // existing position dirty — their profiles are unchanged, and the
-      // conservative re-mark must not change a single bit.
-      std::vector<size_t> positions;
-      std::vector<char> dirty(refs_.size(), 0);
-      for (size_t i = 0; i < old_n; i += 5) {
-        positions.push_back(i);
-        dirty[i] = 1;
-      }
-      for (size_t i = old_n; i < refs_.size(); ++i) {
-        dirty[i] = 1;
-      }
-      store.Update(engine_->propagation_engine(), engine_->paths(),
-                   engine_->config().propagation, positions, new_refs);
-      arena.PatchFromStore(store, positions);
-
-      const auto patched = UpdatePairMatrices(
-          store, arena, engine_->model(), dirty, old_matrices.first,
-          old_matrices.second, /*pool=*/nullptr, options);
-      const auto full = ComputePairMatrices(store, engine_->model(),
-                                            /*pool=*/nullptr, options);
-      ExpectBitIdentical(patched.first, full.first);
-      ExpectBitIdentical(patched.second, full.second);
+    // Splice in the "appended" refs; additionally mark every 5th existing
+    // position dirty — their profiles are unchanged, and the conservative
+    // re-mark must not change a single bit.
+    std::vector<size_t> positions;
+    std::vector<char> dirty(refs_.size(), 0);
+    for (size_t i = 0; i < old_n; i += 5) {
+      positions.push_back(i);
+      dirty[i] = 1;
     }
+    for (size_t i = old_n; i < refs_.size(); ++i) {
+      dirty[i] = 1;
+    }
+    store.Update(engine_->propagation_engine(), engine_->paths(),
+                 engine_->config().propagation, positions, new_refs);
+    arena.PatchFromStore(store, positions);
+
+    const auto patched = UpdatePairMatrices(
+        store, arena, engine_->model(), dirty, old_matrices.first,
+        old_matrices.second, /*pool=*/nullptr, options);
+    const auto full = ComputePairMatrices(store, engine_->model(),
+                                          /*pool=*/nullptr, options);
+    ExpectBitIdentical(patched.first, full.first);
+    ExpectBitIdentical(patched.second, full.second);
   }
 }
 
