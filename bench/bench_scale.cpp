@@ -67,7 +67,8 @@ int main(int argc, char** argv) {
     }
 
     Stopwatch bulk;
-    auto bulk_stats = ResolveAllNames(engine, *groups);
+    auto bulk_stats = ResolveAllNamesParallel(engine, *groups,
+                                              engine.config().num_threads);
     if (!bulk_stats.ok()) {
       std::fprintf(stderr, "%s\n", bulk_stats.status().ToString().c_str());
       return 1;

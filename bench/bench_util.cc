@@ -48,15 +48,12 @@ Distinct MustCreate(const Database& db, const DistinctConfig& config) {
 
 int64_t MustInt64InRange(const FlagParser& flags, const char* name,
                          int64_t min_value, int64_t max_value) {
-  const int64_t value = flags.GetInt64(name);
-  if (value < min_value || value > max_value) {
-    std::fprintf(stderr, "--%s=%lld is out of range [%lld, %lld]\n", name,
-                 static_cast<long long>(value),
-                 static_cast<long long>(min_value),
-                 static_cast<long long>(max_value));
+  auto value = flags.GetInt64InRange(name, min_value, max_value);
+  if (!value.ok()) {
+    std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
     std::exit(1);
   }
-  return value;
+  return *value;
 }
 
 int MustIntInRange(const FlagParser& flags, const char* name, int min_value,

@@ -38,11 +38,10 @@ DblpDataset MustGenerate(const GeneratorConfig& config);
 /// Creates a trained engine or aborts with a message.
 Distinct MustCreate(const Database& db, const DistinctConfig& config);
 
-/// Range-validated flag access for harnesses: aborts with a clear message
-/// when the value is outside [min, max]. FlagParser::Parse already rejects
-/// malformed numbers and trailing junk; this closes the remaining hole —
-/// call sites used to narrow GetInt64 with an unchecked static_cast<int>,
-/// so --threads=5000000000 silently wrapped instead of failing.
+/// FlagParser::GetInt64InRange for harnesses: aborts with the parser's
+/// message when the value is outside [min, max]. Call sites used to narrow
+/// GetInt64 with an unchecked static_cast<int>, so --threads=5000000000
+/// silently wrapped instead of failing.
 int64_t MustInt64InRange(const FlagParser& flags, const char* name,
                          int64_t min_value, int64_t max_value);
 

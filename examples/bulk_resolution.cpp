@@ -3,8 +3,9 @@
 // demonstrates the train-once / reuse workflow via model serialization.
 //
 //   ./build/examples/bulk_resolution [--seed=42] [--min-refs=6]
-//       [--model=/tmp/distinct.model]
+//       [--threads=4] [--model=/tmp/distinct.model]
 
+#include <cstdint>
 #include <cstdio>
 
 #include "common/flags.h"
@@ -30,6 +31,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Same bounds as distinct_cli's flags of the same names.
+  auto threads = flags.GetIntInRange("threads", 1, 4096);
+  auto min_refs = flags.GetInt64InRange("min-refs", 1, INT64_MAX);
+  auto max_refs = flags.GetInt64InRange("max-refs", 0, INT64_MAX);
+  for (const Status& s : {threads.status(), min_refs.status(),
+                          max_refs.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
+
   GeneratorConfig generator;
   generator.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
   auto dataset = GenerateDblpDataset(generator);
@@ -43,7 +56,7 @@ int main(int argc, char** argv) {
   // The engine-level kernel pool parallelizes training features and any
   // direct ResolveName calls; the bulk scan below builds its own pool and
   // nests group and tile parallelism inside it.
-  config.num_threads = static_cast<int>(flags.GetInt64("threads"));
+  config.num_threads = *threads;
 
   // Train-once / reuse: load a saved model when present, else train and
   // save one.
@@ -71,22 +84,19 @@ int main(int argc, char** argv) {
   }
 
   ScanOptions scan;
-  scan.min_refs = static_cast<int>(flags.GetInt64("min-refs"));
-  scan.max_refs = static_cast<int>(flags.GetInt64("max-refs"));
+  scan.min_refs = *min_refs;
+  scan.max_refs = *max_refs;
   auto groups = ScanNameGroups(*engine, scan);
   if (!groups.ok()) {
     std::fprintf(stderr, "%s\n", groups.status().ToString().c_str());
     return 1;
   }
-  std::printf("scanning found %zu candidate names (>= %d refs)\n",
-              groups->size(), scan.min_refs);
+  std::printf("scanning found %zu candidate names (>= %lld refs)\n",
+              groups->size(), static_cast<long long>(scan.min_refs));
 
   std::vector<BulkResolution> results;
-  const int threads = static_cast<int>(flags.GetInt64("threads"));
-  auto stats = threads > 1
-                   ? ResolveAllNamesParallel(*engine, *groups, threads,
-                                             &results)
-                   : ResolveAllNames(*engine, *groups, &results);
+  auto stats = ResolveAllNamesParallel(*engine, *groups,
+                                       engine->config().num_threads, &results);
   if (!stats.ok()) {
     std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
     return 1;

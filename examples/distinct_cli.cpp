@@ -68,44 +68,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Range-validated access to a numeric flag. FlagParser::Parse already
-/// rejects malformed values with a clear error; this layer adds the range
-/// checks the call sites used to skip — previously GetInt64 results were
-/// narrowed with unchecked static_cast<int>, so --threads=5000000000
-/// silently wrapped instead of failing.
-StatusOr<int64_t> Int64FlagInRange(const FlagParser& flags, const char* name,
-                                   int64_t min_value, int64_t max_value) {
-  const int64_t value = flags.GetInt64(name);
-  if (value < min_value || value > max_value) {
-    return InvalidArgumentError(StrFormat(
-        "--%s=%lld is out of range [%lld, %lld]", name,
-        static_cast<long long>(value), static_cast<long long>(min_value),
-        static_cast<long long>(max_value)));
-  }
-  return value;
-}
-
-/// Same, for flags consumed as int: bounds are checked before narrowing.
-StatusOr<int> IntFlagInRange(const FlagParser& flags, const char* name,
-                             int min_value, int max_value) {
-  auto value = Int64FlagInRange(flags, name, min_value, max_value);
-  if (!value.ok()) {
-    return value.status();
-  }
-  return static_cast<int>(*value);
-}
-
-StatusOr<double> DoubleFlagInRange(const FlagParser& flags, const char* name,
-                                   double min_value, double max_value) {
-  const double value = flags.GetDouble(name);
-  if (!(value >= min_value && value <= max_value)) {  // rejects NaN too
-    return InvalidArgumentError(StrFormat(
-        "--%s=%g is out of range [%g, %g]", name, value, min_value,
-        max_value));
-  }
-  return value;
-}
-
 void Usage() {
   std::fprintf(stderr,
                "usage: distinct_cli "
@@ -116,8 +78,7 @@ void Usage() {
                "                 ingested columnar catalog instead of "
                "--dir)\n"
                "                --threads=N --stopping=fixed|largest-gap\n"
-               "                --no-incremental --prop-cache-mb=N\n"
-               "                --kernel-pruning\n"
+               "                --prop-cache-mb=N --kernel-pruning\n"
                "                --verbosity=0|1|2\n"
                "                --report --metrics-json=FILE "
                "--trace-json=FILE\n"
@@ -218,7 +179,7 @@ StatusOr<CliDatabase> LoadCliDatabase(const FlagParser& flags) {
     auto reader = catalog::CatalogReader::Open(catalog_dir);
     DISTINCT_RETURN_IF_ERROR(reader.status());
     XmlLoadOptions options;
-    auto min_refs = IntFlagInRange(flags, "min-refs-per-author", 0, 1 << 30);
+    auto min_refs = flags.GetIntInRange("min-refs-per-author", 0, 1 << 30);
     DISTINCT_RETURN_IF_ERROR(min_refs.status());
     options.min_refs_per_author = *min_refs;
     auto result = (*reader)->MaterializeDatabase(options);
@@ -237,27 +198,22 @@ StatusOr<CliDatabase> LoadCliDatabase(const FlagParser& flags) {
   return loaded;
 }
 
-StatusOr<Distinct> MakeEngine(const Database& db, const FlagParser& flags,
-                              int64_t catalog_generation = 0) {
+/// The engine configuration every command builds from the common flags.
+StatusOr<DistinctConfig> EngineConfigFromFlags(const FlagParser& flags,
+                                               int64_t catalog_generation) {
   DistinctConfig config;
   config.promotions = DblpDefaultPromotions();
   config.base_catalog_version = catalog_generation;
-  auto min_sim = DoubleFlagInRange(flags, "min-sim", 0.0, 1e9);
+  auto min_sim = flags.GetDoubleInRange("min-sim", 0.0, 1e9);
   if (!min_sim.ok()) return min_sim.status();
   config.min_sim = *min_sim;
   config.auto_min_sim = flags.GetBool("auto-min-sim");
-  auto threads = IntFlagInRange(flags, "threads", 1, 4096);
+  auto threads = flags.GetIntInRange("threads", 1, 4096);
   if (!threads.ok()) return threads.status();
   config.num_threads = *threads;
-  auto cache_mb = IntFlagInRange(flags, "prop-cache-mb", 0, 1 << 20);
+  auto cache_mb = flags.GetInt64InRange("prop-cache-mb", 0, 1 << 20);
   if (!cache_mb.ok()) return cache_mb.status();
-  config.propagation_cache_mb = *cache_mb;
-  // Cap keeps the budget in bytes (mb << 20) inside int64.
-  auto scan_memory_mb = Int64FlagInRange(flags, "scan-memory-mb", 0,
-                                         int64_t{1} << 40);
-  if (!scan_memory_mb.ok()) return scan_memory_mb.status();
-  config.scan_memory_mb = *scan_memory_mb;
-  config.incremental = flags.GetBool("incremental");
+  config.propagation.cache_bytes = static_cast<size_t>(*cache_mb) << 20;
   config.supervised = !flags.GetBool("unsupervised");
   config.kernel_pruning = flags.GetBool("kernel-pruning");
   config.observability = obs::Enabled();
@@ -269,23 +225,36 @@ StatusOr<Distinct> MakeEngine(const Database& db, const FlagParser& flags,
         "--stopping must be 'fixed' or 'largest-gap', got '" + stopping +
         "'");
   }
+  return config;
+}
+
+/// --scan-memory-mb, the budget of ingest, scan and serve; the cap keeps
+/// the budget in bytes (mb << 20) inside int64.
+StatusOr<int64_t> ScanMemoryMb(const FlagParser& flags) {
+  return flags.GetInt64InRange("scan-memory-mb", 0, int64_t{1} << 40);
+}
+
+StatusOr<Distinct> MakeEngine(const Database& db, const FlagParser& flags,
+                              int64_t catalog_generation = 0) {
+  auto config = EngineConfigFromFlags(flags, catalog_generation);
+  if (!config.ok()) return config.status();
   const std::string model_path = flags.GetString("model");
   if (!model_path.empty()) {
     auto model = LoadSimilarityModel(model_path);
     if (model.ok()) {
       DISTINCT_LOG(INFO) << "using model " << model_path;
-      return Distinct::CreateWithModel(db, DblpReferenceSpec(), config,
+      return Distinct::CreateWithModel(db, DblpReferenceSpec(), *config,
                                        *std::move(model));
     }
     DISTINCT_LOG(WARN) << model.status().ToString()
                        << " — training instead";
   }
-  return Distinct::Create(db, DblpReferenceSpec(), config);
+  return Distinct::Create(db, DblpReferenceSpec(), *config);
 }
 
 int RunGenerate(const FlagParser& flags) {
   GeneratorConfig config;
-  auto seed = Int64FlagInRange(flags, "seed", 0, INT64_MAX);
+  auto seed = flags.GetInt64InRange("seed", 0, INT64_MAX);
   if (!seed.ok()) return Fail(seed.status());
   config.seed = static_cast<uint64_t>(*seed);
   auto dataset = GenerateDblpDataset(config);
@@ -306,10 +275,10 @@ int RunGenerateXml(const FlagParser& flags) {
     return 1;
   }
   XmlCorpusConfig config;
-  auto seed = Int64FlagInRange(flags, "seed", 0, INT64_MAX);
+  auto seed = flags.GetInt64InRange("seed", 0, INT64_MAX);
   if (!seed.ok()) return Fail(seed.status());
   config.seed = static_cast<uint64_t>(*seed);
-  auto rows = Int64FlagInRange(flags, "rows", 1, INT64_MAX);
+  auto rows = flags.GetInt64InRange("rows", 1, INT64_MAX);
   if (!rows.ok()) return Fail(rows.status());
   config.target_refs = *rows;
   Stopwatch watch;
@@ -331,11 +300,10 @@ int RunIngest(const FlagParser& flags) {
   }
   catalog::IngestOptions options;
   auto segment_papers =
-      Int64FlagInRange(flags, "segment-papers", 1, int64_t{1} << 31);
+      flags.GetInt64InRange("segment-papers", 1, int64_t{1} << 31);
   if (!segment_papers.ok()) return Fail(segment_papers.status());
   options.segment_papers = *segment_papers;
-  auto budget = Int64FlagInRange(flags, "scan-memory-mb", 0,
-                                 int64_t{1} << 40);
+  auto budget = ScanMemoryMb(flags);
   if (!budget.ok()) return Fail(budget.status());
   options.memory_budget_mb = *budget;
   Stopwatch watch;
@@ -364,21 +332,10 @@ int RunIngest(const FlagParser& flags) {
 int RunTrain(const FlagParser& flags) {
   auto db = LoadCliDatabase(flags);
   if (!db.ok()) return Fail(db.status());
-  DistinctConfig config;
-  config.promotions = DblpDefaultPromotions();
-  config.base_catalog_version = db->catalog_generation;
-  auto min_sim = DoubleFlagInRange(flags, "min-sim", 0.0, 1e9);
-  if (!min_sim.ok()) return Fail(min_sim.status());
-  config.min_sim = *min_sim;
-  auto threads = IntFlagInRange(flags, "threads", 1, 4096);
-  if (!threads.ok()) return Fail(threads.status());
-  config.num_threads = *threads;
-  auto cache_mb = IntFlagInRange(flags, "prop-cache-mb", 0, 1 << 20);
-  if (!cache_mb.ok()) return Fail(cache_mb.status());
-  config.propagation_cache_mb = *cache_mb;
-  config.kernel_pruning = flags.GetBool("kernel-pruning");
-  config.observability = obs::Enabled();
-  auto engine = Distinct::Create(db->db, DblpReferenceSpec(), config);
+  auto config = EngineConfigFromFlags(flags, db->catalog_generation);
+  if (!config.ok()) return Fail(config.status());
+  config->supervised = true;  // train always trains
+  auto engine = Distinct::Create(db->db, DblpReferenceSpec(), *config);
   if (!engine.ok()) return Fail(engine.status());
   const TrainingReport& report = engine->report();
   std::printf("trained on %zu pairs, %d paths, %.2fs\n",
@@ -440,62 +397,47 @@ int RunScan(const FlagParser& flags) {
   ScanOptions scan;
   // int64 end to end: a --min-refs/--max-refs beyond INT_MAX compares
   // exactly instead of being narrowed.
-  auto min_refs = Int64FlagInRange(flags, "min-refs", 1, INT64_MAX);
+  auto min_refs = flags.GetInt64InRange("min-refs", 1, INT64_MAX);
   if (!min_refs.ok()) return Fail(min_refs.status());
   scan.min_refs = *min_refs;
-  auto max_refs = Int64FlagInRange(flags, "max-refs", 0, INT64_MAX);
+  auto max_refs = flags.GetInt64InRange("max-refs", 0, INT64_MAX);
   if (!max_refs.ok()) return Fail(max_refs.status());
   scan.max_refs = *max_refs;
   // Served from the engine's name index; no second pass over the tables.
   auto groups = ScanNameGroups(*engine, scan);
   if (!groups.ok()) return Fail(groups.status());
 
-  const int threads = engine->config().num_threads;
-  auto shards = IntFlagInRange(flags, "shards", 1, 1 << 20);
+  ShardedScanOptions options;
+  auto shards = flags.GetIntInRange("shards", 1, 1 << 20);
   if (!shards.ok()) return Fail(shards.status());
-  const std::string checkpoint_dir = flags.GetString("checkpoint-dir");
-  const bool resume = flags.GetBool("resume");
-  const bool sharded = *shards > 1 || !checkpoint_dir.empty() || resume ||
-                       engine->config().scan_memory_mb > 0;
-
-  std::vector<BulkResolution> results;
-  BulkStats stats;
-  if (sharded) {
-    ShardedScanOptions options;
-    options.num_shards = *shards;
-    options.num_threads = threads;
-    options.checkpoint_dir = checkpoint_dir;
-    options.resume = resume;
-    options.write_trace_fragments = g_want_trace;
-    options.progress = &g_progress;
-    if (g_want_trace && !checkpoint_dir.empty()) {
-      g_trace_fragment_dir = checkpoint_dir;
-      g_trace_fragment_shards = *shards;
-    }
-    auto sharded_result = RunShardedScan(*engine, *groups, options);
-    if (!sharded_result.ok()) return Fail(sharded_result.status());
-    results = std::move(sharded_result->results);
-    stats = sharded_result->stats;
-    g_report_tables.push_back(ShardTable(sharded_result->shards));
-    for (const ShardOutcome& shard : sharded_result->shards) {
-      if (shard.state == ShardState::kFailed) {
-        std::fprintf(stderr, "shard %d failed: %s\n", shard.shard_id,
-                     shard.error.c_str());
-      }
-    }
-  } else {
-    auto bulk =
-        threads > 1
-            ? ResolveAllNamesParallel(*engine, *groups, threads, &results)
-            : ResolveAllNames(*engine, *groups, &results);
-    if (!bulk.ok()) return Fail(bulk.status());
-    stats = *bulk;
+  options.num_shards = *shards;
+  options.num_threads = engine->config().num_threads;
+  auto budget = ScanMemoryMb(flags);
+  if (!budget.ok()) return Fail(budget.status());
+  options.memory_budget_mb = *budget;
+  options.checkpoint_dir = flags.GetString("checkpoint-dir");
+  options.resume = flags.GetBool("resume");
+  options.write_trace_fragments = g_want_trace;
+  options.progress = &g_progress;
+  if (g_want_trace && !options.checkpoint_dir.empty()) {
+    g_trace_fragment_dir = options.checkpoint_dir;
+    g_trace_fragment_shards = options.num_shards;
   }
+  auto result = RunShardedScan(*engine, *groups, options);
+  if (!result.ok()) return Fail(result.status());
+  g_report_tables.push_back(ShardTable(result->shards));
+  for (const ShardOutcome& shard : result->shards) {
+    if (shard.state == ShardState::kFailed) {
+      std::fprintf(stderr, "shard %d failed: %s\n", shard.shard_id,
+                   shard.error.c_str());
+    }
+  }
+  const BulkStats& stats = result->stats;
   std::printf("%lld names, %lld refs, %.2fs; %lld split\n",
               static_cast<long long>(stats.names_resolved),
               static_cast<long long>(stats.total_refs), stats.seconds,
               static_cast<long long>(stats.names_split));
-  for (const BulkResolution& r : results) {
+  for (const BulkResolution& r : result->results) {
     if (r.clustering.num_clusters > 1) {
       std::printf("  %-28s %3zu refs -> %d people\n", r.name.c_str(),
                   r.num_refs, r.clustering.num_clusters);
@@ -543,10 +485,10 @@ int RunAppend(const FlagParser& flags) {
   if (!engine.ok()) return Fail(engine.status());
 
   ScanOptions scan;
-  auto min_refs = Int64FlagInRange(flags, "min-refs", 1, INT64_MAX);
+  auto min_refs = flags.GetInt64InRange("min-refs", 1, INT64_MAX);
   if (!min_refs.ok()) return Fail(min_refs.status());
   scan.min_refs = *min_refs;
-  auto max_refs = Int64FlagInRange(flags, "max-refs", 0, INT64_MAX);
+  auto max_refs = flags.GetInt64InRange("max-refs", 0, INT64_MAX);
   if (!max_refs.ok()) return Fail(max_refs.status());
   scan.max_refs = *max_refs;
 
@@ -611,24 +553,26 @@ int RunServe(const FlagParser& flags) {
   if (!engine.ok()) return Fail(engine.status());
 
   serve::ServiceOptions service_options;
-  auto max_inflight = IntFlagInRange(flags, "max-inflight", 1, 1 << 20);
+  auto max_inflight = flags.GetIntInRange("max-inflight", 1, 1 << 20);
   if (!max_inflight.ok()) return Fail(max_inflight.status());
   service_options.max_inflight = *max_inflight;
-  auto deadline_ms = Int64FlagInRange(flags, "deadline-ms", 0,
-                                      serve::kMaxDeadlineMs);
+  auto deadline_ms =
+      flags.GetInt64InRange("deadline-ms", 0, serve::kMaxDeadlineMs);
   if (!deadline_ms.ok()) return Fail(deadline_ms.status());
   service_options.default_deadline_ms = *deadline_ms;
-  auto result_cache = Int64FlagInRange(flags, "result-cache", 0, 1 << 24);
+  auto result_cache = flags.GetInt64InRange("result-cache", 0, 1 << 24);
   if (!result_cache.ok()) return Fail(result_cache.status());
   service_options.result_cache_entries = static_cast<size_t>(*result_cache);
   // The same budget flag the sharded scan honours bounds admission here.
-  service_options.memory_budget_mb = engine->config().scan_memory_mb;
+  auto budget = ScanMemoryMb(flags);
+  if (!budget.ok()) return Fail(budget.status());
+  service_options.memory_budget_mb = *budget;
   service_options.progress = &g_progress;
   serve::ServeService service(*engine, service_options);
 
   serve::ServerOptions server_options;
   server_options.host = flags.GetString("host");
-  auto port = Int64FlagInRange(flags, "port", 0, 65535);
+  auto port = flags.GetInt64InRange("port", 0, 65535);
   if (!port.ok()) return Fail(port.status());
   server_options.port = static_cast<uint16_t>(*port);
   serve::ServeServer server(&service, server_options);
@@ -725,8 +669,9 @@ int main(int argc, char** argv) {
                  "scan: partition the name groups into this many "
                  "deterministic shards (balanced by estimated pair count)");
   flags.AddInt64("scan-memory-mb", 0,
-                 "scan: per-shard memory budget in MiB (0 = unbounded); "
-                 "bounds the subtree memo and concurrent workspaces");
+                 "memory budget in MiB (0 = unbounded) — scan: per shard, "
+                 "bounds the subtree memo and concurrent workspaces; "
+                 "serve: query admission; ingest: working set");
   flags.AddString("checkpoint-dir", "",
                   "scan: write per-shard checkpoints into this directory "
                   "(empty disables checkpointing)");
@@ -754,9 +699,6 @@ int main(int argc, char** argv) {
                 "rare names to train on)");
   flags.AddString("stopping", "fixed",
                   "merge stopping rule: fixed | largest-gap");
-  flags.AddBool("incremental", true,
-                "incremental cluster-sum maintenance (--no-incremental "
-                "recomputes from the base matrices)");
   flags.AddInt64("verbosity", 1,
                  "log verbosity: 0 = warnings/errors, 1 = +info, 2 = +debug");
   flags.AddBool("report", false,
@@ -794,7 +736,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto verbosity = IntFlagInRange(flags, "verbosity", 0, 2);
+  auto verbosity = flags.GetIntInRange("verbosity", 0, 2);
   if (!verbosity.ok()) {
     std::fprintf(stderr, "%s\n%s", verbosity.status().ToString().c_str(),
                  flags.Help().c_str());
@@ -816,7 +758,7 @@ int main(int argc, char** argv) {
   const std::string heartbeat_path = flags.GetString("heartbeat");
   if (!heartbeat_path.empty()) {
     auto interval =
-        DoubleFlagInRange(flags, "progress-interval", 0.01, 86400.0);
+        flags.GetDoubleInRange("progress-interval", 0.01, 86400.0);
     if (!interval.ok()) {
       std::fprintf(stderr, "%s\n%s", interval.status().ToString().c_str(),
                    flags.Help().c_str());

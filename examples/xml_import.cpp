@@ -62,8 +62,13 @@ int main(int argc, char** argv) {
   }
 
   XmlLoadOptions load_options;
-  load_options.min_refs_per_author =
-      static_cast<int>(flags.GetInt64("min-refs"));
+  // Same bound as distinct_cli's --min-refs-per-author.
+  auto min_refs = flags.GetIntInRange("min-refs", 0, 1 << 30);
+  if (!min_refs.ok()) {
+    std::fprintf(stderr, "%s\n", min_refs.status().ToString().c_str());
+    return 1;
+  }
+  load_options.min_refs_per_author = *min_refs;
 
   StatusOr<XmlLoadResult> loaded = NotFoundError("unset");
   const std::string path = flags.GetString("xml");

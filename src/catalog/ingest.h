@@ -6,7 +6,9 @@
 // the CatalogWriter. Peak memory is the read chunk, the parser's bounded
 // carry-over buffer, the dictionaries, and one open segment — independent
 // of document size, which is the point: a multi-GB dblp.xml ingests under
-// the same scan_memory_mb budget the resolver runs with.
+// the same --scan-memory-mb budget the resolver runs with
+// (IngestOptions::memory_budget_mb here, ShardedScanOptions and
+// ServiceOptions::memory_budget_mb there).
 
 #ifndef DISTINCT_CATALOG_INGEST_H_
 #define DISTINCT_CATALOG_INGEST_H_

@@ -1,7 +1,6 @@
 #include "core/delta.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -217,7 +216,7 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
   // Per-path backward sweep: the frontier at level 0 is the references
   // whose profile along the path may have changed; the frontier at the
   // junction level is the memo entries whose cached suffix may have.
-  const std::vector<JoinPath>& paths = extractor_->paths();
+  const std::vector<JoinPath>& paths = paths_;
   const int start_node = paths.empty() ? 0 : paths.front().start_node;
   // Per-reference bitmask of the paths whose profile the delta may have
   // changed (paths past bit 63 conservatively dirty every bit). A nonzero
@@ -356,7 +355,7 @@ StatusOr<Distinct::ResolveArtifacts> Distinct::PatchResolveArtifacts(
 
   {
     DISTINCT_TRACE_SPAN("profile_store");
-    cached.store.Update(*engine_, extractor_->paths(), config_.propagation,
+    cached.store.Update(*engine_, paths_, config_.propagation,
                         positions,
                         std::vector<int32_t>(refs.begin() + old_n, refs.end()),
                         pool_.get(), ProfileStore::kMinParallelRefs,
@@ -478,19 +477,11 @@ Status IncrementalCatalog::Build() {
   artifacts_.reserve(groups->size());
   for (const NameGroup& group : *groups) {
     index_.emplace(group.name, resolutions_.size());
-    if (cache_artifacts_) {
-      auto resolved = engine_->ResolveRefsArtifacts(group.refs);
-      DISTINCT_RETURN_IF_ERROR(resolved.status());
-      resolutions_.push_back(BulkResolution{group.name, group.refs.size(),
-                                            resolved->clustering});
-      artifacts_.push_back(*std::move(resolved));
-    } else {
-      auto clustering = engine_->ResolveRefs(group.refs);
-      DISTINCT_RETURN_IF_ERROR(clustering.status());
-      resolutions_.push_back(BulkResolution{group.name, group.refs.size(),
-                                            *std::move(clustering)});
-      artifacts_.emplace_back();
-    }
+    auto resolved = engine_->ResolveRefsArtifacts(group.refs);
+    DISTINCT_RETURN_IF_ERROR(resolved.status());
+    resolutions_.push_back(BulkResolution{group.name, group.refs.size(),
+                                          resolved->clustering});
+    artifacts_.push_back(*std::move(resolved));
   }
   return Status::Ok();
 }
@@ -507,14 +498,14 @@ StatusOr<DeltaReport> IncrementalCatalog::Apply(Database& db,
   // Dirty names get no merge-replay shortcut: replaying merges is unsound
   // when new evidence lowers a pairwise sum (a past merge may no longer
   // clear the floor), so they are re-seeded from full matrices by the
-  // exact clusterer — that is the un-merge/re-seed rule. With cached
-  // artifacts those matrices are spliced — only cells with an endpoint in
-  // the delta's dirty references are recomputed — which is bit-identical
-  // to refilling them (every cell is a pure function of its two profiles).
+  // exact clusterer — that is the un-merge/re-seed rule. Their cached
+  // matrices are spliced — only cells with an endpoint in the delta's
+  // dirty references are recomputed — which is bit-identical to refilling
+  // them (every cell is a pure function of its two profiles).
   auto groups = ScanNameGroups(*engine_, options_);
   DISTINCT_RETURN_IF_ERROR(groups.status());
   std::vector<BulkResolution> next;
-  std::vector<std::optional<Distinct::ResolveArtifacts>> next_artifacts;
+  std::vector<Distinct::ResolveArtifacts> next_artifacts;
   std::unordered_map<std::string, size_t> next_index;
   next.reserve(groups->size());
   next_artifacts.reserve(groups->size());
@@ -527,27 +518,16 @@ StatusOr<DeltaReport> IncrementalCatalog::Apply(Database& db,
       ++report->names_reused;
       continue;
     }
-    if (cached != index_.end() && artifacts_[cached->second].has_value()) {
-      auto patched = engine_->PatchResolveArtifacts(
-          *std::move(artifacts_[cached->second]), group.refs,
-          report->dirty_refs, report->dirty_ref_path_masks);
-      DISTINCT_RETURN_IF_ERROR(patched.status());
-      next.push_back(BulkResolution{group.name, group.refs.size(),
-                                    patched->clustering});
-      next_artifacts.push_back(*std::move(patched));
-    } else if (cache_artifacts_) {
-      auto resolved = engine_->ResolveRefsArtifacts(group.refs);
-      DISTINCT_RETURN_IF_ERROR(resolved.status());
-      next.push_back(BulkResolution{group.name, group.refs.size(),
-                                    resolved->clustering});
-      next_artifacts.push_back(*std::move(resolved));
-    } else {
-      auto clustering = engine_->ResolveRefs(group.refs);
-      DISTINCT_RETURN_IF_ERROR(clustering.status());
-      next.push_back(BulkResolution{group.name, group.refs.size(),
-                                    *std::move(clustering)});
-      next_artifacts.emplace_back();
-    }
+    auto resolved =
+        cached != index_.end()
+            ? engine_->PatchResolveArtifacts(
+                  std::move(artifacts_[cached->second]), group.refs,
+                  report->dirty_refs, report->dirty_ref_path_masks)
+            : engine_->ResolveRefsArtifacts(group.refs);
+    DISTINCT_RETURN_IF_ERROR(resolved.status());
+    next.push_back(BulkResolution{group.name, group.refs.size(),
+                                  resolved->clustering});
+    next_artifacts.push_back(*std::move(resolved));
     ++report->names_reresolved;
   }
   resolutions_ = std::move(next);

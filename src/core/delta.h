@@ -33,7 +33,6 @@
 #define DISTINCT_CORE_DELTA_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -120,22 +119,18 @@ StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
 /// rebuilding the engine and resolving every name from scratch (with the
 /// same model).
 ///
-/// With `cache_artifacts` (the default), the catalog also keeps each
-/// name's profile store and pair matrices resident; a dirty name is then
-/// brought up to date by splicing — recomputing only the profiles and
-/// matrix cells of the delta's dirty references — instead of from
-/// scratch, making Apply() cost proportional to the delta's blast radius
-/// rather than the dirty names' full size. Resident cost is roughly the
-/// corpus' profile volume (~24 bytes per profile entry); pass false to
-/// trade Apply() latency for that memory.
+/// The catalog also keeps each name's profile store and pair matrices
+/// resident; a dirty name is brought up to date by splicing — recomputing
+/// only the profiles and matrix cells of the delta's dirty references —
+/// instead of from scratch, making Apply() cost proportional to the
+/// delta's blast radius rather than the dirty names' full size. Resident
+/// cost is roughly the corpus' profile volume (~24 bytes per profile
+/// entry).
 class IncrementalCatalog {
  public:
   /// `engine` must outlive the catalog.
-  explicit IncrementalCatalog(Distinct& engine, ScanOptions options = {},
-                              bool cache_artifacts = true)
-      : engine_(&engine),
-        options_(options),
-        cache_artifacts_(cache_artifacts) {}
+  explicit IncrementalCatalog(Distinct& engine, ScanOptions options = {})
+      : engine_(&engine), options_(options) {}
 
   /// Resolves every name group passing the scan filters.
   Status Build();
@@ -155,10 +150,8 @@ class IncrementalCatalog {
  private:
   Distinct* engine_;
   ScanOptions options_;
-  bool cache_artifacts_ = true;
   std::vector<BulkResolution> resolutions_;
-  /// Aligned with resolutions_; nullopt when artifact caching is off.
-  std::vector<std::optional<Distinct::ResolveArtifacts>> artifacts_;
+  std::vector<Distinct::ResolveArtifacts> artifacts_;  // aligned with it
   std::unordered_map<std::string, size_t> index_;  // name -> resolutions_ pos
 };
 

@@ -1,7 +1,5 @@
 #include "core/distinct.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -21,15 +19,15 @@ StatusOr<Distinct> Distinct::CreateWithModel(const Database& db,
   auto engine = Create(db, spec, std::move(config));
   DISTINCT_RETURN_IF_ERROR(engine.status());
 
-  if (model.num_paths() != engine->extractor_->num_paths()) {
+  if (model.num_paths() != engine->paths_.size()) {
     return InvalidArgumentError(StrFormat(
         "supplied model has %zu paths; this schema enumerates %zu",
-        model.num_paths(), engine->extractor_->num_paths()));
+        model.num_paths(), engine->paths_.size()));
   }
   if (!model.path_names().empty()) {
     for (size_t p = 0; p < model.num_paths(); ++p) {
       const std::string current =
-          engine->extractor_->paths()[p].Describe(*engine->schema_graph_);
+          engine->paths_[p].Describe(*engine->schema_graph_);
       if (model.path_names()[p] != current) {
         return InvalidArgumentError(
             "supplied model was trained on a different schema: path " +
@@ -48,9 +46,6 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
   Distinct engine;
   engine.db_ = &db;
   engine.config_ = std::move(config);
-  engine.config_.propagation.cache_bytes =
-      static_cast<size_t>(std::max(0, engine.config_.propagation_cache_mb))
-      << 20;
   if (engine.config_.observability) {
     obs::SetEnabled(true);
   }
@@ -76,24 +71,22 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
 
   engine.engine_ = std::make_unique<PropagationEngine>(*engine.link_graph_);
 
-  std::vector<JoinPath> paths = [&] {
+  engine.paths_ = [&] {
     DISTINCT_TRACE_SPAN("enumerate_paths");
     return EnumerateReferencePaths(*engine.schema_graph_, engine.resolved_,
                                    engine.config_);
   }();
   DISTINCT_COUNTER_ADD("core.join_paths_enumerated",
-                       static_cast<int64_t>(paths.size()));
-  if (paths.empty()) {
+                       static_cast<int64_t>(engine.paths_.size()));
+  if (engine.paths_.empty()) {
     return FailedPreconditionError(
         "no join paths found from the reference relation; is the schema "
         "connected?");
   }
-  engine.extractor_ = std::make_unique<FeatureExtractor>(
-      *engine.engine_, std::move(paths), engine.config_.propagation);
 
   std::vector<std::string> path_names;
-  path_names.reserve(engine.extractor_->num_paths());
-  for (const JoinPath& path : engine.extractor_->paths()) {
+  path_names.reserve(engine.paths_.size());
+  for (const JoinPath& path : engine.paths_) {
     path_names.push_back(path.Describe(*engine.schema_graph_));
   }
 
@@ -138,8 +131,9 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
 
   if (engine.config_.supervised) {
     Stopwatch watch;
-    auto model = TrainSimilarityModel(db, spec, engine.config_,
-                                      *engine.extractor_, &engine.report_);
+    auto model =
+        TrainSimilarityModel(db, spec, engine.config_, *engine.engine_,
+                             engine.paths_, &engine.report_);
     DISTINCT_RETURN_IF_ERROR(model.status());
     engine.model_ =
         SimilarityModel(model->resem_weights(), model->walk_weights(),
@@ -150,16 +144,11 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
       engine.config_.min_sim = engine.report_.suggested_min_sim;
     }
   } else {
-    engine.model_ = SimilarityModel::Uniform(engine.extractor_->num_paths(),
+    engine.model_ = SimilarityModel::Uniform(engine.paths_.size(),
                                              std::move(path_names));
-    engine.report_.num_paths =
-        static_cast<int>(engine.extractor_->num_paths());
+    engine.report_.num_paths = static_cast<int>(engine.paths_.size());
   }
   return engine;
-}
-
-const std::vector<JoinPath>& Distinct::paths() const {
-  return extractor_->paths();
 }
 
 AgglomerativeOptions Distinct::cluster_options() const {
@@ -168,7 +157,6 @@ AgglomerativeOptions Distinct::cluster_options() const {
   options.measure = config_.measure;
   options.combine = config_.combine;
   options.stopping = config_.stopping;
-  options.incremental = config_.incremental;
   return options;
 }
 
@@ -207,10 +195,9 @@ ProfileStore Distinct::BuildProfileStore(const std::vector<int32_t>& refs) {
     workspaces_ = std::make_unique<WorkspacePool>(*link_graph_);
   }
   DISTINCT_TRACE_SPAN("profile_store");
-  return ProfileStore::Build(*engine_, extractor_->paths(),
-                             config_.propagation, refs, pool_.get(),
-                             ProfileStore::kMinParallelRefs, memo_.get(),
-                             workspaces_.get());
+  return ProfileStore::Build(*engine_, paths_, config_.propagation, refs,
+                             pool_.get(), ProfileStore::kMinParallelRefs,
+                             memo_.get(), workspaces_.get());
 }
 
 std::pair<PairMatrix, PairMatrix> Distinct::ComputeMatricesWithOptions(

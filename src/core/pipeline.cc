@@ -47,8 +47,8 @@ std::vector<JoinPath> EnumerateReferencePaths(
 
 StatusOr<SimilarityModel> TrainSimilarityModel(
     const Database& db, const ReferenceSpec& spec,
-    const DistinctConfig& config, FeatureExtractor& extractor,
-    TrainingReport* report) {
+    const DistinctConfig& config, const PropagationEngine& engine,
+    const std::vector<JoinPath>& paths, TrainingReport* report) {
   Stopwatch total;
   DISTINCT_TRACE_SPAN("train");
 
@@ -71,7 +71,7 @@ StatusOr<SimilarityModel> TrainSimilarityModel(
   // Similarity-kernel phase 1: profiles of every reference that appears in
   // a training pair, fanned out over the configured thread count; phase 2:
   // per-pair features from the frozen store, also parallel. Both phases
-  // are bit-identical to the serial extractor loop.
+  // are bit-identical at every thread count.
   std::vector<int32_t> unique_refs;
   {
     std::unordered_set<int32_t> seen;
@@ -88,16 +88,15 @@ StatusOr<SimilarityModel> TrainSimilarityModel(
                        static_cast<int64_t>(unique_refs.size()));
   DISTINCT_LOG(INFO) << "train: " << pairs->size() << " pairs over "
                      << unique_refs.size() << " unique references, "
-                     << extractor.num_paths() << " join paths";
+                     << paths.size() << " join paths";
   std::unique_ptr<ThreadPool> pool;
   if (config.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(config.num_threads);
   }
   const ProfileStore store = [&] {
     DISTINCT_TRACE_SPAN("profile_store");
-    return ProfileStore::Build(extractor.engine(), extractor.paths(),
-                               extractor.propagation_options(), unique_refs,
-                               pool.get());
+    return ProfileStore::Build(engine, paths, config.propagation,
+                               unique_refs, pool.get());
   }();
   std::vector<PairFeatures> pair_features(pairs->size());
   const auto features_of = [&](int64_t p) {
@@ -217,7 +216,7 @@ StatusOr<SimilarityModel> TrainSimilarityModel(
   // Map weights back to raw feature space; the similarity model consumes
   // unscaled features at resolve time.
   std::vector<std::string> path_names;
-  path_names.reserve(extractor.num_paths());
+  path_names.reserve(paths.size());
   // Path names are attached by the caller (which owns the schema graph);
   // left empty here.
   SimilarityModel model(resem_scaler.UnscaleWeights(resem_model->weights()),
@@ -266,7 +265,7 @@ StatusOr<SimilarityModel> TrainSimilarityModel(
 
   if (report != nullptr) {
     report->suggested_min_sim = suggested_min_sim;
-    report->num_paths = static_cast<int>(extractor.num_paths());
+    report->num_paths = static_cast<int>(paths.size());
     report->num_training_pairs = resem_problem.x.size();
     report->num_unique_refs = unique_refs.size();
     report->seconds_features = seconds_features;

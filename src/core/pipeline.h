@@ -24,13 +24,14 @@ std::vector<JoinPath> EnumerateReferencePaths(
     const DistinctConfig& config);
 
 /// Fits the supervised path-weight model: builds the automatic training
-/// set, extracts per-pair features, trains one linear SVM for the
-/// resemblance features and one for the walk features, and maps the learned
-/// weights back to raw feature space. Fills `report`.
+/// set, extracts per-pair features along `paths` (propagated by `engine`
+/// under config.propagation), trains one linear SVM for the resemblance
+/// features and one for the walk features, and maps the learned weights
+/// back to raw feature space. Fills `report`.
 StatusOr<SimilarityModel> TrainSimilarityModel(
     const Database& db, const ReferenceSpec& spec,
-    const DistinctConfig& config, FeatureExtractor& extractor,
-    TrainingReport* report);
+    const DistinctConfig& config, const PropagationEngine& engine,
+    const std::vector<JoinPath>& paths, TrainingReport* report);
 
 }  // namespace distinct
 

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "obs/heartbeat.h"
+#include "obs/memory.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/parallel_kernel.h"
@@ -93,51 +97,100 @@ StatusOr<std::vector<NameGroup>> ScanNameGroups(const Distinct& engine,
   return FilterAndSortGroups(std::move(groups), options);
 }
 
-StatusOr<BulkStats> ResolveAllNames(
-    Distinct& engine, const std::vector<NameGroup>& groups,
-    std::vector<BulkResolution>* results,
-    const std::function<bool(const BulkResolution&)>& on_result) {
-  Stopwatch watch;
-  DISTINCT_TRACE_SPAN("bulk_resolve");
-  DISTINCT_LOG(INFO) << "scan: resolving " << groups.size()
-                     << " name groups serially";
-  BulkStats stats;
-  for (const NameGroup& group : groups) {
-    Stopwatch group_watch;
-    auto clustering = engine.ResolveRefs(group.refs);
-    DISTINCT_RETURN_IF_ERROR(clustering.status());
-    DISTINCT_HISTOGRAM_RECORD("scan.resolve_nanos",
-                              group_watch.ElapsedNanos());
+void BulkStats::Add(const BulkResolution& resolution) {
+  ++names_resolved;
+  total_refs += static_cast<int64_t>(resolution.num_refs);
+  total_clusters += resolution.clustering.num_clusters;
+  if (resolution.clustering.num_clusters > 1) {
+    ++names_split;
+  }
+}
 
-    BulkResolution resolution;
-    resolution.name = group.name;
-    resolution.num_refs = group.refs.size();
-    resolution.clustering = *std::move(clustering);
+int64_t EstimatedGroupMatrixBytes(int64_t n) {
+  return n * (n - 1) * static_cast<int64_t>(sizeof(double)) +
+         2 * n * static_cast<int64_t>(sizeof(int));
+}
 
-    ++stats.names_resolved;
-    stats.total_refs += static_cast<int64_t>(group.refs.size());
-    stats.total_clusters += resolution.clustering.num_clusters;
-    if (resolution.clustering.num_clusters > 1) {
-      ++stats.names_split;
+Status ResolveGroups(const Distinct& engine,
+                     const std::vector<NameGroup>& groups,
+                     const std::vector<size_t>& indices,
+                     const GroupLoopBudget& budget,
+                     obs::ProgressState* progress,
+                     std::vector<BulkResolution>* out) {
+  // Up-front validation so a bad group fails cleanly instead of crashing
+  // a worker mid-kernel.
+  const std::vector<JoinPath>& paths = engine.paths();
+  const int64_t num_start_tuples =
+      paths.empty() ? 0
+                    : engine.propagation_engine().link().NumTuples(
+                          paths.front().start_node);
+  // Admission is measured, not just estimated: bytes the tracked
+  // subsystems already hold (engine-level memo entries, arenas from prior
+  // work) count against the budget alongside the group's matrix estimate.
+  const int64_t standing_bytes =
+      obs::MemoryTracker::Global().TrackedTotalBytes();
+  for (const size_t g : indices) {
+    const NameGroup& group = groups[g];
+    for (const int32_t ref : group.refs) {
+      if (!paths.empty() && (ref < 0 || ref >= num_start_tuples)) {
+        return InvalidArgumentError(StrFormat(
+            "group '%s' has out-of-range reference %d (universe %lld)",
+            group.name.c_str(), ref,
+            static_cast<long long>(num_start_tuples)));
+      }
     }
-
-    const bool keep_going =
-        on_result == nullptr || on_result(resolution);
-    if (results != nullptr) {
-      results->push_back(std::move(resolution));
-    }
-    if (!keep_going) {
-      break;
+    if (budget.budget_bytes > 0) {
+      const int64_t matrix_bytes =
+          EstimatedGroupMatrixBytes(static_cast<int64_t>(group.refs.size()));
+      if (standing_bytes + matrix_bytes > budget.budget_bytes) {
+        return OutOfRangeError(StrFormat(
+            "group '%s' (%zu refs) needs ~%lld bytes of pair matrices on "
+            "top of %lld measured resident bytes, over the %lld-byte shard "
+            "budget",
+            group.name.c_str(), group.refs.size(),
+            static_cast<long long>(matrix_bytes),
+            static_cast<long long>(standing_bytes),
+            static_cast<long long>(budget.budget_bytes)));
+      }
     }
   }
-  stats.seconds = watch.Seconds();
-  DISTINCT_COUNTER_ADD("scan.names_resolved", stats.names_resolved);
-  DISTINCT_COUNTER_ADD("scan.names_split", stats.names_split);
-  DISTINCT_COUNTER_ADD("scan.refs_resolved", stats.total_refs);
-  DISTINCT_LOG(INFO) << "scan: resolved " << stats.names_resolved
-                     << " names (" << stats.names_split << " split) in "
-                     << stats.seconds << "s";
-  return stats;
+
+  // Hit/miss and reuse patterns cannot change values, only speed, so the
+  // memo size and how many groups share it never change a result.
+  std::unique_ptr<SubtreeCache> memo;
+  std::unique_ptr<WorkspacePool> workspaces;
+  if (engine.config().propagation.algorithm ==
+      PropagationAlgorithm::kWorkspace) {
+    memo = std::make_unique<SubtreeCache>(budget.cache_bytes);
+    workspaces =
+        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
+  }
+
+  out->assign(indices.size(), BulkResolution{});
+  ThreadPool pool(budget.threads);
+  const SimilarityModel& model = engine.model();
+  const AgglomerativeOptions cluster_options = engine.cluster_options();
+  const PairKernelOptions kernel =
+      engine.kernel_options(/*for_clustering=*/true);
+  ParallelFor(pool, static_cast<int64_t>(indices.size()), [&](int64_t i) {
+    const NameGroup& group = groups[indices[static_cast<size_t>(i)]];
+    const ProfileStore store = ProfileStore::Build(
+        engine.propagation_engine(), paths, engine.config().propagation,
+        group.refs, &pool, ProfileStore::kMinParallelRefs, memo.get(),
+        workspaces.get());
+    auto matrices = ComputePairMatrices(store, model, &pool, kernel);
+    BulkResolution& resolution = (*out)[static_cast<size_t>(i)];
+    resolution.name = group.name;
+    resolution.num_refs = group.refs.size();
+    resolution.clustering = ClusterReferences(
+        matrices.first, matrices.second, cluster_options);
+    if (progress != nullptr) {
+      progress->groups_done.fetch_add(1, std::memory_order_relaxed);
+      progress->refs_done.fetch_add(static_cast<int64_t>(group.refs.size()),
+                                    std::memory_order_relaxed);
+    }
+  });
+  return Status::Ok();
 }
 
 StatusOr<BulkStats> ResolveAllNamesParallel(
@@ -150,63 +203,18 @@ StatusOr<BulkStats> ResolveAllNamesParallel(
   DISTINCT_TRACE_SPAN("bulk_resolve_parallel");
   DISTINCT_LOG(INFO) << "scan: resolving " << groups.size()
                      << " name groups on " << num_threads << " threads";
-  std::vector<BulkResolution> local(groups.size());
-
-  // The subtree memo is reference-independent, so one cache serves every
-  // name group of the scan: subtrees computed while resolving one name are
-  // hits for all later names that reach the same junction tuples. The
-  // workspace pool is likewise scan-wide, capping dense-scratch allocation
-  // at one workspace per concurrent worker for the whole run.
-  std::unique_ptr<SubtreeCache> memo;
-  std::unique_ptr<WorkspacePool> workspaces;
-  if (engine.config().propagation.algorithm ==
-      PropagationAlgorithm::kWorkspace) {
-    memo = std::make_unique<SubtreeCache>(
-        engine.config().propagation.cache_bytes);
-    workspaces =
-        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
-  }
-
-  {
-    ThreadPool pool(num_threads);
-    // Groups are one task each; a mega-group's profile propagations and
-    // pair-matrix tiles additionally fan out to the same pool from inside
-    // the group task (ParallelForShared is re-entrant, so idle workers
-    // help while busy ones keep resolving other groups). Each group gets
-    // a fresh read-only ProfileStore — nothing outlives the call, unlike
-    // the retired `thread_local` extractors keyed by engine address, which
-    // dangled when a destroyed engine's address was reused.
-    const SimilarityModel& model = engine.model();
-    const AgglomerativeOptions options = engine.cluster_options();
-    const PairKernelOptions kernel =
-        engine.kernel_options(/*for_clustering=*/true);
-    ParallelFor(pool, static_cast<int64_t>(groups.size()),
-                [&](int64_t g) {
-                  const NameGroup& group = groups[static_cast<size_t>(g)];
-                  const ProfileStore store = ProfileStore::Build(
-                      engine.propagation_engine(), engine.paths(),
-                      engine.config().propagation, group.refs, &pool,
-                      ProfileStore::kMinParallelRefs, memo.get(),
-                      workspaces.get());
-                  auto matrices =
-                      ComputePairMatrices(store, model, &pool, kernel);
-                  BulkResolution& resolution =
-                      local[static_cast<size_t>(g)];
-                  resolution.name = group.name;
-                  resolution.num_refs = group.refs.size();
-                  resolution.clustering = ClusterReferences(
-                      matrices.first, matrices.second, options);
-                });
-  }
+  std::vector<size_t> indices(groups.size());
+  std::iota(indices.begin(), indices.end(), size_t{0});
+  GroupLoopBudget budget;
+  budget.threads = num_threads;
+  budget.cache_bytes = engine.config().propagation.cache_bytes;
+  std::vector<BulkResolution> local;
+  DISTINCT_RETURN_IF_ERROR(ResolveGroups(engine, groups, indices, budget,
+                                         /*progress=*/nullptr, &local));
 
   BulkStats stats;
   for (BulkResolution& resolution : local) {
-    ++stats.names_resolved;
-    stats.total_refs += static_cast<int64_t>(resolution.num_refs);
-    stats.total_clusters += resolution.clustering.num_clusters;
-    if (resolution.clustering.num_clusters > 1) {
-      ++stats.names_split;
-    }
+    stats.Add(resolution);
     if (results != nullptr) {
       results->push_back(std::move(resolution));
     }

@@ -4,19 +4,22 @@
 // The paper resolves ten hand-picked names; a production deployment wants
 // "split every name in the catalog". This module enumerates the candidate
 // names (those with enough references to possibly be several people) and
-// drives bulk resolution with progress-friendly batching.
+// resolves them with one group loop.
 
 #ifndef DISTINCT_CORE_SCAN_H_
 #define DISTINCT_CORE_SCAN_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/distinct.h"
 
 namespace distinct {
+
+namespace obs {
+struct ProgressState;  // obs/heartbeat.h
+}  // namespace obs
 
 /// One candidate name and all its references.
 struct NameGroup {
@@ -61,23 +64,55 @@ struct BulkStats {
   int64_t total_refs = 0;
   int64_t total_clusters = 0;
   double seconds = 0.0;
+
+  /// Counts one resolved name.
+  void Add(const BulkResolution& resolution);
 };
 
-/// Resolves every scanned name group with `engine`. `on_result` (optional)
-/// is invoked after each name; returning false aborts the run early.
-StatusOr<BulkStats> ResolveAllNames(
-    Distinct& engine, const std::vector<NameGroup>& groups,
-    std::vector<BulkResolution>* results = nullptr,
-    const std::function<bool(const BulkResolution&)>& on_result = nullptr);
+/// Pair matrices (resemblance + walk, strict lower triangle of doubles)
+/// plus the assignment vector for a group of n references. The group
+/// loop's admission check and the serve admission controller both price a
+/// group with this same estimate.
+int64_t EstimatedGroupMatrixBytes(int64_t n);
 
-/// Parallel variant: resolves names on `num_threads` workers. Small groups
-/// are resolved one-per-task; a mega-group additionally fans its own
-/// profile propagations and pair-matrix tiles out to the same pool
-/// (nested groups × tiles parallelism), so one "Wei Wang"-scale name no
-/// longer serializes the run. Each group's profiles live in a per-group
-/// read-only ProfileStore; the shared propagation engine and model are
-/// read-only. Results are in group order, bit-identical to the sequential
-/// ones. No callback/early-abort in this mode.
+/// What one run of the group loop may use.
+struct GroupLoopBudget {
+  /// Pool workers (at least 1).
+  int threads = 1;
+  /// Capacity of the subtree memo that every group of the run shares.
+  size_t cache_bytes = 0;
+  /// A group whose estimated pair matrices, on top of the bytes the
+  /// MemoryTracker already counts, exceed this many bytes fails the run.
+  /// 0 = unbounded.
+  int64_t budget_bytes = 0;
+};
+
+/// The group loop behind every batch resolution (ResolveAllNamesParallel,
+/// and each shard of RunShardedScan): resolves groups[indices[i]] into
+/// (*out)[i]. Groups are one pool task each; a mega-group's profile
+/// propagations and pair-matrix tiles additionally fan out to the same
+/// pool from inside its task (ParallelForShared is re-entrant). One
+/// SubtreeCache and one WorkspacePool serve every group of the call: the
+/// memo is reference-independent, so subtrees computed for one name are
+/// hits for later names, and at most one workspace per concurrent worker
+/// is ever allocated. Each group gets a fresh read-only ProfileStore.
+/// Results are bit-identical to engine.ResolveRefs(group.refs) at every
+/// thread count and memo size.
+///
+/// Every group is checked before any is resolved: a reference outside the
+/// reference table is InvalidArgument, a group over `budget.budget_bytes`
+/// is OutOfRange. `progress` (optional) counts resolved groups and refs.
+/// Opens no span, so callers own the span tree.
+Status ResolveGroups(const Distinct& engine,
+                     const std::vector<NameGroup>& groups,
+                     const std::vector<size_t>& indices,
+                     const GroupLoopBudget& budget,
+                     obs::ProgressState* progress,
+                     std::vector<BulkResolution>* out);
+
+/// Resolves every group on `num_threads` workers through ResolveGroups,
+/// with the engine's memo budget and no memory bound, under one
+/// `bulk_resolve_parallel` span. Results are in group order.
 StatusOr<BulkStats> ResolveAllNamesParallel(
     const Distinct& engine, const std::vector<NameGroup>& groups,
     int num_threads, std::vector<BulkResolution>* results = nullptr);

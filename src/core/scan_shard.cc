@@ -1,52 +1,34 @@
 #include "core/scan_shard.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/checkpoint.h"
-#include "obs/memory.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
-#include "sim/parallel_kernel.h"
-#include "sim/profile_store.h"
 
 namespace distinct {
-
-int64_t EstimatedGroupMatrixBytes(int64_t n) {
-  return n * (n - 1) * static_cast<int64_t>(sizeof(double)) +
-         2 * n * static_cast<int64_t>(sizeof(int));
-}
 
 namespace {
 
 /// What the per-shard memory budget affords.
-struct ShardBudget {
-  int threads = 1;
-  size_t cache_bytes = 0;    // SubtreeCache capacity (dense engine only)
-  int64_t budget_bytes = 0;  // 0 = unbounded
-};
-
-ShardBudget ComputeShardBudget(const Distinct& engine,
-                               const ShardedScanOptions& options) {
+GroupLoopBudget ComputeShardBudget(const Distinct& engine,
+                                   const ShardedScanOptions& options) {
   const DistinctConfig& config = engine.config();
   const bool dense =
       config.propagation.algorithm == PropagationAlgorithm::kWorkspace;
-  ShardBudget budget;
+  GroupLoopBudget budget;
   budget.threads = std::max(1, options.num_threads);
-  const int64_t mb = options.memory_budget_mb > 0 ? options.memory_budget_mb
-                                                  : config.scan_memory_mb;
-  if (mb <= 0) {
+  if (options.memory_budget_mb <= 0) {
     budget.cache_bytes = dense ? config.propagation.cache_bytes : 0;
     return budget;
   }
-  budget.budget_bytes = mb << 20;
+  budget.budget_bytes = options.memory_budget_mb << 20;
   if (dense) {
     // A quarter of the budget for the subtree memo (never more than the
     // configured cache), the rest for dense scratch: one workspace per
@@ -63,98 +45,6 @@ ShardBudget ComputeShardBudget(const Distinct& engine,
         affordable, 1, static_cast<int64_t>(budget.threads)));
   }
   return budget;
-}
-
-/// Resolves the groups at `indices` with the existing parallel kernel —
-/// same per-group body as ResolveAllNamesParallel, so the resolutions are
-/// bit-identical to the unsharded scan's. `out` is parallel to `indices`.
-Status ResolveShardGroups(const Distinct& engine,
-                          const std::vector<NameGroup>& groups,
-                          const std::vector<size_t>& indices,
-                          const ShardBudget& budget,
-                          obs::ProgressState* progress,
-                          std::vector<BulkResolution>* out) {
-  const bool dense = engine.config().propagation.algorithm ==
-                     PropagationAlgorithm::kWorkspace;
-
-  // Up-front validation so a bad group fails the shard cleanly instead of
-  // crashing a worker mid-kernel.
-  const std::vector<JoinPath>& paths = engine.paths();
-  const int64_t num_start_tuples =
-      paths.empty() ? 0
-                    : engine.propagation_engine().link().NumTuples(
-                          paths.front().start_node);
-  // Admission is measured, not just estimated: bytes the tracked
-  // subsystems already hold (engine-level memo entries, arenas from prior
-  // work) count against the budget alongside the group's matrix estimate.
-  const int64_t standing_bytes =
-      obs::MemoryTracker::Global().TrackedTotalBytes();
-  for (const size_t g : indices) {
-    const NameGroup& group = groups[g];
-    for (const int32_t ref : group.refs) {
-      if (!paths.empty() && (ref < 0 || ref >= num_start_tuples)) {
-        return InvalidArgumentError(StrFormat(
-            "group '%s' has out-of-range reference %d (universe %lld)",
-            group.name.c_str(), ref,
-            static_cast<long long>(num_start_tuples)));
-      }
-    }
-    if (budget.budget_bytes > 0) {
-      const int64_t matrix_bytes =
-          EstimatedGroupMatrixBytes(static_cast<int64_t>(group.refs.size()));
-      if (standing_bytes + matrix_bytes > budget.budget_bytes) {
-        return OutOfRangeError(StrFormat(
-            "group '%s' (%zu refs) needs ~%lld bytes of pair matrices on "
-            "top of %lld measured resident bytes, over the %lld-byte shard "
-            "budget",
-            group.name.c_str(), group.refs.size(),
-            static_cast<long long>(matrix_bytes),
-            static_cast<long long>(standing_bytes),
-            static_cast<long long>(budget.budget_bytes)));
-      }
-    }
-  }
-
-  // Shard-local memo and workspace pool: the memo is capped by the budget
-  // carve-out, the pool by the (budget-capped) worker count. Hit/miss and
-  // reuse patterns cannot change values — only speed — so per-shard caches
-  // keep the output identical to the scan-wide ones.
-  std::unique_ptr<SubtreeCache> memo;
-  std::unique_ptr<WorkspacePool> workspaces;
-  if (dense) {
-    memo = std::make_unique<SubtreeCache>(budget.cache_bytes);
-    workspaces =
-        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
-  }
-
-  out->assign(indices.size(), BulkResolution{});
-  {
-    ThreadPool pool(budget.threads);
-    const SimilarityModel& model = engine.model();
-    const AgglomerativeOptions cluster_options = engine.cluster_options();
-    const PairKernelOptions kernel =
-        engine.kernel_options(/*for_clustering=*/true);
-    ParallelFor(pool, static_cast<int64_t>(indices.size()), [&](int64_t i) {
-      const NameGroup& group = groups[indices[static_cast<size_t>(i)]];
-      const ProfileStore store = ProfileStore::Build(
-          engine.propagation_engine(), paths, engine.config().propagation,
-          group.refs, &pool, ProfileStore::kMinParallelRefs, memo.get(),
-          workspaces.get());
-      auto matrices = ComputePairMatrices(store, model, &pool, kernel);
-      BulkResolution& resolution = (*out)[static_cast<size_t>(i)];
-      resolution.name = group.name;
-      resolution.num_refs = group.refs.size();
-      resolution.clustering = ClusterReferences(
-          matrices.first, matrices.second, cluster_options);
-      if (progress != nullptr) {
-        progress->groups_done.fetch_add(1, std::memory_order_relaxed);
-        progress->refs_done.fetch_add(
-            static_cast<int64_t>(group.refs.size()),
-            std::memory_order_relaxed);
-      }
-    });
-  }
-  return Status::Ok();
 }
 
 /// Checks a loaded checkpoint against the current plan; resuming against a
@@ -198,15 +88,6 @@ Status ValidateCheckpointAgainstPlan(const Distinct& engine,
     }
   }
   return Status::Ok();
-}
-
-void AccumulateStats(const BulkResolution& resolution, BulkStats* stats) {
-  ++stats->names_resolved;
-  stats->total_refs += static_cast<int64_t>(resolution.num_refs);
-  stats->total_clusters += resolution.clustering.num_clusters;
-  if (resolution.clustering.num_clusters > 1) {
-    ++stats->names_split;
-  }
 }
 
 }  // namespace
@@ -278,7 +159,7 @@ StatusOr<ShardedScanResult> RunShardedScan(
     }
   }
   const ShardPlan plan = PlanShards(groups, options.num_shards);
-  const ShardBudget budget = ComputeShardBudget(engine, options);
+  const GroupLoopBudget budget = ComputeShardBudget(engine, options);
   DISTINCT_COUNTER_ADD("scan.shards_planned", plan.num_shards());
   DISTINCT_LOG(INFO) << "scan: " << groups.size() << " groups over "
                      << plan.num_shards() << " shards, "
@@ -359,8 +240,8 @@ StatusOr<ShardedScanResult> RunShardedScan(
     std::vector<BulkResolution> shard_results;
     Status shard_status = [&] {
       DISTINCT_TRACE_SPAN("scan_shard");
-      return ResolveShardGroups(engine, groups, indices, budget,
-                                options.progress, &shard_results);
+      return ResolveGroups(engine, groups, indices, budget, options.progress,
+                           &shard_results);
     }();
     if (shard_status.ok() && !options.checkpoint_dir.empty()) {
       ShardCheckpoint checkpoint;
@@ -429,7 +310,7 @@ StatusOr<ShardedScanResult> RunShardedScan(
     if (!resolution.has_value()) {
       continue;
     }
-    AccumulateStats(*resolution, &result.stats);
+    result.stats.Add(*resolution);
     result.results.push_back(*std::move(resolution));
   }
   result.stats.seconds = watch.Seconds();

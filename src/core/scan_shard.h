@@ -5,10 +5,10 @@
 // crash loses the whole run. This layer partitions the filtered groups
 // into deterministic, size-balanced shards (balanced by estimated pair
 // count, since cost and matrix memory are quadratic in group size, not by
-// group count), runs each shard through the existing parallel kernel under
-// a per-shard memory budget (DistinctConfig::scan_memory_mb), and persists
-// each finished shard as a checkpoint (core/checkpoint.h) so an
-// interrupted run resumes by re-running only the unfinished shard. A shard
+// group count), runs each shard through the group loop (ResolveGroups)
+// under a per-shard memory budget (ShardedScanOptions::memory_budget_mb),
+// and persists each finished shard as a checkpoint (core/checkpoint.h) so
+// an interrupted run resumes by re-running only the unfinished shard. A shard
 // that fails — bad group, matrix estimate over budget, checkpoint I/O
 // error — is recorded with its error and skipped; the rest of the scan
 // completes.
@@ -35,12 +35,6 @@ namespace distinct {
 /// (and, squared-ish, to its memory): n·(n-1)/2.
 int64_t EstimatedPairs(const NameGroup& group);
 
-/// Pair matrices (resemblance + walk, strict lower triangle of doubles)
-/// plus the assignment vector for a group of n references. The scan's
-/// over-budget rejection and the serve admission controller both price a
-/// query with this same estimate.
-int64_t EstimatedGroupMatrixBytes(int64_t n);
-
 /// A deterministic partition of group indices into shards.
 struct ShardPlan {
   /// shards[s] = indices into the planned group vector, ascending. Shards
@@ -64,11 +58,10 @@ struct ShardedScanOptions {
   /// Worker threads per shard (shards run one after another; within a
   /// shard, groups × tiles fan out exactly like ResolveAllNamesParallel).
   int num_threads = 1;
-  /// Per-shard memory budget in MiB; 0 falls back to
-  /// DistinctConfig::scan_memory_mb (and 0 there means unbounded). The
-  /// budget sizes the shard's SubtreeCache, bounds concurrent
-  /// PropagationWorkspaces (capping effective threads), and fails shards
-  /// whose largest group's pair matrices alone would not fit.
+  /// Per-shard memory budget in MiB; 0 = unbounded. The budget sizes the
+  /// shard's SubtreeCache, bounds concurrent PropagationWorkspaces
+  /// (capping effective threads), and fails shards whose largest group's
+  /// pair matrices alone would not fit.
   int64_t memory_budget_mb = 0;
   /// Directory for per-shard checkpoints; empty disables checkpointing
   /// (and resume).

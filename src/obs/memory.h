@@ -1,8 +1,8 @@
 // Real memory accounting: per-subsystem byte gauges with peak watermarks,
 // plus an RSS probe.
 //
-// The scan's memory budget (DistinctConfig::scan_memory_mb) used to reason
-// about *estimated* bytes only; this tracker records what the big
+// The scan's memory budget (ShardedScanOptions::memory_budget_mb) used to
+// reason about *estimated* bytes only; this tracker records what the big
 // allocators actually hold. Each tracked component (profile arenas, the
 // subtree memo, pair matrices, checkpoint serialization buffers) registers
 // the bytes it owns through a TrackedBytes member or explicit Add() calls;

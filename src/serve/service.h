@@ -21,7 +21,7 @@
 //    EstimatedGroupMatrixBytes(n) — the same formula the sharded scan
 //    budgets with. It is admitted only when MemoryTracker standing bytes
 //    plus the estimates already reserved by in-flight queries plus its own
-//    estimate fit in the memory budget (scan_memory_mb); otherwise it is
+//    estimate fit in the memory budget (memory_budget_mb); otherwise it is
 //    rejected as `overloaded` with a retry_after_ms hint. Reservations are
 //    deliberately conservative: an in-flight query is counted both by its
 //    reservation and (as its matrices materialize) by the tracker, so the
@@ -69,8 +69,8 @@ struct ServiceOptions {
   /// 0 = no deadline. A request's own deadline_ms is honoured up to this
   /// value when set (a client cannot outlive the server's cap).
   int64_t default_deadline_ms = 0;
-  /// Memory budget in MiB for admission (the engine's scan_memory_mb);
-  /// 0 = admit on slots alone.
+  /// Memory budget in MiB for admission (the CLI's --scan-memory-mb, as
+  /// for the sharded scan); 0 = admit on slots alone.
   int64_t memory_budget_mb = 0;
   /// Completed answers kept for exact re-serving, FIFO-evicted. 0 off.
   size_t result_cache_entries = 4096;

@@ -5,35 +5,6 @@
 
 namespace distinct {
 
-FeatureExtractor::FeatureExtractor(const PropagationEngine& engine,
-                                   std::vector<JoinPath> paths,
-                                   PropagationOptions options)
-    : engine_(&engine), paths_(std::move(paths)), options_(options) {}
-
-const std::vector<NeighborProfile>& FeatureExtractor::ProfilesFor(
-    int32_t ref) {
-  auto it = cache_.find(ref);
-  if (it != cache_.end()) {
-    return it->second;
-  }
-  std::vector<NeighborProfile> profiles;
-  profiles.reserve(paths_.size());
-  if (options_.algorithm == PropagationAlgorithm::kWorkspace) {
-    if (workspace_ == nullptr) {
-      workspace_ =
-          std::make_unique<PropagationWorkspace>(engine_->link());
-    }
-    for (const JoinPath& path : paths_) {
-      profiles.push_back(engine_->Compute(path, ref, options_, *workspace_));
-    }
-  } else {
-    for (const JoinPath& path : paths_) {
-      profiles.push_back(engine_->Compute(path, ref, options_));
-    }
-  }
-  return cache_.emplace(ref, std::move(profiles)).first->second;
-}
-
 PairFeatures ComputePairFeatures(const std::vector<NeighborProfile>& p1,
                                  const std::vector<NeighborProfile>& p2) {
   PairFeatures features;
@@ -45,13 +16,5 @@ PairFeatures ComputePairFeatures(const std::vector<NeighborProfile>& p1,
   }
   return features;
 }
-
-PairFeatures FeatureExtractor::Compute(int32_t ref1, int32_t ref2) {
-  const std::vector<NeighborProfile>& p1 = ProfilesFor(ref1);
-  const std::vector<NeighborProfile>& p2 = ProfilesFor(ref2);
-  return ComputePairFeatures(p1, p2);
-}
-
-void FeatureExtractor::ClearCache() { cache_.clear(); }
 
 }  // namespace distinct

@@ -1,21 +1,12 @@
-// Per-pair feature extraction: one resemblance and one walk-probability
-// value per join path.
-//
-// The extractor owns a profile cache so that resolving a name with n
-// references costs n propagations per path plus O(n^2) sparse merges, not
-// O(n^2) propagations.
+// Per-pair features: one resemblance and one walk-probability value per
+// join path.
 
 #ifndef DISTINCT_SIM_FEATURE_VECTOR_H_
 #define DISTINCT_SIM_FEATURE_VECTOR_H_
 
-#include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "prop/propagation.h"
-#include "prop/workspace.h"
-#include "relational/join_path.h"
+#include "prop/profile.h"
 
 namespace distinct {
 
@@ -27,46 +18,10 @@ struct PairFeatures {
 };
 
 /// Pair features from two per-path profile vectors (one profile per path,
-/// same path order on both sides). Pure function of its inputs; shared by
-/// the caching FeatureExtractor and the read-only ProfileStore.
+/// same path order on both sides). Pure function of its inputs; the
+/// read-only ProfileStore derives its pair features with it.
 PairFeatures ComputePairFeatures(const std::vector<NeighborProfile>& p1,
                                  const std::vector<NeighborProfile>& p2);
-
-/// Computes and caches per-reference profiles, and derives pair features.
-class FeatureExtractor {
- public:
-  /// Borrows the engine; `paths` must all start at the reference relation's
-  /// node.
-  FeatureExtractor(const PropagationEngine& engine,
-                   std::vector<JoinPath> paths,
-                   PropagationOptions options = {});
-
-  size_t num_paths() const { return paths_.size(); }
-  const std::vector<JoinPath>& paths() const { return paths_; }
-  const PropagationEngine& engine() const { return *engine_; }
-  const PropagationOptions& propagation_options() const { return options_; }
-
-  /// Profiles of `ref` along every path; computed once then cached.
-  const std::vector<NeighborProfile>& ProfilesFor(int32_t ref);
-
-  /// Pair features for two references of the same relation.
-  PairFeatures Compute(int32_t ref1, int32_t ref2);
-
-  /// Drops all cached profiles (e.g., between names).
-  void ClearCache();
-
-  size_t cache_size() const { return cache_.size(); }
-
- private:
-  const PropagationEngine* engine_;
-  std::vector<JoinPath> paths_;
-  PropagationOptions options_;
-  std::unordered_map<int32_t, std::vector<NeighborProfile>> cache_;
-  /// Dense scratch for kWorkspace propagation, created on first use. An
-  /// extractor is single-threaded, so the workspace is too; it is recycled
-  /// across references like the profile cache.
-  std::unique_ptr<PropagationWorkspace> workspace_;
-};
 
 }  // namespace distinct
 

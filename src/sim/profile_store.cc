@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -61,90 +62,12 @@ ProfileStore ProfileStore::FromProfiles(
   return store;
 }
 
-ProfileStore ProfileStore::Build(const PropagationEngine& engine,
-                                 const std::vector<JoinPath>& paths,
-                                 const PropagationOptions& options,
-                                 std::vector<int32_t> refs,
-                                 ThreadPool* pool,
-                                 size_t min_parallel_refs,
-                                 SubtreeCache* shared_cache,
-                                 WorkspacePool* shared_workspaces) {
-  Stopwatch watch;
-  ProfileStore store;
-  store.refs_ = std::move(refs);
-  store.num_paths_ = paths.size();
-  store.profiles_.resize(store.refs_.size());
-  store.BuildIndex();
-
-  const bool dense =
-      options.algorithm == PropagationAlgorithm::kWorkspace;
-  WorkspacePool local_workspaces(engine.link());
-  WorkspacePool& workspaces =
-      shared_workspaces != nullptr ? *shared_workspaces : local_workspaces;
-  std::unique_ptr<SubtreeCache> owned_cache;
-  SubtreeCache* cache = shared_cache;
-  if (dense && cache == nullptr) {
-    owned_cache = std::make_unique<SubtreeCache>(options.cache_bytes);
-    cache = owned_cache.get();
-  }
-
-  const auto compute_one = [&](int64_t i) {
-    std::unique_ptr<PropagationWorkspace> workspace;
-    if (dense) {
-      workspace = workspaces.Acquire();
-    }
-    std::vector<NeighborProfile> profiles;
-    profiles.reserve(paths.size());
-    for (size_t p = 0; p < paths.size(); ++p) {
-      if (dense) {
-        profiles.push_back(engine.Compute(paths[p], store.refs_[i], options,
-                                          *workspace, cache,
-                                          static_cast<int>(p)));
-      } else {
-        profiles.push_back(engine.Compute(paths[p], store.refs_[i], options));
-      }
-    }
-    store.profiles_[static_cast<size_t>(i)] = std::move(profiles);
-    if (workspace != nullptr) {
-      workspaces.Release(std::move(workspace));
-    }
-  };
-
-  if (pool != nullptr && store.refs_.size() >= min_parallel_refs) {
-    ParallelForShared(*pool, static_cast<int64_t>(store.refs_.size()),
-                      compute_one);
-  } else {
-    for (size_t i = 0; i < store.refs_.size(); ++i) {
-      compute_one(static_cast<int64_t>(i));
-    }
-  }
-  DISTINCT_COUNTER_ADD("sim.profile_store_builds", 1);
-  DISTINCT_COUNTER_ADD("prop.profiles_built",
-                       static_cast<int64_t>(store.refs_.size()));
-  DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
-  return store;
-}
-
-void ProfileStore::Update(const PropagationEngine& engine,
-                          const std::vector<JoinPath>& paths,
-                          const PropagationOptions& options,
-                          const std::vector<size_t>& positions,
-                          std::vector<int32_t> new_refs,
-                          ThreadPool* pool,
-                          size_t min_parallel_refs,
-                          SubtreeCache* shared_cache,
-                          WorkspacePool* shared_workspaces,
-                          const std::vector<uint64_t>* position_path_masks) {
-  Stopwatch watch;
-  num_paths_ = paths.size();
-  std::vector<size_t> work(positions);
-  for (int32_t ref : new_refs) {
-    work.push_back(refs_.size());
-    refs_.push_back(ref);
-    profiles_.emplace_back();
-  }
-  BuildIndex();
-
+void ProfileStore::ComputeProfiles(
+    const PropagationEngine& engine, const std::vector<JoinPath>& paths,
+    const PropagationOptions& options, const std::vector<size_t>& work,
+    const std::vector<uint64_t>* path_masks, ThreadPool* pool,
+    size_t min_parallel_refs, SubtreeCache* shared_cache,
+    WorkspacePool* shared_workspaces) {
   const bool dense = options.algorithm == PropagationAlgorithm::kWorkspace;
   WorkspacePool local_workspaces(engine.link());
   WorkspacePool& workspaces =
@@ -156,17 +79,15 @@ void ProfileStore::Update(const PropagationEngine& engine,
     cache = owned_cache.get();
   }
 
-  // The exact per-reference loop of Build(); only the work list differs.
-  // A position's path mask (when masks are given) limits the recompute to
-  // the dirtied paths — untouched path profiles are kept verbatim, which
-  // is exact because propagation is independent per (reference, path).
-  // Paths past bit 63 are always recomputed (conservative).
+  // A work item's path mask (when masks are given) limits the recompute
+  // to the dirtied paths — untouched path profiles are kept verbatim,
+  // which is exact because propagation is independent per (reference,
+  // path). Paths past bit 63 are always recomputed (conservative).
   const auto compute_one = [&](int64_t i) {
     const size_t position = work[static_cast<size_t>(i)];
     const uint64_t mask =
-        (position_path_masks != nullptr &&
-         static_cast<size_t>(i) < positions.size())
-            ? (*position_path_masks)[static_cast<size_t>(i)]
+        (path_masks != nullptr && static_cast<size_t>(i) < path_masks->size())
+            ? (*path_masks)[static_cast<size_t>(i)]
             : ~uint64_t{0};
     std::unique_ptr<PropagationWorkspace> workspace;
     if (dense) {
@@ -197,6 +118,57 @@ void ProfileStore::Update(const PropagationEngine& engine,
       compute_one(static_cast<int64_t>(i));
     }
   }
+}
+
+ProfileStore ProfileStore::Build(const PropagationEngine& engine,
+                                 const std::vector<JoinPath>& paths,
+                                 const PropagationOptions& options,
+                                 std::vector<int32_t> refs,
+                                 ThreadPool* pool,
+                                 size_t min_parallel_refs,
+                                 SubtreeCache* shared_cache,
+                                 WorkspacePool* shared_workspaces) {
+  Stopwatch watch;
+  ProfileStore store;
+  store.refs_ = std::move(refs);
+  store.num_paths_ = paths.size();
+  store.profiles_.resize(store.refs_.size());
+  store.BuildIndex();
+  std::vector<size_t> work(store.refs_.size());
+  std::iota(work.begin(), work.end(), size_t{0});
+  store.ComputeProfiles(engine, paths, options, work, /*path_masks=*/nullptr,
+                        pool, min_parallel_refs, shared_cache,
+                        shared_workspaces);
+  DISTINCT_COUNTER_ADD("sim.profile_store_builds", 1);
+  DISTINCT_COUNTER_ADD("prop.profiles_built",
+                       static_cast<int64_t>(store.refs_.size()));
+  DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
+  return store;
+}
+
+void ProfileStore::Update(const PropagationEngine& engine,
+                          const std::vector<JoinPath>& paths,
+                          const PropagationOptions& options,
+                          const std::vector<size_t>& positions,
+                          std::vector<int32_t> new_refs,
+                          ThreadPool* pool,
+                          size_t min_parallel_refs,
+                          SubtreeCache* shared_cache,
+                          WorkspacePool* shared_workspaces,
+                          const std::vector<uint64_t>* position_path_masks) {
+  Stopwatch watch;
+  num_paths_ = paths.size();
+  std::vector<size_t> work(positions);
+  for (int32_t ref : new_refs) {
+    work.push_back(refs_.size());
+    refs_.push_back(ref);
+    profiles_.emplace_back();
+  }
+  BuildIndex();
+  // Masks align with `positions`, the head of the work list; the appended
+  // refs past it compute every path.
+  ComputeProfiles(engine, paths, options, work, position_path_masks, pool,
+                  min_parallel_refs, shared_cache, shared_workspaces);
   DISTINCT_COUNTER_ADD("sim.profile_store_updates", 1);
   DISTINCT_COUNTER_ADD("prop.profiles_built",
                        static_cast<int64_t>(work.size()));

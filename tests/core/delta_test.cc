@@ -442,35 +442,6 @@ TEST_F(DeltaTest, ParallelIncrementalMatchesSerialBatchRebuild) {
                         BatchRebuild(db, /*num_threads=*/1));
 }
 
-// cache_artifacts=false trades Apply latency for memory but must land on
-// exactly the same catalog as the splicing path and the batch rebuild.
-TEST_F(DeltaTest, UncachedArtifactsCatalogMatchesCachedOne) {
-  auto split = MakeTailDelta(dataset_->db, kPublishTable, 40);
-  ASSERT_TRUE(split.ok());
-
-  Database cached_db = std::move(split->first);
-  auto cached_engine =
-      Distinct::Create(cached_db, DblpReferenceSpec(), TestConfig());
-  ASSERT_TRUE(cached_engine.ok());
-  IncrementalCatalog cached(*cached_engine);
-  ASSERT_TRUE(cached.Build().ok());
-  ASSERT_TRUE(cached.Apply(cached_db, split->second).ok());
-
-  auto resplit = MakeTailDelta(dataset_->db, kPublishTable, 40);
-  ASSERT_TRUE(resplit.ok());
-  Database uncached_db = std::move(resplit->first);
-  auto uncached_engine =
-      Distinct::Create(uncached_db, DblpReferenceSpec(), TestConfig());
-  ASSERT_TRUE(uncached_engine.ok());
-  IncrementalCatalog uncached(*uncached_engine, ScanOptions{},
-                              /*cache_artifacts=*/false);
-  ASSERT_TRUE(uncached.Build().ok());
-  ASSERT_TRUE(uncached.Apply(uncached_db, resplit->second).ok());
-
-  ExpectSameResolutions(uncached.resolutions(), cached.resolutions());
-  ExpectSameResolutions(cached.resolutions(), BatchRebuild(cached_db));
-}
-
 // The report's dirty-reference list is the splice contract: ascending,
 // duplicate-free, aligned with its per-path masks, and covering every
 // appended reference row.

@@ -106,7 +106,6 @@ TEST(DistinctTest, ClusterOptionsMirrorConfig) {
   config.measure = ClusterMeasure::kWalkOnly;
   config.combine = CombineRule::kArithmeticMean;
   config.stopping = StoppingRule::kLargestGap;
-  config.incremental = false;
   auto engine = Distinct::Create(db, DblpReferenceSpec(), config);
   ASSERT_TRUE(engine.ok());
   const AgglomerativeOptions options = engine->cluster_options();
@@ -114,7 +113,21 @@ TEST(DistinctTest, ClusterOptionsMirrorConfig) {
   EXPECT_EQ(options.measure, ClusterMeasure::kWalkOnly);
   EXPECT_EQ(options.combine, CombineRule::kArithmeticMean);
   EXPECT_EQ(options.stopping, StoppingRule::kLargestGap);
-  EXPECT_FALSE(options.incremental);
+}
+
+// The subtree-memo budget has one setting: whatever the caller puts in
+// propagation.cache_bytes is what the engine keeps.
+TEST(DistinctTest, CreateKeepsCallerMemoBudget) {
+  Database db = testing_util::MakeMiniDblp();
+  for (const size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+    DistinctConfig config;
+    config.supervised = false;
+    config.propagation.cache_bytes = cache_bytes;
+    auto engine = Distinct::Create(db, DblpReferenceSpec(), config);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_EQ(engine->config().propagation.cache_bytes, cache_bytes);
+  }
+  EXPECT_EQ(DistinctConfig{}.propagation.cache_bytes, size_t{64} << 20);
 }
 
 TEST(DistinctTest, CreateFailsOnBadSpec) {

@@ -105,6 +105,22 @@ TEST(ScanTest, EngineScanMatchesDatabaseScan) {
   }
 }
 
+/// The single-name path, one group after another: the oracle every batch
+/// resolution must match exactly.
+std::vector<BulkResolution> ResolveEachGroup(
+    Distinct& engine, const std::vector<NameGroup>& groups,
+    BulkStats* stats) {
+  std::vector<BulkResolution> results;
+  for (const NameGroup& group : groups) {
+    auto clustering = engine.ResolveRefs(group.refs);
+    DISTINCT_CHECK(clustering.ok());
+    results.push_back(
+        BulkResolution{group.name, group.refs.size(), *std::move(clustering)});
+    stats->Add(results.back());
+  }
+  return results;
+}
+
 class ResolveAllTest : public ::testing::Test {
  protected:
   ResolveAllTest() : db_(testing_util::MakeMiniDblp()) {
@@ -124,7 +140,7 @@ TEST_F(ResolveAllTest, ResolvesEveryGroup) {
   auto groups = ScanNameGroups(db_, DblpReferenceSpec());
   ASSERT_TRUE(groups.ok());
   std::vector<BulkResolution> results;
-  auto stats = ResolveAllNames(*engine_, *groups, &results);
+  auto stats = ResolveAllNamesParallel(*engine_, *groups, 2, &results);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->names_resolved, 2);
   EXPECT_EQ(stats->total_refs, 5);
@@ -136,24 +152,25 @@ TEST_F(ResolveAllTest, ResolvesEveryGroup) {
   EXPECT_GE(stats->seconds, 0.0);
 }
 
-TEST_F(ResolveAllTest, CallbackCanAbort) {
-  auto groups = ScanNameGroups(db_, DblpReferenceSpec());
-  ASSERT_TRUE(groups.ok());
-  int calls = 0;
-  auto stats = ResolveAllNames(*engine_, *groups, nullptr,
-                               [&](const BulkResolution&) {
-                                 ++calls;
-                                 return false;  // abort after the first
-                               });
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(stats->names_resolved, 1);
-}
-
 TEST_F(ResolveAllTest, EmptyGroupListIsFine) {
-  auto stats = ResolveAllNames(*engine_, {});
+  auto stats = ResolveAllNamesParallel(*engine_, {}, 2);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->names_resolved, 0);
+}
+
+// A reference outside the Publish table is rejected before any group is
+// resolved, instead of indexing past the link graph inside a worker.
+TEST_F(ResolveAllTest, OutOfRangeReferenceIsInvalidArgument) {
+  const int32_t num_refs =
+      static_cast<int32_t>((**db_.FindTable(kPublishTable)).num_rows());
+  for (const int32_t bad : {num_refs, -1}) {
+    const std::vector<NameGroup> groups = {{"Wei Wang", {0, 2, 6}},
+                                           {"Ghost", {0, bad}}};
+    std::vector<BulkResolution> results;
+    auto stats = ResolveAllNamesParallel(*engine_, groups, 2, &results);
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(results.empty());
+  }
 }
 
 TEST_F(ResolveAllTest, ParallelMatchesSequential) {
@@ -162,18 +179,18 @@ TEST_F(ResolveAllTest, ParallelMatchesSequential) {
   auto groups = ScanNameGroups(db_, DblpReferenceSpec(), options);
   ASSERT_TRUE(groups.ok());
 
-  std::vector<BulkResolution> sequential;
-  auto seq_stats = ResolveAllNames(*engine_, *groups, &sequential);
-  ASSERT_TRUE(seq_stats.ok());
+  BulkStats seq_stats;
+  const std::vector<BulkResolution> sequential =
+      ResolveEachGroup(*engine_, *groups, &seq_stats);
 
   for (const int threads : {1, 2, 4}) {
     std::vector<BulkResolution> parallel;
     auto par_stats =
         ResolveAllNamesParallel(*engine_, *groups, threads, &parallel);
     ASSERT_TRUE(par_stats.ok());
-    EXPECT_EQ(par_stats->names_resolved, seq_stats->names_resolved);
-    EXPECT_EQ(par_stats->total_clusters, seq_stats->total_clusters);
-    EXPECT_EQ(par_stats->names_split, seq_stats->names_split);
+    EXPECT_EQ(par_stats->names_resolved, seq_stats.names_resolved);
+    EXPECT_EQ(par_stats->total_clusters, seq_stats.total_clusters);
+    EXPECT_EQ(par_stats->names_split, seq_stats.names_split);
     ASSERT_EQ(parallel.size(), sequential.size());
     for (size_t g = 0; g < parallel.size(); ++g) {
       EXPECT_EQ(parallel[g].name, sequential[g].name);
@@ -186,7 +203,7 @@ TEST_F(ResolveAllTest, ParallelMatchesSequential) {
 
 // One mega-name (n >= 200 refs) among many small groups: the load pattern
 // the nested groups x tiles parallelism exists for. The parallel resolver
-// must match the sequential one exactly at every thread count.
+// must match the single-name path exactly at every thread count.
 TEST(ResolveAllMegaGroupTest, ParallelMatchesSequentialWithMegaGroup) {
   GeneratorConfig generator;
   generator.seed = 11;
@@ -214,17 +231,17 @@ TEST(ResolveAllMegaGroupTest, ParallelMatchesSequentialWithMegaGroup) {
   EXPECT_GE((*groups)[0].refs.size(), 200u);
   EXPECT_GT(groups->size(), 4u);
 
-  std::vector<BulkResolution> sequential;
-  auto seq_stats = ResolveAllNames(*engine, *groups, &sequential);
-  ASSERT_TRUE(seq_stats.ok());
+  BulkStats seq_stats;
+  const std::vector<BulkResolution> sequential =
+      ResolveEachGroup(*engine, *groups, &seq_stats);
 
   for (const int threads : {2, 4, 8}) {
     std::vector<BulkResolution> parallel;
     auto par_stats =
         ResolveAllNamesParallel(*engine, *groups, threads, &parallel);
     ASSERT_TRUE(par_stats.ok());
-    EXPECT_EQ(par_stats->names_resolved, seq_stats->names_resolved);
-    EXPECT_EQ(par_stats->total_clusters, seq_stats->total_clusters);
+    EXPECT_EQ(par_stats->names_resolved, seq_stats.names_resolved);
+    EXPECT_EQ(par_stats->total_clusters, seq_stats.total_clusters);
     ASSERT_EQ(parallel.size(), sequential.size());
     for (size_t g = 0; g < parallel.size(); ++g) {
       EXPECT_EQ(parallel[g].name, sequential[g].name);

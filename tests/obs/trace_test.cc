@@ -105,8 +105,9 @@ TEST_F(TraceTest, SpanTreeDeterministicAcrossEngineThreadCounts) {
     scan.min_refs = 2;
     auto groups = ScanNameGroups(*engine, scan);
     ASSERT_TRUE(groups.ok());
-    auto stats = ResolveAllNames(*engine, *groups);
-    ASSERT_TRUE(stats.ok());
+    for (const NameGroup& group : *groups) {
+      ASSERT_TRUE(engine->ResolveRefs(group.refs).ok());
+    }
 
     const std::vector<std::string> structure =
         Structure(Tracer::Global().Snapshot());

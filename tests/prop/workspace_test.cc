@@ -418,12 +418,12 @@ TEST(WorkspaceEndToEndTest, ClusteringIdenticalCacheOnOffAcrossThreads) {
   ASSERT_TRUE(dataset.ok());
 
   std::vector<int> reference_assignment;
-  for (const int cache_mb : {0, 64}) {
+  for (const size_t cache_mb : {0, 64}) {
     for (const int threads : {1, 8}) {
       DistinctConfig config;
       config.supervised = false;
       config.promotions = DblpDefaultPromotions();
-      config.propagation_cache_mb = cache_mb;
+      config.propagation.cache_bytes = cache_mb << 20;
       config.num_threads = threads;
       auto engine =
           Distinct::Create(dataset->db, DblpReferenceSpec(), config);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "prop/propagation.h"
+#include "relational/join_path.h"
 #include "sim/resemblance.h"
 
 namespace distinct {
@@ -10,7 +12,6 @@ namespace {
 
 using testing_util::kWeiWangRef0;
 using testing_util::kWeiWangRef1;
-using testing_util::kWeiWangRef2;
 
 class FeatureVectorTest : public ::testing::Test {
  protected:
@@ -27,6 +28,20 @@ class FeatureVectorTest : public ::testing::Test {
                                 options);
   }
 
+  /// Profiles of `ref` along every path, one PropagationEngine::Compute
+  /// per path.
+  std::vector<NeighborProfile> Profiles(int32_t ref) const {
+    std::vector<NeighborProfile> profiles;
+    for (const JoinPath& path : paths_) {
+      profiles.push_back(engine_->Compute(path, ref));
+    }
+    return profiles;
+  }
+
+  PairFeatures Features(int32_t ref1, int32_t ref2) const {
+    return ComputePairFeatures(Profiles(ref1), Profiles(ref2));
+  }
+
   Database db_;
   std::unique_ptr<SchemaGraph> schema_;
   std::unique_ptr<LinkGraph> link_;
@@ -35,17 +50,13 @@ class FeatureVectorTest : public ::testing::Test {
 };
 
 TEST_F(FeatureVectorTest, FeatureWidthMatchesPathCount) {
-  FeatureExtractor extractor(*engine_, paths_);
-  const PairFeatures features =
-      extractor.Compute(kWeiWangRef0, kWeiWangRef1);
+  const PairFeatures features = Features(kWeiWangRef0, kWeiWangRef1);
   EXPECT_EQ(features.resemblance.size(), paths_.size());
   EXPECT_EQ(features.walk.size(), paths_.size());
 }
 
 TEST_F(FeatureVectorTest, FeaturesMatchDirectComputation) {
-  FeatureExtractor extractor(*engine_, paths_);
-  const PairFeatures features =
-      extractor.Compute(kWeiWangRef0, kWeiWangRef1);
+  const PairFeatures features = Features(kWeiWangRef0, kWeiWangRef1);
   for (size_t p = 0; p < paths_.size(); ++p) {
     const NeighborProfile a = engine_->Compute(paths_[p], kWeiWangRef0);
     const NeighborProfile b = engine_->Compute(paths_[p], kWeiWangRef1);
@@ -53,32 +64,9 @@ TEST_F(FeatureVectorTest, FeaturesMatchDirectComputation) {
   }
 }
 
-TEST_F(FeatureVectorTest, CacheGrowsOncePerReference) {
-  FeatureExtractor extractor(*engine_, paths_);
-  EXPECT_EQ(extractor.cache_size(), 0u);
-  extractor.Compute(kWeiWangRef0, kWeiWangRef1);
-  EXPECT_EQ(extractor.cache_size(), 2u);
-  extractor.Compute(kWeiWangRef0, kWeiWangRef2);
-  EXPECT_EQ(extractor.cache_size(), 3u);
-  extractor.Compute(kWeiWangRef1, kWeiWangRef2);
-  EXPECT_EQ(extractor.cache_size(), 3u);  // everything already cached
-}
-
-TEST_F(FeatureVectorTest, ClearCacheEmptiesIt) {
-  FeatureExtractor extractor(*engine_, paths_);
-  extractor.Compute(kWeiWangRef0, kWeiWangRef1);
-  extractor.ClearCache();
-  EXPECT_EQ(extractor.cache_size(), 0u);
-  // Recomputation still works.
-  const PairFeatures features =
-      extractor.Compute(kWeiWangRef0, kWeiWangRef1);
-  EXPECT_EQ(features.resemblance.size(), paths_.size());
-}
-
 TEST_F(FeatureVectorTest, SymmetricPairs) {
-  FeatureExtractor extractor(*engine_, paths_);
-  const PairFeatures ab = extractor.Compute(kWeiWangRef0, kWeiWangRef1);
-  const PairFeatures ba = extractor.Compute(kWeiWangRef1, kWeiWangRef0);
+  const PairFeatures ab = Features(kWeiWangRef0, kWeiWangRef1);
+  const PairFeatures ba = Features(kWeiWangRef1, kWeiWangRef0);
   for (size_t p = 0; p < paths_.size(); ++p) {
     EXPECT_DOUBLE_EQ(ab.resemblance[p], ba.resemblance[p]);
     EXPECT_DOUBLE_EQ(ab.walk[p], ba.walk[p]);
@@ -88,7 +76,6 @@ TEST_F(FeatureVectorTest, SymmetricPairs) {
 TEST_F(FeatureVectorTest, CoauthorFeatureHandValue) {
   // Refs 0 and 1 share coauthor Jiong Yang:
   // profiles {JY: 1/2} and {HW: 1/3, JY: 1/3} -> resemblance 0.4.
-  FeatureExtractor extractor(*engine_, paths_);
   size_t coauthor_path = paths_.size();
   for (size_t p = 0; p < paths_.size(); ++p) {
     if (paths_[p].Describe(*schema_) ==
@@ -98,8 +85,7 @@ TEST_F(FeatureVectorTest, CoauthorFeatureHandValue) {
     }
   }
   ASSERT_LT(coauthor_path, paths_.size());
-  const PairFeatures features =
-      extractor.Compute(kWeiWangRef0, kWeiWangRef1);
+  const PairFeatures features = Features(kWeiWangRef0, kWeiWangRef1);
   EXPECT_NEAR(features.resemblance[coauthor_path], 0.4, 1e-12);
   // Walk: 1/2 * 1/6 each direction -> symmetric 1/12.
   EXPECT_NEAR(features.walk[coauthor_path], 1.0 / 12.0, 1e-12);

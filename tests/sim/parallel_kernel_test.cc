@@ -16,17 +16,35 @@
 namespace distinct {
 namespace {
 
-/// Serial reference implementation: the pre-kernel per-cell loop over a
-/// caching FeatureExtractor. The kernel must reproduce it bit-for-bit.
+/// Oracle profiles: one PropagationEngine::Compute per (reference, path),
+/// with no store, memo or pool.
+std::vector<std::vector<NeighborProfile>> OracleProfiles(
+    const Distinct& engine, const std::vector<int32_t>& refs) {
+  std::vector<std::vector<NeighborProfile>> profiles(refs.size());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    for (const JoinPath& path : engine.paths()) {
+      profiles[i].push_back(engine.propagation_engine().Compute(
+          path, refs[i], engine.config().propagation));
+    }
+  }
+  return profiles;
+}
+
+/// Serial reference implementation: the pre-kernel per-cell loop over
+/// oracle profiles and ComputePairFeatures. The kernel must reproduce it
+/// bit-for-bit.
 std::pair<PairMatrix, PairMatrix> SerialMatrices(
-    FeatureExtractor& extractor, const SimilarityModel& model,
-    const std::vector<int32_t>& refs) {
+    const Distinct& engine, const std::vector<int32_t>& refs) {
+  const std::vector<std::vector<NeighborProfile>> profiles =
+      OracleProfiles(engine, refs);
+  const SimilarityModel& model = engine.model();
   const size_t n = refs.size();
   PairMatrix resem(n);
   PairMatrix walk(n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < i; ++j) {
-      const PairFeatures features = extractor.Compute(refs[i], refs[j]);
+      const PairFeatures features =
+          ComputePairFeatures(profiles[i], profiles[j]);
       resem.set(i, j, model.Resemblance(features));
       walk.set(i, j, model.Walk(features));
     }
@@ -78,8 +96,8 @@ class ParallelKernelTest : public ::testing::Test {
 };
 
 TEST_F(ParallelKernelTest, ProfileStoreMatchesExtractor) {
-  FeatureExtractor extractor(engine_->propagation_engine(), engine_->paths(),
-                             engine_->config().propagation);
+  const std::vector<std::vector<NeighborProfile>> oracle =
+      OracleProfiles(*engine_, refs_);
   const ProfileStore store = ProfileStore::Build(
       engine_->propagation_engine(), engine_->paths(),
       engine_->config().propagation, refs_, /*pool=*/nullptr);
@@ -87,8 +105,7 @@ TEST_F(ParallelKernelTest, ProfileStoreMatchesExtractor) {
   ASSERT_EQ(store.num_paths(), engine_->paths().size());
   for (size_t i = 0; i < refs_.size(); ++i) {
     EXPECT_EQ(store.IndexOf(refs_[i]), static_cast<int64_t>(i));
-    const std::vector<NeighborProfile>& expected =
-        extractor.ProfilesFor(refs_[i]);
+    const std::vector<NeighborProfile>& expected = oracle[i];
     const std::vector<NeighborProfile>& actual = store.profiles(i);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t p = 0; p < expected.size(); ++p) {
@@ -107,9 +124,7 @@ TEST_F(ParallelKernelTest, ProfileStoreMatchesExtractor) {
 }
 
 TEST_F(ParallelKernelTest, KernelIsBitIdenticalAcrossThreadCounts) {
-  FeatureExtractor extractor(engine_->propagation_engine(), engine_->paths(),
-                             engine_->config().propagation);
-  const auto serial = SerialMatrices(extractor, engine_->model(), refs_);
+  const auto serial = SerialMatrices(*engine_, refs_);
 
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
