@@ -1,20 +1,16 @@
 // Pair-kernel comparison on a sparse-overlap workload: one synthetic
 // mega-name whose references spread over many distinct entities (and
 // therefore many communities), so most reference pairs share no neighbor
-// tuples. Rows: the three-pass exactness oracle (ReferencePairMatrices);
-// the fused arena kernel with grouped candidate generation pinned, with
+// tuples. Rows: the three-pass exactness oracle (ReferencePairMatrices),
+// and the fused arena kernel with grouped candidate generation pinned, with
 // bitset candidate generation forced on, and at its defaults (every fused
 // row must reproduce the oracle's matrices bit-for-bit, hard failure
-// otherwise); and the fused kernel with the mass-bound prune (must leave
-// the clustering at the prune floor unchanged). The serial fill is
-// measured so the row ratio is the kernel speedup itself, not a
-// parallelization artifact.
+// otherwise). The serial fill is measured so the row ratio is the kernel
+// speedup itself, not a parallelization artifact.
 
-#include <cmath>
 #include <cstdio>
 
 #include "bench_util.h"
-#include "cluster/agglomerative.h"
 #include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/text_table.h"
@@ -54,22 +50,9 @@ int main(int argc, char** argv) {
                  "distinct people behind the mega-name; more entities -> "
                  "sparser pair overlap");
   flags.AddInt64("repeat", 3, "timed repetitions per row");
-  flags.AddDouble("prune-min-sim", 0.25,
-                  "merge floor of the fused+prune row, > 0 (sits inside the "
-                  "mass-bound range on this workload so the prune visibly "
-                  "fires; the paper's 3e-2 floor is below every bound here)");
   if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
     std::fprintf(stderr, "%s\n%s", s.ToString().c_str(),
                  flags.Help().c_str());
-    return 1;
-  }
-  // A floor that is not a positive number disables the prune, and the
-  // prune row would time the unpruned fill under the prune's name.
-  const double prune_min_sim = flags.GetDouble("prune-min-sim");
-  if (!(prune_min_sim > 0.0) || !std::isfinite(prune_min_sim)) {
-    std::fprintf(stderr,
-                 "--prune-min-sim must be a finite number > 0, got %g\n",
-                 prune_min_sim);
     return 1;
   }
 
@@ -160,54 +143,20 @@ int main(int argc, char** argv) {
   const double fused_s = time_fill(fused_fill(fused_options), &fused);
   const bool fused_exact = MatricesEqual(fused, reference);
 
-  PairKernelOptions prune_options = fused_options;
-  prune_options.pruning = true;
-  prune_options.prune_min_sim = prune_min_sim;
-  std::pair<PairMatrix, PairMatrix> pruned(PairMatrix(0), PairMatrix(0));
-  const double prune_s = time_fill(fused_fill(prune_options), &pruned);
-
-  // The prune contract: dropped cells read 0.0, and clustering at the
-  // prune floor is unchanged.
-  int64_t pairs_pruned = 0;
-  bool prune_cells_ok = true;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (pruned.first.at(i, j) == reference.first.at(i, j) &&
-          pruned.second.at(i, j) == reference.second.at(i, j)) {
-        continue;
-      }
-      ++pairs_pruned;
-      prune_cells_ok = prune_cells_ok && pruned.first.at(i, j) == 0.0 &&
-                       pruned.second.at(i, j) == 0.0;
-    }
-  }
-  AgglomerativeOptions cluster_options;
-  cluster_options.min_sim = prune_min_sim;
-  const ClusteringResult exact_clusters =
-      ClusterReferences(reference.first, reference.second, cluster_options);
-  const ClusteringResult pruned_clusters =
-      ClusterReferences(pruned.first, pruned.second, cluster_options);
-  const bool prune_clusters_ok =
-      exact_clusters.assignment == pruned_clusters.assignment;
-
-  TextTable table({"kernel", "matrix (s)", "speedup", "exact", "pruned"});
-  for (size_t c = 1; c <= 4; ++c) table.SetRightAlign(c);
-  table.AddRow({"reference", Fmt3(reference_s), "1.00", "-", "-"});
+  TextTable table({"kernel", "matrix (s)", "speedup", "exact"});
+  for (size_t c = 1; c <= 3; ++c) table.SetRightAlign(c);
+  table.AddRow({"reference", Fmt3(reference_s), "1.00", "-"});
   table.AddRow(
       {"fused[grouped-cand]", Fmt3(grouped_s),
        StrFormat("%.2f", grouped_s > 0 ? reference_s / grouped_s : 0.0),
-       grouped_exact ? "yes" : "NO", "0"});
+       grouped_exact ? "yes" : "NO"});
   table.AddRow(
       {"fused[bitset-cand]", Fmt3(bitset_s),
        StrFormat("%.2f", bitset_s > 0 ? reference_s / bitset_s : 0.0),
-       bitset_exact ? "yes" : "NO", "0"});
+       bitset_exact ? "yes" : "NO"});
   table.AddRow({"fused", Fmt3(fused_s),
                 StrFormat("%.2f", fused_s > 0 ? reference_s / fused_s : 0.0),
-                fused_exact ? "yes" : "NO", "0"});
-  table.AddRow({StrFormat("fused+prune@%.2f", prune_min_sim), Fmt3(prune_s),
-                StrFormat("%.2f", prune_s > 0 ? reference_s / prune_s : 0.0),
-                prune_cells_ok && prune_clusters_ok ? "clusters" : "NO",
-                StrFormat("%lld", static_cast<long long>(pairs_pruned))});
+                fused_exact ? "yes" : "NO"});
   std::printf("%s", table.Render().c_str());
 
   BenchJson json("pair_kernel");
@@ -230,17 +179,11 @@ int main(int argc, char** argv) {
   json.Add("bitset_matrix_s", bitset_s);
   json.Add("bitset_speedup", bitset_s > 0 ? reference_s / bitset_s : 0.0);
   json.Add("bitset_exact", static_cast<int64_t>(bitset_exact ? 1 : 0));
-  json.Add("prune_min_sim", prune_min_sim);
-  json.Add("prune_matrix_s", prune_s);
-  json.Add("prune_speedup", prune_s > 0 ? reference_s / prune_s : 0.0);
-  json.Add("pairs_pruned", pairs_pruned);
-  json.Add("prune_clustering_identical",
-           static_cast<int64_t>(prune_clusters_ok ? 1 : 0));
   json.Write();
 
   std::printf(
-      "\nevery fused row must reproduce the reference matrices bit-for-bit; "
-      "the prune row must leave the clustering at its floor unchanged.\n");
+      "\nevery fused row must reproduce the reference matrices "
+      "bit-for-bit.\n");
   if (!grouped_exact) {
     std::fprintf(stderr,
                  "error: grouped candidate generation diverged from the "
@@ -255,15 +198,8 @@ int main(int argc, char** argv) {
   }
   if (!fused_exact) {
     std::fprintf(stderr,
-                 "error: fused kernel (pruning off) diverged from the "
-                 "reference matrices\n");
-    return 1;
-  }
-  if (!prune_cells_ok || !prune_clusters_ok) {
-    std::fprintf(stderr,
-                 "error: mass-bound prune violated its contract (%s)\n",
-                 !prune_cells_ok ? "non-zero pruned cell"
-                                 : "clustering changed at the prune floor");
+                 "error: fused kernel diverged from the reference "
+                 "matrices\n");
     return 1;
   }
   return 0;

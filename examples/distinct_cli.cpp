@@ -78,7 +78,7 @@ void Usage() {
                "                 ingested columnar catalog instead of "
                "--dir)\n"
                "                --threads=N --stopping=fixed|largest-gap\n"
-               "                --prop-cache-mb=N --kernel-pruning\n"
+               "                --prop-cache-mb=N\n"
                "                --verbosity=0|1|2\n"
                "                --report --metrics-json=FILE "
                "--trace-json=FILE\n"
@@ -215,7 +215,6 @@ StatusOr<DistinctConfig> EngineConfigFromFlags(const FlagParser& flags,
   if (!cache_mb.ok()) return cache_mb.status();
   config.propagation.cache_bytes = static_cast<size_t>(*cache_mb) << 20;
   config.supervised = !flags.GetBool("unsupervised");
-  config.kernel_pruning = flags.GetBool("kernel-pruning");
   config.observability = obs::Enabled();
   const std::string stopping = flags.GetString("stopping");
   if (stopping == "largest-gap" || stopping == "gap") {
@@ -684,12 +683,6 @@ int main(int argc, char** argv) {
   flags.AddBool("verify", false,
                 "append: rebuild from scratch afterwards and check the "
                 "incremental catalog matches it exactly");
-  flags.AddBool("kernel-pruning", false,
-                "fused kernel, opt-in approximation: skip pairs whose "
-                "mass-bound similarity upper bound is below min-sim when "
-                "clustering; may shift merges whose cluster-average sits "
-                "near the floor (off by default — every candidate is "
-                "computed exactly)");
   flags.AddDouble("min-sim", 3e-2, "clustering merge threshold");
   flags.AddBool("auto-min-sim", false,
                 "derive min-sim from the training pairs (ignores --min-sim)");

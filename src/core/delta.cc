@@ -1,6 +1,7 @@
 #include "core/delta.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -372,8 +373,7 @@ StatusOr<Distinct::ResolveArtifacts> Distinct::PatchResolveArtifacts(
       cached.arena.PatchFromStore(cached.store, positions);
     }
     return UpdatePairMatrices(cached.store, cached.arena, model_, dirty,
-                              cached.resem, cached.walk, pool_.get(),
-                              kernel_options(/*for_clustering=*/true));
+                              cached.resem, cached.walk, pool_.get());
   }();
   DISTINCT_TRACE_SPAN("cluster");
   ClusteringResult clustering =
@@ -433,7 +433,13 @@ StatusOr<std::pair<Database, DatabaseDelta>> MakeTailDelta(
 
 StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
                                              const std::string& directory) {
+  std::error_code error;
+  if (!std::filesystem::is_directory(directory, error)) {
+    return NotFoundError("delta directory '" + directory +
+                         "' does not exist");
+  }
   DatabaseDelta delta;
+  int files_found = 0;
   for (int i = 0; i < db.num_tables(); ++i) {
     const Table& src = db.table(i);
     std::vector<ColumnSpec> columns;
@@ -455,6 +461,7 @@ StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
       }
       return loaded.status();
     }
+    ++files_found;
     for (int64_t row = 0; row < staging->num_rows(); ++row) {
       std::vector<Value> values;
       values.reserve(static_cast<size_t>(staging->num_columns()));
@@ -463,6 +470,10 @@ StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
       }
       delta.Add(src.name(), std::move(values));
     }
+  }
+  if (files_found == 0) {
+    return NotFoundError("delta directory '" + directory +
+                         "' holds no <Table>.csv for any table");
   }
   return delta;
 }

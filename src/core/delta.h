@@ -108,7 +108,8 @@ StatusOr<std::pair<Database, DatabaseDelta>> MakeTailDelta(
 
 /// Reads `<directory>/<Table>.csv` for every table of `db` into a delta
 /// (header line required, schema validated like AppendCsvToTable). Tables
-/// without a file are simply absent from the delta.
+/// without a file are simply absent from the delta; NotFound when the
+/// directory does not exist or holds no file for any table.
 StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
                                              const std::string& directory);
 

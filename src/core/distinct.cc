@@ -172,17 +172,6 @@ StatusOr<std::vector<int32_t>> Distinct::RefsForName(
   return name_groups_[it->second].second;
 }
 
-PairKernelOptions Distinct::kernel_options(bool for_clustering) const {
-  PairKernelOptions options;
-  if (for_clustering && config_.kernel_pruning) {
-    options.pruning = true;
-    options.prune_min_sim = config_.min_sim;
-    options.measure = config_.measure;
-    options.combine = config_.combine;
-  }
-  return options;
-}
-
 ProfileStore Distinct::BuildProfileStore(const std::vector<int32_t>& refs) {
   // Under the kWorkspace engine the subtree memo and the dense scratch
   // pool live for the engine's lifetime: suffix distributions stay warm
@@ -200,32 +189,22 @@ ProfileStore Distinct::BuildProfileStore(const std::vector<int32_t>& refs) {
                              memo_.get(), workspaces_.get());
 }
 
-std::pair<PairMatrix, PairMatrix> Distinct::ComputeMatricesWithOptions(
-    const std::vector<int32_t>& refs, const PairKernelOptions& options) {
+StatusOr<std::pair<PairMatrix, PairMatrix>> Distinct::ComputeMatrices(
+    const std::vector<int32_t>& refs) {
   // Phase 1: n propagations per path, each independent. Phase 2: tiled
   // lower-triangle fill. Both fan out over the engine pool when configured;
   // with num_threads == 1 this is exactly the old serial loop.
   const ProfileStore store = BuildProfileStore(refs);
   DISTINCT_TRACE_SPAN("pair_matrix");
-  return ComputePairMatrices(store, model_, pool_.get(), options);
-}
-
-StatusOr<std::pair<PairMatrix, PairMatrix>> Distinct::ComputeMatrices(
-    const std::vector<int32_t>& refs) {
-  // Exact matrices: callers sweep thresholds over them, so the prune (which
-  // zeroes cells below config.min_sim) must stay off.
-  return ComputeMatricesWithOptions(refs,
-                                    kernel_options(/*for_clustering=*/false));
+  return ComputePairMatrices(store, model_, pool_.get());
 }
 
 StatusOr<ClusteringResult> Distinct::ResolveRefs(
     const std::vector<int32_t>& refs) {
-  // These matrices are consumed once, by a clusterer whose merge floor is
-  // config.min_sim — exactly the contract the mass-bound prune needs.
-  const auto matrices = ComputeMatricesWithOptions(
-      refs, kernel_options(/*for_clustering=*/true));
+  const auto matrices = ComputeMatrices(refs);
+  DISTINCT_RETURN_IF_ERROR(matrices.status());
   DISTINCT_TRACE_SPAN("cluster");
-  return ClusterReferences(matrices.first, matrices.second,
+  return ClusterReferences(matrices->first, matrices->second,
                            cluster_options());
 }
 
@@ -238,8 +217,7 @@ StatusOr<Distinct::ResolveArtifacts> Distinct::ResolveRefsArtifacts(
   ProfileArena arena = ProfileArena::FromStore(store);
   auto matrices = [&] {
     DISTINCT_TRACE_SPAN("pair_matrix");
-    return ComputePairMatrices(store, arena, model_, pool_.get(),
-                               kernel_options(/*for_clustering=*/true));
+    return ComputePairMatrices(store, arena, model_, pool_.get());
   }();
   DISTINCT_TRACE_SPAN("cluster");
   ClusteringResult clustering =

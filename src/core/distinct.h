@@ -90,17 +90,6 @@ struct DistinctConfig {
   /// one shared pool. 1 keeps everything on the calling thread. Results
   /// are bit-identical across thread counts.
   int num_threads = 1;
-  /// Opt-in: skip candidate pairs whose mass-bound combined-similarity
-  /// upper bound is below min_sim when the matrices feed clustering
-  /// (ResolveName/ResolveRefs and the bulk scans). A pruned pair can never
-  /// trigger a singleton merge, but its cell reads 0.0 instead of a
-  /// sub-floor value, and sub-floor cells still contribute to Average-Link
-  /// cluster sums — so pruning is an approximation that may shift merges
-  /// whose cluster-pair average sits near the floor (DESIGN.md §11 has the
-  /// three-reference counterexample). Off by default; ComputeMatrices()
-  /// never prunes regardless — its matrices serve threshold sweeps below
-  /// min_sim.
-  bool kernel_pruning = false;
   /// Catalog generation stamp carried into checkpoints. When the database
   /// was materialised from an on-disk columnar catalog (catalog/reader.h)
   /// the caller seeds this with the catalog's generation, so --resume and
@@ -226,9 +215,9 @@ class Distinct {
 
   /// Pairwise model-combined similarity matrices for `refs` — (set
   /// resemblance, random walk). Useful for min-sim sweeps: compute once,
-  /// cluster many times with ClusterReferences(). Always exact: the
-  /// mass-bound prune is never applied here, so every cell carries its
-  /// true value even below config.min_sim.
+  /// cluster many times with ClusterReferences(). Every cell carries its
+  /// exact value, below config.min_sim too. ResolveRefs clusters exactly
+  /// these matrices.
   StatusOr<std::pair<PairMatrix, PairMatrix>> ComputeMatrices(
       const std::vector<int32_t>& refs);
 
@@ -257,19 +246,15 @@ class Distinct {
   /// Clustering options derived from config (measure/combine/min_sim).
   AgglomerativeOptions cluster_options() const;
 
-  /// Pair-kernel options derived from config. With `for_clustering`, the
-  /// mass-bound prune is armed at the clusterer's merge floor (when
-  /// config.kernel_pruning allows); matrices handed back to callers — who
-  /// may sweep thresholds below min_sim — must pass false.
-  PairKernelOptions kernel_options(bool for_clustering) const;
+  /// Default pair-kernel options, whatever the argument. Kept only because
+  /// bench/e2e/harness.cc calls it; it goes with the next benchmark change,
+  /// together with PropagationAlgorithm.
+  PairKernelOptions kernel_options(bool /*for_clustering*/) const {
+    return {};
+  }
 
  private:
   Distinct() = default;
-
-  /// Shared body of ComputeMatrices/ResolveRefs: profile build + pair fill
-  /// under explicit kernel options (only the prune arming differs).
-  std::pair<PairMatrix, PairMatrix> ComputeMatricesWithOptions(
-      const std::vector<int32_t>& refs, const PairKernelOptions& options);
 
   /// Lazily creates the engine-lifetime subtree memo + workspace pool
   /// (kWorkspace only), then builds the profiles of `refs`.
@@ -296,7 +281,7 @@ class Distinct {
   /// route appended reference rows to their group without a rescan.
   std::unordered_map<int64_t, size_t> name_group_of_pk_;
   /// Engine-lifetime subtree memo + workspace pool, created lazily by the
-  /// first ComputeMatricesWithOptions under the kWorkspace engine so warm
+  /// first BuildProfileStore under the kWorkspace engine so warm
   /// suffix distributions survive across queries; ApplyDelta erases only
   /// the entries its delta dirtied and recreates the workspaces (their
   /// dense slabs are sized at first acquire and never grow).

@@ -170,15 +170,13 @@ Status ResolveGroups(const Distinct& engine,
   ThreadPool pool(budget.threads);
   const SimilarityModel& model = engine.model();
   const AgglomerativeOptions cluster_options = engine.cluster_options();
-  const PairKernelOptions kernel =
-      engine.kernel_options(/*for_clustering=*/true);
   ParallelFor(pool, static_cast<int64_t>(indices.size()), [&](int64_t i) {
     const NameGroup& group = groups[indices[static_cast<size_t>(i)]];
     const ProfileStore store = ProfileStore::Build(
         engine.propagation_engine(), paths, engine.config().propagation,
         group.refs, &pool, ProfileStore::kMinParallelRefs, memo.get(),
         workspaces.get());
-    auto matrices = ComputePairMatrices(store, model, &pool, kernel);
+    auto matrices = ComputePairMatrices(store, model, &pool);
     BulkResolution& resolution = (*out)[static_cast<size_t>(i)];
     resolution.name = group.name;
     resolution.num_refs = group.refs.size();

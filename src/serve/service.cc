@@ -315,7 +315,7 @@ StatusOr<std::shared_ptr<const ResolveAnswer>> ServeService::ComputeAnswer(
       engine_.propagation_engine(), engine_.paths(),
       engine_.config().propagation, refs, pool_.get(),
       ProfileStore::kMinParallelRefs, memo_.get(), workspaces_.get());
-  PairKernelOptions kernel = engine_.kernel_options(/*for_clustering=*/true);
+  PairKernelOptions kernel;
   kernel.cancel = token.has_value() ? &*token : nullptr;
   auto matrices =
       ComputePairMatrices(store, engine_.model(), pool_.get(), kernel);

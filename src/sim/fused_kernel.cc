@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <utility>
 
 namespace distinct {
@@ -351,62 +350,6 @@ CandidateSet CandidateSet::BuildPartial(const ProfileArena& arena,
 
   set.Finish();
   return set;
-}
-
-double PairSimilarityUpperBound(const ProfileArena& arena,
-                                const SimilarityModel& model,
-                                const PrunePolicy& policy, size_t i,
-                                size_t j) {
-  double resem_bound = 0.0;
-  double walk_bound = 0.0;
-  const std::vector<double>& resem_weights = model.resem_weights();
-  const std::vector<double>& walk_weights = model.walk_weights();
-  for (size_t p = 0; p < arena.num_paths(); ++p) {
-    const ProfileArena::Path& path = arena.path(p);
-    const double mass_i = path.mass[i];
-    const double mass_j = path.mass[j];
-    const auto matches =
-        static_cast<double>(std::min(path.size(i), path.size(j)));
-    // Resem_P = ν/δ with δ = mass_i + mass_j − ν exactly (Σmax + Σmin over
-    // the union is the total mass), and ν/(M−ν) increases in ν — so any
-    // upper bound ν* on the numerator gives the bound ν*/(M−ν*). The
-    // numerator is capped by the smaller mass and by the match count times
-    // the smaller per-entry maximum; the latter tightens hub-vs-small
-    // pairs whose masses alone look similar.
-    double nu = std::min(mass_i, mass_j);
-    nu = std::min(nu, matches * std::min(path.forward_max[i],
-                                         path.forward_max[j]));
-    if (nu > 0.0) {
-      const double delta = mass_i + mass_j - nu;
-      const double resem =
-          delta > 0.0 ? std::min(nu / delta, 1.0) : 1.0;
-      resem_bound += std::max(resem_weights[p], 0.0) * resem;
-    }
-    // Walk_P(a->b) = Σ f_a(t)·r_b(t) over shared tuples; bound each factor
-    // by its profile-wide aggregate (both ways), or the whole sum by the
-    // match count times the largest single product, and keep the tightest.
-    const double walk_ij =
-        std::min({mass_i * path.reverse_max[j],
-                  path.forward_max[i] * path.reverse_sum[j],
-                  matches * path.forward_max[i] * path.reverse_max[j]});
-    const double walk_ji =
-        std::min({mass_j * path.reverse_max[i],
-                  path.forward_max[j] * path.reverse_sum[i],
-                  matches * path.forward_max[j] * path.reverse_max[i]});
-    walk_bound += std::max(walk_weights[p], 0.0) * 0.5 * (walk_ij + walk_ji);
-  }
-  switch (policy.measure) {
-    case ClusterMeasure::kResemblanceOnly:
-      return resem_bound;
-    case ClusterMeasure::kWalkOnly:
-      return walk_bound;
-    case ClusterMeasure::kComposite:
-      break;
-  }
-  if (policy.combine == CombineRule::kArithmeticMean) {
-    return 0.5 * (resem_bound + walk_bound);
-  }
-  return std::sqrt(resem_bound * walk_bound);
 }
 
 }  // namespace distinct

@@ -1,6 +1,5 @@
 // Fused sparse pair kernel: one merge-join per (pair, path) instead of
-// three, plus inverted-index candidate generation and an optional
-// mass-bound prune.
+// three, plus inverted-index candidate generation.
 //
 // The reference pair phase runs three independent sorted merges per
 // (pair, path): SetResemblance (§2.3) and both WalkProbability directions
@@ -17,18 +16,6 @@
 // (pair, path) combinations, turning the dense quadratic fill into work
 // proportional to actual neighbor overlap — even when one path (a constant
 // attribute every reference reaches) makes every pair a candidate.
-//
-// The mass-bound prune (optional, heuristic) upper-bounds a candidate
-// pair's combined similarity from per-profile aggregates alone:
-//   Resem_P <= min(m1, m2) / max(m1, m2)         (m = Σ forward)
-//   Walk_P(a->b) <= min(mass_a · rmax_b, fmax_a · rsum_b)
-// and skips pairs whose combined bound falls below the clusterer's merge
-// floor — such a pair can never trigger a singleton merge (merges require
-// sim >= min_sim). Zeroing it does perturb Average-Link cluster sums by
-// values below the floor, which can shift merges whose cluster-pair
-// average sits near min_sim — so the prune is an opt-in approximation,
-// never armed by default. DESIGN.md §11 derives the bound, the singleton
-// exactness argument, and the counterexample that keeps it opt-in.
 
 #ifndef DISTINCT_SIM_FUSED_KERNEL_H_
 #define DISTINCT_SIM_FUSED_KERNEL_H_
@@ -38,10 +25,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/agglomerative.h"
 #include "sim/feature_vector.h"
 #include "sim/profile_arena.h"
-#include "sim/similarity_model.h"
 
 namespace distinct {
 
@@ -205,23 +190,6 @@ class CandidateSet {
   int64_t count_ = 0;
   std::vector<std::vector<uint64_t>> path_bits_;
 };
-
-/// What the mass-bound prune needs to shape the combined-similarity upper
-/// bound like the clusterer's singleton similarity.
-struct PrunePolicy {
-  double min_sim = 0.0;  // the clusterer's merge floor
-  ClusterMeasure measure = ClusterMeasure::kComposite;
-  CombineRule combine = CombineRule::kGeometricMean;
-};
-
-/// Upper bound on the clusterer's singleton-pair similarity of (i, j)
-/// under `policy`, computed from per-profile aggregates only (no entry
-/// scan). Negative model weights contribute nothing to the bound (their
-/// terms are <= 0 in the true similarity).
-double PairSimilarityUpperBound(const ProfileArena& arena,
-                                const SimilarityModel& model,
-                                const PrunePolicy& policy, size_t i,
-                                size_t j);
 
 }  // namespace distinct
 

@@ -14,23 +14,15 @@ namespace distinct {
 
 namespace {
 
-/// Per-tile tallies, flushed to the metrics registry once per tile (or
-/// once per serial fill) so the hot loop never touches a shared counter.
-struct TileStats {
-  int64_t pruned = 0;      // candidate pairs dropped by the mass-bound prune
-  int64_t path_joins = 0;  // merge-joins actually run
-};
-
-void FlushStats(const TileStats& stats) {
-  if (stats.pruned > 0) {
-    DISTINCT_COUNTER_ADD("sim.pairs_pruned", stats.pruned);
-  }
-  if (stats.path_joins > 0) {
-    DISTINCT_COUNTER_ADD("sim.path_joins", stats.path_joins);
+/// Flushes one tile's (or one serial fill's) count of merge-joins run, so
+/// the hot loop never touches a shared counter.
+void FlushPathJoins(int64_t path_joins) {
+  if (path_joins > 0) {
+    DISTINCT_COUNTER_ADD("sim.path_joins", path_joins);
   }
 }
 
-/// Runs `fill_row(i, j_begin, j_end, &stats)` over row segments that
+/// Runs `fill_row(i, j_begin, j_end, &path_joins)` over row segments that
 /// together cover every strict-lower-triangle cell exactly once — serially,
 /// or tiled over the pool — in an order-independent way. A segment may be
 /// empty (row 0 on the serial path).
@@ -41,14 +33,14 @@ void ForEachRowSegment(size_t n, ThreadPool* pool,
   const CancelToken* cancel = options.cancel;
   if (pool == nullptr ||
       n < static_cast<size_t>(std::max(options.min_parallel_refs, 0))) {
-    TileStats stats;
+    int64_t path_joins = 0;
     for (size_t i = 0; i < n; ++i) {
       if (cancel != nullptr && cancel->CheckAbort()) {
         break;
       }
-      fill_row(i, size_t{0}, i, &stats);
+      fill_row(i, size_t{0}, i, &path_joins);
     }
-    FlushStats(stats);
+    FlushPathJoins(path_joins);
     return;
   }
 
@@ -70,16 +62,16 @@ void ForEachRowSegment(size_t n, ThreadPool* pool,
                       const auto [bi, bj] = tiles[static_cast<size_t>(t)];
                       const size_t i_end = std::min(n, (bi + 1) * tile);
                       const size_t j_begin = bj * tile;
-                      TileStats stats;
+                      int64_t path_joins = 0;
                       for (size_t i = bi * tile; i < i_end; ++i) {
                         const size_t j_end =
                             std::min<size_t>((bj + 1) * tile, i);
                         if (j_begin < j_end) {
-                          fill_row(i, j_begin, j_end, &stats);
+                          fill_row(i, j_begin, j_end, &path_joins);
                         }
                       }
                       DISTINCT_COUNTER_ADD("sim.tiles_filled", 1);
-                      FlushStats(stats);
+                      FlushPathJoins(path_joins);
                     });
 }
 
@@ -105,9 +97,6 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
   const CandidateSet candidates =
       full_fill ? CandidateSet::Build(arena, options.candidates)
                 : CandidateSet::BuildPartial(arena, *recompute);
-  const bool prune = options.pruning && options.prune_min_sim > 0.0;
-  const PrunePolicy policy{options.prune_min_sim, options.measure,
-                           options.combine};
   // Weighted per-path accumulation in path order — the same floating-point
   // op sequence as SimilarityModel::Resemblance/Walk over a PairFeatures
   // vector, without materializing one per pair.
@@ -136,12 +125,7 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
   const bool use_path_sets = live.size() <= 64;
 
   const auto fill_cell = [&](size_t i, size_t j, uint64_t paths,
-                             TileStats* stats) {
-    if (prune && PairSimilarityUpperBound(arena, model, policy, i, j) <
-                     policy.min_sim) {
-      ++stats->pruned;
-      return;
-    }
+                             int64_t* path_joins) {
     double resem_sim = 0.0;
     double walk_sim = 0.0;
     if (use_path_sets) {
@@ -159,21 +143,21 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
         resem_sim += resem_weights[p] * features.resemblance;
         walk_sim += walk_weights[p] * features.walk;
       }
-      stats->path_joins += std::popcount(paths);
+      *path_joins += std::popcount(paths);
     } else {
       for (size_t p = 0; p < num_paths; ++p) {
         const FusedPathFeatures features = FusedMergeJoin(arena.path(p), i, j);
         resem_sim += resem_weights[p] * features.resemblance;
         walk_sim += walk_weights[p] * features.walk;
       }
-      stats->path_joins += static_cast<int64_t>(num_paths);
+      *path_joins += static_cast<int64_t>(num_paths);
     }
     resem->set(i, j, std::max(resem_sim, 0.0));
     walk->set(i, j, std::max(walk_sim, 0.0));
   };
   ForEachRowSegment(
       n, pool, options,
-      [&](size_t i, size_t j_begin, size_t j_end, TileStats* stats) {
+      [&](size_t i, size_t j_begin, size_t j_end, int64_t* path_joins) {
         // Up to 64 cells at a time: one window per live path, their OR
         // picks the cells to visit, and bit b of every window transposes
         // into cell b's path set.
@@ -197,7 +181,7 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
                 paths |= ((window[k] >> b) & 1) << k;
               }
             }
-            fill_cell(i, j0 + static_cast<size_t>(b), paths, stats);
+            fill_cell(i, j0 + static_cast<size_t>(b), paths, path_joins);
           }
         }
       });

@@ -13,18 +13,16 @@
 // flattens the store into a ProfileArena, builds the per-path candidate
 // bits from inverted indexes, and computes each cell with one merge-join
 // per path on which the pair shares a tuple (cells with none stay at the
-// 0.0 init, which is exactly their value). It optionally prunes candidates
-// whose mass-bound similarity upper bound falls below `prune_min_sim`.
-// ReferencePairMatrices is the exactness oracle the fused fill is tested
-// against: three sorted merges per (pair, path) over the array-of-structs
-// profiles.
+// 0.0 init, which is exactly their value). Every cell carries its exact
+// value, below the clusterer's merge floor too. ReferencePairMatrices is
+// the exactness oracle the fused fill is tested against: three sorted
+// merges per (pair, path) over the array-of-structs profiles.
 
 #ifndef DISTINCT_SIM_PARALLEL_KERNEL_H_
 #define DISTINCT_SIM_PARALLEL_KERNEL_H_
 
 #include <utility>
 
-#include "cluster/agglomerative.h"
 #include "cluster/pair_matrix.h"
 #include "common/cancel.h"
 #include "common/thread_pool.h"
@@ -44,16 +42,6 @@ struct PairKernelOptions {
   int min_parallel_refs = 32;
   /// Sparse-vs-bitset thresholds for CandidateSet::Build.
   CandidateBuildOptions candidates;
-  /// Mass-bound candidate pruning: skip candidate pairs whose
-  /// combined-similarity upper bound is below `prune_min_sim`, leaving
-  /// their cells 0.0. Heuristic — pruned cells lose their (sub-floor) true
-  /// values — so exactness tests and threshold sweeps must keep it off.
-  bool pruning = false;
-  double prune_min_sim = 0.0;
-  /// Shape of the combined-similarity bound; must mirror the clusterer
-  /// options the matrices will be consumed with.
-  ClusterMeasure measure = ClusterMeasure::kComposite;
-  CombineRule combine = CombineRule::kGeometricMean;
   /// Cooperative cancellation, checked per row on the serial path and per
   /// tile on the parallel one (never per cell — the hot loop stays
   /// branch-identical between a null and a live-but-unfired token). When
@@ -90,8 +78,7 @@ std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
 /// the old matrices (their profiles are unchanged and a cell depends only
 /// on its two profiles and the model); cells with a dirty endpoint are
 /// recomputed by the same per-cell kernel as ComputePairMatrices. The
-/// result is bit-identical to a full ComputePairMatrices over `store`,
-/// with or without the mass-bound prune.
+/// result is bit-identical to a full ComputePairMatrices over `store`.
 std::pair<PairMatrix, PairMatrix> UpdatePairMatrices(
     const ProfileStore& store, const ProfileArena& arena,
     const SimilarityModel& model, const std::vector<char>& dirty,
@@ -100,8 +87,8 @@ std::pair<PairMatrix, PairMatrix> UpdatePairMatrices(
 
 /// The exactness oracle: fills every cell serially from
 /// ProfileStore::Features (three sorted merges per (pair, path)) and the
-/// model. ComputePairMatrices without the prune must match it bit for bit;
-/// tests and benches call it, the engine never does.
+/// model. ComputePairMatrices must match it bit for bit; tests and benches
+/// call it, the engine never does.
 std::pair<PairMatrix, PairMatrix> ReferencePairMatrices(
     const ProfileStore& store, const SimilarityModel& model);
 

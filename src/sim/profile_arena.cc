@@ -1,10 +1,8 @@
 #include "sim/profile_arena.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 
 namespace distinct {
 
@@ -14,60 +12,48 @@ namespace {
 constexpr size_t kMaxPathEntries =
     std::numeric_limits<uint32_t>::max();
 
-/// Shared flattening loop; `profiles_of(ref)` returns the per-path profile
-/// vector of one reference.
-template <typename ProfilesOf>
-ProfileArena::Path BuildPath(size_t num_refs, size_t path_index,
-                             const ProfilesOf& profiles_of) {
+/// Appends one profile's entries to the entry arrays of `path`.
+void AppendProfile(const NeighborProfile& profile, ProfileArena::Path& path) {
+  for (const ProfileEntry& entry : profile.entries()) {
+    path.tuples.push_back(entry.tuple);
+    path.forward.push_back(entry.forward);
+    path.reverse.push_back(entry.reverse);
+  }
+}
+
+/// Lays out one path slab of `num_refs` slices in reference order:
+/// `size_of(r)` is slice r's entry count, `append_slice(r, path)` appends
+/// its entries.
+template <typename SizeOf, typename AppendSlice>
+ProfileArena::Path BuildPath(size_t num_refs, const SizeOf& size_of,
+                             const AppendSlice& append_slice) {
   ProfileArena::Path path;
   path.offsets.resize(num_refs + 1);
-  path.mass.resize(num_refs);
-  path.reverse_sum.resize(num_refs);
-  path.forward_max.resize(num_refs);
-  path.reverse_max.resize(num_refs);
-
   size_t total = 0;
   for (size_t r = 0; r < num_refs; ++r) {
-    total += profiles_of(r)[path_index].size();
+    total += size_of(r);
   }
   DISTINCT_CHECK(total <= kMaxPathEntries);
   path.tuples.reserve(total);
   path.forward.reserve(total);
   path.reverse.reserve(total);
-
   for (size_t r = 0; r < num_refs; ++r) {
     path.offsets[r] = static_cast<uint32_t>(path.tuples.size());
-    double mass = 0.0;
-    double reverse_sum = 0.0;
-    double forward_max = 0.0;
-    double reverse_max = 0.0;
-    for (const ProfileEntry& entry :
-         profiles_of(r)[path_index].entries()) {
-      path.tuples.push_back(entry.tuple);
-      path.forward.push_back(entry.forward);
-      path.reverse.push_back(entry.reverse);
-      mass += entry.forward;
-      reverse_sum += entry.reverse;
-      forward_max = std::max(forward_max, entry.forward);
-      reverse_max = std::max(reverse_max, entry.reverse);
-    }
-    path.mass[r] = mass;
-    path.reverse_sum[r] = reverse_sum;
-    path.forward_max[r] = forward_max;
-    path.reverse_max[r] = reverse_max;
+    append_slice(r, path);
   }
   path.offsets[num_refs] = static_cast<uint32_t>(path.tuples.size());
   return path;
 }
 
-/// Bytes the u32 offset packing saves over the size_t layout it replaced,
-/// recorded so run reports can attribute the smaller arena footprint.
-int64_t PackedOffsetSavings(const std::vector<ProfileArena::Path>& paths) {
-  size_t saved = 0;
-  for (const ProfileArena::Path& path : paths) {
-    saved += path.offsets.capacity() * (sizeof(size_t) - sizeof(uint32_t));
-  }
-  return static_cast<int64_t>(saved);
+/// Flattens path `p` of the per-reference profile vectors `profiles_of(r)`.
+template <typename ProfilesOf>
+ProfileArena::Path FlattenPath(size_t num_refs, size_t p,
+                               const ProfilesOf& profiles_of) {
+  return BuildPath(
+      num_refs, [&](size_t r) { return profiles_of(r)[p].size(); },
+      [&](size_t r, ProfileArena::Path& path) {
+        AppendProfile(profiles_of(r)[p], path);
+      });
 }
 
 }  // namespace
@@ -77,9 +63,7 @@ int64_t ProfileArena::FlattenedBytes() const {
   for (const Path& path : paths_) {
     bytes += path.offsets.capacity() * sizeof(uint32_t);
     bytes += path.tuples.capacity() * sizeof(int32_t);
-    bytes += (path.forward.capacity() + path.reverse.capacity() +
-              path.mass.capacity() + path.reverse_sum.capacity() +
-              path.forward_max.capacity() + path.reverse_max.capacity()) *
+    bytes += (path.forward.capacity() + path.reverse.capacity()) *
              sizeof(double);
   }
   return static_cast<int64_t>(bytes);
@@ -90,15 +74,13 @@ ProfileArena ProfileArena::FromStore(const ProfileStore& store) {
   arena.num_refs_ = store.num_refs();
   arena.paths_.reserve(store.num_paths());
   for (size_t p = 0; p < store.num_paths(); ++p) {
-    arena.paths_.push_back(BuildPath(
+    arena.paths_.push_back(FlattenPath(
         store.num_refs(), p,
         [&store](size_t r) -> const std::vector<NeighborProfile>& {
           return store.profiles(r);
         }));
   }
   arena.tracked_.Set(arena.FlattenedBytes());
-  DISTINCT_COUNTER_ADD("sim.arena_packed_bytes_saved",
-                       PackedOffsetSavings(arena.paths_));
   return arena;
 }
 
@@ -118,64 +100,30 @@ void ProfileArena::PatchFromStore(
 
   for (size_t p = 0; p < paths_.size(); ++p) {
     const Path& old_path = paths_[p];
-    Path next;
-    next.offsets.resize(new_num_refs + 1);
-    next.mass.resize(new_num_refs);
-    next.reverse_sum.resize(new_num_refs);
-    next.forward_max.resize(new_num_refs);
-    next.reverse_max.resize(new_num_refs);
-
-    size_t total = 0;
-    for (size_t r = 0; r < new_num_refs; ++r) {
-      total += is_changed[r] ? store.profiles(r)[p].size() : old_path.size(r);
-    }
-    DISTINCT_CHECK(total <= kMaxPathEntries);
-    next.tuples.reserve(total);
-    next.forward.reserve(total);
-    next.reverse.reserve(total);
-
-    for (size_t r = 0; r < new_num_refs; ++r) {
-      next.offsets[r] = static_cast<uint32_t>(next.tuples.size());
-      if (!is_changed[r]) {
-        // Unchanged profile: slice and aggregates copied verbatim — they
-        // were produced by the same loop over the identical entries.
-        const size_t begin = old_path.offsets[r];
-        const size_t end = old_path.offsets[r + 1];
-        next.tuples.insert(next.tuples.end(), old_path.tuples.begin() + begin,
-                           old_path.tuples.begin() + end);
-        next.forward.insert(next.forward.end(),
-                            old_path.forward.begin() + begin,
-                            old_path.forward.begin() + end);
-        next.reverse.insert(next.reverse.end(),
-                            old_path.reverse.begin() + begin,
-                            old_path.reverse.begin() + end);
-        next.mass[r] = old_path.mass[r];
-        next.reverse_sum[r] = old_path.reverse_sum[r];
-        next.forward_max[r] = old_path.forward_max[r];
-        next.reverse_max[r] = old_path.reverse_max[r];
-        continue;
-      }
-      // BuildPath's per-entry loop, applied to the recomputed profile.
-      double mass = 0.0;
-      double reverse_sum = 0.0;
-      double forward_max = 0.0;
-      double reverse_max = 0.0;
-      for (const ProfileEntry& entry : store.profiles(r)[p].entries()) {
-        next.tuples.push_back(entry.tuple);
-        next.forward.push_back(entry.forward);
-        next.reverse.push_back(entry.reverse);
-        mass += entry.forward;
-        reverse_sum += entry.reverse;
-        forward_max = std::max(forward_max, entry.forward);
-        reverse_max = std::max(reverse_max, entry.reverse);
-      }
-      next.mass[r] = mass;
-      next.reverse_sum[r] = reverse_sum;
-      next.forward_max[r] = forward_max;
-      next.reverse_max[r] = reverse_max;
-    }
-    next.offsets[new_num_refs] = static_cast<uint32_t>(next.tuples.size());
-    paths_[p] = std::move(next);
+    paths_[p] = BuildPath(
+        new_num_refs,
+        [&](size_t r) {
+          return is_changed[r] ? store.profiles(r)[p].size()
+                               : old_path.size(r);
+        },
+        [&](size_t r, Path& next) {
+          if (is_changed[r]) {
+            AppendProfile(store.profiles(r)[p], next);
+            return;
+          }
+          // Unchanged profile: its slice is copied verbatim.
+          const size_t begin = old_path.offsets[r];
+          const size_t end = old_path.offsets[r + 1];
+          next.tuples.insert(next.tuples.end(),
+                             old_path.tuples.begin() + begin,
+                             old_path.tuples.begin() + end);
+          next.forward.insert(next.forward.end(),
+                              old_path.forward.begin() + begin,
+                              old_path.forward.begin() + end);
+          next.reverse.insert(next.reverse.end(),
+                              old_path.reverse.begin() + begin,
+                              old_path.reverse.begin() + end);
+        });
   }
   num_refs_ = new_num_refs;
   tracked_.Set(FlattenedBytes());
@@ -191,15 +139,13 @@ ProfileArena ProfileArena::FromProfiles(
   }
   arena.paths_.reserve(num_paths);
   for (size_t p = 0; p < num_paths; ++p) {
-    arena.paths_.push_back(BuildPath(
+    arena.paths_.push_back(FlattenPath(
         profiles.size(), p,
         [&profiles](size_t r) -> const std::vector<NeighborProfile>& {
           return profiles[r];
         }));
   }
   arena.tracked_.Set(arena.FlattenedBytes());
-  DISTINCT_COUNTER_ADD("sim.arena_packed_bytes_saved",
-                       PackedOffsetSavings(arena.paths_));
   return arena;
 }
 

@@ -6,10 +6,8 @@
 // chases n·P separate heap blocks and loads a 24-byte ProfileEntry to read
 // one double. The arena flattens every path's profiles into one contiguous
 // CSR block — tuple[], forward[], reverse[] plus per-reference offsets —
-// so merge-joins stream over adjacent same-typed memory, and precomputes
-// the per-profile aggregates (forward mass, reverse sum, per-entry maxima)
-// that the mass-bound prune of fused_kernel.h consumes without touching
-// the entry arrays at all.
+// so merge-joins stream over adjacent same-typed memory. The arena holds
+// only what the fused fill of fused_kernel.h reads.
 
 #ifndef DISTINCT_SIM_PROFILE_ARENA_H_
 #define DISTINCT_SIM_PROFILE_ARENA_H_
@@ -42,11 +40,6 @@ class ProfileArena {
     std::vector<int32_t> tuples;
     std::vector<double> forward;   // Prob_P(r -> tuple)
     std::vector<double> reverse;   // Prob_P(tuple -> r)
-    // Per-reference aggregates for the mass-bound prune.
-    std::vector<double> mass;         // Σ forward over the slice
-    std::vector<double> reverse_sum;  // Σ reverse
-    std::vector<double> forward_max;  // max forward (0 when empty)
-    std::vector<double> reverse_max;  // max reverse (0 when empty)
 
     size_t size(size_t ref) const {
       return offsets[ref + 1] - offsets[ref];
@@ -59,9 +52,9 @@ class ProfileArena {
   /// Splice-update counterpart of ProfileStore::Update: re-flattens only
   /// the slices of `changed_positions` (and of references the store
   /// appended past this arena's num_refs()) from `store`, copying every
-  /// other slice and its aggregates verbatim. The arena must have been
-  /// built from the same store lineage (same path count, no reordering of
-  /// the common prefix). Result is bit-identical to FromStore(store).
+  /// other slice verbatim. The arena must have been built from the same
+  /// store lineage (same path count, no reordering of the common prefix).
+  /// Result is bit-identical to FromStore(store).
   void PatchFromStore(const ProfileStore& store,
                       const std::vector<size_t>& changed_positions);
 

@@ -490,6 +490,7 @@ Status XmlStreamParser::Pump(bool at_eof) {
         status = attributes.status();
         break;
       }
+      saw_element_ = true;
       if (cursor.ConsumePrefix("/>")) {
         handler_->OnStartElement(*name, *attributes);
         handler_->OnEndElement(*name);
@@ -544,6 +545,8 @@ Status XmlStreamParser::Finish() {
   if (!open_elements_.empty()) {
     failed_ = DataLossError("XML parse error: unclosed element <" +
                             open_elements_.back() + ">");
+  } else if (!saw_element_) {
+    failed_ = DataLossError("XML parse error: no root element");
   }
   return failed_;
 }

@@ -70,7 +70,9 @@ class XmlStreamParser {
 
   /// Signals end of input: flushes trailing text and checks that no
   /// element, comment, CDATA section, DOCTYPE, or entity-bearing tag is
-  /// left open.
+  /// left open, and that an element was opened at all (DataLoss "no root
+  /// element" for an empty, whitespace-only, comment- or prolog-only, or
+  /// plain-text document).
   Status Finish();
 
   /// Bytes of the document fully consumed so far (error offsets refer to
@@ -88,6 +90,7 @@ class XmlStreamParser {
   std::string buffer_;  // unconsumed tail; bounded by max_token_bytes
   size_t consumed_ = 0;  // global offset of buffer_[0]
   std::vector<std::string> open_elements_;
+  bool saw_element_ = false;  // any start tag parsed yet
   Status failed_ = Status::Ok();  // sticky error
   bool finished_ = false;
 };
@@ -96,7 +99,8 @@ class XmlStreamParser {
 class XmlParser {
  public:
   /// Parses `content`, firing events on `handler`. Returns the first
-  /// syntax error (with byte offset) or OK. Checks that tags balance.
+  /// syntax error (with byte offset) or OK. Checks that tags balance and
+  /// that there is a root element (XmlStreamParser::Finish).
   static Status Parse(std::string_view content, XmlHandler& handler);
 
   /// Convenience: reads `path` fully and parses it.

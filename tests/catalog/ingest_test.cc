@@ -146,6 +146,18 @@ TEST_F(CatalogIngestTest, TruncatedXmlFailsWithoutCommitting) {
   EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
 }
 
+TEST_F(CatalogIngestTest, XmlWithoutRootElementFailsWithoutCommitting) {
+  for (const char* content : {"", "not xml, just a line of text\n"}) {
+    SCOPED_TRACE(::testing::Message() << "content: '" << content << "'");
+    ASSERT_TRUE(WriteStringToFile(xml_path_, content).ok());
+    auto stats = IngestDblpXml(xml_path_, catalog_dir_);
+    EXPECT_EQ(stats.status().code(), StatusCode::kDataLoss)
+        << stats.status().ToString();
+    auto reader = CatalogReader::Open(catalog_dir_);
+    EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
+  }
+}
+
 }  // namespace
 }  // namespace catalog
 }  // namespace distinct

@@ -271,15 +271,24 @@ TEST_F(ReportTest, JsonCarriesRecordedValuesAndDerivedRates) {
   EXPECT_EQ(stages->array[1].Get("path")->string_value, "outer/inner");
   EXPECT_EQ(stages->array[1].Get("calls")->number, 1.0);
 
-  // Histograms carry count/sum and the bucket array.
+  // Histograms carry count/sum and the bucket array. Reset zeroes metrics
+  // but never unregisters them, so histograms earlier tests in this
+  // process registered are listed too, all with count 0.
   const JsonValue* histograms = root->Get("histograms");
-  ASSERT_EQ(histograms->array.size(), 1u);
-  const JsonValue& fill = histograms->array[0];
-  EXPECT_EQ(fill.Get("name")->string_value, "sim.pair_matrix_nanos");
-  EXPECT_EQ(fill.Get("count")->number, 1.0);
-  EXPECT_EQ(fill.Get("sum_ns")->number, 1e9);
-  ASSERT_NE(fill.Get("buckets"), nullptr);
-  EXPECT_FALSE(fill.Get("buckets")->array.empty());
+  const JsonValue* fill = nullptr;
+  for (const JsonValue& histogram : histograms->array) {
+    if (histogram.Get("name")->string_value == "sim.pair_matrix_nanos") {
+      fill = &histogram;
+    } else {
+      EXPECT_EQ(histogram.Get("count")->number, 0.0)
+          << histogram.Get("name")->string_value;
+    }
+  }
+  ASSERT_NE(fill, nullptr);
+  EXPECT_EQ(fill->Get("count")->number, 1.0);
+  EXPECT_EQ(fill->Get("sum_ns")->number, 1e9);
+  ASSERT_NE(fill->Get("buckets"), nullptr);
+  EXPECT_FALSE(fill->Get("buckets")->array.empty());
 }
 
 TEST_F(ReportTest, JsonRoundTripsThroughAFile) {

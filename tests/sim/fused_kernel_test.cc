@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -74,24 +73,6 @@ double NaiveSymmetricWalk(const NeighborProfile& a, const NeighborProfile& b) {
     }
   }
   return 0.5 * (ab + ba);
-}
-
-/// The clusterer's singleton-pair similarity for a (resem, walk) cell pair
-/// — what the mass-bound prune upper-bounds.
-double CombinedSimilarity(double resem, double walk, ClusterMeasure measure,
-                          CombineRule combine) {
-  switch (measure) {
-    case ClusterMeasure::kResemblanceOnly:
-      return resem;
-    case ClusterMeasure::kWalkOnly:
-      return walk;
-    case ClusterMeasure::kComposite:
-      break;
-  }
-  if (combine == CombineRule::kArithmeticMean) {
-    return 0.5 * (resem + walk);
-  }
-  return std::sqrt(resem * walk);
 }
 
 /// Random per-reference profiles over a small shared tuple universe so
@@ -209,44 +190,6 @@ TEST_P(FusedDifferentialTest, CandidateSetMatchesBruteForceOverlap) {
     }
   }
   EXPECT_EQ(candidates.count(), expected_count);
-}
-
-TEST_P(FusedDifferentialTest, UpperBoundDominatesTrueSimilarity) {
-  Rng rng(GetParam() + 3000);
-  const size_t kRefs = 10;
-  const size_t kPaths = 3;
-  const auto profiles = RandomProfiles(rng, kRefs, kPaths);
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  // Mixed-sign weights: negative ones must not weaken the bound below the
-  // (clamped) true similarity.
-  std::vector<double> resem_weights = {0.6, -0.2, 0.4};
-  std::vector<double> walk_weights = {0.3, 0.7, -0.1};
-  const SimilarityModel model(resem_weights, walk_weights);
-
-  for (const ClusterMeasure measure :
-       {ClusterMeasure::kComposite, ClusterMeasure::kResemblanceOnly,
-        ClusterMeasure::kWalkOnly}) {
-    for (const CombineRule combine :
-         {CombineRule::kGeometricMean, CombineRule::kArithmeticMean}) {
-      PrunePolicy policy;
-      policy.measure = measure;
-      policy.combine = combine;
-      for (size_t i = 1; i < kRefs; ++i) {
-        for (size_t j = 0; j < i; ++j) {
-          const PairFeatures features = FusedFeatures(arena, i, j);
-          const double actual =
-              CombinedSimilarity(model.Resemblance(features),
-                                 model.Walk(features), measure, combine);
-          const double bound =
-              PairSimilarityUpperBound(arena, model, policy, i, j);
-          EXPECT_GE(bound, actual - 1e-12)
-              << "pair (" << i << ", " << j << ") measure "
-              << static_cast<int>(measure) << " combine "
-              << static_cast<int>(combine);
-        }
-      }
-    }
-  }
 }
 
 bool ShareTupleOnPath(const NeighborProfile& a, const NeighborProfile& b) {
@@ -401,13 +344,13 @@ TEST(FusedKernelEdgeTest, ArenaSlicesAreSortedAndDuplicateFree) {
     }
   }
   EXPECT_EQ(arena.num_entries(), 5u);
-  EXPECT_DOUBLE_EQ(path.mass[0], 0.6);
-  EXPECT_DOUBLE_EQ(path.forward_max[1], 0.6);
+  EXPECT_EQ(path.forward,
+            (std::vector<double>{0.2, 0.3, 0.1, 0.6, 0.4}));
 }
 
 // ---------------------------------------------------------------------------
 // Engine-level: the fused fill vs the reference oracle on a generated
-// mega-name, and the prune's contract against exact matrices.
+// mega-name.
 // ---------------------------------------------------------------------------
 
 void ExpectBitIdentical(const PairMatrix& a, const PairMatrix& b) {
@@ -486,55 +429,6 @@ TEST_F(FusedKernelEngineTest, NonCandidatePairsAreExactlyZeroInReference) {
       }
     }
   }
-}
-
-TEST_F(FusedKernelEngineTest, PruningDropsOnlySubThresholdCells) {
-  const ProfileStore store = BuildStore(nullptr);
-  const auto exact = ComputePairMatrices(store, engine_->model());
-
-  // Two merge floors: the paper's default (where the uniform-weight bound
-  // is loose and may prune nothing) and a floor inside the bound's range
-  // on this dataset, where the prune deterministically fires.
-  int64_t total_dropped = 0;
-  for (const double min_sim : {engine_->config().min_sim, 0.25}) {
-    PairKernelOptions pruned_options;
-    pruned_options.pruning = true;
-    pruned_options.prune_min_sim = min_sim;
-    const auto pruned =
-        ComputePairMatrices(store, engine_->model(), nullptr, pruned_options);
-
-    for (size_t i = 1; i < refs_.size(); ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (pruned.first.at(i, j) == exact.first.at(i, j) &&
-            pruned.second.at(i, j) == exact.second.at(i, j)) {
-          continue;
-        }
-        ++total_dropped;
-        // A pruned cell reads 0.0, and its true combined similarity is
-        // below the merge floor — the clusterer could never have merged
-        // on it.
-        EXPECT_EQ(pruned.first.at(i, j), 0.0);
-        EXPECT_EQ(pruned.second.at(i, j), 0.0);
-        const double actual = CombinedSimilarity(
-            exact.first.at(i, j), exact.second.at(i, j),
-            ClusterMeasure::kComposite, CombineRule::kGeometricMean);
-        EXPECT_LT(actual, min_sim) << "cell (" << i << ", " << j << ")";
-      }
-    }
-
-    // Final clusterings agree: every merge decision happens at or above
-    // min_sim, where the matrices are identical.
-    AgglomerativeOptions cluster = engine_->cluster_options();
-    cluster.min_sim = min_sim;
-    const ClusteringResult a =
-        ClusterReferences(exact.first, exact.second, cluster);
-    const ClusteringResult b =
-        ClusterReferences(pruned.first, pruned.second, cluster);
-    EXPECT_EQ(a.num_clusters, b.num_clusters);
-    EXPECT_EQ(a.assignment, b.assignment);
-  }
-  // The prune must actually fire somewhere (deterministic dataset, seed 7).
-  EXPECT_GT(total_dropped, 0);
 }
 
 TEST_F(FusedKernelEngineTest, EngineResolveAgreesAcrossKernelsAndPruning) {
@@ -625,37 +519,11 @@ class UniversalPathFillTest : public ::testing::Test {
     return refs;
   }
 
-  static PairKernelOptions FusedOptions(bool pruning) {
+  static PairKernelOptions FusedOptions() {
     PairKernelOptions options;
     options.tile_size = 16;
     options.min_parallel_refs = 2;
-    options.pruning = pruning;
-    options.prune_min_sim = 0.2;
     return options;
-  }
-
-  /// The reference matrices, with the cells the fused prune drops zeroed:
-  /// a union candidate whose bound is below the floor.
-  std::pair<PairMatrix, PairMatrix> Expected(bool pruning) const {
-    auto expected = ReferencePairMatrices(store_, model_);
-    if (pruning) {
-      const ProfileArena arena = ProfileArena::FromStore(store_);
-      const CandidateSet candidates = CandidateSet::Build(arena);
-      const PairKernelOptions options = FusedOptions(true);
-      const PrunePolicy policy{options.prune_min_sim, options.measure,
-                               options.combine};
-      for (size_t i = 1; i < kRefs; ++i) {
-        for (size_t j = 0; j < i; ++j) {
-          if (candidates.contains(i, j) &&
-              PairSimilarityUpperBound(arena, model_, policy, i, j) <
-                  policy.min_sim) {
-            expected.first.set(i, j, 0.0);
-            expected.second.set(i, j, 0.0);
-          }
-        }
-      }
-    }
-    return expected;
   }
 
   std::vector<std::vector<NeighborProfile>> profiles_;
@@ -673,36 +541,15 @@ TEST_F(UniversalPathFillTest, EveryPairIsACandidateButHubPathsAreSparse) {
 }
 
 TEST_F(UniversalPathFillTest, FusedFillIsBitwiseTheReference) {
-  for (const bool pruning : {false, true}) {
-    const auto expected = Expected(pruning);
-    for (const int threads : {1, 4}) {
-      ThreadPool pool(threads);
-      SCOPED_TRACE(::testing::Message() << "pruning=" << pruning
-                                        << " threads=" << threads);
-      const auto actual =
-          ComputePairMatrices(store_, model_, &pool, FusedOptions(pruning));
-      ExpectSameBits(actual.first, expected.first);
-      ExpectSameBits(actual.second, expected.second);
-    }
+  const auto expected = ReferencePairMatrices(store_, model_);
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const auto actual =
+        ComputePairMatrices(store_, model_, &pool, FusedOptions());
+    ExpectSameBits(actual.first, expected.first);
+    ExpectSameBits(actual.second, expected.second);
   }
-  // The pruned comparison is only meaningful if the prune both fired and
-  // left cells standing.
-  const auto pruned = Expected(true);
-  const auto exact = Expected(false);
-  int64_t dropped = 0;
-  int64_t kept = 0;
-  for (size_t i = 1; i < kRefs; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (exact.first.at(i, j) != pruned.first.at(i, j) ||
-          exact.second.at(i, j) != pruned.second.at(i, j)) {
-        ++dropped;
-      } else if (pruned.first.at(i, j) > 0.0) {
-        ++kept;
-      }
-    }
-  }
-  EXPECT_GT(dropped, 0);
-  EXPECT_GT(kept, 0);
 }
 
 TEST_F(UniversalPathFillTest, PathJoinsCountsOnlySharedPaths) {
@@ -722,7 +569,7 @@ TEST_F(UniversalPathFillTest, PathJoinsCountsOnlySharedPaths) {
       pool = std::make_unique<ThreadPool>(threads);
     }
     obs::MetricsRegistry::Global().Reset();
-    ComputePairMatrices(store_, model_, pool.get(), FusedOptions(false));
+    ComputePairMatrices(store_, model_, pool.get(), FusedOptions());
     const obs::MetricsSnapshot metrics =
         obs::MetricsRegistry::Global().Snapshot();
     EXPECT_EQ(metrics.CounterValue("sim.path_joins"), shared)
@@ -755,23 +602,20 @@ TEST_F(UniversalPathFillTest, UpdateEqualsFullCompute) {
   const ProfileStore old_store =
       ProfileStore::FromProfiles(Refs(kOldRefs), std::move(old_profiles));
   const ProfileArena arena = ProfileArena::FromStore(store_);
-  for (const bool pruning : {false, true}) {
-    const PairKernelOptions options = FusedOptions(pruning);
-    const auto old = ComputePairMatrices(old_store, model_, nullptr, options);
-    const auto expected = Expected(pruning);
-    for (const int threads : {1, 4}) {
-      ThreadPool pool(threads);
-      SCOPED_TRACE(::testing::Message() << "pruning=" << pruning
-                                        << " threads=" << threads);
-      const auto updated =
-          UpdatePairMatrices(store_, arena, model_, dirty, old.first,
-                             old.second, &pool, options);
-      const auto full = ComputePairMatrices(store_, model_, &pool, options);
-      ExpectSameBits(updated.first, full.first);
-      ExpectSameBits(updated.second, full.second);
-      ExpectSameBits(full.first, expected.first);
-      ExpectSameBits(full.second, expected.second);
-    }
+  const PairKernelOptions options = FusedOptions();
+  const auto old = ComputePairMatrices(old_store, model_, nullptr, options);
+  const auto expected = ReferencePairMatrices(store_, model_);
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const auto updated = UpdatePairMatrices(store_, arena, model_, dirty,
+                                            old.first, old.second, &pool,
+                                            options);
+    const auto full = ComputePairMatrices(store_, model_, &pool, options);
+    ExpectSameBits(updated.first, full.first);
+    ExpectSameBits(updated.second, full.second);
+    ExpectSameBits(full.first, expected.first);
+    ExpectSameBits(full.second, expected.second);
   }
 }
 

@@ -206,6 +206,28 @@ TEST(XmlStreamTest, MismatchedEndTagIsDataLoss) {
   EXPECT_EQ(parser.Feed("<a><b></a>").code(), StatusCode::kDataLoss);
 }
 
+TEST(XmlStreamTest, DocumentWithoutRootElementIsDataLoss) {
+  for (const std::string_view doc :
+       {"", "  \n\t\r\n", "<!-- only a comment -->\n",
+        "<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?>\n",
+        "<?xml version=\"1.0\"?>\n<!DOCTYPE dblp SYSTEM \"dblp.dtd\">\n",
+        "plain text, no markup at all\n",
+        "id,name\n0,Wei Wang\n1,Jiong Yang\n"}) {
+    SCOPED_TRACE(::testing::Message() << "doc: '" << doc << "'");
+    RecordingHandler whole;
+    const Status parsed = XmlParser::Parse(doc, whole);
+    EXPECT_EQ(parsed.code(), StatusCode::kDataLoss) << parsed.ToString();
+    EXPECT_NE(parsed.ToString().find("no root element"), std::string::npos);
+
+    RecordingHandler chunked;
+    XmlStreamParser parser(chunked);
+    for (size_t at = 0; at < doc.size(); ++at) {
+      ASSERT_TRUE(parser.Feed(doc.substr(at, 1)).ok()) << "byte " << at;
+    }
+    EXPECT_EQ(parser.Finish().code(), StatusCode::kDataLoss);
+  }
+}
+
 TEST(XmlStreamTest, FeedAfterFinishIsFailedPrecondition) {
   RecordingHandler handler;
   XmlStreamParser parser(handler);
