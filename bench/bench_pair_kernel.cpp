@@ -1,12 +1,10 @@
 // Pair-kernel comparison on a sparse-overlap workload: one synthetic
 // mega-name whose references spread over many distinct entities (and
 // therefore many communities), so most reference pairs share no neighbor
-// tuples. Rows: the three-pass exactness oracle (ReferencePairMatrices),
-// and the fused arena kernel with grouped candidate generation pinned, with
-// bitset candidate generation forced on, and at its defaults (every fused
-// row must reproduce the oracle's matrices bit-for-bit, hard failure
-// otherwise). The serial fill is measured so the row ratio is the kernel
-// speedup itself, not a parallelization artifact.
+// tuples. Rows: the three-pass exactness oracle (ReferencePairMatrices)
+// and the fused arena kernel, which must reproduce the oracle's matrices
+// bit-for-bit (hard failure otherwise). The serial fill is measured so the
+// row ratio is the kernel speedup itself, not a parallelization artifact.
 
 #include <cstdio>
 
@@ -112,48 +110,19 @@ int main(int argc, char** argv) {
     }
     return seconds / repeat;
   };
-  auto fused_fill = [&](const PairKernelOptions& options) {
-    return [&store, &engine, options] {
-      return ComputePairMatrices(store, engine.model(), nullptr, options);
-    };
-  };
-
   std::pair<PairMatrix, PairMatrix> reference(PairMatrix(0), PairMatrix(0));
   const double reference_s = time_fill(
       [&] { return ReferencePairMatrices(store, engine.model()); },
       &reference);
 
-  // Candidate generation pinned to the sparse grouped marking.
-  PairKernelOptions grouped_options;
-  grouped_options.candidates.bitset_min_refs = 1 << 30;
-  std::pair<PairMatrix, PairMatrix> grouped(PairMatrix(0), PairMatrix(0));
-  const double grouped_s = time_fill(fused_fill(grouped_options), &grouped);
-  const bool grouped_exact = MatricesEqual(grouped, reference);
-
-  // Bitset candidate generation forced on: same bits, built word-parallel.
-  PairKernelOptions bitset_options;
-  bitset_options.candidates.bitset_min_refs = 0;
-  bitset_options.candidates.bitset_cost_factor = 0.0;
-  std::pair<PairMatrix, PairMatrix> bitset(PairMatrix(0), PairMatrix(0));
-  const double bitset_s = time_fill(fused_fill(bitset_options), &bitset);
-  const bool bitset_exact = MatricesEqual(bitset, reference);
-
-  PairKernelOptions fused_options;
   std::pair<PairMatrix, PairMatrix> fused(PairMatrix(0), PairMatrix(0));
-  const double fused_s = time_fill(fused_fill(fused_options), &fused);
+  const double fused_s = time_fill(
+      [&] { return ComputePairMatrices(store, engine.model()); }, &fused);
   const bool fused_exact = MatricesEqual(fused, reference);
 
   TextTable table({"kernel", "matrix (s)", "speedup", "exact"});
   for (size_t c = 1; c <= 3; ++c) table.SetRightAlign(c);
   table.AddRow({"reference", Fmt3(reference_s), "1.00", "-"});
-  table.AddRow(
-      {"fused[grouped-cand]", Fmt3(grouped_s),
-       StrFormat("%.2f", grouped_s > 0 ? reference_s / grouped_s : 0.0),
-       grouped_exact ? "yes" : "NO"});
-  table.AddRow(
-      {"fused[bitset-cand]", Fmt3(bitset_s),
-       StrFormat("%.2f", bitset_s > 0 ? reference_s / bitset_s : 0.0),
-       bitset_exact ? "yes" : "NO"});
   table.AddRow({"fused", Fmt3(fused_s),
                 StrFormat("%.2f", fused_s > 0 ? reference_s / fused_s : 0.0),
                 fused_exact ? "yes" : "NO"});
@@ -168,34 +137,14 @@ int main(int argc, char** argv) {
   json.Add("total_pairs", total_pairs);
   json.Add("candidate_pairs", candidates.count());
   json.Add("reference_matrix_s", reference_s);
-  // fused_* is the defaults row; grouped_* and bitset_* pin one candidate
-  // machine.
   json.Add("fused_matrix_s", fused_s);
   json.Add("fused_speedup", fused_s > 0 ? reference_s / fused_s : 0.0);
   json.Add("fused_exact", static_cast<int64_t>(fused_exact ? 1 : 0));
-  json.Add("grouped_matrix_s", grouped_s);
-  json.Add("grouped_speedup", grouped_s > 0 ? reference_s / grouped_s : 0.0);
-  json.Add("grouped_exact", static_cast<int64_t>(grouped_exact ? 1 : 0));
-  json.Add("bitset_matrix_s", bitset_s);
-  json.Add("bitset_speedup", bitset_s > 0 ? reference_s / bitset_s : 0.0);
-  json.Add("bitset_exact", static_cast<int64_t>(bitset_exact ? 1 : 0));
   json.Write();
 
   std::printf(
-      "\nevery fused row must reproduce the reference matrices "
+      "\nthe fused row must reproduce the reference matrices "
       "bit-for-bit.\n");
-  if (!grouped_exact) {
-    std::fprintf(stderr,
-                 "error: grouped candidate generation diverged from the "
-                 "reference matrices\n");
-    return 1;
-  }
-  if (!bitset_exact) {
-    std::fprintf(stderr,
-                 "error: bitset candidate generation diverged from the "
-                 "reference matrices\n");
-    return 1;
-  }
   if (!fused_exact) {
     std::fprintf(stderr,
                  "error: fused kernel diverged from the reference "

@@ -18,31 +18,6 @@ PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j) {
   return features;
 }
 
-namespace {
-
-/// ORs `word` into the triangle bitmap at bit position `bit_pos` (the low
-/// bit of `word` lands on `bit_pos`). Callers guarantee every set bit of
-/// `word` stays inside the bitmap.
-inline void OrWordAt(std::vector<uint64_t>& bits, size_t bit_pos,
-                     uint64_t word) {
-  if (word == 0) {
-    return;
-  }
-  const size_t q = bit_pos >> 6;
-  const size_t s = bit_pos & 63;
-  if (s == 0) {
-    bits[q] |= word;
-    return;
-  }
-  bits[q] |= word << s;
-  const uint64_t spill = word >> (64 - s);
-  if (spill != 0) {
-    bits[q + 1] |= spill;
-  }
-}
-
-}  // namespace
-
 void CandidateSet::Init(const ProfileArena& arena) {
   num_refs_ = arena.num_refs();
   const size_t cells = num_refs_ < 2 ? 0 : num_refs_ * (num_refs_ - 1) / 2;
@@ -84,7 +59,7 @@ bool CandidateSet::contains(size_t i, size_t j) const {
 }
 
 CandidateSet CandidateSet::Build(const ProfileArena& arena,
-                                 const CandidateBuildOptions& options) {
+                                 const std::vector<char>* dirty) {
   CandidateSet set;
   set.Init(arena);
   const size_t n = set.num_refs_;
@@ -92,259 +67,149 @@ CandidateSet CandidateSet::Build(const ProfileArena& arena,
     return set;  // fewer than two references: no pairs
   }
 
-  // Scratch shared across paths (and, via thread_local, across the many
-  // names one scan worker builds — same idiom and lifetime contract as
-  // BuildPartial below): the two bitmaps and dense_of span the tuple id
-  // space and are restored to all-clear / all -1 after every path.
+  // Scratch shared across paths and, via thread_local, across the many
+  // names one scan worker or one catalog apply builds. The two bitmaps and
+  // dense_of span the tuple id space, so re-zeroing them per name would
+  // dwarf the real work; every path restores them to all-clear / all -1.
+  // The other vectors are cleared before each path uses them and keep
+  // their capacity, which spares most builds their allocations.
   static thread_local std::vector<uint64_t> seen;     // held by some ref
-  static thread_local std::vector<uint64_t> shared;   // held by >= 2 refs
+  static thread_local std::vector<uint64_t> keep;     // tuples to group
   static thread_local std::vector<int32_t> dense_of;  // tuple -> dense id
-  std::vector<int32_t> touched;       // dense id -> tuple
-  std::vector<uint32_t> counts;       // dense id -> postings
-  // (ref, dense id) of every shared-tuple entry, refs ascending.
-  std::vector<std::pair<uint32_t, uint32_t>> postings;
-  std::vector<uint32_t> group_begin;  // dense id -> start in grouped
-  std::vector<uint32_t> grouped;      // refs grouped by dense tuple id
-  std::vector<uint64_t> tuple_bits;   // dense id -> reference bitmap
-  std::vector<uint64_t> row;          // one reference's candidate row
+  static thread_local std::vector<int32_t> touched;   // dense id -> tuple
+  static thread_local std::vector<uint32_t> counts;   // dense id -> postings
+  // (ref, dense id) of every kept tuple's entry, refs ascending.
+  static thread_local std::vector<std::pair<uint32_t, uint32_t>> postings;
+  static thread_local std::vector<uint32_t> group_begin;  // dense id -> start
+  static thread_local std::vector<uint32_t> grouped;  // refs by dense id
 
-  const size_t words = (n + 63) / 64;
   for (size_t p = 0; p < arena.num_paths(); ++p) {
     const ProfileArena::Path& path = arena.path(p);
-    const size_t entries = path.tuples.size();
-    if (entries == 0) {
+    if (path.tuples.empty()) {
       continue;
     }
-    // Pass 1: a tuple only one reference holds marks no pair, and on hub
-    // paths (thousands of entries per reference) almost every tuple is
-    // such a private one. Two bitmaps over the tuple id space — an eighth
-    // of a byte per id, so they stay in cache where an index would not —
-    // find the tuples held at least twice.
-    for (size_t e = 0; e < entries; ++e) {
-      const auto t = static_cast<size_t>(path.tuples[e]);
-      if ((t >> 6) >= seen.size()) {
-        seen.resize((t >> 6) + 1, 0);
-        shared.resize((t >> 6) + 1, 0);
+    // Slices are sorted, so their last tuples bound the path's ids.
+    size_t max_tuple = 0;
+    for (size_t r = 0; r < n; ++r) {
+      const size_t end = path.offsets[r + 1];
+      if (path.offsets[r] < end) {
+        max_tuple =
+            std::max(max_tuple, static_cast<size_t>(path.tuples[end - 1]));
       }
-      const uint64_t bit = uint64_t{1} << (t & 63);
-      shared[t >> 6] |= seen[t >> 6] & bit;
-      seen[t >> 6] |= bit;
     }
-    // Pass 2: dense-number the shared tuples, count their postings (a
+    if ((max_tuple >> 6) >= seen.size()) {
+      seen.resize((max_tuple >> 6) + 1, 0);
+      keep.resize((max_tuple >> 6) + 1, 0);
+    }
+    if (max_tuple >= dense_of.size()) {
+      dense_of.resize(max_tuple + 1, -1);
+    }
+    // Pass 1 keeps the tuples whose groups can mark a pair. Without a mask
+    // those are the tuples two or more references hold: a private tuple
+    // marks nothing, and on hub paths (thousands of entries per reference)
+    // almost every tuple is one. Two bitmaps over the tuple id space — an
+    // eighth of a byte per id, so they stay in cache where an index would
+    // not — find them. With a mask only a group with a dirty member can
+    // mark a pair, so pass 1 keeps the tuples the dirty references hold.
+    if (dirty == nullptr) {
+      for (const int32_t tuple : path.tuples) {
+        const auto t = static_cast<size_t>(tuple);
+        const uint64_t bit = uint64_t{1} << (t & 63);
+        keep[t >> 6] |= seen[t >> 6] & bit;
+        seen[t >> 6] |= bit;
+      }
+    } else {
+      bool kept = false;
+      for (size_t r = 0; r < n; ++r) {
+        if (!(*dirty)[r]) {
+          continue;
+        }
+        kept = kept || path.offsets[r] < path.offsets[r + 1];
+        for (size_t e = path.offsets[r]; e < path.offsets[r + 1]; ++e) {
+          const auto t = static_cast<size_t>(path.tuples[e]);
+          keep[t >> 6] |= uint64_t{1} << (t & 63);
+        }
+      }
+      if (!kept) {
+        continue;  // no dirty reference has entries on this path
+      }
+    }
+    // Pass 2: dense-number the kept tuples, count their postings (a
     // counting sort's histogram) and collect them in reference order.
     // `seen` is done with: every set bit of a word an entry touches came
-    // from this path, so clearing the word restores it.
+    // from this path, so clearing the word restores it. The pushes may
+    // allocate, after which the compiler would reload the thread-local
+    // buffers on every entry, so the loop reads them through raw pointers.
+    uint64_t* const seen_words = seen.data();
+    const uint64_t* const keep_words = keep.data();
+    int32_t* const dense = dense_of.data();
     touched.clear();
     counts.clear();
     postings.clear();
     for (size_t r = 0; r < n; ++r) {
       for (size_t e = path.offsets[r]; e < path.offsets[r + 1]; ++e) {
         const auto t = static_cast<size_t>(path.tuples[e]);
-        seen[t >> 6] = 0;
-        if (((shared[t >> 6] >> (t & 63)) & 1) == 0) {
+        seen_words[t >> 6] = 0;
+        if (((keep_words[t >> 6] >> (t & 63)) & 1) == 0) {
           continue;
         }
-        if (t >= dense_of.size()) {
-          dense_of.resize(t + 1, -1);
-        }
-        if (dense_of[t] < 0) {
-          dense_of[t] = static_cast<int32_t>(touched.size());
+        if (dense[t] < 0) {
+          dense[t] = static_cast<int32_t>(touched.size());
           touched.push_back(static_cast<int32_t>(t));
           counts.push_back(0);
         }
-        const auto d = static_cast<uint32_t>(dense_of[t]);
+        const auto d = static_cast<uint32_t>(dense[t]);
         ++counts[d];
         postings.emplace_back(static_cast<uint32_t>(r), d);
       }
     }
     for (const int32_t t : touched) {
-      shared[static_cast<size_t>(t) >> 6] = 0;
-    }
-    if (postings.empty()) {
-      continue;  // no pair shares a tuple on this path
-    }
-    std::vector<uint64_t>& bits = set.path_bits_[p];
-    bits.assign(set.words_, 0);
-    const size_t distinct = touched.size();
-
-    // The histogram prices both machines before either runs: grouped
-    // marking visits every within-group pair (Σ count²), the bitset path
-    // ORs ~(postings + n) · words/2 words. Hub tuples send Σ count²
-    // quadratic, which is exactly when the word ops win.
-    double grouped_cost = 0.0;
-    for (size_t d = 0; d < distinct; ++d) {
-      grouped_cost += static_cast<double>(counts[d]) *
-                      static_cast<double>(counts[d]);
-    }
-    const double bitset_cost = static_cast<double>(postings.size() + n) *
-                               static_cast<double>(words) * 0.5;
-    const bool use_bitset =
-        n >= static_cast<size_t>(std::max(options.bitset_min_refs, 0)) &&
-        distinct * words <= options.bitset_max_scratch_words &&
-        (options.bitset_cost_factor <= 0.0 ||
-         grouped_cost > options.bitset_cost_factor * bitset_cost);
-
-    if (use_bitset) {
-      // Dense path: tuple -> reference bitmaps, then one word-parallel OR
-      // per (reference, tuple) posting and a shifted OR into the
-      // contiguous triangle row of each reference. Hub tuples cost words,
-      // not pairs².
-      tuple_bits.assign(distinct * words, 0);
-      for (const auto& [r, d] : postings) {
-        tuple_bits[d * words + (r >> 6)] |= uint64_t{1} << (r & 63);
-      }
-      row.assign(words, 0);
-      for (size_t k = 0; k < postings.size();) {
-        const size_t r = postings[k].first;
-        size_t k_end = k;
-        while (k_end < postings.size() && postings[k_end].first == r) {
-          ++k_end;
-        }
-        if (r == 0) {
-          k = k_end;
-          continue;
-        }
-        // Only bits below r survive the splice, so only the words that can
-        // hold them are ORed (and re-zeroed).
-        const size_t row_words = (r + 63) / 64;
-        for (; k < k_end; ++k) {
-          const uint64_t* src = tuple_bits.data() + postings[k].second * words;
-          for (size_t w = 0; w < row_words; ++w) {
-            row[w] |= src[w];
-          }
-        }
-        const size_t base = r * (r - 1) / 2;
-        const size_t full = r / 64;
-        const size_t rem = r % 64;
-        for (size_t w = 0; w < full; ++w) {
-          OrWordAt(bits, base + 64 * w, row[w]);
-        }
-        if (rem != 0) {
-          OrWordAt(bits, base + 64 * full,
-                   row[full] & ((uint64_t{1} << rem) - 1));
-        }
-        std::fill(row.begin(), row.begin() + static_cast<int64_t>(row_words),
-                  0);
-      }
-    } else {
-      // Sparse path: scatter references into per-tuple groups (counting
-      // sort, ref order preserved ascending) and mark every pair inside a
-      // group — exactly the incidences the fused kernel would visit.
-      group_begin.assign(distinct + 1, 0);
-      for (size_t d = 0; d < distinct; ++d) {
-        group_begin[d + 1] = group_begin[d] + counts[d];
-      }
-      grouped.resize(postings.size());
-      counts.assign(distinct, 0);  // reused as per-group cursors
-      for (const auto& [r, d] : postings) {
-        grouped[group_begin[d] + counts[d]++] = r;
-      }
-      for (size_t d = 0; d < distinct; ++d) {
-        const size_t begin = group_begin[d];
-        const size_t end = group_begin[d + 1];
-        for (size_t a = begin; a < end; ++a) {
-          const size_t i = grouped[a];
-          const size_t row_base = i * (i - 1) / 2;
-          for (size_t b = begin; b < a; ++b) {
-            const size_t bit = row_base + grouped[b];
-            bits[bit >> 6] |= uint64_t{1} << (bit & 63);
-          }
-        }
-      }
-    }
-    for (const int32_t t : touched) {
+      keep[static_cast<size_t>(t) >> 6] = 0;
       dense_of[static_cast<size_t>(t)] = -1;
     }
-  }
-
-  set.Finish();
-  return set;
-}
-
-CandidateSet CandidateSet::BuildPartial(const ProfileArena& arena,
-                                        const std::vector<char>& dirty) {
-  CandidateSet set;
-  set.Init(arena);
-  const size_t n = set.num_refs_;
-  if (set.words_ == 0) {
-    return set;  // fewer than two references: no pairs
-  }
-
-  // Build()'s tuple groups, restricted to the dirty rows' neighborhoods,
-  // without the sort: pass 1 numbers each tuple a dirty reference holds
-  // (a direct-indexed tuple -> bucket map, reset via the touched list
-  // between paths), pass 2 scatters every reference holding a numbered
-  // tuple into its bucket, and only pairs touching a dirty reference are
-  // marked per bucket — clean-clean cells are never consulted by the
-  // partial refill, and marking a both-dirty pair from either end twice
-  // is idempotent. Per path the cost is one O(entries) scan plus
-  // O(dirty_members x members) marking per bucket, instead of Build()'s
-  // sort and O(members^2) groups.
-  // Scratch persists across calls (bucket_of alone spans the tuple id
-  // space, ~100KB) — one IncrementalCatalog apply runs this for hundreds
-  // of names, and re-zeroing per name would dwarf the real work. Each path
-  // iteration restores bucket_of to all -1 via `touched` and leaves the
-  // bucket vectors cleared, so a new call always sees clean scratch.
-  static thread_local std::vector<int32_t> bucket_of;  // tuple -> bucket id
-  static thread_local std::vector<int32_t> touched;    // numbered this path
-  static thread_local std::vector<std::vector<int32_t>> buckets;
-  for (size_t p = 0; p < arena.num_paths(); ++p) {
-    const ProfileArena::Path& path = arena.path(p);
-    touched.clear();
-    for (size_t r = 0; r < n; ++r) {
-      if (!dirty[r]) {
-        continue;
-      }
-      for (size_t e = path.offsets[r]; e < path.offsets[r + 1]; ++e) {
-        const auto t = static_cast<size_t>(path.tuples[e]);
-        if (t >= bucket_of.size()) {
-          bucket_of.resize(t + 1, -1);
-        }
-        if (bucket_of[t] < 0) {
-          bucket_of[t] = static_cast<int32_t>(touched.size());
-          touched.push_back(static_cast<int32_t>(t));
-        }
-      }
-    }
-    if (touched.empty()) {
-      continue;  // no dirty reference has entries on this path
+    if (postings.empty()) {
+      continue;  // no group on this path
     }
     std::vector<uint64_t>& bits = set.path_bits_[p];
     bits.assign(set.words_, 0);
-    if (buckets.size() < touched.size()) {
-      buckets.resize(touched.size());
+
+    // Scatter references into per-tuple groups (counting sort, ref order
+    // preserved ascending) and mark the pairs inside each group — exactly
+    // the incidences the fused kernel would visit. With a mask only a
+    // dirty member marks, pairing itself with every other member, so a
+    // group costs O(dirty members x members) and no clean-clean pair is
+    // marked; a dirty-dirty pair marked from both ends is idempotent.
+    const size_t distinct = touched.size();
+    group_begin.assign(distinct + 1, 0);
+    for (size_t d = 0; d < distinct; ++d) {
+      group_begin[d + 1] = group_begin[d] + counts[d];
     }
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t e = path.offsets[r]; e < path.offsets[r + 1]; ++e) {
-        const auto t = static_cast<size_t>(path.tuples[e]);
-        if (t < bucket_of.size() && bucket_of[t] >= 0) {
-          buckets[static_cast<size_t>(bucket_of[t])].push_back(
-              static_cast<int32_t>(r));
-        }
-      }
+    grouped.resize(postings.size());
+    counts.assign(distinct, 0);  // reused as per-group cursors
+    for (const auto& [r, d] : postings) {
+      grouped[group_begin[d] + counts[d]++] = r;
     }
-    for (size_t b = 0; b < touched.size(); ++b) {
-      std::vector<int32_t>& members = buckets[b];
-      for (const int32_t ai : members) {
-        const auto i = static_cast<size_t>(ai);
-        if (!dirty[i]) {
+    const auto mark = [&bits](size_t i, size_t j) {  // i > j
+      const size_t bit = i * (i - 1) / 2 + j;
+      bits[bit >> 6] |= uint64_t{1} << (bit & 63);
+    };
+    for (size_t d = 0; d < distinct; ++d) {
+      const size_t begin = group_begin[d];
+      const size_t end = group_begin[d + 1];
+      for (size_t a = begin; a < end; ++a) {
+        const size_t i = grouped[a];
+        if (dirty != nullptr && !(*dirty)[i]) {
           continue;
         }
-        for (const int32_t bj : members) {
-          const auto j = static_cast<size_t>(bj);
-          if (j == i) {
-            continue;
+        for (size_t b = begin; b < a; ++b) {
+          mark(i, grouped[b]);
+        }
+        if (dirty != nullptr) {
+          for (size_t b = a + 1; b < end; ++b) {
+            mark(grouped[b], i);
           }
-          const size_t hi = i > j ? i : j;
-          const size_t lo = i > j ? j : i;
-          const size_t bit = hi * (hi - 1) / 2 + lo;
-          bits[bit >> 6] |= uint64_t{1} << (bit & 63);
         }
       }
-      members.clear();
-    }
-    for (const int32_t t : touched) {
-      bucket_of[static_cast<size_t>(t)] = -1;
     }
   }
 

@@ -15,7 +15,9 @@
 // least one shared tuple there; the fill runs a merge-join only on those
 // (pair, path) combinations, turning the dense quadratic fill into work
 // proportional to actual neighbor overlap — even when one path (a constant
-// attribute every reference reaches) makes every pair a candidate.
+// attribute every reference reaches) makes every pair a candidate. The
+// refill after an append builds the same index under a dirty mask, so it
+// marks only the pairs it recomputes.
 
 #ifndef DISTINCT_SIM_FUSED_KERNEL_H_
 #define DISTINCT_SIM_FUSED_KERNEL_H_
@@ -98,53 +100,26 @@ inline FusedPathFeatures FusedMergeJoin(const ProfileArena::Path& path,
 /// ProfileStore::Features / ComputePairFeatures (testing seam).
 PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j);
 
-/// How CandidateSet::Build marks the pairs of one path: pairwise within
-/// tuple groups (cost ~ shared-tuple incidences — right for sparse
-/// overlap), or bitset rows with word-parallel OR (cost ~ entries·n/64 +
-/// n²/64 — right for dense names, where hub tuples make the per-group
-/// pairwise marking quadratic). Both produce the identical bit set; the
-/// thresholds only pick which machine fills it.
-struct CandidateBuildOptions {
-  /// Bitset rows need at least this many references before the word ops
-  /// amortize (below it the triangle fits in a handful of words anyway).
-  int bitset_min_refs = 64;
-  /// Cost-model bias: the grouped marking costs ~ the sum of squared
-  /// per-tuple posting counts (pairs within each group), the bitset path
-  /// ~ (entries + n) · n/128 word operations — both computable from the
-  /// counting pass's histogram before committing to either. The bitset
-  /// path is taken when grouped-cost > bitset_cost_factor · bitset-cost;
-  /// values above 1.0 bias toward the grouped marking, <= 0 forces the
-  /// bitset path wherever bitset_min_refs and the scratch cap allow
-  /// (differential tests and the bench pin both machines this way).
-  double bitset_cost_factor = 1.0;
-  /// Hard cap on the tuple->references bitmap scratch (words); a path
-  /// whose distinct-tuple count would blow past it falls back to the
-  /// grouped marking regardless of the cost model.
-  size_t bitset_max_scratch_words = size_t{1} << 23;  // 64 MiB
-};
-
 /// The overlap-sparse candidate pairs, one lower-triangle bitset per join
 /// path: bit b(i, j) = i(i-1)/2 + j of path P is set iff references i and
-/// j share at least one neighbor tuple on P. Built from per-path inverted
-/// indexes (tuple -> references) over the tuples two or more references
-/// hold; cost is one pass over the path's entries plus the number of
-/// (pair, shared tuple) incidences for sparse paths, or word-parallel for
-/// dense ones (CandidateBuildOptions). A path on which no pair shares a
-/// tuple keeps no bitset at all.
+/// j share at least one neighbor tuple on P. A path on which no pair shares
+/// a tuple keeps no bitset at all.
 class CandidateSet {
  public:
-  static CandidateSet Build(const ProfileArena& arena,
-                            const CandidateBuildOptions& options = {});
-
-  /// Candidate pairs restricted to cells with at least one endpoint marked
-  /// in `dirty` (size num_refs). Exactly Build()'s bits on those cells;
-  /// clean-clean pairs are never marked. Per tuple group the marking costs
-  /// O(dirty_members x members) instead of O(members^2), which is what
-  /// makes candidate skipping affordable for the partial refill after a
-  /// delta (UpdatePairMatrices) — a full Build over a mega-name costs more
+  /// Per path, two passes over the entries: pass 1 keeps the tuples whose
+  /// groups can mark a pair, pass 2 groups their holders by tuple (an
+  /// inverted index tuple -> references); then every pair inside a group
+  /// is marked. Without `dirty` a kept tuple is one two or more references
+  /// hold, and the cost is the two passes plus the (pair, shared tuple)
+  /// incidences. With `dirty` (size num_refs), pass 1 reads only the dirty
+  /// references' entries and keeps the tuples they hold, and only the
+  /// pairs with a dirty endpoint are marked, at O(dirty members x members)
+  /// per group: exactly the full build's bits on those cells, and no
+  /// clean-clean cell. That is what the masked refill after a delta
+  /// (UpdatePairMatrices) needs — a full build over a mega-name costs more
   /// than the joins it saves when only a few rows changed.
-  static CandidateSet BuildPartial(const ProfileArena& arena,
-                                   const std::vector<char>& dirty);
+  static CandidateSet Build(const ProfileArena& arena,
+                            const std::vector<char>* dirty = nullptr);
 
   /// Whether the strict-lower-triangle pair (i, j), i > j, shares a tuple
   /// on path `p`.
@@ -179,8 +154,8 @@ class CandidateSet {
  private:
   CandidateSet() = default;
 
-  /// Sizes one empty bitset per path; Build/BuildPartial allocate a path's
-  /// bits only once it has entries to mark.
+  /// Sizes one empty bitset per path; Build allocates a path's bits only
+  /// once it has groups to mark.
   void Init(const ProfileArena& arena);
   /// Drops all-zero path bitsets and counts the union.
   void Finish();

@@ -85,18 +85,14 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
                PairMatrix* resem, PairMatrix* walk,
                const std::vector<char>* recompute = nullptr) {
   Stopwatch kernel_watch;
-  // A full fill builds the complete candidate set; the partial fill builds
-  // the dirty-restricted one — full Build costs O(members^2) per tuple
-  // group, which on a mega-name outweighs the joins a few dirty rows save.
-  // BuildPartial never marks a clean-clean cell, so its bits alone keep
-  // the refill off the cells UpdatePairMatrices copied.
+  // One builder for both fills. Under the `recompute` mask it marks only
+  // the pairs with a dirty endpoint, at O(dirty members x members) per
+  // tuple group instead of O(members^2), and never a clean-clean cell, so
+  // its bits alone keep the refill off the cells UpdatePairMatrices copied.
   // No trace span here: FillFused runs inside parallel-scan worker
   // lambdas, which must record only commutative counters (scan.cc pins
   // "one span per bulk run" at any thread count).
-  const bool full_fill = recompute == nullptr;
-  const CandidateSet candidates =
-      full_fill ? CandidateSet::Build(arena, options.candidates)
-                : CandidateSet::BuildPartial(arena, *recompute);
+  const CandidateSet candidates = CandidateSet::Build(arena, recompute);
   // Weighted per-path accumulation in path order — the same floating-point
   // op sequence as SimilarityModel::Resemblance/Walk over a PairFeatures
   // vector, without materializing one per pair.
@@ -186,7 +182,7 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
         }
       });
 
-  if (full_fill) {
+  if (recompute == nullptr) {
     DISTINCT_COUNTER_ADD("sim.candidate_pairs", candidates.count());
   }
   DISTINCT_HISTOGRAM_RECORD("sim.kernel_ns", kernel_watch.ElapsedNanos());

@@ -26,7 +26,6 @@
 #include "cluster/pair_matrix.h"
 #include "common/cancel.h"
 #include "common/thread_pool.h"
-#include "sim/fused_kernel.h"
 #include "sim/profile_store.h"
 #include "sim/similarity_model.h"
 
@@ -40,8 +39,6 @@ struct PairKernelOptions {
   /// Below this many references the fill runs inline even when a pool is
   /// supplied.
   int min_parallel_refs = 32;
-  /// Sparse-vs-bitset thresholds for CandidateSet::Build.
-  CandidateBuildOptions candidates;
   /// Cooperative cancellation, checked per row on the serial path and per
   /// tile on the parallel one (never per cell — the hot loop stays
   /// branch-identical between a null and a live-but-unfired token). When

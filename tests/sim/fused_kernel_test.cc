@@ -242,24 +242,81 @@ std::vector<std::vector<NeighborProfile>> RandomProfilesWithPrivatePath(
   return profiles;
 }
 
+/// Dense profiles: each tuple of a 30-tuple universe held with
+/// probability 0.2 and no forced empty slices, so tuple groups are large
+/// and most pairs are candidates on every path.
+std::vector<std::vector<NeighborProfile>> DenseProfiles(Rng& rng,
+                                                        size_t num_refs,
+                                                        size_t num_paths) {
+  std::vector<std::vector<NeighborProfile>> profiles(num_refs);
+  for (size_t r = 0; r < num_refs; ++r) {
+    for (size_t p = 0; p < num_paths; ++p) {
+      std::vector<ProfileEntry> entries;
+      for (int32_t t = 0; t < 30; ++t) {
+        if (rng.Bernoulli(0.2)) {
+          entries.push_back(
+              ProfileEntry{t, rng.UniformDouble(), rng.UniformDouble()});
+        }
+      }
+      profiles[r].emplace_back(std::move(entries));
+    }
+  }
+  return profiles;
+}
+
+/// Build(arena) against brute-force overlap, and the masked build at both
+/// ends of the mask: every reference dirty gives the same words on every
+/// path, none dirty gives no bits at all.
+void ExpectFullAndMaskedBuildsMatchBruteForce(
+    const std::vector<std::vector<NeighborProfile>>& profiles) {
+  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
+  const CandidateSet full = CandidateSet::Build(arena);
+  ASSERT_EQ(full.num_paths(), profiles[0].size());
+  ExpectPathBitsMatchBruteForce(full, profiles);
+
+  const size_t n = profiles.size();
+  const size_t cells = n * (n - 1) / 2;
+  const std::vector<char> all_dirty(n, 1);
+  const CandidateSet all = CandidateSet::Build(arena, &all_dirty);
+  EXPECT_EQ(all.count(), full.count());
+  for (size_t p = 0; p < full.num_paths(); ++p) {
+    ASSERT_EQ(all.has_path(p), full.has_path(p)) << "path " << p;
+    if (!full.has_path(p)) {
+      continue;
+    }
+    for (size_t pos = 0; pos < cells; pos += 64) {
+      const size_t len = std::min<size_t>(64, cells - pos);
+      EXPECT_EQ(all.Window(p, pos, len), full.Window(p, pos, len))
+          << "path " << p << " bit " << pos;
+    }
+  }
+
+  const std::vector<char> none_dirty(n, 0);
+  const CandidateSet none = CandidateSet::Build(arena, &none_dirty);
+  for (size_t p = 0; p < none.num_paths(); ++p) {
+    EXPECT_FALSE(none.has_path(p)) << "path " << p;
+  }
+  EXPECT_EQ(none.count(), 0);
+}
+
+// Both builds, full and masked, on a sparse and on a dense input.
 TEST_P(FusedDifferentialTest, PerPathBitsMatchBruteForceForBothMachines) {
   Rng rng(GetParam() + 4000);
   // n >= 64: triangle rows span several words at every alignment.
   const size_t kRefs = 70;
   const size_t kPaths = 4;
-  const auto profiles = RandomProfilesWithPrivatePath(rng, kRefs, kPaths);
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-
-  CandidateBuildOptions bitset;
-  bitset.bitset_min_refs = 0;
-  bitset.bitset_cost_factor = 0.0;  // force the bitset rows
-  CandidateBuildOptions grouped;
-  grouped.bitset_cost_factor = 1e300;  // force the grouped marking
-  for (const CandidateBuildOptions& options : {bitset, grouped}) {
-    const CandidateSet set = CandidateSet::Build(arena, options);
-    ASSERT_EQ(set.num_paths(), kPaths);
-    ExpectPathBitsMatchBruteForce(set, profiles);
+  {
+    SCOPED_TRACE("sparse");
+    const auto profiles = RandomProfilesWithPrivatePath(rng, kRefs, kPaths);
+    ExpectFullAndMaskedBuildsMatchBruteForce(profiles);
+    const CandidateSet set =
+        CandidateSet::Build(ProfileArena::FromProfiles(profiles));
     EXPECT_FALSE(set.has_path(kPaths - 1));  // private tuples only
+  }
+  {
+    SCOPED_TRACE("dense");
+    ExpectFullAndMaskedBuildsMatchBruteForce(
+        DenseProfiles(rng, kRefs, /*num_paths=*/2));
   }
 }
 
@@ -274,7 +331,7 @@ TEST_P(FusedDifferentialTest, PartialPerPathBitsMatchBruteForceOnDirtyCells) {
     dirty[r] = rng.Bernoulli(0.15) ? 1 : 0;
   }
   dirty[kRefs / 2] = 1;
-  const CandidateSet set = CandidateSet::BuildPartial(arena, dirty);
+  const CandidateSet set = CandidateSet::Build(arena, &dirty);
   ASSERT_EQ(set.num_paths(), kPaths);
   ExpectPathBitsMatchBruteForce(set, profiles, &dirty);
   EXPECT_FALSE(set.has_path(kPaths - 1));
@@ -619,9 +676,18 @@ TEST_F(UniversalPathFillTest, UpdateEqualsFullCompute) {
   }
 }
 
+size_t LivePaths(const CandidateSet& candidates) {
+  size_t live = 0;
+  for (size_t p = 0; p < candidates.num_paths(); ++p) {
+    live += candidates.has_path(p) ? 1 : 0;
+  }
+  return live;
+}
+
 TEST(FusedKernelMiniTest, MoreThan64LivePathsFallBackToEveryPath) {
   // Past 64 live paths a cell's path set no longer fits one word, so a
-  // union candidate joins every path; the cells must not change.
+  // union candidate joins every path; the cells must not change, in the
+  // full fill or in the masked refill.
   Rng rng(64);
   const size_t kRefs = 24;
   const size_t kPaths = 70;
@@ -637,25 +703,51 @@ TEST(FusedKernelMiniTest, MoreThan64LivePathsFallBackToEveryPath) {
   for (size_t r = 0; r < kRefs; ++r) {
     refs[r] = static_cast<int32_t>(r);
   }
+  // The old catalog: the first 18 references, every fifth of them with
+  // other profiles; the update re-profiles those and appends the rest.
+  const size_t kOldRefs = 18;
+  const auto other = RandomProfiles(rng, kOldRefs, kPaths);
+  std::vector<std::vector<NeighborProfile>> old_profiles(
+      profiles.begin(), profiles.begin() + kOldRefs);
+  std::vector<char> dirty(kRefs, 0);
+  for (size_t r = 0; r < kRefs; ++r) {
+    if (r >= kOldRefs) {
+      dirty[r] = 1;
+    } else if (r % 5 == 2) {
+      dirty[r] = 1;
+      old_profiles[r] = other[r];
+    }
+  }
+  const ProfileStore old_store = ProfileStore::FromProfiles(
+      std::vector<int32_t>(refs.begin(), refs.begin() + kOldRefs),
+      std::move(old_profiles));
   const ProfileStore store =
       ProfileStore::FromProfiles(std::move(refs), std::move(profiles));
-  const CandidateSet candidates =
-      CandidateSet::Build(ProfileArena::FromStore(store));
-  size_t live = 0;
-  for (size_t p = 0; p < kPaths; ++p) {
-    live += candidates.has_path(p) ? 1 : 0;
-  }
-  ASSERT_GT(live, 64u);
+  const ProfileArena arena = ProfileArena::FromStore(store);
+  ASSERT_GT(LivePaths(CandidateSet::Build(arena)), 64u);
+  ASSERT_GT(LivePaths(CandidateSet::Build(arena, &dirty)), 64u);
 
+  PairKernelOptions fused;
+  fused.tile_size = 8;
+  fused.min_parallel_refs = 2;
   const auto expected = ReferencePairMatrices(store, model);
   ThreadPool pool(4);
   for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    PairKernelOptions fused;
-    fused.tile_size = 8;
-    fused.min_parallel_refs = 2;
     const auto actual = ComputePairMatrices(store, model, workers, fused);
     ExpectSameBits(actual.first, expected.first);
     ExpectSameBits(actual.second, expected.second);
+  }
+
+  const auto old = ComputePairMatrices(old_store, model, nullptr, fused);
+  for (const int threads : {1, 4}) {
+    ThreadPool workers(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const auto updated = UpdatePairMatrices(store, arena, model, dirty,
+                                            old.first, old.second, &workers,
+                                            fused);
+    const auto full = ComputePairMatrices(store, model, &workers, fused);
+    ExpectSameBits(updated.first, full.first);
+    ExpectSameBits(updated.second, full.second);
   }
 }
 

@@ -1,8 +1,7 @@
 // Edge and differential tests for the merge-join (FusedMergeJoin in
 // sim/fused_kernel.h): its features must match a naive hash-map reference
 // over empty, singleton, fully-overlapping, duplicate-tuple, disjoint,
-// skewed and random slice pairs, in both pair orders; and the two
-// candidate-marking machines must mark the same pairs.
+// skewed and random slice pairs, in both pair orders.
 
 #include <gtest/gtest.h>
 
@@ -198,48 +197,6 @@ TEST_P(IntersectDifferentialTest, RandomSlicesAllLengthMixes) {
         b.push_back(t);
       }
       ExpectMergeMatchesNaive(a, b);
-    }
-  }
-}
-
-TEST_P(IntersectDifferentialTest, CandidateMachinesProduceIdenticalBits) {
-  Rng rng(GetParam() + 900);
-  // n >= 64 so the bitset path spans multiple row words and the triangle
-  // splice crosses word boundaries at every alignment.
-  const size_t kRefs = 70;
-  const size_t kPaths = 2;
-  std::vector<std::vector<NeighborProfile>> profiles(kRefs);
-  for (size_t r = 0; r < kRefs; ++r) {
-    for (size_t p = 0; p < kPaths; ++p) {
-      std::vector<ProfileEntry> entries;
-      for (int32_t t = 0; t < 30; ++t) {
-        if (rng.Bernoulli(0.2)) {
-          entries.push_back(
-              ProfileEntry{t, rng.UniformDouble(), rng.UniformDouble()});
-        }
-      }
-      profiles[r].emplace_back(std::move(entries));
-    }
-  }
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-
-  CandidateBuildOptions grouped;
-  grouped.bitset_min_refs = 1 << 30;  // force the sparse grouped marking
-  CandidateBuildOptions bitset;
-  bitset.bitset_min_refs = 0;
-  bitset.bitset_cost_factor = 0.0;  // force the bitset rows
-  const CandidateSet from_grouped = CandidateSet::Build(arena, grouped);
-  const CandidateSet from_bitset = CandidateSet::Build(arena, bitset);
-  const CandidateSet from_default = CandidateSet::Build(arena);
-
-  EXPECT_EQ(from_grouped.count(), from_bitset.count());
-  EXPECT_EQ(from_grouped.count(), from_default.count());
-  for (size_t i = 1; i < kRefs; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      EXPECT_EQ(from_grouped.contains(i, j), from_bitset.contains(i, j))
-          << "pair (" << i << ", " << j << ")";
-      EXPECT_EQ(from_grouped.contains(i, j), from_default.contains(i, j))
-          << "pair (" << i << ", " << j << ")";
     }
   }
 }
