@@ -1,12 +1,16 @@
 // Pair-kernel comparison on a sparse-overlap workload: one synthetic
 // mega-name whose references spread over many distinct entities (and
 // therefore many communities), so most reference pairs share no neighbor
-// tuples. Rows: the three-pass exactness oracle (ReferencePairMatrices)
-// and the fused arena kernel, which must reproduce the oracle's matrices
-// bit-for-bit (hard failure otherwise). The serial fill is measured so the
-// row ratio is the kernel speedup itself, not a parallelization artifact.
+// tuples. Rows: the three-pass exactness oracle (ReferencePairMatrices,
+// over the raw profiles ProfileStore::Propagate returns) and the fused
+// kernel over the ProfileStore's CSR slabs, which must reproduce the
+// oracle's matrices bit-for-bit (hard failure otherwise). Neither row
+// includes propagation or the store's layout. The serial fill is measured
+// so the row ratio is the kernel speedup itself, not a parallelization
+// artifact.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/flags.h"
@@ -15,7 +19,6 @@
 #include "dblp/schema.h"
 #include "sim/fused_kernel.h"
 #include "sim/parallel_kernel.h"
-#include "sim/profile_arena.h"
 #include "sim/profile_store.h"
 
 namespace {
@@ -79,11 +82,11 @@ int main(int argc, char** argv) {
   const size_t n = refs->size();
   const int64_t total_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
 
-  const ProfileStore store =
-      ProfileStore::Build(engine.propagation_engine(), engine.paths(),
-                          engine.config().propagation, *refs);
-  const ProfileArena arena = ProfileArena::FromStore(store);
-  const CandidateSet candidates = CandidateSet::Build(arena);
+  const std::vector<std::vector<NeighborProfile>> profiles =
+      ProfileStore::Propagate(engine.propagation_engine(), engine.paths(),
+                              engine.config().propagation, *refs);
+  const ProfileStore store = ProfileStore::FromProfiles(*refs, profiles);
+  const CandidateSet candidates = CandidateSet::Build(store);
   std::printf("mega-name 'Wei Wang': %zu references over %lld entities, "
               "%zu join paths\n",
               n, static_cast<long long>(flags.GetInt64("entities")),
@@ -112,7 +115,7 @@ int main(int argc, char** argv) {
   };
   std::pair<PairMatrix, PairMatrix> reference(PairMatrix(0), PairMatrix(0));
   const double reference_s = time_fill(
-      [&] { return ReferencePairMatrices(store, engine.model()); },
+      [&] { return ReferencePairMatrices(profiles, engine.model()); },
       &reference);
 
   std::pair<PairMatrix, PairMatrix> fused(PairMatrix(0), PairMatrix(0));

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/flags.h"
@@ -21,14 +22,19 @@ namespace {
 
 using namespace distinct;
 
-bool StoresIdentical(const ProfileStore& a, const ProfileStore& b) {
-  if (a.num_refs() != b.num_refs() || a.num_paths() != b.num_paths()) {
+using Profiles = std::vector<std::vector<NeighborProfile>>;
+
+bool ProfilesIdentical(const Profiles& a, const Profiles& b) {
+  if (a.size() != b.size()) {
     return false;
   }
-  for (size_t i = 0; i < a.num_refs(); ++i) {
-    for (size_t p = 0; p < a.num_paths(); ++p) {
-      const NeighborProfile& pa = a.profiles(i)[p];
-      const NeighborProfile& pb = b.profiles(i)[p];
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) {
+      return false;
+    }
+    for (size_t p = 0; p < a[i].size(); ++p) {
+      const NeighborProfile& pa = a[i][p];
+      const NeighborProfile& pb = b[i][p];
       if (pa.size() != pb.size()) return false;
       for (size_t e = 0; e < pa.size(); ++e) {
         if (pa.entries()[e].tuple != pb.entries()[e].tuple ||
@@ -130,8 +136,7 @@ int main(int argc, char** argv) {
   double dfs_rate = 0.0;
   double memo_rate = 0.0;
   double warm_rate = 0.0;
-  ProfileStore memo_off_store = ProfileStore::Build(
-      prop_engine, paths, engine.config().propagation, {});
+  Profiles memo_off_profiles;
   bool have_memo_off = false;
   for (const Row& row : rows) {
     PropagationOptions options = engine.config().propagation;
@@ -145,9 +150,9 @@ int main(int argc, char** argv) {
     // One warm-up build outside the timed loop stands in for that work.
     SubtreeCache warm_cache(options.cache_bytes);
     if (row.warm) {
-      (void)ProfileStore::Build(prop_engine, paths, options, *refs,
-                                pool.get(), ProfileStore::kMinParallelRefs,
-                                &warm_cache);
+      (void)ProfileStore::Propagate(prop_engine, paths, options, *refs,
+                                    pool.get(), ProfileStore::kMinParallelRefs,
+                                    &warm_cache);
     }
     double seconds = 0.0;
     int64_t hits = 0;
@@ -160,7 +165,7 @@ int main(int argc, char** argv) {
       SubtreeCache& cache = row.warm ? warm_cache : cold_cache;
       const SubtreeCacheStats before = cache.stats();
       Stopwatch watch;
-      ProfileStore store = ProfileStore::Build(
+      Profiles profiles = ProfileStore::Propagate(
           prop_engine, paths, options, *refs, pool.get(),
           ProfileStore::kMinParallelRefs, dense ? &cache : nullptr);
       seconds += watch.Seconds();
@@ -168,10 +173,10 @@ int main(int argc, char** argv) {
       misses += cache.stats().misses - before.misses;
       if (dense) {
         if (!memo_on) {
-          memo_off_store = std::move(store);
+          memo_off_profiles = std::move(profiles);
           have_memo_off = true;
         } else if (have_memo_off) {
-          exact = exact && StoresIdentical(memo_off_store, store);
+          exact = exact && ProfilesIdentical(memo_off_profiles, profiles);
         }
       }
     }

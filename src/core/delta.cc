@@ -365,21 +365,13 @@ StatusOr<Distinct::ResolveArtifacts> Distinct::PatchResolveArtifacts(
   }
   auto matrices = [&] {
     DISTINCT_TRACE_SPAN("pair_matrix");
-    // Re-flatten only the updated positions (plus the appended suffix)
-    // into the cached arena — bit-identical to FromStore over the updated
-    // store.
-    {
-      DISTINCT_TRACE_SPAN("arena_patch");
-      cached.arena.PatchFromStore(cached.store, positions);
-    }
-    return UpdatePairMatrices(cached.store, cached.arena, model_, dirty,
-                              cached.resem, cached.walk, pool_.get());
+    return UpdatePairMatrices(cached.store, model_, dirty, cached.resem,
+                              cached.walk, pool_.get());
   }();
   DISTINCT_TRACE_SPAN("cluster");
   ClusteringResult clustering =
       ClusterReferences(matrices.first, matrices.second, cluster_options());
-  return ResolveArtifacts{std::move(cached.store), std::move(cached.arena),
-                          std::move(matrices.first),
+  return ResolveArtifacts{std::move(cached.store), std::move(matrices.first),
                           std::move(matrices.second), std::move(clustering)};
 }
 

@@ -211,19 +211,14 @@ StatusOr<ClusteringResult> Distinct::ResolveRefs(
 StatusOr<Distinct::ResolveArtifacts> Distinct::ResolveRefsArtifacts(
     const std::vector<int32_t>& refs) {
   ProfileStore store = BuildProfileStore(refs);
-  // The arena is built once here and patched in place by later
-  // PatchResolveArtifacts calls — the fused kernel never re-flattens the
-  // whole group across deltas.
-  ProfileArena arena = ProfileArena::FromStore(store);
   auto matrices = [&] {
     DISTINCT_TRACE_SPAN("pair_matrix");
-    return ComputePairMatrices(store, arena, model_, pool_.get());
+    return ComputePairMatrices(store, model_, pool_.get());
   }();
   DISTINCT_TRACE_SPAN("cluster");
   ClusteringResult clustering =
       ClusterReferences(matrices.first, matrices.second, cluster_options());
-  return ResolveArtifacts{std::move(store), std::move(arena),
-                          std::move(matrices.first),
+  return ResolveArtifacts{std::move(store), std::move(matrices.first),
                           std::move(matrices.second), std::move(clustering)};
 }
 

@@ -28,7 +28,6 @@
 #include "relational/reference_spec.h"
 #include "prop/workspace.h"
 #include "sim/parallel_kernel.h"
-#include "sim/profile_arena.h"
 #include "sim/profile_store.h"
 #include "sim/similarity_model.h"
 #include "svm/linear_svm.h"
@@ -159,14 +158,13 @@ class Distinct {
 
   /// Everything ResolveRefs computes on the way to a clustering, kept so a
   /// later delta can be spliced in instead of recomputed from scratch: the
-  /// profile store, its flattened arena (patched in place across deltas so
-  /// the fused kernel never re-flattens the whole group), both pair
-  /// matrices, and the clustering itself. The store + arena are the
-  /// resident cost (~2x 24 bytes per profile entry); the matrices are
-  /// O(refs²) doubles.
+  /// profile store (its CSR slabs are what the fused kernel reads, and
+  /// ProfileStore::Update patches them in place), both pair matrices, and
+  /// the clustering itself. The store is the resident cost of the
+  /// profiles (20 bytes per profile entry plus a 4-byte offset per
+  /// (reference, path)); the matrices are O(refs²) doubles.
   struct ResolveArtifacts {
     ProfileStore store;
-    ProfileArena arena;
     PairMatrix resem;
     PairMatrix walk;
     ClusteringResult clustering;

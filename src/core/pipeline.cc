@@ -4,13 +4,14 @@
 #include <cmath>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/feature_vector.h"
 #include "sim/profile_store.h"
 #include "svm/scaler.h"
 
@@ -70,17 +71,16 @@ StatusOr<SimilarityModel> TrainSimilarityModel(
 
   // Similarity-kernel phase 1: profiles of every reference that appears in
   // a training pair, fanned out over the configured thread count; phase 2:
-  // per-pair features from the frozen store, also parallel. Both phases
-  // are bit-identical at every thread count.
+  // per-pair features straight from those profiles, also parallel. Both
+  // phases are bit-identical at every thread count. Training lays out no
+  // store: it reads each pair once, so the raw profiles serve it as they
+  // are.
   std::vector<int32_t> unique_refs;
-  {
-    std::unordered_set<int32_t> seen;
-    for (const TrainingPair& pair : *pairs) {
-      if (seen.insert(pair.ref1).second) {
-        unique_refs.push_back(pair.ref1);
-      }
-      if (seen.insert(pair.ref2).second) {
-        unique_refs.push_back(pair.ref2);
+  std::unordered_map<int32_t, size_t> position_of;  // into unique_refs
+  for (const TrainingPair& pair : *pairs) {
+    for (const int32_t ref : {pair.ref1, pair.ref2}) {
+      if (position_of.emplace(ref, unique_refs.size()).second) {
+        unique_refs.push_back(ref);
       }
     }
   }
@@ -93,17 +93,17 @@ StatusOr<SimilarityModel> TrainSimilarityModel(
   if (config.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(config.num_threads);
   }
-  const ProfileStore store = [&] {
+  const std::vector<std::vector<NeighborProfile>> profiles = [&] {
     DISTINCT_TRACE_SPAN("profile_store");
-    return ProfileStore::Build(engine, paths, config.propagation,
-                               unique_refs, pool.get());
+    return ProfileStore::Propagate(engine, paths, config.propagation,
+                                   unique_refs, pool.get());
   }();
   std::vector<PairFeatures> pair_features(pairs->size());
   const auto features_of = [&](int64_t p) {
     const TrainingPair& pair = (*pairs)[static_cast<size_t>(p)];
     pair_features[static_cast<size_t>(p)] =
-        store.Features(static_cast<size_t>(store.IndexOf(pair.ref1)),
-                       static_cast<size_t>(store.IndexOf(pair.ref2)));
+        ComputePairFeatures(profiles[position_of.at(pair.ref1)],
+                            profiles[position_of.at(pair.ref2)]);
   };
   {
     DISTINCT_TRACE_SPAN("pair_features");

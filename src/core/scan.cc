@@ -125,8 +125,9 @@ Status ResolveGroups(const Distinct& engine,
                     : engine.propagation_engine().link().NumTuples(
                           paths.front().start_node);
   // Admission is measured, not just estimated: bytes the tracked
-  // subsystems already hold (engine-level memo entries, arenas from prior
-  // work) count against the budget alongside the group's matrix estimate.
+  // subsystems already hold (engine-level memo entries, the profile stores
+  // of prior work) count against the budget alongside the group's matrix
+  // estimate.
   const int64_t standing_bytes =
       obs::MemoryTracker::Global().TrackedTotalBytes();
   for (const size_t g : indices) {

@@ -39,7 +39,7 @@ class MemoryTracker {
   /// name. Extend here (and in ComponentName) when a new subsystem learns
   /// to account for itself.
   enum Component {
-    kProfileArena = 0,  // sim/profile_arena.h CSR slabs
+    kProfileArena = 0,  // sim/profile_store.h CSR slabs
     kSubtreeCache,      // prop/workspace.h memo payload
     kPairMatrix,        // cluster/pair_matrix.h cells
     kCheckpoint,        // core/checkpoint.cc serialization buffers

@@ -18,8 +18,10 @@ struct PairFeatures {
 };
 
 /// Pair features from two per-path profile vectors (one profile per path,
-/// same path order on both sides). Pure function of its inputs; the
-/// read-only ProfileStore derives its pair features with it.
+/// same path order on both sides). Pure function of its inputs; training
+/// derives its pair features with it from ProfileStore::Propagate's
+/// output, and ReferencePairMatrices, the pair fill's exactness oracle,
+/// is built on it.
 PairFeatures ComputePairFeatures(const std::vector<NeighborProfile>& p1,
                                  const std::vector<NeighborProfile>& p2);
 

@@ -6,23 +6,11 @@
 
 namespace distinct {
 
-PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j) {
-  PairFeatures features;
-  features.resemblance.resize(arena.num_paths());
-  features.walk.resize(arena.num_paths());
-  for (size_t p = 0; p < arena.num_paths(); ++p) {
-    const FusedPathFeatures fused = FusedMergeJoin(arena.path(p), i, j);
-    features.resemblance[p] = fused.resemblance;
-    features.walk[p] = fused.walk;
-  }
-  return features;
-}
-
-void CandidateSet::Init(const ProfileArena& arena) {
-  num_refs_ = arena.num_refs();
+void CandidateSet::Init(const ProfileStore& store) {
+  num_refs_ = store.num_refs();
   const size_t cells = num_refs_ < 2 ? 0 : num_refs_ * (num_refs_ - 1) / 2;
   words_ = (cells + 63) / 64;
-  path_bits_.resize(arena.num_paths());
+  path_bits_.resize(store.num_paths());
 }
 
 void CandidateSet::Finish() {
@@ -58,10 +46,10 @@ bool CandidateSet::contains(size_t i, size_t j) const {
   return false;
 }
 
-CandidateSet CandidateSet::Build(const ProfileArena& arena,
+CandidateSet CandidateSet::Build(const ProfileStore& store,
                                  const std::vector<char>* dirty) {
   CandidateSet set;
-  set.Init(arena);
+  set.Init(store);
   const size_t n = set.num_refs_;
   if (set.words_ == 0) {
     return set;  // fewer than two references: no pairs
@@ -83,8 +71,8 @@ CandidateSet CandidateSet::Build(const ProfileArena& arena,
   static thread_local std::vector<uint32_t> group_begin;  // dense id -> start
   static thread_local std::vector<uint32_t> grouped;  // refs by dense id
 
-  for (size_t p = 0; p < arena.num_paths(); ++p) {
-    const ProfileArena::Path& path = arena.path(p);
+  for (size_t p = 0; p < store.num_paths(); ++p) {
+    const ProfileStore::Path& path = store.path(p);
     if (path.tuples.empty()) {
       continue;
     }

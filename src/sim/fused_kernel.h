@@ -18,6 +18,8 @@
 // attribute every reference reaches) makes every pair a candidate. The
 // refill after an append builds the same index under a dirty mask, so it
 // marks only the pairs it recomputes.
+//
+// Both read the per-path CSR slabs of a ProfileStore (sim/profile_store.h).
 
 #ifndef DISTINCT_SIM_FUSED_KERNEL_H_
 #define DISTINCT_SIM_FUSED_KERNEL_H_
@@ -27,8 +29,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/feature_vector.h"
-#include "sim/profile_arena.h"
+#include "sim/profile_store.h"
 
 namespace distinct {
 
@@ -47,7 +48,7 @@ struct FusedPathFeatures {
 /// is the fused fill's innermost call, and keeping the body visible lets
 /// the per-cell loop inline it instead of paying a cross-TU call per
 /// (pair, path).
-inline FusedPathFeatures FusedMergeJoin(const ProfileArena::Path& path,
+inline FusedPathFeatures FusedMergeJoin(const ProfileStore::Path& path,
                                         size_t i, size_t j) {
   FusedPathFeatures features;
   size_t x = path.offsets[i];
@@ -96,10 +97,6 @@ inline FusedPathFeatures FusedMergeJoin(const ProfileArena::Path& path,
   return features;
 }
 
-/// All-path features of pair (i, j) — the fused drop-in for
-/// ProfileStore::Features / ComputePairFeatures (testing seam).
-PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j);
-
 /// The overlap-sparse candidate pairs, one lower-triangle bitset per join
 /// path: bit b(i, j) = i(i-1)/2 + j of path P is set iff references i and
 /// j share at least one neighbor tuple on P. A path on which no pair shares
@@ -118,7 +115,7 @@ class CandidateSet {
   /// clean-clean cell. That is what the masked refill after a delta
   /// (UpdatePairMatrices) needs — a full build over a mega-name costs more
   /// than the joins it saves when only a few rows changed.
-  static CandidateSet Build(const ProfileArena& arena,
+  static CandidateSet Build(const ProfileStore& store,
                             const std::vector<char>* dirty = nullptr);
 
   /// Whether the strict-lower-triangle pair (i, j), i > j, shares a tuple
@@ -156,7 +153,7 @@ class CandidateSet {
 
   /// Sizes one empty bitset per path; Build allocates a path's bits only
   /// once it has groups to mark.
-  void Init(const ProfileArena& arena);
+  void Init(const ProfileStore& store);
   /// Drops all-zero path bitsets and counts the union.
   void Finish();
 

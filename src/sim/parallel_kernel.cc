@@ -7,12 +7,20 @@
 
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
+#include "sim/feature_vector.h"
 #include "sim/fused_kernel.h"
-#include "sim/profile_arena.h"
 
 namespace distinct {
 
 namespace {
+
+/// Side length of the square tiles the lower triangle is cut into. One
+/// tile is one task: big enough to amortize scheduling, small enough that
+/// a mega-name yields many more tiles than threads.
+constexpr size_t kTileSize = 64;
+/// Below this many references the fill runs inline even when a pool is
+/// supplied.
+constexpr size_t kMinParallelRefs = 32;
 
 /// Flushes one tile's (or one serial fill's) count of merge-joins run, so
 /// the hot loop never touches a shared counter.
@@ -31,8 +39,7 @@ void ForEachRowSegment(size_t n, ThreadPool* pool,
                        const PairKernelOptions& options,
                        const FillRow& fill_row) {
   const CancelToken* cancel = options.cancel;
-  if (pool == nullptr ||
-      n < static_cast<size_t>(std::max(options.min_parallel_refs, 0))) {
+  if (pool == nullptr || n < kMinParallelRefs) {
     int64_t path_joins = 0;
     for (size_t i = 0; i < n; ++i) {
       if (cancel != nullptr && cancel->CheckAbort()) {
@@ -44,8 +51,7 @@ void ForEachRowSegment(size_t n, ThreadPool* pool,
     return;
   }
 
-  const size_t tile = static_cast<size_t>(std::max(options.tile_size, 1));
-  const size_t blocks = (n + tile - 1) / tile;
+  const size_t blocks = (n + kTileSize - 1) / kTileSize;
   std::vector<std::pair<uint32_t, uint32_t>> tiles;
   tiles.reserve(blocks * (blocks + 1) / 2);
   for (size_t bi = 0; bi < blocks; ++bi) {
@@ -60,12 +66,13 @@ void ForEachRowSegment(size_t n, ThreadPool* pool,
                         return;
                       }
                       const auto [bi, bj] = tiles[static_cast<size_t>(t)];
-                      const size_t i_end = std::min(n, (bi + 1) * tile);
-                      const size_t j_begin = bj * tile;
+                      const size_t i_end =
+                          std::min(n, (bi + 1) * kTileSize);
+                      const size_t j_begin = bj * kTileSize;
                       int64_t path_joins = 0;
-                      for (size_t i = bi * tile; i < i_end; ++i) {
+                      for (size_t i = bi * kTileSize; i < i_end; ++i) {
                         const size_t j_end =
-                            std::min<size_t>((bj + 1) * tile, i);
+                            std::min<size_t>((bj + 1) * kTileSize, i);
                         if (j_begin < j_end) {
                           fill_row(i, j_begin, j_end, &path_joins);
                         }
@@ -80,7 +87,7 @@ void ForEachRowSegment(size_t n, ThreadPool* pool,
 /// cell verbatim (UpdatePairMatrices). Each cell depends only on its two
 /// profiles and the model, so the partial fill is bit-identical to a full
 /// one on the marked cells.
-void FillFused(const ProfileArena& arena, const SimilarityModel& model,
+void FillFused(const ProfileStore& store, const SimilarityModel& model,
                ThreadPool* pool, const PairKernelOptions& options,
                PairMatrix* resem, PairMatrix* walk,
                const std::vector<char>* recompute = nullptr) {
@@ -92,14 +99,14 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
   // No trace span here: FillFused runs inside parallel-scan worker
   // lambdas, which must record only commutative counters (scan.cc pins
   // "one span per bulk run" at any thread count).
-  const CandidateSet candidates = CandidateSet::Build(arena, recompute);
+  const CandidateSet candidates = CandidateSet::Build(store, recompute);
   // Weighted per-path accumulation in path order — the same floating-point
   // op sequence as SimilarityModel::Resemblance/Walk over a PairFeatures
   // vector, without materializing one per pair.
   const std::vector<double>& resem_weights = model.resem_weights();
   const std::vector<double>& walk_weights = model.walk_weights();
-  const size_t num_paths = arena.num_paths();
-  const size_t n = arena.num_refs();
+  const size_t num_paths = store.num_paths();
+  const size_t n = store.num_refs();
 
   // Only paths on which some pair shares a tuple can contribute, and a
   // cell runs the merge-join of path P only when its bit of P is set. A
@@ -130,19 +137,19 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
         const uint64_t rest = m & (m - 1);
         if (rest != 0) {
           // Overlap the next path's slice loads with this join.
-          const ProfileArena::Path& next =
-              arena.path(live[static_cast<size_t>(std::countr_zero(rest))]);
+          const ProfileStore::Path& next =
+              store.path(live[static_cast<size_t>(std::countr_zero(rest))]);
           __builtin_prefetch(next.tuples.data() + next.offsets[i]);
           __builtin_prefetch(next.tuples.data() + next.offsets[j]);
         }
-        const FusedPathFeatures features = FusedMergeJoin(arena.path(p), i, j);
+        const FusedPathFeatures features = FusedMergeJoin(store.path(p), i, j);
         resem_sim += resem_weights[p] * features.resemblance;
         walk_sim += walk_weights[p] * features.walk;
       }
       *path_joins += std::popcount(paths);
     } else {
       for (size_t p = 0; p < num_paths; ++p) {
-        const FusedPathFeatures features = FusedMergeJoin(arena.path(p), i, j);
+        const FusedPathFeatures features = FusedMergeJoin(store.path(p), i, j);
         resem_sim += resem_weights[p] * features.resemblance;
         walk_sim += walk_weights[p] * features.walk;
       }
@@ -193,21 +200,13 @@ void FillFused(const ProfileArena& arena, const SimilarityModel& model,
 std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
     const ProfileStore& store, const SimilarityModel& model,
     ThreadPool* pool, const PairKernelOptions& options) {
-  return ComputePairMatrices(store, ProfileArena::FromStore(store), model,
-                             pool, options);
-}
-
-std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
-    const ProfileStore& store, const ProfileArena& arena,
-    const SimilarityModel& model, ThreadPool* pool,
-    const PairKernelOptions& options) {
   // Metrics are aggregated per fill (and per tile above), never per cell,
   // so the instrumented hot loop is byte-for-byte the uninstrumented one.
   Stopwatch watch;
   const size_t n = store.num_refs();
   PairMatrix resem(n);
   PairMatrix walk(n);
-  FillFused(arena, model, pool, options, &resem, &walk);
+  FillFused(store, model, pool, options, &resem, &walk);
   DISTINCT_COUNTER_ADD("sim.matrix_fills", 1);
   DISTINCT_COUNTER_ADD("sim.pairs_computed",
                        static_cast<int64_t>(n < 2 ? 0 : n * (n - 1) / 2));
@@ -216,10 +215,10 @@ std::pair<PairMatrix, PairMatrix> ComputePairMatrices(
 }
 
 std::pair<PairMatrix, PairMatrix> UpdatePairMatrices(
-    const ProfileStore& store, const ProfileArena& arena,
-    const SimilarityModel& model, const std::vector<char>& dirty,
-    const PairMatrix& old_resem, const PairMatrix& old_walk,
-    ThreadPool* pool, const PairKernelOptions& options) {
+    const ProfileStore& store, const SimilarityModel& model,
+    const std::vector<char>& dirty, const PairMatrix& old_resem,
+    const PairMatrix& old_walk, ThreadPool* pool,
+    const PairKernelOptions& options) {
   Stopwatch watch;
   const size_t n = store.num_refs();
   const size_t old_n = old_resem.size();
@@ -246,7 +245,7 @@ std::pair<PairMatrix, PairMatrix> UpdatePairMatrices(
     }
   }
 
-  FillFused(arena, model, pool, options, &resem, &walk, &dirty);
+  FillFused(store, model, pool, options, &resem, &walk, &dirty);
 
   DISTINCT_COUNTER_ADD("sim.matrix_updates", 1);
   DISTINCT_COUNTER_ADD("sim.pairs_carried_over", copied);
@@ -255,13 +254,15 @@ std::pair<PairMatrix, PairMatrix> UpdatePairMatrices(
 }
 
 std::pair<PairMatrix, PairMatrix> ReferencePairMatrices(
-    const ProfileStore& store, const SimilarityModel& model) {
-  const size_t n = store.num_refs();
+    const std::vector<std::vector<NeighborProfile>>& profiles,
+    const SimilarityModel& model) {
+  const size_t n = profiles.size();
   PairMatrix resem(n);
   PairMatrix walk(n);
   for (size_t i = 1; i < n; ++i) {
     for (size_t j = 0; j < i; ++j) {
-      const PairFeatures features = store.Features(i, j);
+      const PairFeatures features =
+          ComputePairFeatures(profiles[i], profiles[j]);
       resem.set(i, j, model.Resemblance(features));
       walk.set(i, j, model.Walk(features));
     }

@@ -1,9 +1,9 @@
 #include "sim/profile_store.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -11,6 +11,64 @@
 #include "obs/metrics.h"
 
 namespace distinct {
+
+namespace {
+
+/// The u32 offset packing caps a path slab at 2^32-1 entries.
+constexpr size_t kMaxPathEntries = std::numeric_limits<uint32_t>::max();
+
+/// Item `item`'s path mask: every path when `masks` does not cover it.
+uint64_t MaskOf(const std::vector<uint64_t>* masks, size_t item) {
+  return masks != nullptr && item < masks->size() ? (*masks)[item]
+                                                  : ~uint64_t{0};
+}
+
+/// Whether bit `p` of `mask` is set; paths past bit 63 always are.
+bool PathInMask(uint64_t mask, size_t p) {
+  return p >= 64 || ((mask >> p) & 1) != 0;
+}
+
+/// Lays out one path slab in reference order. Slice r holds the entries of
+/// `*fresh[r]`, which is released once copied, or, where fresh[r] is null,
+/// slice r of `old` verbatim.
+ProfileStore::Path LayoutPath(const std::vector<NeighborProfile*>& fresh,
+                              const ProfileStore::Path* old) {
+  const size_t n = fresh.size();
+  size_t total = 0;
+  for (size_t r = 0; r < n; ++r) {
+    total += fresh[r] != nullptr ? fresh[r]->size() : old->size(r);
+  }
+  DISTINCT_CHECK(total <= kMaxPathEntries);
+  ProfileStore::Path path;
+  path.offsets.resize(n + 1);
+  path.tuples.reserve(total);
+  path.forward.reserve(total);
+  path.reverse.reserve(total);
+  for (size_t r = 0; r < n; ++r) {
+    path.offsets[r] = static_cast<uint32_t>(path.tuples.size());
+    if (fresh[r] == nullptr) {
+      const size_t begin = old->offsets[r];
+      const size_t end = old->offsets[r + 1];
+      path.tuples.insert(path.tuples.end(), old->tuples.begin() + begin,
+                         old->tuples.begin() + end);
+      path.forward.insert(path.forward.end(), old->forward.begin() + begin,
+                          old->forward.begin() + end);
+      path.reverse.insert(path.reverse.end(), old->reverse.begin() + begin,
+                          old->reverse.begin() + end);
+      continue;
+    }
+    for (const ProfileEntry& entry : fresh[r]->entries()) {
+      path.tuples.push_back(entry.tuple);
+      path.forward.push_back(entry.forward);
+      path.reverse.push_back(entry.reverse);
+    }
+    *fresh[r] = NeighborProfile();
+  }
+  path.offsets[n] = static_cast<uint32_t>(path.tuples.size());
+  return path;
+}
+
+}  // namespace
 
 std::unique_ptr<PropagationWorkspace> WorkspacePool::Acquire() {
   {
@@ -35,39 +93,13 @@ int64_t WorkspacePool::num_created() const {
   return created_;
 }
 
-void ProfileStore::BuildIndex() {
-  index_.clear();
-  index_.reserve(refs_.size());
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    index_.emplace_back(refs_[i], i);
-  }
-  // Stable sort by ref only: duplicates keep their first position, like
-  // the hash map this replaces.
-  std::stable_sort(index_.begin(), index_.end(),
-                   [](const std::pair<int32_t, size_t>& a,
-                      const std::pair<int32_t, size_t>& b) {
-                     return a.first < b.first;
-                   });
-}
-
-ProfileStore ProfileStore::FromProfiles(
-    std::vector<int32_t> refs,
-    std::vector<std::vector<NeighborProfile>> profiles) {
-  DISTINCT_CHECK(refs.size() == profiles.size());
-  ProfileStore store;
-  store.refs_ = std::move(refs);
-  store.num_paths_ = profiles.empty() ? 0 : profiles[0].size();
-  store.profiles_ = std::move(profiles);
-  store.BuildIndex();
-  return store;
-}
-
-void ProfileStore::ComputeProfiles(
+std::vector<std::vector<NeighborProfile>> ProfileStore::Propagate(
     const PropagationEngine& engine, const std::vector<JoinPath>& paths,
-    const PropagationOptions& options, const std::vector<size_t>& work,
-    const std::vector<uint64_t>* path_masks, ThreadPool* pool,
-    size_t min_parallel_refs, SubtreeCache* shared_cache,
-    WorkspacePool* shared_workspaces) {
+    const PropagationOptions& options, const std::vector<int32_t>& refs,
+    ThreadPool* pool, size_t min_parallel_refs, SubtreeCache* shared_cache,
+    WorkspacePool* shared_workspaces,
+    const std::vector<uint64_t>* path_masks) {
+  Stopwatch watch;
   const bool dense = options.algorithm == PropagationAlgorithm::kWorkspace;
   WorkspacePool local_workspaces(engine.link());
   WorkspacePool& workspaces =
@@ -79,31 +111,25 @@ void ProfileStore::ComputeProfiles(
     cache = owned_cache.get();
   }
 
-  // A work item's path mask (when masks are given) limits the recompute
-  // to the dirtied paths — untouched path profiles are kept verbatim,
-  // which is exact because propagation is independent per (reference,
-  // path). Paths past bit 63 are always recomputed (conservative).
+  std::vector<std::vector<NeighborProfile>> profiles(refs.size());
   const auto compute_one = [&](int64_t i) {
-    const size_t position = work[static_cast<size_t>(i)];
-    const uint64_t mask =
-        (path_masks != nullptr && static_cast<size_t>(i) < path_masks->size())
-            ? (*path_masks)[static_cast<size_t>(i)]
-            : ~uint64_t{0};
+    const auto item = static_cast<size_t>(i);
+    const uint64_t mask = MaskOf(path_masks, item);
     std::unique_ptr<PropagationWorkspace> workspace;
     if (dense) {
       workspace = workspaces.Acquire();
     }
-    std::vector<NeighborProfile>& profiles = profiles_[position];
-    profiles.resize(paths.size());
+    profiles[item].resize(paths.size());
     for (size_t p = 0; p < paths.size(); ++p) {
-      if (p < 64 && ((mask >> p) & 1) == 0) {
+      if (!PathInMask(mask, p)) {
         continue;
       }
       if (dense) {
-        profiles[p] = engine.Compute(paths[p], refs_[position], options,
-                                     *workspace, cache, static_cast<int>(p));
+        profiles[item][p] = engine.Compute(paths[p], refs[item], options,
+                                           *workspace, cache,
+                                           static_cast<int>(p));
       } else {
-        profiles[p] = engine.Compute(paths[p], refs_[position], options);
+        profiles[item][p] = engine.Compute(paths[p], refs[item], options);
       }
     }
     if (workspace != nullptr) {
@@ -111,13 +137,31 @@ void ProfileStore::ComputeProfiles(
     }
   };
 
-  if (pool != nullptr && work.size() >= min_parallel_refs) {
-    ParallelForShared(*pool, static_cast<int64_t>(work.size()), compute_one);
+  if (pool != nullptr && refs.size() >= min_parallel_refs) {
+    ParallelForShared(*pool, static_cast<int64_t>(refs.size()), compute_one);
   } else {
-    for (size_t i = 0; i < work.size(); ++i) {
+    for (size_t i = 0; i < refs.size(); ++i) {
       compute_one(static_cast<int64_t>(i));
     }
   }
+  DISTINCT_COUNTER_ADD("prop.profiles_built",
+                       static_cast<int64_t>(refs.size()));
+  DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
+  return profiles;
+}
+
+void ProfileStore::Layout(size_t num_paths,
+                          std::vector<std::vector<NeighborProfile>> profiles) {
+  paths_.clear();
+  paths_.reserve(num_paths);
+  std::vector<NeighborProfile*> slices(profiles.size());
+  for (size_t p = 0; p < num_paths; ++p) {
+    for (size_t r = 0; r < profiles.size(); ++r) {
+      slices[r] = &profiles[r][p];
+    }
+    paths_.push_back(LayoutPath(slices, /*old=*/nullptr));
+  }
+  tracked_.Set(SlabBytes());
 }
 
 ProfileStore ProfileStore::Build(const PropagationEngine& engine,
@@ -128,21 +172,12 @@ ProfileStore ProfileStore::Build(const PropagationEngine& engine,
                                  size_t min_parallel_refs,
                                  SubtreeCache* shared_cache,
                                  WorkspacePool* shared_workspaces) {
-  Stopwatch watch;
   ProfileStore store;
   store.refs_ = std::move(refs);
-  store.num_paths_ = paths.size();
-  store.profiles_.resize(store.refs_.size());
-  store.BuildIndex();
-  std::vector<size_t> work(store.refs_.size());
-  std::iota(work.begin(), work.end(), size_t{0});
-  store.ComputeProfiles(engine, paths, options, work, /*path_masks=*/nullptr,
-                        pool, min_parallel_refs, shared_cache,
-                        shared_workspaces);
+  store.Layout(paths.size(),
+               Propagate(engine, paths, options, store.refs_, pool,
+                         min_parallel_refs, shared_cache, shared_workspaces));
   DISTINCT_COUNTER_ADD("sim.profile_store_builds", 1);
-  DISTINCT_COUNTER_ADD("prop.profiles_built",
-                       static_cast<int64_t>(store.refs_.size()));
-  DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
   return store;
 }
 
@@ -156,35 +191,66 @@ void ProfileStore::Update(const PropagationEngine& engine,
                           SubtreeCache* shared_cache,
                           WorkspacePool* shared_workspaces,
                           const std::vector<uint64_t>* position_path_masks) {
-  Stopwatch watch;
-  num_paths_ = paths.size();
-  std::vector<size_t> work(positions);
-  for (int32_t ref : new_refs) {
-    work.push_back(refs_.size());
-    refs_.push_back(ref);
-    profiles_.emplace_back();
+  const size_t old_n = refs_.size();
+  DISTINCT_CHECK(old_n == 0 || paths_.size() == paths.size());
+  paths_.resize(paths.size());
+  // Work item k re-propagates the reference at slot[k]: the dirty
+  // positions, then the appended references. Masks align with
+  // `positions`, the head; the appended refs compute every path.
+  std::vector<size_t> slot(positions);
+  refs_.insert(refs_.end(), new_refs.begin(), new_refs.end());
+  for (size_t r = old_n; r < refs_.size(); ++r) {
+    slot.push_back(r);
   }
-  BuildIndex();
-  // Masks align with `positions`, the head of the work list; the appended
-  // refs past it compute every path.
-  ComputeProfiles(engine, paths, options, work, position_path_masks, pool,
-                  min_parallel_refs, shared_cache, shared_workspaces);
+  std::vector<int32_t> work;
+  work.reserve(slot.size());
+  for (const size_t r : slot) {
+    DISTINCT_CHECK(r < refs_.size());
+    work.push_back(refs_[r]);
+  }
+  std::vector<std::vector<NeighborProfile>> fresh =
+      Propagate(engine, paths, options, work, pool, min_parallel_refs,
+                shared_cache, shared_workspaces, position_path_masks);
+
+  // A slice comes from the fresh profiles where its reference was
+  // re-propagated on that path; every other slice keeps its old bytes.
+  std::vector<NeighborProfile*> slices(refs_.size());
+  for (size_t p = 0; p < paths.size(); ++p) {
+    std::fill(slices.begin(), slices.end(), nullptr);
+    for (size_t k = 0; k < slot.size(); ++k) {
+      if (PathInMask(MaskOf(position_path_masks, k), p)) {
+        slices[slot[k]] = &fresh[k][p];
+      }
+    }
+    paths_[p] = LayoutPath(slices, &paths_[p]);
+  }
+  tracked_.Set(SlabBytes());
   DISTINCT_COUNTER_ADD("sim.profile_store_updates", 1);
-  DISTINCT_COUNTER_ADD("prop.profiles_built",
-                       static_cast<int64_t>(work.size()));
-  DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
 }
 
-int64_t ProfileStore::IndexOf(int32_t ref) const {
-  auto it = std::lower_bound(index_.begin(), index_.end(), ref,
-                             [](const std::pair<int32_t, size_t>& entry,
-                                int32_t value) {
-                               return entry.first < value;
-                             });
-  if (it == index_.end() || it->first != ref) {
-    return -1;
+ProfileStore ProfileStore::FromProfiles(
+    std::vector<int32_t> refs,
+    std::vector<std::vector<NeighborProfile>> profiles) {
+  DISTINCT_CHECK(refs.size() == profiles.size());
+  const size_t num_paths = profiles.empty() ? 0 : profiles.front().size();
+  for (const std::vector<NeighborProfile>& per_ref : profiles) {
+    DISTINCT_CHECK(per_ref.size() == num_paths);
   }
-  return static_cast<int64_t>(it->second);
+  ProfileStore store;
+  store.refs_ = std::move(refs);
+  store.Layout(num_paths, std::move(profiles));
+  return store;
+}
+
+int64_t ProfileStore::SlabBytes() const {
+  size_t bytes = paths_.capacity() * sizeof(Path);
+  for (const Path& path : paths_) {
+    bytes += path.offsets.capacity() * sizeof(uint32_t);
+    bytes += path.tuples.capacity() * sizeof(int32_t);
+    bytes += (path.forward.capacity() + path.reverse.capacity()) *
+             sizeof(double);
+  }
+  return static_cast<int64_t>(bytes);
 }
 
 }  // namespace distinct

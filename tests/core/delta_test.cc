@@ -16,7 +16,6 @@
 #include "prop/link_graph.h"
 #include "prop/workspace.h"
 #include "relational/csv.h"
-#include "sim/profile_arena.h"
 #include "sim/profile_store.h"
 
 namespace distinct {
@@ -68,34 +67,14 @@ void ExpectSameResolutions(const std::vector<BulkResolution>& got,
   }
 }
 
-void ExpectSameProfiles(const ProfileStore& got, const ProfileStore& want) {
+/// Same references and the same bytes in every path slab.
+void ExpectSameSlabs(const ProfileStore& got, const ProfileStore& want) {
   ASSERT_EQ(got.refs(), want.refs());
-  ASSERT_EQ(got.num_paths(), want.num_paths());
-  for (size_t r = 0; r < want.num_refs(); ++r) {
-    const std::vector<NeighborProfile>& a = got.profiles(r);
-    const std::vector<NeighborProfile>& b = want.profiles(r);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t p = 0; p < b.size(); ++p) {
-      SCOPED_TRACE("ref position " + std::to_string(r) + " path " +
-                   std::to_string(p));
-      ASSERT_EQ(a[p].size(), b[p].size());
-      EXPECT_EQ(a[p].truncated(), b[p].truncated());
-      for (size_t e = 0; e < b[p].entries().size(); ++e) {
-        EXPECT_EQ(a[p].entries()[e].tuple, b[p].entries()[e].tuple);
-        EXPECT_EQ(a[p].entries()[e].forward, b[p].entries()[e].forward);
-        EXPECT_EQ(a[p].entries()[e].reverse, b[p].entries()[e].reverse);
-      }
-    }
-  }
-}
-
-void ExpectSameArenas(const ProfileArena& got, const ProfileArena& want) {
-  ASSERT_EQ(got.num_refs(), want.num_refs());
   ASSERT_EQ(got.num_paths(), want.num_paths());
   for (size_t p = 0; p < want.num_paths(); ++p) {
     SCOPED_TRACE("path " + std::to_string(p));
-    const ProfileArena::Path& a = got.path(p);
-    const ProfileArena::Path& b = want.path(p);
+    const ProfileStore::Path& a = got.path(p);
+    const ProfileStore::Path& b = want.path(p);
     EXPECT_EQ(a.offsets, b.offsets);
     EXPECT_EQ(a.tuples, b.tuples);
     EXPECT_EQ(a.forward, b.forward);
@@ -532,8 +511,12 @@ TEST_F(DeltaTest, LoadDeltaCsvNeedsADirectoryWithATableFile) {
   std::filesystem::remove_all(dir);
 }
 
-// --- The serving-path seam: splice updates of store and arena.
+// --- The serving-path seam: splice updates of the profile store.
 
+// Update after a real delta — every old position dirty on every path, or
+// only the report's dirty references on their dirty paths, plus the
+// appended references — equals Build over the combined references slab
+// for slab, at 1 and 4 threads.
 TEST_F(DeltaTest, ProfileStoreUpdateMatchesFullBuildAfterDelta) {
   auto split = MakeTailDelta(dataset_->db, kPublishTable, 40);
   ASSERT_TRUE(split.ok());
@@ -545,10 +528,9 @@ TEST_F(DeltaTest, ProfileStoreUpdateMatchesFullBuildAfterDelta) {
   ASSERT_TRUE(before.ok());
   ASSERT_GE(before->size(), 2u);
   const PropagationOptions& options = engine->config().propagation;
-  ProfileStore store =
+  const ProfileStore base =
       ProfileStore::Build(engine->propagation_engine(), engine->paths(),
                           options, *before);
-  ProfileArena arena = ProfileArena::FromStore(store);
 
   auto report = engine->ApplyDelta(db, split->second);
   ASSERT_TRUE(report.ok());
@@ -557,24 +539,58 @@ TEST_F(DeltaTest, ProfileStoreUpdateMatchesFullBuildAfterDelta) {
   ASSERT_TRUE(after.ok());
   ASSERT_GT(after->size(), before->size());  // the tail held Wei Wang rows
   ASSERT_TRUE(std::equal(before->begin(), before->end(), after->begin()));
-
-  // Conservative splice: every old position dirty, new refs appended.
-  std::vector<size_t> positions(before->size());
-  std::iota(positions.begin(), positions.end(), size_t{0});
   const std::vector<int32_t> appended(after->begin() + before->size(),
                                       after->end());
-  store.Update(engine->propagation_engine(), engine->paths(), options,
-               positions, appended);
-  const ProfileStore full =
-      ProfileStore::Build(engine->propagation_engine(), engine->paths(),
-                          options, *after);
-  ExpectSameProfiles(store, full);
-  for (const int32_t ref : *after) {
-    EXPECT_GE(store.IndexOf(ref), 0);
-  }
 
-  arena.PatchFromStore(store, positions);
-  ExpectSameArenas(arena, ProfileArena::FromStore(full));
+  // Conservative splice: every old position dirty on every path.
+  std::vector<size_t> all_positions(before->size());
+  std::iota(all_positions.begin(), all_positions.end(), size_t{0});
+  // Masked splice: the report's dirty references, each on its dirty paths.
+  std::vector<size_t> dirty_positions;
+  std::vector<uint64_t> dirty_masks;
+  for (size_t i = 0; i < before->size(); ++i) {
+    const auto it = std::lower_bound(report->dirty_refs.begin(),
+                                     report->dirty_refs.end(), (*before)[i]);
+    if (it != report->dirty_refs.end() && *it == (*before)[i]) {
+      dirty_positions.push_back(i);
+      dirty_masks.push_back(report->dirty_ref_path_masks[static_cast<size_t>(
+          it - report->dirty_refs.begin())]);
+    }
+  }
+  // The delta reaches old references, and not each on every path.
+  ASSERT_FALSE(dirty_positions.empty());
+  const size_t num_paths = engine->paths().size();
+  ASSERT_LE(num_paths, 64u);
+  const uint64_t every_path =
+      num_paths == 64 ? ~uint64_t{0} : (uint64_t{1} << num_paths) - 1;
+  EXPECT_TRUE(std::any_of(dirty_masks.begin(), dirty_masks.end(),
+                          [&](uint64_t mask) {
+                            return (mask & every_path) != every_path;
+                          }));
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
+    const ProfileStore full =
+        ProfileStore::Build(engine->propagation_engine(), engine->paths(),
+                            options, *after, &pool);
+    {
+      SCOPED_TRACE("every position");
+      ProfileStore store = base;
+      store.Update(engine->propagation_engine(), engine->paths(), options,
+                   all_positions, appended, &pool);
+      ExpectSameSlabs(store, full);
+    }
+    {
+      SCOPED_TRACE("dirty positions and paths");
+      ProfileStore store = base;
+      store.Update(engine->propagation_engine(), engine->paths(), options,
+                   dirty_positions, appended, &pool,
+                   ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
+                   /*shared_workspaces=*/nullptr, &dirty_masks);
+      ExpectSameSlabs(store, full);
+    }
+  }
 }
 
 TEST_F(DeltaTest, CleanNameProfilesSurviveTheDeltaVerbatim) {
@@ -615,9 +631,9 @@ TEST_F(DeltaTest, CleanNameProfilesSurviveTheDeltaVerbatim) {
   // full rebuild, proving the kept-verbatim profiles are genuinely
   // unchanged by the append.
   store.Update(engine->propagation_engine(), engine->paths(), options, {}, {});
-  ExpectSameProfiles(store, ProfileStore::Build(engine->propagation_engine(),
-                                                engine->paths(), options,
-                                                *refs));
+  ExpectSameSlabs(store, ProfileStore::Build(engine->propagation_engine(),
+                                             engine->paths(), options,
+                                             *refs));
 }
 
 // --- SubtreeCache targeted invalidation.

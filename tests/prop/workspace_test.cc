@@ -142,8 +142,8 @@ TEST(WorkspaceDeterminismTest, BitIdenticalAcrossCacheSizesAndThreads) {
 
   // Reference run: serial, no memo storage.
   options.cache_bytes = 0;
-  const ProfileStore reference = ProfileStore::Build(
-      engine, world.paths, options, world.refs);
+  const std::vector<std::vector<NeighborProfile>> reference =
+      ProfileStore::Propagate(engine, world.paths, options, world.refs);
 
   for (const size_t cache_bytes :
        {size_t{0}, size_t{4096}, size_t{64} << 20}) {
@@ -153,14 +153,14 @@ TEST(WorkspaceDeterminismTest, BitIdenticalAcrossCacheSizesAndThreads) {
       if (threads > 1) {
         pool = std::make_unique<ThreadPool>(threads);
       }
-      const ProfileStore store = ProfileStore::Build(
-          engine, world.paths, options, world.refs, pool.get(),
-          /*min_parallel_refs=*/1);
-      ASSERT_EQ(store.num_refs(), reference.num_refs());
-      for (size_t i = 0; i < store.num_refs(); ++i) {
+      const std::vector<std::vector<NeighborProfile>> profiles =
+          ProfileStore::Propagate(engine, world.paths, options, world.refs,
+                                  pool.get(), /*min_parallel_refs=*/1);
+      ASSERT_EQ(profiles.size(), reference.size());
+      for (size_t i = 0; i < profiles.size(); ++i) {
         for (size_t p = 0; p < world.paths.size(); ++p) {
           ExpectProfilesIdentical(
-              reference.profiles(i)[p], store.profiles(i)[p],
+              reference[i][p], profiles[i][p],
               "cache=" + std::to_string(cache_bytes) + " threads=" +
                   std::to_string(threads) + " ref " + std::to_string(i) +
                   " path " + std::to_string(p));

@@ -17,7 +17,6 @@
 #include "dblp/schema.h"
 #include "obs/metrics.h"
 #include "sim/parallel_kernel.h"
-#include "sim/profile_arena.h"
 #include "sim/profile_store.h"
 
 namespace distinct {
@@ -114,6 +113,27 @@ bool ShareAnyTuple(const std::vector<NeighborProfile>& a,
   return false;
 }
 
+/// Reference ids 0..n-1 for stores laid out from raw profiles.
+std::vector<int32_t> Refs(size_t n) {
+  std::vector<int32_t> refs(n);
+  for (size_t r = 0; r < n; ++r) {
+    refs[r] = static_cast<int32_t>(r);
+  }
+  return refs;
+}
+
+/// All-path features of the pair (i, j), one FusedMergeJoin per path.
+PairFeatures FusedPairFeatures(const ProfileStore& store, size_t i,
+                               size_t j) {
+  PairFeatures features;
+  for (size_t p = 0; p < store.num_paths(); ++p) {
+    const FusedPathFeatures fused = FusedMergeJoin(store.path(p), i, j);
+    features.resemblance.push_back(fused.resemblance);
+    features.walk.push_back(fused.walk);
+  }
+  return features;
+}
+
 class FusedDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FusedDifferentialTest, MatchesNaiveHashMapReference) {
@@ -121,13 +141,13 @@ TEST_P(FusedDifferentialTest, MatchesNaiveHashMapReference) {
   const size_t kRefs = 12;
   const size_t kPaths = 3;
   const auto profiles = RandomProfiles(rng, kRefs, kPaths);
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  ASSERT_EQ(arena.num_refs(), kRefs);
-  ASSERT_EQ(arena.num_paths(), kPaths);
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(kRefs), profiles);
+  ASSERT_EQ(store.num_refs(), kRefs);
+  ASSERT_EQ(store.num_paths(), kPaths);
 
   for (size_t i = 1; i < kRefs; ++i) {
     for (size_t j = 0; j < i; ++j) {
-      const PairFeatures fused = FusedFeatures(arena, i, j);
+      const PairFeatures fused = FusedPairFeatures(store, i, j);
       ASSERT_EQ(fused.resemblance.size(), kPaths);
       for (size_t p = 0; p < kPaths; ++p) {
         EXPECT_NEAR(fused.resemblance[p],
@@ -145,11 +165,11 @@ TEST_P(FusedDifferentialTest, BitIdenticalToThreePassReference) {
   Rng rng(GetParam() + 1000);
   const size_t kRefs = 10;
   const auto profiles = RandomProfiles(rng, kRefs, /*num_paths=*/3);
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(kRefs), profiles);
 
   for (size_t i = 1; i < kRefs; ++i) {
     for (size_t j = 0; j < i; ++j) {
-      const PairFeatures fused = FusedFeatures(arena, i, j);
+      const PairFeatures fused = FusedPairFeatures(store, i, j);
       // The production reference path: SetResemblance + both
       // WalkProbability directions per path.
       const PairFeatures reference =
@@ -168,8 +188,8 @@ TEST_P(FusedDifferentialTest, CandidateSetMatchesBruteForceOverlap) {
   Rng rng(GetParam() + 2000);
   const size_t kRefs = 14;
   const auto profiles = RandomProfiles(rng, kRefs, /*num_paths=*/2);
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  const CandidateSet candidates = CandidateSet::Build(arena);
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(kRefs), profiles);
+  const CandidateSet candidates = CandidateSet::Build(store);
   ASSERT_EQ(candidates.num_refs(), kRefs);
 
   int64_t expected_count = 0;
@@ -181,7 +201,7 @@ TEST_P(FusedDifferentialTest, CandidateSetMatchesBruteForceOverlap) {
       expected_count += overlap ? 1 : 0;
       if (!overlap) {
         // Skipping a non-candidate is exact: every feature is zero.
-        const PairFeatures features = FusedFeatures(arena, i, j);
+        const PairFeatures features = FusedPairFeatures(store, i, j);
         for (size_t p = 0; p < features.resemblance.size(); ++p) {
           EXPECT_EQ(features.resemblance[p], 0.0);
           EXPECT_EQ(features.walk[p], 0.0);
@@ -264,20 +284,21 @@ std::vector<std::vector<NeighborProfile>> DenseProfiles(Rng& rng,
   return profiles;
 }
 
-/// Build(arena) against brute-force overlap, and the masked build at both
+/// Build(store) against brute-force overlap, and the masked build at both
 /// ends of the mask: every reference dirty gives the same words on every
 /// path, none dirty gives no bits at all.
 void ExpectFullAndMaskedBuildsMatchBruteForce(
     const std::vector<std::vector<NeighborProfile>>& profiles) {
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  const CandidateSet full = CandidateSet::Build(arena);
+  const ProfileStore store =
+      ProfileStore::FromProfiles(Refs(profiles.size()), profiles);
+  const CandidateSet full = CandidateSet::Build(store);
   ASSERT_EQ(full.num_paths(), profiles[0].size());
   ExpectPathBitsMatchBruteForce(full, profiles);
 
   const size_t n = profiles.size();
   const size_t cells = n * (n - 1) / 2;
   const std::vector<char> all_dirty(n, 1);
-  const CandidateSet all = CandidateSet::Build(arena, &all_dirty);
+  const CandidateSet all = CandidateSet::Build(store, &all_dirty);
   EXPECT_EQ(all.count(), full.count());
   for (size_t p = 0; p < full.num_paths(); ++p) {
     ASSERT_EQ(all.has_path(p), full.has_path(p)) << "path " << p;
@@ -292,7 +313,7 @@ void ExpectFullAndMaskedBuildsMatchBruteForce(
   }
 
   const std::vector<char> none_dirty(n, 0);
-  const CandidateSet none = CandidateSet::Build(arena, &none_dirty);
+  const CandidateSet none = CandidateSet::Build(store, &none_dirty);
   for (size_t p = 0; p < none.num_paths(); ++p) {
     EXPECT_FALSE(none.has_path(p)) << "path " << p;
   }
@@ -310,7 +331,7 @@ TEST_P(FusedDifferentialTest, PerPathBitsMatchBruteForceForBothMachines) {
     const auto profiles = RandomProfilesWithPrivatePath(rng, kRefs, kPaths);
     ExpectFullAndMaskedBuildsMatchBruteForce(profiles);
     const CandidateSet set =
-        CandidateSet::Build(ProfileArena::FromProfiles(profiles));
+        CandidateSet::Build(ProfileStore::FromProfiles(Refs(kRefs), profiles));
     EXPECT_FALSE(set.has_path(kPaths - 1));  // private tuples only
   }
   {
@@ -325,13 +346,13 @@ TEST_P(FusedDifferentialTest, PartialPerPathBitsMatchBruteForceOnDirtyCells) {
   const size_t kRefs = 70;
   const size_t kPaths = 4;
   const auto profiles = RandomProfilesWithPrivatePath(rng, kRefs, kPaths);
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(kRefs), profiles);
   std::vector<char> dirty(kRefs, 0);
   for (size_t r = 0; r < kRefs; ++r) {
     dirty[r] = rng.Bernoulli(0.15) ? 1 : 0;
   }
   dirty[kRefs / 2] = 1;
-  const CandidateSet set = CandidateSet::Build(arena, &dirty);
+  const CandidateSet set = CandidateSet::Build(store, &dirty);
   ASSERT_EQ(set.num_paths(), kPaths);
   ExpectPathBitsMatchBruteForce(set, profiles, &dirty);
   EXPECT_FALSE(set.has_path(kPaths - 1));
@@ -349,14 +370,14 @@ TEST(FusedKernelEdgeTest, EmptyProfilesYieldZeroFeatures) {
   profiles[0].emplace_back(
       std::vector<ProfileEntry>{{1, 0.5, 0.5}, {2, 0.5, 0.5}});
   profiles[1].emplace_back();  // empty profile on the only path
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  EXPECT_EQ(arena.path(0).size(0), 2u);
-  EXPECT_EQ(arena.path(0).size(1), 0u);
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(2), profiles);
+  EXPECT_EQ(store.path(0).size(0), 2u);
+  EXPECT_EQ(store.path(0).size(1), 0u);
 
-  const FusedPathFeatures features = FusedMergeJoin(arena.path(0), 1, 0);
+  const FusedPathFeatures features = FusedMergeJoin(store.path(0), 1, 0);
   EXPECT_EQ(features.resemblance, 0.0);
   EXPECT_EQ(features.walk, 0.0);
-  EXPECT_FALSE(CandidateSet::Build(arena).contains(1, 0));
+  EXPECT_FALSE(CandidateSet::Build(store).contains(1, 0));
 }
 
 TEST(FusedKernelEdgeTest, ZeroForwardMassGivesZeroDenominator) {
@@ -365,12 +386,12 @@ TEST(FusedKernelEdgeTest, ZeroForwardMassGivesZeroDenominator) {
   std::vector<std::vector<NeighborProfile>> profiles(2);
   profiles[0].emplace_back(std::vector<ProfileEntry>{{1, 0.0, 0.4}});
   profiles[1].emplace_back(std::vector<ProfileEntry>{{1, 0.0, 0.7}});
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  const FusedPathFeatures features = FusedMergeJoin(arena.path(0), 1, 0);
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(2), profiles);
+  const FusedPathFeatures features = FusedMergeJoin(store.path(0), 1, 0);
   EXPECT_EQ(features.resemblance, 0.0);
   EXPECT_EQ(features.walk, 0.0);  // forward factors are 0 in both directions
   // Tuples overlap, so the pair is still a candidate.
-  EXPECT_TRUE(CandidateSet::Build(arena).contains(1, 0));
+  EXPECT_TRUE(CandidateSet::Build(store).contains(1, 0));
 }
 
 TEST(FusedKernelEdgeTest, DisjointTuplesAreNotCandidates) {
@@ -378,8 +399,8 @@ TEST(FusedKernelEdgeTest, DisjointTuplesAreNotCandidates) {
   profiles[0].emplace_back(std::vector<ProfileEntry>{{1, 1.0, 1.0}});
   profiles[1].emplace_back(std::vector<ProfileEntry>{{2, 1.0, 1.0}});
   profiles[2].emplace_back(std::vector<ProfileEntry>{{1, 0.5, 0.5}});
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  const CandidateSet candidates = CandidateSet::Build(arena);
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(3), profiles);
+  const CandidateSet candidates = CandidateSet::Build(store);
   EXPECT_FALSE(candidates.contains(1, 0));
   EXPECT_FALSE(candidates.contains(2, 1));
   EXPECT_TRUE(candidates.contains(2, 0));
@@ -387,20 +408,21 @@ TEST(FusedKernelEdgeTest, DisjointTuplesAreNotCandidates) {
 }
 
 TEST(FusedKernelEdgeTest, ArenaSlicesAreSortedAndDuplicateFree) {
-  // NeighborProfile sorts its entries; the arena must preserve that order
-  // (strictly increasing tuples per slice) — the merge-join relies on it.
+  // NeighborProfile sorts its entries; the store's slabs must preserve that
+  // order (strictly increasing tuples per slice) — the merge-join relies on
+  // it.
   std::vector<std::vector<NeighborProfile>> profiles(2);
   profiles[0].emplace_back(std::vector<ProfileEntry>{
       {7, 0.1, 0.1}, {2, 0.2, 0.2}, {5, 0.3, 0.3}});
   profiles[1].emplace_back(std::vector<ProfileEntry>{{9, 0.4, 0.4}, {1, 0.6, 0.6}});
-  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  const ProfileArena::Path& path = arena.path(0);
-  for (size_t r = 0; r < arena.num_refs(); ++r) {
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(2), profiles);
+  const ProfileStore::Path& path = store.path(0);
+  for (size_t r = 0; r < store.num_refs(); ++r) {
     for (size_t e = path.offsets[r] + 1; e < path.offsets[r + 1]; ++e) {
       EXPECT_LT(path.tuples[e - 1], path.tuples[e]);
     }
   }
-  EXPECT_EQ(arena.num_entries(), 5u);
+  EXPECT_EQ(path.tuples.size(), 5u);
   EXPECT_EQ(path.forward,
             (std::vector<double>{0.2, 0.3, 0.1, 0.6, 0.4}));
 }
@@ -419,6 +441,7 @@ void ExpectBitIdentical(const PairMatrix& a, const PairMatrix& b) {
   }
 }
 
+/// A planted mega-name of 150 references: three tile rows of the fill.
 class FusedKernelEngineTest : public ::testing::Test {
  protected:
   FusedKernelEngineTest() {
@@ -426,7 +449,7 @@ class FusedKernelEngineTest : public ::testing::Test {
     generator.seed = 7;
     generator.num_communities = 12;
     generator.authors_per_community = 15;
-    generator.ambiguous = {{"Wei Wang", 4, 60}};
+    generator.ambiguous = {{"Wei Wang", 4, 150}};
     auto dataset = GenerateDblpDataset(generator);
     DISTINCT_CHECK(dataset.ok());
     dataset_ = std::make_unique<DblpDataset>(*std::move(dataset));
@@ -441,7 +464,7 @@ class FusedKernelEngineTest : public ::testing::Test {
     auto refs = engine_->RefsForName("Wei Wang");
     DISTINCT_CHECK(refs.ok());
     refs_ = *std::move(refs);
-    DISTINCT_CHECK(refs_.size() >= 50);
+    DISTINCT_CHECK(refs_.size() >= 150);
   }
 
   ProfileStore BuildStore(ThreadPool* pool) const {
@@ -451,33 +474,33 @@ class FusedKernelEngineTest : public ::testing::Test {
                                /*min_parallel_refs=*/2);
   }
 
+  /// The oracle's input: the raw profiles, profiles[i][p].
+  std::vector<std::vector<NeighborProfile>> Propagate() const {
+    return ProfileStore::Propagate(engine_->propagation_engine(),
+                                   engine_->paths(),
+                                   engine_->config().propagation, refs_);
+  }
+
   std::unique_ptr<DblpDataset> dataset_;
   std::unique_ptr<Distinct> engine_;
   std::vector<int32_t> refs_;
 };
 
 TEST_F(FusedKernelEngineTest, FusedMatchesReferenceAcrossThreadCounts) {
-  const ProfileStore serial_store = BuildStore(nullptr);
-  const auto expected = ReferencePairMatrices(serial_store, engine_->model());
+  const auto expected = ReferencePairMatrices(Propagate(), engine_->model());
 
   for (const int threads : {1, 4}) {
     ThreadPool pool(threads);
     const ProfileStore store = BuildStore(&pool);
-    PairKernelOptions fused;
-    fused.tile_size = 8;
-    fused.min_parallel_refs = 2;
-    const auto actual =
-        ComputePairMatrices(store, engine_->model(), &pool, fused);
+    const auto actual = ComputePairMatrices(store, engine_->model(), &pool);
     ExpectBitIdentical(actual.first, expected.first);
     ExpectBitIdentical(actual.second, expected.second);
   }
 }
 
 TEST_F(FusedKernelEngineTest, NonCandidatePairsAreExactlyZeroInReference) {
-  const ProfileStore store = BuildStore(nullptr);
-  const ProfileArena arena = ProfileArena::FromStore(store);
-  const CandidateSet candidates = CandidateSet::Build(arena);
-  const auto matrices = ReferencePairMatrices(store, engine_->model());
+  const CandidateSet candidates = CandidateSet::Build(BuildStore(nullptr));
+  const auto matrices = ReferencePairMatrices(Propagate(), engine_->model());
   for (size_t i = 1; i < refs_.size(); ++i) {
     for (size_t j = 0; j < i; ++j) {
       if (!candidates.contains(i, j)) {
@@ -492,8 +515,7 @@ TEST_F(FusedKernelEngineTest, EngineResolveAgreesAcrossKernelsAndPruning) {
   auto baseline = engine_->ResolveRefs(refs_);
   ASSERT_TRUE(baseline.ok());
 
-  const auto oracle = ReferencePairMatrices(BuildStore(nullptr),
-                                            engine_->model());
+  const auto oracle = ReferencePairMatrices(Propagate(), engine_->model());
   const ClusteringResult reference = ClusterReferences(
       oracle.first, oracle.second, engine_->cluster_options());
 
@@ -568,29 +590,13 @@ class UniversalPathFillTest : public ::testing::Test {
         // feature into a −0.0 term of the reference's sums.
         model_({0.5, 0.3, -0.2, 0.4, 0.1}, {-0.1, 0.6, 0.3, -0.3, 0.2}) {}
 
-  static std::vector<int32_t> Refs(size_t n) {
-    std::vector<int32_t> refs(n);
-    for (size_t r = 0; r < n; ++r) {
-      refs[r] = static_cast<int32_t>(r);
-    }
-    return refs;
-  }
-
-  static PairKernelOptions FusedOptions() {
-    PairKernelOptions options;
-    options.tile_size = 16;
-    options.min_parallel_refs = 2;
-    return options;
-  }
-
   std::vector<std::vector<NeighborProfile>> profiles_;
   ProfileStore store_;
   SimilarityModel model_;
 };
 
 TEST_F(UniversalPathFillTest, EveryPairIsACandidateButHubPathsAreSparse) {
-  const CandidateSet candidates =
-      CandidateSet::Build(ProfileArena::FromStore(store_));
+  const CandidateSet candidates = CandidateSet::Build(store_);
   EXPECT_EQ(candidates.count(),
             static_cast<int64_t>(kRefs * (kRefs - 1) / 2));
   EXPECT_FALSE(candidates.has_path(4));
@@ -598,12 +604,11 @@ TEST_F(UniversalPathFillTest, EveryPairIsACandidateButHubPathsAreSparse) {
 }
 
 TEST_F(UniversalPathFillTest, FusedFillIsBitwiseTheReference) {
-  const auto expected = ReferencePairMatrices(store_, model_);
+  const auto expected = ReferencePairMatrices(profiles_, model_);
   for (const int threads : {1, 4}) {
     ThreadPool pool(threads);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    const auto actual =
-        ComputePairMatrices(store_, model_, &pool, FusedOptions());
+    const auto actual = ComputePairMatrices(store_, model_, &pool);
     ExpectSameBits(actual.first, expected.first);
     ExpectSameBits(actual.second, expected.second);
   }
@@ -626,7 +631,7 @@ TEST_F(UniversalPathFillTest, PathJoinsCountsOnlySharedPaths) {
       pool = std::make_unique<ThreadPool>(threads);
     }
     obs::MetricsRegistry::Global().Reset();
-    ComputePairMatrices(store_, model_, pool.get(), FusedOptions());
+    ComputePairMatrices(store_, model_, pool.get());
     const obs::MetricsSnapshot metrics =
         obs::MetricsRegistry::Global().Snapshot();
     EXPECT_EQ(metrics.CounterValue("sim.path_joins"), shared)
@@ -658,17 +663,14 @@ TEST_F(UniversalPathFillTest, UpdateEqualsFullCompute) {
   }
   const ProfileStore old_store =
       ProfileStore::FromProfiles(Refs(kOldRefs), std::move(old_profiles));
-  const ProfileArena arena = ProfileArena::FromStore(store_);
-  const PairKernelOptions options = FusedOptions();
-  const auto old = ComputePairMatrices(old_store, model_, nullptr, options);
-  const auto expected = ReferencePairMatrices(store_, model_);
+  const auto old = ComputePairMatrices(old_store, model_);
+  const auto expected = ReferencePairMatrices(profiles_, model_);
   for (const int threads : {1, 4}) {
     ThreadPool pool(threads);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    const auto updated = UpdatePairMatrices(store_, arena, model_, dirty,
-                                            old.first, old.second, &pool,
-                                            options);
-    const auto full = ComputePairMatrices(store_, model_, &pool, options);
+    const auto updated = UpdatePairMatrices(store_, model_, dirty, old.first,
+                                            old.second, &pool);
+    const auto full = ComputePairMatrices(store_, model_, &pool);
     ExpectSameBits(updated.first, full.first);
     ExpectSameBits(updated.second, full.second);
     ExpectSameBits(full.first, expected.first);
@@ -687,11 +689,11 @@ size_t LivePaths(const CandidateSet& candidates) {
 TEST(FusedKernelMiniTest, MoreThan64LivePathsFallBackToEveryPath) {
   // Past 64 live paths a cell's path set no longer fits one word, so a
   // union candidate joins every path; the cells must not change, in the
-  // full fill or in the masked refill.
+  // full fill or in the masked refill. 150 references: three tile rows.
   Rng rng(64);
-  const size_t kRefs = 24;
+  const size_t kRefs = 150;
   const size_t kPaths = 70;
-  auto profiles = RandomProfiles(rng, kRefs, kPaths);
+  const auto profiles = RandomProfiles(rng, kRefs, kPaths);
   std::vector<double> resem_weights(kPaths);
   std::vector<double> walk_weights(kPaths);
   for (size_t p = 0; p < kPaths; ++p) {
@@ -699,13 +701,9 @@ TEST(FusedKernelMiniTest, MoreThan64LivePathsFallBackToEveryPath) {
     walk_weights[p] = rng.UniformDouble() - 0.3;
   }
   const SimilarityModel model(resem_weights, walk_weights);
-  std::vector<int32_t> refs(kRefs);
-  for (size_t r = 0; r < kRefs; ++r) {
-    refs[r] = static_cast<int32_t>(r);
-  }
-  // The old catalog: the first 18 references, every fifth of them with
+  // The old catalog: the first 120 references, every fifth of them with
   // other profiles; the update re-profiles those and appends the rest.
-  const size_t kOldRefs = 18;
+  const size_t kOldRefs = 120;
   const auto other = RandomProfiles(rng, kOldRefs, kPaths);
   std::vector<std::vector<NeighborProfile>> old_profiles(
       profiles.begin(), profiles.begin() + kOldRefs);
@@ -718,34 +716,27 @@ TEST(FusedKernelMiniTest, MoreThan64LivePathsFallBackToEveryPath) {
       old_profiles[r] = other[r];
     }
   }
-  const ProfileStore old_store = ProfileStore::FromProfiles(
-      std::vector<int32_t>(refs.begin(), refs.begin() + kOldRefs),
-      std::move(old_profiles));
-  const ProfileStore store =
-      ProfileStore::FromProfiles(std::move(refs), std::move(profiles));
-  const ProfileArena arena = ProfileArena::FromStore(store);
-  ASSERT_GT(LivePaths(CandidateSet::Build(arena)), 64u);
-  ASSERT_GT(LivePaths(CandidateSet::Build(arena, &dirty)), 64u);
+  const ProfileStore old_store =
+      ProfileStore::FromProfiles(Refs(kOldRefs), std::move(old_profiles));
+  const ProfileStore store = ProfileStore::FromProfiles(Refs(kRefs), profiles);
+  ASSERT_GT(LivePaths(CandidateSet::Build(store)), 64u);
+  ASSERT_GT(LivePaths(CandidateSet::Build(store, &dirty)), 64u);
 
-  PairKernelOptions fused;
-  fused.tile_size = 8;
-  fused.min_parallel_refs = 2;
-  const auto expected = ReferencePairMatrices(store, model);
+  const auto expected = ReferencePairMatrices(profiles, model);
   ThreadPool pool(4);
   for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const auto actual = ComputePairMatrices(store, model, workers, fused);
+    const auto actual = ComputePairMatrices(store, model, workers);
     ExpectSameBits(actual.first, expected.first);
     ExpectSameBits(actual.second, expected.second);
   }
 
-  const auto old = ComputePairMatrices(old_store, model, nullptr, fused);
+  const auto old = ComputePairMatrices(old_store, model);
   for (const int threads : {1, 4}) {
     ThreadPool workers(threads);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    const auto updated = UpdatePairMatrices(store, arena, model, dirty,
-                                            old.first, old.second, &workers,
-                                            fused);
-    const auto full = ComputePairMatrices(store, model, &workers, fused);
+    const auto updated = UpdatePairMatrices(store, model, dirty, old.first,
+                                            old.second, &workers);
+    const auto full = ComputePairMatrices(store, model, &workers);
     ExpectSameBits(updated.first, full.first);
     ExpectSameBits(updated.second, full.second);
   }
@@ -762,9 +753,8 @@ TEST(FusedKernelMiniTest, EmptyAndSingletonStores) {
     const ProfileStore store = ProfileStore::Build(
         engine->propagation_engine(), engine->paths(),
         engine->config().propagation, refs, /*pool=*/nullptr);
-    const ProfileArena arena = ProfileArena::FromStore(store);
-    EXPECT_EQ(arena.num_refs(), refs.size());
-    const CandidateSet candidates = CandidateSet::Build(arena);
+    EXPECT_EQ(store.num_refs(), refs.size());
+    const CandidateSet candidates = CandidateSet::Build(store);
     EXPECT_EQ(candidates.count(), 0);
     const auto matrices = ComputePairMatrices(store, engine->model());
     EXPECT_EQ(matrices.first.size(), refs.size());

@@ -12,7 +12,7 @@
 
 #include "common/rng.h"
 #include "sim/fused_kernel.h"
-#include "sim/profile_arena.h"
+#include "sim/profile_store.h"
 
 namespace distinct {
 namespace {
@@ -62,10 +62,10 @@ FusedPathFeatures NaiveFeatures(const NeighborProfile& a,
   return features;
 }
 
-/// Builds a one-path, two-reference arena from two tuple lists; forwards
+/// Builds a one-path, two-reference store from two tuple lists; forwards
 /// and reverses are deterministic functions of the tuple so any divergence
 /// reproduces.
-ProfileArena TwoSliceArena(const std::vector<int32_t>& a,
+ProfileStore TwoSliceStore(const std::vector<int32_t>& a,
                            const std::vector<int32_t>& b,
                            std::vector<std::vector<NeighborProfile>>* raw) {
   auto entries_of = [](const std::vector<int32_t>& tuples) {
@@ -84,7 +84,7 @@ ProfileArena TwoSliceArena(const std::vector<int32_t>& a,
   raw->resize(2);
   (*raw)[0].emplace_back(entries_of(a));
   (*raw)[1].emplace_back(entries_of(b));
-  return ProfileArena::FromProfiles(*raw);
+  return ProfileStore::FromProfiles({0, 1}, *raw);
 }
 
 /// The merge against the naive reference (EXPECT_NEAR — independent
@@ -92,8 +92,8 @@ ProfileArena TwoSliceArena(const std::vector<int32_t>& a,
 void ExpectMergeMatchesNaive(const std::vector<int32_t>& a,
                              const std::vector<int32_t>& b) {
   std::vector<std::vector<NeighborProfile>> raw;
-  const ProfileArena arena = TwoSliceArena(a, b, &raw);
-  const ProfileArena::Path& path = arena.path(0);
+  const ProfileStore store = TwoSliceStore(a, b, &raw);
+  const ProfileStore::Path& path = store.path(0);
   for (const auto& [i, j] : {std::pair<size_t, size_t>{1, 0},
                              std::pair<size_t, size_t>{0, 1}}) {
     const FusedPathFeatures merged = FusedMergeJoin(path, i, j);
@@ -162,8 +162,8 @@ TEST(IntersectEdgeTest, ZeroForwardProbabilitiesKeepDenominatorGuard) {
       std::vector<ProfileEntry>{{1, 0.0, 0.4}, {2, 0.0, 0.6}});
   raw[1].emplace_back(
       std::vector<ProfileEntry>{{1, 0.0, 0.9}, {3, 0.0, 0.1}});
-  const ProfileArena arena = ProfileArena::FromProfiles(raw);
-  const FusedPathFeatures features = FusedMergeJoin(arena.path(0), 1, 0);
+  const ProfileStore store = ProfileStore::FromProfiles({0, 1}, raw);
+  const FusedPathFeatures features = FusedMergeJoin(store.path(0), 1, 0);
   EXPECT_EQ(features.resemblance, 0.0);
   // Both directed walks multiply by a forward probability, so they are
   // exactly 0 too — no NaN/Inf leaks from the 0/0 resemblance case.

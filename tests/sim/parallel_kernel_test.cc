@@ -10,7 +10,6 @@
 #include "core/distinct.h"
 #include "dblp/generator.h"
 #include "dblp/schema.h"
-#include "sim/profile_arena.h"
 #include "sim/profile_store.h"
 
 namespace distinct {
@@ -30,28 +29,6 @@ std::vector<std::vector<NeighborProfile>> OracleProfiles(
   return profiles;
 }
 
-/// Serial reference implementation: the pre-kernel per-cell loop over
-/// oracle profiles and ComputePairFeatures. The kernel must reproduce it
-/// bit-for-bit.
-std::pair<PairMatrix, PairMatrix> SerialMatrices(
-    const Distinct& engine, const std::vector<int32_t>& refs) {
-  const std::vector<std::vector<NeighborProfile>> profiles =
-      OracleProfiles(engine, refs);
-  const SimilarityModel& model = engine.model();
-  const size_t n = refs.size();
-  PairMatrix resem(n);
-  PairMatrix walk(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      const PairFeatures features =
-          ComputePairFeatures(profiles[i], profiles[j]);
-      resem.set(i, j, model.Resemblance(features));
-      walk.set(i, j, model.Walk(features));
-    }
-  }
-  return std::make_pair(std::move(resem), std::move(walk));
-}
-
 void ExpectBitIdentical(const PairMatrix& a, const PairMatrix& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -62,8 +39,36 @@ void ExpectBitIdentical(const PairMatrix& a, const PairMatrix& b) {
   }
 }
 
-/// A generated database with one planted mega-name, plus an engine and
-/// everything the kernel consumes.
+/// Slice `r` of path `p` holds exactly `expected`'s entries.
+void ExpectSliceIs(const ProfileStore& store, size_t p, size_t r,
+                   const NeighborProfile& expected) {
+  SCOPED_TRACE(::testing::Message() << "path " << p << " slice " << r);
+  const ProfileStore::Path& path = store.path(p);
+  ASSERT_EQ(path.size(r), expected.size());
+  for (size_t e = 0; e < expected.size(); ++e) {
+    const size_t at = path.offsets[r] + e;
+    EXPECT_EQ(path.tuples[at], expected.entries()[e].tuple);
+    EXPECT_EQ(path.forward[at], expected.entries()[e].forward);
+    EXPECT_EQ(path.reverse[at], expected.entries()[e].reverse);
+  }
+}
+
+/// Same references and the same bytes in every slab.
+void ExpectSameSlabs(const ProfileStore& got, const ProfileStore& want) {
+  ASSERT_EQ(got.refs(), want.refs());
+  ASSERT_EQ(got.num_paths(), want.num_paths());
+  for (size_t p = 0; p < want.num_paths(); ++p) {
+    SCOPED_TRACE(::testing::Message() << "path " << p);
+    EXPECT_EQ(got.path(p).offsets, want.path(p).offsets);
+    EXPECT_EQ(got.path(p).tuples, want.path(p).tuples);
+    EXPECT_EQ(got.path(p).forward, want.path(p).forward);
+    EXPECT_EQ(got.path(p).reverse, want.path(p).reverse);
+  }
+}
+
+/// A generated database with one planted mega-name of 150 references —
+/// three tile rows of the fill — plus an engine and everything the kernel
+/// consumes.
 class ParallelKernelTest : public ::testing::Test {
  protected:
   ParallelKernelTest() {
@@ -71,7 +76,7 @@ class ParallelKernelTest : public ::testing::Test {
     generator.seed = 7;
     generator.num_communities = 12;
     generator.authors_per_community = 15;
-    generator.ambiguous = {{"Wei Wang", 4, 60}};
+    generator.ambiguous = {{"Wei Wang", 4, 150}};
     auto dataset = GenerateDblpDataset(generator);
     DISTINCT_CHECK(dataset.ok());
     dataset_ = std::make_unique<DblpDataset>(*std::move(dataset));
@@ -87,7 +92,7 @@ class ParallelKernelTest : public ::testing::Test {
     auto refs = engine_->RefsForName("Wei Wang");
     DISTINCT_CHECK(refs.ok());
     refs_ = *std::move(refs);
-    DISTINCT_CHECK(refs_.size() >= 50);
+    DISTINCT_CHECK(refs_.size() >= 150);
   }
 
   std::unique_ptr<DblpDataset> dataset_;
@@ -98,65 +103,41 @@ class ParallelKernelTest : public ::testing::Test {
 TEST_F(ParallelKernelTest, ProfileStoreMatchesExtractor) {
   const std::vector<std::vector<NeighborProfile>> oracle =
       OracleProfiles(*engine_, refs_);
-  const ProfileStore store = ProfileStore::Build(
-      engine_->propagation_engine(), engine_->paths(),
-      engine_->config().propagation, refs_, /*pool=*/nullptr);
-  ASSERT_EQ(store.num_refs(), refs_.size());
-  ASSERT_EQ(store.num_paths(), engine_->paths().size());
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    EXPECT_EQ(store.IndexOf(refs_[i]), static_cast<int64_t>(i));
-    const std::vector<NeighborProfile>& expected = oracle[i];
-    const std::vector<NeighborProfile>& actual = store.profiles(i);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t p = 0; p < expected.size(); ++p) {
-      ASSERT_EQ(actual[p].size(), expected[p].size());
-      for (size_t e = 0; e < expected[p].entries().size(); ++e) {
-        EXPECT_EQ(actual[p].entries()[e].tuple,
-                  expected[p].entries()[e].tuple);
-        EXPECT_EQ(actual[p].entries()[e].forward,
-                  expected[p].entries()[e].forward);
-        EXPECT_EQ(actual[p].entries()[e].reverse,
-                  expected[p].entries()[e].reverse);
+  for (const size_t cache_bytes : {size_t{0}, size_t{64} << 20}) {
+    PropagationOptions options = engine_->config().propagation;
+    options.cache_bytes = cache_bytes;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "cache=" << cache_bytes
+                                        << " threads=" << threads);
+      ThreadPool pool(threads);
+      const ProfileStore store = ProfileStore::Build(
+          engine_->propagation_engine(), engine_->paths(), options, refs_,
+          &pool);
+      ASSERT_EQ(store.refs(), refs_);
+      ASSERT_EQ(store.num_paths(), engine_->paths().size());
+      for (size_t p = 0; p < store.num_paths(); ++p) {
+        ASSERT_EQ(store.path(p).offsets.size(), refs_.size() + 1);
+        for (size_t i = 0; i < refs_.size(); ++i) {
+          ExpectSliceIs(store, p, i, oracle[i][p]);
+        }
       }
     }
   }
-  EXPECT_EQ(store.IndexOf(-123), -1);
 }
 
 TEST_F(ParallelKernelTest, KernelIsBitIdenticalAcrossThreadCounts) {
-  const auto serial = SerialMatrices(*engine_, refs_);
+  const auto serial =
+      ReferencePairMatrices(OracleProfiles(*engine_, refs_), engine_->model());
 
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    // Tiny tile size so even ~60 refs produce many tiles.
-    PairKernelOptions options;
-    options.tile_size = 8;
-    options.min_parallel_refs = 2;
     const ProfileStore store = ProfileStore::Build(
         engine_->propagation_engine(), engine_->paths(),
         engine_->config().propagation, refs_, &pool,
         /*min_parallel_refs=*/2);
-    const auto parallel =
-        ComputePairMatrices(store, engine_->model(), &pool, options);
+    const auto parallel = ComputePairMatrices(store, engine_->model(), &pool);
     ExpectBitIdentical(parallel.first, serial.first);
     ExpectBitIdentical(parallel.second, serial.second);
-  }
-}
-
-TEST_F(ParallelKernelTest, TileSizeDoesNotChangeResults) {
-  ThreadPool pool(4);
-  const ProfileStore store = ProfileStore::Build(
-      engine_->propagation_engine(), engine_->paths(),
-      engine_->config().propagation, refs_, &pool, /*min_parallel_refs=*/2);
-  const auto baseline = ComputePairMatrices(store, engine_->model());
-  for (const int tile : {1, 3, 16, 1024}) {
-    PairKernelOptions options;
-    options.tile_size = tile;
-    options.min_parallel_refs = 2;
-    const auto tiled =
-        ComputePairMatrices(store, engine_->model(), &pool, options);
-    ExpectBitIdentical(tiled.first, baseline.first);
-    ExpectBitIdentical(tiled.second, baseline.second);
   }
 }
 
@@ -176,44 +157,111 @@ TEST_F(ParallelKernelTest, EngineComputeMatricesMatchesAcrossThreadCounts) {
   }
 }
 
-// The incremental-catalog seam: matrices patched with UpdatePairMatrices
-// after a store splice must be bit-identical to a full fill over the
-// updated store — with conservative extra dirty marks.
+// The incremental-catalog seam: a store spliced with Update — path masks
+// on the re-propagated positions, appended references — must equal Build
+// over the combined references slab for slab, and matrices patched with
+// UpdatePairMatrices must be bit-identical to a full fill over it, with
+// conservative extra dirty marks.
 TEST_F(ParallelKernelTest, UpdatePairMatricesMatchesFullFill) {
   ASSERT_GE(refs_.size(), 20u);
   const size_t old_n = refs_.size() - 8;  // last 8 refs play the append
   const std::vector<int32_t> old_refs(refs_.begin(),
                                       refs_.begin() + old_n);
   const std::vector<int32_t> new_refs(refs_.begin() + old_n, refs_.end());
+  const size_t num_paths = engine_->paths().size();
 
-  ProfileStore store = ProfileStore::Build(
-      engine_->propagation_engine(), engine_->paths(),
-      engine_->config().propagation, old_refs, /*pool=*/nullptr);
-  ProfileArena arena = ProfileArena::FromStore(store);
-  const auto old_matrices = ComputePairMatrices(store, arena, engine_->model());
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    ProfileStore store = ProfileStore::Build(
+        engine_->propagation_engine(), engine_->paths(),
+        engine_->config().propagation, old_refs, &pool);
+    const auto old_matrices =
+        ComputePairMatrices(store, engine_->model(), &pool);
 
-  // Splice in the "appended" refs; additionally mark every 5th existing
-  // position dirty — their profiles are unchanged, and the conservative
-  // re-mark must not change a single bit.
+    // Mark every 5th existing position dirty, each on a different subset
+    // of the paths — their profiles are unchanged, and the conservative
+    // re-mark must not change a single bit.
+    std::vector<size_t> positions;
+    std::vector<uint64_t> masks;
+    std::vector<char> dirty(refs_.size(), 0);
+    for (size_t i = 0; i < old_n; i += 5) {
+      positions.push_back(i);
+      masks.push_back((uint64_t{1} << (i % num_paths)) |
+                      (i % 3 == 0 ? 1 : 0));
+      dirty[i] = 1;
+    }
+    for (size_t i = old_n; i < refs_.size(); ++i) {
+      dirty[i] = 1;
+    }
+    store.Update(engine_->propagation_engine(), engine_->paths(),
+                 engine_->config().propagation, positions, new_refs, &pool,
+                 ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
+                 /*shared_workspaces=*/nullptr, &masks);
+    const ProfileStore full = ProfileStore::Build(
+        engine_->propagation_engine(), engine_->paths(),
+        engine_->config().propagation, refs_, &pool);
+    ExpectSameSlabs(store, full);
+
+    const auto patched =
+        UpdatePairMatrices(store, engine_->model(), dirty,
+                           old_matrices.first, old_matrices.second, &pool);
+    const auto refilled = ComputePairMatrices(full, engine_->model(), &pool);
+    ExpectBitIdentical(patched.first, refilled.first);
+    ExpectBitIdentical(patched.second, refilled.second);
+  }
+}
+
+// Update re-propagates only the masked-in paths of a dirty position and
+// copies every other slice: a masked-out slice keeps its old bytes even
+// when a re-propagation would change them.
+TEST_F(ParallelKernelTest, UpdateKeepsMaskedOutSlices) {
+  const std::vector<std::vector<NeighborProfile>> oracle =
+      OracleProfiles(*engine_, refs_);
+  const size_t num_paths = engine_->paths().size();
+  ASSERT_GE(num_paths, 2u);
+  ASSERT_LE(num_paths, 64u);
+  // Old slices that no propagation produces: one entry on a tuple id past
+  // every table, different per (position, path).
+  const auto stale = [](size_t r, size_t p) {
+    return NeighborProfile(std::vector<ProfileEntry>{
+        {static_cast<int32_t>(1000000 + 100 * r + p), 0.25, 0.5}});
+  };
+  std::vector<std::vector<NeighborProfile>> old_profiles(refs_.size());
+  for (size_t r = 0; r < refs_.size(); ++r) {
+    for (size_t p = 0; p < num_paths; ++p) {
+      old_profiles[r].push_back(stale(r, p));
+    }
+  }
+  // Dirty positions 1, 4, 7, ...: position 3k+1 recomputes path k mod P
+  // only; every other position is clean.
   std::vector<size_t> positions;
-  std::vector<char> dirty(refs_.size(), 0);
-  for (size_t i = 0; i < old_n; i += 5) {
-    positions.push_back(i);
-    dirty[i] = 1;
+  std::vector<uint64_t> masks;
+  for (size_t r = 1; r < refs_.size(); r += 3) {
+    masks.push_back(uint64_t{1} << (positions.size() % num_paths));
+    positions.push_back(r);
   }
-  for (size_t i = old_n; i < refs_.size(); ++i) {
-    dirty[i] = 1;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    ProfileStore store = ProfileStore::FromProfiles(refs_, old_profiles);
+    store.Update(engine_->propagation_engine(), engine_->paths(),
+                 engine_->config().propagation, positions, {}, &pool,
+                 ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
+                 /*shared_workspaces=*/nullptr, &masks);
+    ASSERT_EQ(store.refs(), refs_);
+    std::vector<uint64_t> mask_of(refs_.size(), 0);
+    for (size_t k = 0; k < positions.size(); ++k) {
+      mask_of[positions[k]] = masks[k];
+    }
+    for (size_t p = 0; p < num_paths; ++p) {
+      for (size_t r = 0; r < refs_.size(); ++r) {
+        ExpectSliceIs(store, p, r,
+                      ((mask_of[r] >> p) & 1) != 0 ? oracle[r][p]
+                                                   : stale(r, p));
+      }
+    }
   }
-  store.Update(engine_->propagation_engine(), engine_->paths(),
-               engine_->config().propagation, positions, new_refs);
-  arena.PatchFromStore(store, positions);
-
-  const auto patched =
-      UpdatePairMatrices(store, arena, engine_->model(), dirty,
-                         old_matrices.first, old_matrices.second);
-  const auto full = ComputePairMatrices(store, engine_->model());
-  ExpectBitIdentical(patched.first, full.first);
-  ExpectBitIdentical(patched.second, full.second);
 }
 
 // All-dirty degenerates to a full fill; the partial candidate build must
@@ -222,7 +270,6 @@ TEST_F(ParallelKernelTest, UpdatePairMatricesAllDirtyMatchesFullFill) {
   const ProfileStore store = ProfileStore::Build(
       engine_->propagation_engine(), engine_->paths(),
       engine_->config().propagation, refs_, /*pool=*/nullptr);
-  const ProfileArena arena = ProfileArena::FromStore(store);
   const auto full = ComputePairMatrices(store, engine_->model());
   const std::vector<char> dirty(refs_.size(), 1);
   // Stale "old" matrices of the right size; every cell is dirty, so none
@@ -236,7 +283,7 @@ TEST_F(ParallelKernelTest, UpdatePairMatricesAllDirtyMatchesFullFill) {
     }
   }
   const auto patched =
-      UpdatePairMatrices(store, arena, engine_->model(), dirty, stale_resem,
+      UpdatePairMatrices(store, engine_->model(), dirty, stale_resem,
                          stale_walk);
   ExpectBitIdentical(patched.first, full.first);
   ExpectBitIdentical(patched.second, full.second);
@@ -255,8 +302,6 @@ TEST_F(ParallelKernelTest, UnfiredCancelTokenIsBitInvisible) {
   for (const int threads : {0, 4}) {
     SCOPED_TRACE(threads);
     PairKernelOptions options;
-    options.tile_size = 8;
-    options.min_parallel_refs = 2;
     options.cancel = &unfired;
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) {
@@ -279,8 +324,6 @@ TEST_F(ParallelKernelTest, FiredCancelTokenAbandonsTheFill) {
     CancelToken fired;
     fired.Cancel();
     PairKernelOptions options;
-    options.tile_size = 8;
-    options.min_parallel_refs = 2;
     options.cancel = &fired;
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) {
