@@ -1,8 +1,9 @@
 // Sharded bulk-scan overhead: the full filtered-scan workload resolved by
 // ResolveAllNamesParallel (the unsharded baseline), then by RunShardedScan
-// at several shard counts and under a per-shard memory budget, verifying
-// byte-identical output every time. Shards run sequentially, so sharding
-// buys memory-boundedness and checkpointability, not speed — the harness
+// at several shard counts and under a memory budget, verifying
+// byte-identical output every time. Shards run sequentially on one thread
+// pool, subtree memo and workspace pool per scan, so sharding buys
+// memory-boundedness and checkpointability, not speed — the harness
 // measures what that costs.
 
 #include <cstdio>
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.AddInt64("seed", static_cast<int64_t>(kDefaultSeed),
                  "generator seed");
-  flags.AddInt64("threads", 4, "worker threads per shard");
+  flags.AddInt64("threads", 4, "worker threads of each scan");
   flags.AddInt64("min-refs", 4, "scan filter: minimum references per name");
   flags.AddInt64("budget-mb", 64, "memory budget for the budgeted run");
   if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const int threads = MustIntInRange(flags, "threads", 1, 4096);
-  std::printf("%zu name groups, %d threads/shard, %u hardware threads\n\n",
+  std::printf("%zu name groups, %d threads, %u hardware threads\n\n",
               groups->size(), threads,
               std::thread::hardware_concurrency());
 
@@ -163,9 +164,9 @@ int main(int argc, char** argv) {
   std::printf("%s", table.Render().c_str());
   json.Write();
   std::printf(
-      "\nshards run sequentially through the same parallel kernel; the "
-      "overhead column is the price of per-shard caches and planning, and "
-      "'exact' confirms the merged output is byte-identical to the "
-      "unsharded scan.\n");
+      "\nshards run sequentially through the same parallel kernel on one "
+      "pool and one memo per scan; the overhead column is the price of "
+      "planning and of one group loop per shard, and 'exact' confirms the "
+      "merged output is byte-identical to the unsharded scan.\n");
   return 0;
 }

@@ -668,8 +668,8 @@ int main(int argc, char** argv) {
                  "scan: partition the name groups into this many "
                  "deterministic shards (balanced by estimated pair count)");
   flags.AddInt64("scan-memory-mb", 0,
-                 "memory budget in MiB (0 = unbounded) — scan: per shard, "
-                 "bounds the subtree memo and concurrent workspaces; "
+                 "memory budget in MiB (0 = unbounded) — scan: bounds the "
+                 "scan's one subtree memo and concurrent workspaces; "
                  "serve: query admission; ingest: working set");
   flags.AddString("checkpoint-dir", "",
                   "scan: write per-shard checkpoints into this directory "

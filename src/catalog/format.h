@@ -1,21 +1,28 @@
 // On-disk layout of the columnar DBLP catalog (DESIGN.md §16).
 //
-// A catalog is a directory:
+// A catalog is a directory holding one committed generation, whose
+// unique stamp G (16 hex digits) is in every data file name:
 //
-//   MANIFEST.json       committed last; its presence marks a complete,
-//                       consistent catalog generation
-//   authors.dict        dictionary files: all distinct strings of one
-//   venues.dict         column, id order = first appearance in the record
-//   titles.dict         stream, plus a sorted permutation for lookups
-//   segment-000000.bin  append-only column segments of fixed-width ids
-//   segment-000001.bin  ...
+//   MANIFEST.json           committed last; names every file of the
+//                           generation and marks it complete
+//   authors-G.dict          dictionary files: all distinct strings of one
+//   venues-G.dict           column, id order = first appearance in the
+//   titles-G.dict           record stream, plus a sorted permutation
+//   segment-G-000000.bin    append-only column segments of fixed-width ids
+//   segment-G-000001.bin    ...
 //
 // Every binary file is little-endian, begins with (magic, version), and
 // ends with a CRC-32C of everything before the trailer. Files are written
 // to `<name>.tmp`, fsync'd, renamed into place, and the directory is
-// fsync'd — the same protocol core/checkpoint.cc uses — so a crash
-// mid-ingest leaves either a complete previous generation or no MANIFEST
-// at all, never a torn catalog.
+// fsync'd — the same protocol core/checkpoint.cc uses. A new generation's
+// files carry its own stamp, so writing them never touches a file the
+// committed manifest names; renaming the new MANIFEST.json over the old
+// one commits the generation in one step, and only then are the files it
+// does not name (the previous generation, debris of a failed or killed
+// ingest) swept. An ingest that fails or dies at any point before the
+// rename leaves the previous generation readable, or no manifest at all
+// in a directory that never had one — never a torn catalog. Readers take
+// every file name from the manifest.
 //
 // Dictionary file:
 //   u32 magic = kDictMagic        u32 version = kCatalogFormatVersion
@@ -47,6 +54,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace distinct {
 namespace catalog {
@@ -56,12 +64,13 @@ inline constexpr uint32_t kDictMagic = 0x44544344;     // "DCTD"
 inline constexpr uint32_t kSegmentMagic = 0x47534344;  // "DCSG"
 
 inline constexpr char kManifestFile[] = "MANIFEST.json";
-inline constexpr char kAuthorsDictFile[] = "authors.dict";
-inline constexpr char kVenuesDictFile[] = "venues.dict";
-inline constexpr char kTitlesDictFile[] = "titles.dict";
 
-/// "segment-000042.bin".
-std::string SegmentFileName(int64_t index);
+/// "authors-00f1e2d3c4b5a697.dict" for column "authors" (also "venues",
+/// "titles": the manifest's dictionary keys).
+std::string DictionaryFileName(std::string_view column, int64_t generation);
+
+/// "segment-00f1e2d3c4b5a697-000042.bin".
+std::string SegmentFileName(int64_t generation, int64_t index);
 
 /// The empty-venue replacement. Interned by the catalog writer exactly
 /// where dblp/xml_loader.cc would intern it, so the venue dictionary's ids

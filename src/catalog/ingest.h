@@ -44,8 +44,9 @@ struct IngestStats {
 };
 
 /// Streams `xml_path` into a fresh catalog generation at `catalog_dir`.
-/// Any failure (I/O, malformed XML, budget, disk) leaves the directory
-/// without a manifest, so a later Open refuses it.
+/// Any failure (I/O, malformed XML, budget, disk) commits nothing: a later
+/// Open reads the directory's previous generation, or refuses a directory
+/// that never held one.
 StatusOr<IngestStats> IngestDblpXml(const std::string& xml_path,
                                     const std::string& catalog_dir,
                                     const IngestOptions& options = {});

@@ -11,11 +11,14 @@
 #include <filesystem>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "catalog/format.h"
 #include "common/crc32.h"
 #include "common/io_util.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "obs/json_writer.h"
 
@@ -57,6 +60,44 @@ int64_t NewGeneration() {
     generation = 1;
   }
   return static_cast<int64_t>(generation);
+}
+
+/// The stamp every data file of `generation` carries in its name.
+std::string GenerationTag(int64_t generation) {
+  char tag[17];
+  std::snprintf(tag, sizeof(tag), "%016llx",
+                static_cast<unsigned long long>(generation));
+  return tag;
+}
+
+/// Removes the dictionaries, segments (of any generation or naming) and
+/// .tmp files of unfinished writes in `dir` that are not in `committed`.
+/// Runs after the commit, so a failure is logged, not returned: the new
+/// generation stands either way.
+void SweepUncommitted(const std::string& dir,
+                      const std::unordered_set<std::string>& committed) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  std::vector<fs::path> stale;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    const bool catalog_file =
+        name.ends_with(".tmp") || name.ends_with(".dict") ||
+        (name.starts_with("segment-") && name.ends_with(".bin"));
+    if (catalog_file && !committed.contains(name)) {
+      stale.push_back(entry.path());
+    }
+  }
+  if (ec) {
+    DISTINCT_LOG(WARN) << "catalog: cannot list '" << dir
+                       << "' for the sweep: " << ec.message();
+  }
+  for (const fs::path& path : stale) {
+    if (!fs::remove(path, ec) && ec) {
+      DISTINCT_LOG(WARN) << "catalog: cannot sweep '" << path.string()
+                         << "': " << ec.message();
+    }
+  }
 }
 
 struct StringViewHash {
@@ -159,9 +200,14 @@ class CatalogWriter::InternTable {
   obs::TrackedBytes tracked_;
 };
 
-std::string SegmentFileName(int64_t index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "segment-%06lld.bin",
+std::string DictionaryFileName(std::string_view column, int64_t generation) {
+  return std::string(column) + "-" + GenerationTag(generation) + ".dict";
+}
+
+std::string SegmentFileName(int64_t generation, int64_t index) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "segment-%s-%06lld.bin",
+                GenerationTag(generation).c_str(),
                 static_cast<long long>(index));
   return name;
 }
@@ -194,22 +240,10 @@ StatusOr<std::unique_ptr<CatalogWriter>> CatalogWriter::Create(
     return InternalError("catalog: cannot create directory '" + options.dir +
                          "': " + ec.message());
   }
-  // Sweep debris: the previous generation's files and any .tmp left by a
-  // killed ingest. A catalog directory holds exactly one generation.
-  for (const auto& entry : fs::directory_iterator(options.dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    const bool stale =
-        name == kManifestFile || name.ends_with(".tmp") ||
-        name.ends_with(".dict") ||
-        (name.starts_with("segment-") && name.ends_with(".bin"));
-    if (stale) {
-      fs::remove(entry.path(), ec);
-      if (ec) {
-        return InternalError("catalog: cannot remove stale '" + name +
-                             "': " + ec.message());
-      }
-    }
-  }
+  // Nothing is removed here: the committed generation stays readable
+  // until Finish commits the new one. Every file the new generation writes
+  // carries its fresh stamp, so none lands on a file the committed
+  // manifest names.
   return std::unique_ptr<CatalogWriter>(new CatalogWriter(std::move(options)));
 }
 
@@ -317,7 +351,8 @@ Status CatalogWriter::FlushSegment() {
   append_u32s(author_id_);
 
   SegmentManifest manifest;
-  manifest.file = SegmentFileName(static_cast<int64_t>(segments_.size()));
+  manifest.file =
+      SegmentFileName(generation_, static_cast<int64_t>(segments_.size()));
   manifest.paper_base = segment_paper_base_;
   manifest.num_papers = papers;
   manifest.num_refs = refs;
@@ -368,16 +403,17 @@ StatusOr<CatalogSummary> CatalogWriter::Finish(int64_t records_skipped) {
   DISTINCT_RETURN_IF_ERROR(FlushSegment());
 
   struct DictManifest {
-    const char* file;
+    std::string file;
     uint32_t crc = 0;
     int64_t bytes = 0;
     int64_t count = 0;
   };
-  DictManifest dicts[3] = {{kAuthorsDictFile}, {kVenuesDictFile},
-                           {kTitlesDictFile}};
+  const char* dict_keys[3] = {"authors", "venues", "titles"};
+  DictManifest dicts[3];
   const InternTable* tables[3] = {authors_.get(), venues_.get(),
                                   titles_.get()};
   for (int i = 0; i < 3; ++i) {
+    dicts[i].file = DictionaryFileName(dict_keys[i], generation_);
     dicts[i].count = static_cast<int64_t>(tables[i]->size());
     DISTINCT_RETURN_IF_ERROR(WriteDictionary(dicts[i].file, *tables[i],
                                              &dicts[i].crc, &dicts[i].bytes));
@@ -391,7 +427,6 @@ StatusOr<CatalogSummary> CatalogWriter::Finish(int64_t records_skipped) {
   json.Key("num_refs").Value(num_refs_);
   json.Key("records_skipped").Value(records_skipped);
   json.Key("dictionaries").BeginObject();
-  const char* dict_keys[3] = {"authors", "venues", "titles"};
   for (int i = 0; i < 3; ++i) {
     json.Key(dict_keys[i]).BeginObject();
     json.Key("file").Value(dicts[i].file);
@@ -415,9 +450,9 @@ StatusOr<CatalogSummary> CatalogWriter::Finish(int64_t records_skipped) {
   json.EndArray();
   json.EndObject();
 
-  // The manifest commits the generation: readers refuse a directory
-  // without one, so a crash before this rename leaves no catalog rather
-  // than a partial one.
+  // The manifest commits the generation: the rename swaps the previous
+  // manifest (if any) for this one in one step, so a crash before it
+  // leaves the previous generation, and a crash after it the new one.
   const std::string manifest_path =
       std::string(options_.dir) + "/" + kManifestFile;
   const std::string tmp = manifest_path + ".tmp";
@@ -429,6 +464,16 @@ StatusOr<CatalogSummary> CatalogWriter::Finish(int64_t records_skipped) {
   DISTINCT_RETURN_IF_ERROR(FsyncDir(options_.dir, "catalog"));
   bytes_written_ += static_cast<int64_t>(json.str().size());
   finished_ = true;
+
+  // Only now is the previous generation unreferenced.
+  std::unordered_set<std::string> committed;
+  for (const DictManifest& dict : dicts) {
+    committed.insert(dict.file);
+  }
+  for (const SegmentManifest& segment : segments_) {
+    committed.insert(segment.file);
+  }
+  SweepUncommitted(options_.dir, committed);
 
   CatalogSummary summary;
   summary.generation = generation_;

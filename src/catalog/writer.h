@@ -49,8 +49,9 @@ struct CatalogSummary {
 
 class CatalogWriter {
  public:
-  /// Creates `options.dir` if needed and removes any stale catalog files
-  /// in it (a previous generation, or debris from a killed ingest).
+  /// Creates `options.dir` if needed. Removes nothing: the new
+  /// generation's files carry its own stamp (catalog/format.h), and the
+  /// previous generation stays readable until Finish commits.
   static StatusOr<std::unique_ptr<CatalogWriter>> Create(
       CatalogWriterOptions options);
 
@@ -62,8 +63,10 @@ class CatalogWriter {
   /// full. ResourceExhausted when the working set exceeds the budget.
   Status Add(const DblpRecord& record);
 
-  /// Flushes the tail segment and dictionaries, then commits the catalog
-  /// by renaming MANIFEST.json into place. The writer is unusable after.
+  /// Flushes the tail segment and dictionaries, commits the catalog by
+  /// renaming MANIFEST.json into place, then sweeps every catalog file the
+  /// new manifest does not name (a failed sweep is logged, not returned:
+  /// the commit stands). The writer is unusable after.
   StatusOr<CatalogSummary> Finish(int64_t records_skipped);
 
   int64_t papers() const { return num_papers_; }

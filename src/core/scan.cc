@@ -111,10 +111,25 @@ int64_t EstimatedGroupMatrixBytes(int64_t n) {
          2 * n * static_cast<int64_t>(sizeof(int));
 }
 
+ScanState::ScanState(const Distinct& engine, const GroupLoopBudget& budget)
+    : budget_bytes_(budget.budget_bytes),
+      // Admission is measured, not just estimated: bytes the tracked
+      // subsystems already hold (engine-level memo entries, the profile
+      // stores of prior work) count against the budget alongside a group's
+      // matrix estimate. Measured before this state's memo exists.
+      standing_bytes_(obs::MemoryTracker::Global().TrackedTotalBytes()),
+      pool_(budget.threads) {
+  if (engine.config().propagation.algorithm ==
+      PropagationAlgorithm::kWorkspace) {
+    memo_ = std::make_unique<SubtreeCache>(budget.cache_bytes);
+    workspaces_ =
+        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
+  }
+}
+
 Status ResolveGroups(const Distinct& engine,
                      const std::vector<NameGroup>& groups,
-                     const std::vector<size_t>& indices,
-                     const GroupLoopBudget& budget,
+                     const std::vector<size_t>& indices, ScanState& state,
                      obs::ProgressState* progress,
                      std::vector<BulkResolution>* out) {
   // Up-front validation so a bad group fails cleanly instead of crashing
@@ -124,12 +139,8 @@ Status ResolveGroups(const Distinct& engine,
       paths.empty() ? 0
                     : engine.propagation_engine().link().NumTuples(
                           paths.front().start_node);
-  // Admission is measured, not just estimated: bytes the tracked
-  // subsystems already hold (engine-level memo entries, the profile stores
-  // of prior work) count against the budget alongside the group's matrix
-  // estimate.
-  const int64_t standing_bytes =
-      obs::MemoryTracker::Global().TrackedTotalBytes();
+  const int64_t budget_bytes = state.budget_bytes();
+  const int64_t standing_bytes = state.standing_bytes();
   for (const size_t g : indices) {
     const NameGroup& group = groups[g];
     for (const int32_t ref : group.refs) {
@@ -140,43 +151,35 @@ Status ResolveGroups(const Distinct& engine,
             static_cast<long long>(num_start_tuples)));
       }
     }
-    if (budget.budget_bytes > 0) {
+    if (budget_bytes > 0) {
       const int64_t matrix_bytes =
           EstimatedGroupMatrixBytes(static_cast<int64_t>(group.refs.size()));
-      if (standing_bytes + matrix_bytes > budget.budget_bytes) {
+      if (standing_bytes + matrix_bytes > budget_bytes) {
         return OutOfRangeError(StrFormat(
             "group '%s' (%zu refs) needs ~%lld bytes of pair matrices on "
-            "top of %lld measured resident bytes, over the %lld-byte shard "
+            "top of %lld measured resident bytes, over the %lld-byte scan "
             "budget",
             group.name.c_str(), group.refs.size(),
             static_cast<long long>(matrix_bytes),
             static_cast<long long>(standing_bytes),
-            static_cast<long long>(budget.budget_bytes)));
+            static_cast<long long>(budget_bytes)));
       }
     }
   }
 
   // Hit/miss and reuse patterns cannot change values, only speed, so the
-  // memo size and how many groups share it never change a result.
-  std::unique_ptr<SubtreeCache> memo;
-  std::unique_ptr<WorkspacePool> workspaces;
-  if (engine.config().propagation.algorithm ==
-      PropagationAlgorithm::kWorkspace) {
-    memo = std::make_unique<SubtreeCache>(budget.cache_bytes);
-    workspaces =
-        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
-  }
-
+  // memo size and how many groups and loops share it never change a
+  // result.
   out->assign(indices.size(), BulkResolution{});
-  ThreadPool pool(budget.threads);
+  ThreadPool& pool = state.pool();
   const SimilarityModel& model = engine.model();
   const AgglomerativeOptions cluster_options = engine.cluster_options();
   ParallelFor(pool, static_cast<int64_t>(indices.size()), [&](int64_t i) {
     const NameGroup& group = groups[indices[static_cast<size_t>(i)]];
     const ProfileStore store = ProfileStore::Build(
         engine.propagation_engine(), paths, engine.config().propagation,
-        group.refs, &pool, ProfileStore::kMinParallelRefs, memo.get(),
-        workspaces.get());
+        group.refs, &pool, ProfileStore::kMinParallelRefs, state.memo(),
+        state.workspaces());
     auto matrices = ComputePairMatrices(store, model, &pool);
     BulkResolution& resolution = (*out)[static_cast<size_t>(i)];
     resolution.name = group.name;
@@ -207,8 +210,9 @@ StatusOr<BulkStats> ResolveAllNamesParallel(
   GroupLoopBudget budget;
   budget.threads = num_threads;
   budget.cache_bytes = engine.config().propagation.cache_bytes;
+  ScanState state(engine, budget);
   std::vector<BulkResolution> local;
-  DISTINCT_RETURN_IF_ERROR(ResolveGroups(engine, groups, indices, budget,
+  DISTINCT_RETURN_IF_ERROR(ResolveGroups(engine, groups, indices, state,
                                          /*progress=*/nullptr, &local));
 
   BulkStats stats;

@@ -10,10 +10,14 @@
 #define DISTINCT_CORE_SCAN_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/distinct.h"
+#include "prop/workspace.h"
+#include "sim/profile_store.h"
 
 namespace distinct {
 
@@ -75,44 +79,76 @@ struct BulkStats {
 /// group with this same estimate.
 int64_t EstimatedGroupMatrixBytes(int64_t n);
 
-/// What one run of the group loop may use.
+/// What one scan may use.
 struct GroupLoopBudget {
   /// Pool workers (at least 1).
   int threads = 1;
-  /// Capacity of the subtree memo that every group of the run shares.
+  /// Capacity of the subtree memo that every group of the scan shares.
   size_t cache_bytes = 0;
   /// A group whose estimated pair matrices, on top of the bytes the
-  /// MemoryTracker already counts, exceed this many bytes fails the run.
-  /// 0 = unbounded.
+  /// MemoryTracker counted when the scan began, exceed this many bytes
+  /// fails its group loop (its shard, in RunShardedScan). 0 = unbounded.
   int64_t budget_bytes = 0;
+};
+
+/// The propagation state of one scan, built once from its budget and
+/// handed to every group loop the scan runs: one thread pool, one subtree
+/// memo and one workspace free-list. The memo is reference-independent,
+/// so a hub suffix computed for one name is a hit for every later name of
+/// the scan, whichever shard it sits in; at most one workspace per
+/// concurrent worker is ever allocated.
+///
+/// The standing bytes that admission adds to a group's matrix estimate
+/// are measured here, before the memo exists, so every group of the scan
+/// is admitted against the same number wherever it runs. Counting the
+/// memo that earlier groups filled would make later shards stricter.
+class ScanState {
+ public:
+  ScanState(const Distinct& engine, const GroupLoopBudget& budget);
+  ScanState(const ScanState&) = delete;
+  ScanState& operator=(const ScanState&) = delete;
+
+  ThreadPool& pool() { return pool_; }
+  /// Null under PropagationAlgorithm::kDepthFirst, which has no memo and
+  /// no dense scratch.
+  SubtreeCache* memo() { return memo_.get(); }
+  WorkspacePool* workspaces() { return workspaces_.get(); }
+  int64_t budget_bytes() const { return budget_bytes_; }
+  /// MemoryTracker total at construction (see the class comment).
+  int64_t standing_bytes() const { return standing_bytes_; }
+
+ private:
+  int64_t budget_bytes_;
+  int64_t standing_bytes_;
+  ThreadPool pool_;
+  std::unique_ptr<SubtreeCache> memo_;
+  std::unique_ptr<WorkspacePool> workspaces_;
 };
 
 /// The group loop behind every batch resolution (ResolveAllNamesParallel,
 /// and each shard of RunShardedScan): resolves groups[indices[i]] into
-/// (*out)[i]. Groups are one pool task each; a mega-group's profile
-/// propagations and pair-matrix tiles additionally fan out to the same
-/// pool from inside its task (ParallelForShared is re-entrant). One
-/// SubtreeCache and one WorkspacePool serve every group of the call: the
-/// memo is reference-independent, so subtrees computed for one name are
-/// hits for later names, and at most one workspace per concurrent worker
-/// is ever allocated. Each group gets a fresh read-only ProfileStore.
-/// Results are bit-identical to engine.ResolveRefs(group.refs) at every
-/// thread count and memo size.
+/// (*out)[i] on the scan's state. Groups are one pool task each; a
+/// mega-group's profile propagations and pair-matrix tiles additionally
+/// fan out to the same pool from inside its task (ParallelForShared is
+/// re-entrant). Each group gets a fresh read-only ProfileStore. Results
+/// are bit-identical to engine.ResolveRefs(group.refs) at every thread
+/// count, memo size and memo history: a memo hit returns exactly what a
+/// miss computes.
 ///
 /// Every group is checked before any is resolved: a reference outside the
-/// reference table is InvalidArgument, a group over `budget.budget_bytes`
-/// is OutOfRange. `progress` (optional) counts resolved groups and refs.
+/// reference table is InvalidArgument; a group whose matrix estimate plus
+/// `state.standing_bytes()` exceeds `state.budget_bytes()` (when set) is
+/// OutOfRange. `progress` (optional) counts resolved groups and refs.
 /// Opens no span, so callers own the span tree.
 Status ResolveGroups(const Distinct& engine,
                      const std::vector<NameGroup>& groups,
-                     const std::vector<size_t>& indices,
-                     const GroupLoopBudget& budget,
+                     const std::vector<size_t>& indices, ScanState& state,
                      obs::ProgressState* progress,
                      std::vector<BulkResolution>* out);
 
-/// Resolves every group on `num_threads` workers through ResolveGroups,
-/// with the engine's memo budget and no memory bound, under one
-/// `bulk_resolve_parallel` span. Results are in group order.
+/// Resolves every group in one ResolveGroups call on a ScanState of
+/// `num_threads` workers, the engine's memo budget and no memory bound,
+/// under one `bulk_resolve_parallel` span. Results are in group order.
 StatusOr<BulkStats> ResolveAllNamesParallel(
     const Distinct& engine, const std::vector<NameGroup>& groups,
     int num_threads, std::vector<BulkResolution>* results = nullptr);

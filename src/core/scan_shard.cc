@@ -16,9 +16,9 @@ namespace distinct {
 
 namespace {
 
-/// What the per-shard memory budget affords.
-GroupLoopBudget ComputeShardBudget(const Distinct& engine,
-                                   const ShardedScanOptions& options) {
+/// What the scan's memory budget affords.
+GroupLoopBudget ComputeScanBudget(const Distinct& engine,
+                                  const ShardedScanOptions& options) {
   const DistinctConfig& config = engine.config();
   const bool dense =
       config.propagation.algorithm == PropagationAlgorithm::kWorkspace;
@@ -159,16 +159,19 @@ StatusOr<ShardedScanResult> RunShardedScan(
     }
   }
   const ShardPlan plan = PlanShards(groups, options.num_shards);
-  const GroupLoopBudget budget = ComputeShardBudget(engine, options);
+  const GroupLoopBudget budget = ComputeScanBudget(engine, options);
   DISTINCT_COUNTER_ADD("scan.shards_planned", plan.num_shards());
   DISTINCT_LOG(INFO) << "scan: " << groups.size() << " groups over "
                      << plan.num_shards() << " shards, "
-                     << budget.threads << " threads/shard"
+                     << budget.threads << " threads"
                      << (budget.budget_bytes > 0
-                             ? StrFormat(", %lld MiB budget/shard",
+                             ? StrFormat(", %lld MiB budget",
                                          static_cast<long long>(
                                              budget.budget_bytes >> 20))
                              : std::string());
+  // One pool, memo and workspace free-list for every shard: a hub suffix
+  // one shard computed is a hit for the next.
+  ScanState state(engine, budget);
 
   if (options.progress != nullptr) {
     int64_t total_refs = 0;
@@ -240,7 +243,7 @@ StatusOr<ShardedScanResult> RunShardedScan(
     std::vector<BulkResolution> shard_results;
     Status shard_status = [&] {
       DISTINCT_TRACE_SPAN("scan_shard");
-      return ResolveGroups(engine, groups, indices, budget, options.progress,
+      return ResolveGroups(engine, groups, indices, state, options.progress,
                            &shard_results);
     }();
     if (shard_status.ok() && !options.checkpoint_dir.empty()) {

@@ -6,18 +6,19 @@
 // into deterministic, size-balanced shards (balanced by estimated pair
 // count, since cost and matrix memory are quadratic in group size, not by
 // group count), runs each shard through the group loop (ResolveGroups)
-// under a per-shard memory budget (ShardedScanOptions::memory_budget_mb),
-// and persists each finished shard as a checkpoint (core/checkpoint.h) so
-// an interrupted run resumes by re-running only the unfinished shard. A shard
+// on one scan-wide ScanState (one thread pool, subtree memo and workspace
+// pool) under a memory budget (ShardedScanOptions::memory_budget_mb), and
+// persists each finished shard as a checkpoint (core/checkpoint.h) so an
+// interrupted run resumes by re-running only the unfinished shard. A shard
 // that fails — bad group, matrix estimate over budget, checkpoint I/O
 // error — is recorded with its error and skipped; the rest of the scan
 // completes.
 //
 // Determinism: the plan is a pure function of (groups, num_shards); shard
 // results merge back into the original group order; and the kernel is
-// bit-identical across thread counts, cache sizes, and workspace reuse, so
-// the merged output is byte-identical to the unsharded scan at every shard
-// count and every budget that completes.
+// bit-identical across thread counts, cache sizes, memo history and
+// workspace reuse, so the merged output is byte-identical to the unsharded
+// scan at every shard count and every budget that completes.
 
 #ifndef DISTINCT_CORE_SCAN_SHARD_H_
 #define DISTINCT_CORE_SCAN_SHARD_H_
@@ -55,13 +56,16 @@ ShardPlan PlanShards(const std::vector<NameGroup>& groups, int num_shards);
 
 struct ShardedScanOptions {
   int num_shards = 1;
-  /// Worker threads per shard (shards run one after another; within a
-  /// shard, groups × tiles fan out exactly like ResolveAllNamesParallel).
+  /// Workers of the scan's one pool (shards run one after another on it;
+  /// within a shard, groups × tiles fan out exactly like
+  /// ResolveAllNamesParallel).
   int num_threads = 1;
-  /// Per-shard memory budget in MiB; 0 = unbounded. The budget sizes the
-  /// shard's SubtreeCache, bounds concurrent PropagationWorkspaces
-  /// (capping effective threads), and fails shards whose largest group's
-  /// pair matrices alone would not fit.
+  /// Memory budget in MiB; 0 = unbounded. Shards run one at a time, so it
+  /// bounds each of them. The budget sizes the scan's one SubtreeCache,
+  /// bounds concurrent PropagationWorkspaces (capping effective threads),
+  /// and fails a shard holding a group whose pair-matrix estimate, on top
+  /// of the bytes the MemoryTracker counted when the scan began, would
+  /// not fit.
   int64_t memory_budget_mb = 0;
   /// Directory for per-shard checkpoints; empty disables checkpointing
   /// (and resume).
@@ -99,7 +103,7 @@ struct ShardOutcome {
   int64_t num_groups = 0;
   int64_t num_refs = 0;
   int64_t estimated_pairs = 0;
-  /// Worker threads the memory budget afforded this shard.
+  /// Worker threads the memory budget afforded the scan.
   int threads_used = 0;
   double seconds = 0.0;
   std::string error;  // kFailed only

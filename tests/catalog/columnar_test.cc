@@ -1,8 +1,10 @@
 // On-disk columnar catalog: dictionary round-trip through mmap, segment
 // column views, and the reopen/corruption contract — corrupt CRCs and
 // foreign format versions are rejected, a catalog killed mid-ingest (no
-// manifest) reads as NotFound, and a fresh ingest over the debris succeeds.
+// manifest) reads as NotFound, and a fresh ingest over the debris succeeds
+// and then sweeps it.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -74,6 +76,30 @@ class ColumnarCatalogTest : public ::testing::Test {
     ASSERT_LT(index, data->size());
     (*data)[index] ^= 0x01;
     ASSERT_TRUE(WriteStringToFile(path, *data).ok());
+  }
+
+  /// File names in dir_, sorted.
+  std::vector<std::string> DirectoryFiles() const {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  /// The sorted file names of one committed generation.
+  static std::vector<std::string> GenerationFiles(int64_t generation,
+                                                  int64_t num_segments) {
+    std::vector<std::string> names = {
+        kManifestFile, DictionaryFileName("authors", generation),
+        DictionaryFileName("venues", generation),
+        DictionaryFileName("titles", generation)};
+    for (int64_t s = 0; s < num_segments; ++s) {
+      names.push_back(SegmentFileName(generation, s));
+    }
+    std::sort(names.begin(), names.end());
+    return names;
   }
 
   std::string dir_;
@@ -161,30 +187,33 @@ TEST_F(ColumnarCatalogTest, SegmentColumnsRoundTrip) {
 }
 
 TEST_F(ColumnarCatalogTest, CorruptDictionaryBlobIsDataLoss) {
-  WriteSampleCatalog();
-  CorruptByte(kAuthorsDictFile, 40);  // inside the offsets/blob region
+  const CatalogSummary summary = WriteSampleCatalog();
+  // Inside the offsets/blob region.
+  CorruptByte(DictionaryFileName("authors", summary.generation), 40);
   auto reader = CatalogReader::Open(dir_);
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
       << reader.status().ToString();
 }
 
 TEST_F(ColumnarCatalogTest, CorruptSegmentPayloadIsDataLoss) {
-  WriteSampleCatalog();
-  CorruptByte(SegmentFileName(0), 48);  // inside the year column
+  const CatalogSummary summary = WriteSampleCatalog();
+  CorruptByte(SegmentFileName(summary.generation, 0), 48);  // year column
   auto reader = CatalogReader::Open(dir_);
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(ColumnarCatalogTest, CorruptCrcTrailerIsDataLoss) {
-  WriteSampleCatalog();
-  CorruptByte(kTitlesDictFile, -1);  // last byte = CRC trailer
+  const CatalogSummary summary = WriteSampleCatalog();
+  // Last byte = CRC trailer.
+  CorruptByte(DictionaryFileName("titles", summary.generation), -1);
   auto reader = CatalogReader::Open(dir_);
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(ColumnarCatalogTest, ForeignFormatVersionIsFailedPrecondition) {
-  WriteSampleCatalog();
-  CorruptByte(kVenuesDictFile, 4);  // version field, bytes [4, 8)
+  const CatalogSummary summary = WriteSampleCatalog();
+  // Version field, bytes [4, 8).
+  CorruptByte(DictionaryFileName("venues", summary.generation), 4);
   auto reader = CatalogReader::Open(dir_);
   EXPECT_EQ(reader.status().code(), StatusCode::kFailedPrecondition)
       << reader.status().ToString();
@@ -193,15 +222,15 @@ TEST_F(ColumnarCatalogTest, ForeignFormatVersionIsFailedPrecondition) {
 }
 
 TEST_F(ColumnarCatalogTest, ForeignMagicIsDataLoss) {
-  WriteSampleCatalog();
-  CorruptByte(SegmentFileName(0), 0);
+  const CatalogSummary summary = WriteSampleCatalog();
+  CorruptByte(SegmentFileName(summary.generation, 0), 0);
   auto reader = CatalogReader::Open(dir_);
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(ColumnarCatalogTest, TruncatedSegmentIsDataLoss) {
-  WriteSampleCatalog();
-  const std::string path = dir_ + "/" + SegmentFileName(0);
+  const CatalogSummary summary = WriteSampleCatalog();
+  const std::string path = dir_ + "/" + SegmentFileName(summary.generation, 0);
   auto data = ReadFileToString(path);
   ASSERT_TRUE(data.ok());
   ASSERT_TRUE(
@@ -237,12 +266,11 @@ TEST_F(ColumnarCatalogTest, ReopenAfterKillMidIngestThenReingest) {
     }
     // Writer destroyed without Finish -- the crash.
   }
-  EXPECT_TRUE(
-      std::filesystem::exists(dir_ + "/" + SegmentFileName(0)));
+  EXPECT_EQ(DirectoryFiles().size(), SampleRecords().size());  // segments
   auto reader = CatalogReader::Open(dir_);
   EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
 
-  // A fresh ingest over the debris sweeps it and commits cleanly.
+  // A fresh ingest over the debris commits cleanly, then sweeps it.
   const CatalogSummary summary = WriteSampleCatalog();
   auto reopened = CatalogReader::Open(dir_);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -250,8 +278,7 @@ TEST_F(ColumnarCatalogTest, ReopenAfterKillMidIngestThenReingest) {
   EXPECT_EQ((*reopened)->generation(), summary.generation);
   // The stale per-record segments are gone; only the fresh single segment
   // plus dictionaries and manifest remain.
-  EXPECT_FALSE(
-      std::filesystem::exists(dir_ + "/" + SegmentFileName(1)));
+  EXPECT_EQ(DirectoryFiles(), GenerationFiles(summary.generation, 1));
 }
 
 TEST_F(ColumnarCatalogTest, EachIngestGetsADistinctNonZeroGeneration) {

@@ -4,8 +4,10 @@
 // order, same dictionary ids (compared on raw cell payloads).
 
 #include <filesystem>
+#include <set>
 #include <string>
 
+#include "catalog/format.h"
 #include "catalog/ingest.h"
 #include "catalog/reader.h"
 #include "common/io_util.h"
@@ -156,6 +158,79 @@ TEST_F(CatalogIngestTest, XmlWithoutRootElementFailsWithoutCommitting) {
     auto reader = CatalogReader::Open(catalog_dir_);
     EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
   }
+}
+
+// A failed re-ingest must not cost the catalog it would have replaced:
+// the new generation is written beside the committed one and commits only
+// with the manifest rename, so every failure leaves the first generation
+// readable and bit-identical.
+TEST_F(CatalogIngestTest, FailedReingestKeepsPreviousGeneration) {
+  WriteCorpus(/*target_refs=*/2000);
+  IngestOptions options;
+  options.segment_papers = 64;  // the truncated run flushes segments first
+  auto first = IngestDblpXml(xml_path_, catalog_dir_, options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  std::string first_dump;
+  {
+    auto reader = CatalogReader::Open(catalog_dir_);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    auto db = (*reader)->MaterializeDatabase();
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    first_dump = DumpDatabase(db->db);
+  }
+
+  auto corpus = ReadFileToString(xml_path_);
+  ASSERT_TRUE(corpus.ok());
+  const std::string bad_xml = xml_path_ + ".bad";
+  struct Attempt {
+    const char* what;
+    std::string xml;
+    int64_t memory_budget_mb;
+    StatusCode code;
+  };
+  const Attempt attempts[] = {
+      {"truncated", corpus->substr(0, corpus->size() / 2), 0,
+       StatusCode::kDataLoss},
+      {"no root element", "not xml, just a line of text\n", 0,
+       StatusCode::kDataLoss},
+      {"over budget", *corpus, 1, StatusCode::kResourceExhausted},
+  };
+  for (const Attempt& attempt : attempts) {
+    SCOPED_TRACE(attempt.what);
+    ASSERT_TRUE(WriteStringToFile(bad_xml, attempt.xml).ok());
+    IngestOptions bad_options = options;
+    bad_options.memory_budget_mb = attempt.memory_budget_mb;
+    auto stats = IngestDblpXml(bad_xml, catalog_dir_, bad_options);
+    EXPECT_EQ(stats.status().code(), attempt.code)
+        << stats.status().ToString();
+
+    auto reader = CatalogReader::Open(catalog_dir_);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_EQ((*reader)->generation(), first->summary.generation);
+    auto db = (*reader)->MaterializeDatabase();
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(DumpDatabase(db->db), first_dump);
+  }
+  std::filesystem::remove(bad_xml);
+
+  // The next good ingest commits and sweeps the first generation together
+  // with the failed runs' debris.
+  auto second = IngestDblpXml(xml_path_, catalog_dir_, options);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const int64_t generation = second->summary.generation;
+  std::set<std::string> expected = {
+      kManifestFile, DictionaryFileName("authors", generation),
+      DictionaryFileName("venues", generation),
+      DictionaryFileName("titles", generation)};
+  for (int64_t s = 0; s < second->summary.num_segments; ++s) {
+    expected.insert(SegmentFileName(generation, s));
+  }
+  std::set<std::string> present;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(catalog_dir_)) {
+    present.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(present, expected);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "core/checkpoint.h"
 #include "dblp/generator.h"
 #include "dblp/schema.h"
+#include "obs/memory.h"
 #include "obs/metrics.h"
 
 namespace distinct {
@@ -201,6 +203,99 @@ TEST_F(ShardedScanTest, MemoryBudgetCapsThreadsWithoutChangingResults) {
     EXPECT_LE(shard.threads_used, 8);
   }
   ExpectMatchesBaseline(result->results);
+}
+
+// One memo serves the whole scan: on one thread every (path, hub) key
+// misses exactly once, the first time any shard looks it up, so the miss
+// count cannot depend on how the groups are sharded. Per-shard memos
+// would re-miss every hub that several shards reach.
+TEST_F(ShardedScanTest, MemoMissesDoNotDependOnShardCount) {
+  std::vector<int64_t> misses;
+  for (const int num_shards : {1, 2, 7}) {
+    ShardedScanOptions options;
+    options.num_shards = num_shards;
+    options.num_threads = 1;
+    obs::SetEnabled(true);
+    obs::MetricsRegistry::Global().Reset();
+    auto result = RunShardedScan(*engine_, *groups_, options);
+    const auto metrics = obs::MetricsRegistry::Global().Snapshot();
+    obs::SetEnabled(false);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectMatchesBaseline(result->results);
+    EXPECT_EQ(metrics.CounterValue("prop.memo_evictions"), 0);
+    misses.push_back(metrics.CounterValue("prop.memo_misses"));
+  }
+  EXPECT_GT(misses[0], 0);
+  EXPECT_EQ(misses[1], misses[0]) << "2 shards";
+  EXPECT_EQ(misses[2], misses[0]) << "7 shards";
+}
+
+// Admission counts the bytes that stood when the scan began, not the memo
+// earlier shards filled: a group admitted by a one-shard scan is admitted
+// at every shard position of a seven-shard scan under the same budget,
+// although the budget is too tight to hold the group and the shared memo.
+TEST_F(ShardedScanTest, AdmissionDoesNotDependOnShardPosition) {
+  constexpr int64_t kBudgetMb = 1;
+  constexpr int64_t kBudgetBytes = kBudgetMb << 20;
+  // Six real groups, then the largest probe group the budget admits on
+  // top of the standing bytes.
+  std::vector<NameGroup> others(groups_->begin(), groups_->begin() + 6);
+  const int64_t standing = obs::MemoryTracker::Global().TrackedTotalBytes();
+  int64_t n = 2;
+  while (standing + EstimatedGroupMatrixBytes(n + 1) <= kBudgetBytes) {
+    ++n;
+  }
+  const NameGroup probe = MakeGroup("Budget Probe", static_cast<size_t>(n));
+
+  // The budget is tight: the memo the other six groups leave behind does
+  // not fit beside the probe's matrices.
+  {
+    GroupLoopBudget budget;
+    budget.cache_bytes = kBudgetBytes / 4;  // what the scan budget affords
+    budget.budget_bytes = kBudgetBytes;
+    ScanState state(*engine_, budget);
+    std::vector<size_t> indices(others.size());
+    std::iota(indices.begin(), indices.end(), size_t{0});
+    std::vector<BulkResolution> out;
+    ASSERT_TRUE(
+        ResolveGroups(*engine_, others, indices, state, nullptr, &out).ok());
+    ASSERT_NE(state.memo(), nullptr);
+    EXPECT_GT(standing + state.memo()->stats().bytes +
+                  EstimatedGroupMatrixBytes(n),
+              kBudgetBytes);
+  }
+
+  ShardedScanOptions options;
+  options.num_threads = 1;
+  options.memory_budget_mb = kBudgetMb;
+  std::vector<NameGroup> groups = others;
+  groups.insert(groups.begin(), probe);
+  auto whole = RunShardedScan(*engine_, groups, options);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_EQ(whole->shards.size(), 1u);
+  ASSERT_EQ(whole->shards[0].state, ShardState::kCompleted)
+      << whole->shards[0].error;
+  const BulkResolution& want = whole->results[0];
+  ASSERT_EQ(want.name, probe.name);
+
+  options.num_shards = 7;
+  for (size_t position = 0; position < 7; ++position) {
+    SCOPED_TRACE(::testing::Message() << "probe in shard " << position);
+    // Seven groups over seven shards: the i-th group lands in shard i.
+    groups = others;
+    groups.insert(groups.begin() + static_cast<ptrdiff_t>(position), probe);
+    auto sharded = RunShardedScan(*engine_, groups, options);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ASSERT_EQ(sharded->shards.size(), 7u);
+    ASSERT_EQ(sharded->shards[position].num_groups, 1);
+    for (const ShardOutcome& shard : sharded->shards) {
+      EXPECT_EQ(shard.state, ShardState::kCompleted) << shard.error;
+    }
+    ASSERT_EQ(sharded->results.size(), groups.size());
+    const BulkResolution& got = sharded->results[position];
+    ASSERT_EQ(got.name, probe.name);
+    EXPECT_EQ(got.clustering.assignment, want.clustering.assignment);
+  }
 }
 
 // Graceful degradation: a group with an out-of-range reference fails its
