@@ -20,33 +20,6 @@
 #include "core/scan.h"
 #include "dblp/schema.h"
 
-namespace {
-
-using namespace distinct;
-
-bool ResolutionsEqual(const std::vector<BulkResolution>& a,
-                      const std::vector<BulkResolution>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t g = 0; g < a.size(); ++g) {
-    if (a[g].name != b[g].name || a[g].num_refs != b[g].num_refs ||
-        a[g].clustering.assignment != b[g].clustering.assignment ||
-        a[g].clustering.merges.size() != b[g].clustering.merges.size()) {
-      return false;
-    }
-    for (size_t m = 0; m < a[g].clustering.merges.size(); ++m) {
-      if (a[g].clustering.merges[m].into != b[g].clustering.merges[m].into ||
-          a[g].clustering.merges[m].from != b[g].clustering.merges[m].from ||
-          a[g].clustering.merges[m].similarity !=
-              b[g].clustering.merges[m].similarity) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace distinct;
   using namespace distinct::bench;
@@ -146,7 +119,7 @@ int main(int argc, char** argv) {
     const double rebuild_s = rebuild_watch.Seconds();
 
     const bool exact =
-        ResolutionsEqual(catalog.resolutions(), rebuilt.resolutions());
+        catalog.resolutions() == rebuilt.resolutions();
     const double speedup = apply_s > 0 ? rebuild_s / apply_s : 0.0;
     const std::string label = StrFormat("%.1f%%", fraction * 100.0);
     table.AddRow({label, StrFormat("%lld", static_cast<long long>(tail)),

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     ScanOptions scan;
     scan.min_refs = 4;
     scan.max_refs = 200;
-    auto groups = ScanNameGroups(dataset.db, DblpReferenceSpec(), scan);
+    auto groups = ScanNameGroups(engine, scan);
     if (!groups.ok()) {
       std::fprintf(stderr, "%s\n", groups.status().ToString().c_str());
       return 1;

@@ -18,33 +18,6 @@
 #include "core/scan_shard.h"
 #include "dblp/schema.h"
 
-namespace {
-
-using namespace distinct;
-
-bool ResolutionsEqual(const std::vector<BulkResolution>& a,
-                      const std::vector<BulkResolution>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t g = 0; g < a.size(); ++g) {
-    if (a[g].name != b[g].name || a[g].num_refs != b[g].num_refs ||
-        a[g].clustering.assignment != b[g].clustering.assignment ||
-        a[g].clustering.merges.size() != b[g].clustering.merges.size()) {
-      return false;
-    }
-    for (size_t m = 0; m < a[g].clustering.merges.size(); ++m) {
-      if (a[g].clustering.merges[m].into != b[g].clustering.merges[m].into ||
-          a[g].clustering.merges[m].from != b[g].clustering.merges[m].from ||
-          a[g].clustering.merges[m].similarity !=
-              b[g].clustering.merges[m].similarity) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace distinct;
   using namespace distinct::bench;
@@ -134,7 +107,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
-    const bool exact = ResolutionsEqual(result->results, baseline);
+    const bool exact = result->results == baseline;
     const std::string label =
         run.budget > 0
             ? StrFormat("%s (%lld MiB)", run.label,

@@ -445,31 +445,6 @@ int RunScan(const FlagParser& flags) {
   return 0;
 }
 
-/// Exact catalog equality — the differential `--verify` promises: same
-/// names in the same order, same assignments, bit-identical merge
-/// similarities.
-bool SameResolutions(const std::vector<BulkResolution>& got,
-                     const std::vector<BulkResolution>& want) {
-  if (got.size() != want.size()) return false;
-  for (size_t g = 0; g < want.size(); ++g) {
-    if (got[g].name != want[g].name || got[g].num_refs != want[g].num_refs ||
-        got[g].clustering.num_clusters != want[g].clustering.num_clusters ||
-        got[g].clustering.assignment != want[g].clustering.assignment ||
-        got[g].clustering.merges.size() != want[g].clustering.merges.size()) {
-      return false;
-    }
-    for (size_t m = 0; m < want[g].clustering.merges.size(); ++m) {
-      if (got[g].clustering.merges[m].into != want[g].clustering.merges[m].into ||
-          got[g].clustering.merges[m].from != want[g].clustering.merges[m].from ||
-          got[g].clustering.merges[m].similarity !=
-              want[g].clustering.merges[m].similarity) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 int RunAppend(const FlagParser& flags) {
   auto loaded = LoadCliDatabase(flags);
   if (!loaded.ok()) return Fail(loaded.status());
@@ -522,7 +497,9 @@ int RunAppend(const FlagParser& flags) {
     if (!fresh.ok()) return Fail(fresh.status());
     IncrementalCatalog rebuilt(*fresh, scan);
     if (Status s = rebuilt.Build(); !s.ok()) return Fail(s);
-    if (!SameResolutions(catalog.resolutions(), rebuilt.resolutions())) {
+    // Exact equality: same names in the same order, same assignments,
+    // the same merge sequence with equal similarities.
+    if (catalog.resolutions() != rebuilt.resolutions()) {
       std::fprintf(stderr,
                    "verify FAILED: incremental catalog differs from batch "
                    "rebuild\n");

@@ -69,6 +69,8 @@ struct MergeStep {
   int into = -1;    // surviving slot
   int from = -1;    // absorbed slot
   double similarity = 0.0;
+
+  bool operator==(const MergeStep&) const = default;
 };
 
 /// A flat clustering plus the dendrogram (merge sequence) that produced it.
@@ -79,6 +81,10 @@ struct ClusteringResult {
   int num_merges = 0;
   /// The executed merges in order; merges.size() == num_merges.
   std::vector<MergeStep> merges;
+
+  /// Exact equality: the same assignment and the same merge sequence, with
+  /// merge similarities compared exactly (no tolerance).
+  bool operator==(const ClusteringResult&) const = default;
 
   std::string DebugString() const;
 };

@@ -158,34 +158,12 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
   // dry run, so the in-place extension cannot hit its error path here.
   DISTINCT_RETURN_IF_ERROR(link_graph_->ApplyAppend());
 
-  // Absorb new name/reference rows into the name index with the same
-  // first-seen-order loops as Create(); the grown index is bit-identical
-  // to the one a fresh Create() over the appended database would build.
-  const Table& name_table = db.table(resolved_.name_table_id);
-  const Table& ref_table = db.table(resolved_.reference_table_id);
-  const int pk_col = name_table.primary_key_column();
-  for (int64_t row = old_rows[static_cast<size_t>(resolved_.name_table_id)];
-       row < name_table.num_rows(); ++row) {
-    const std::string& name = name_table.GetString(row, resolved_.name_column);
-    auto [it, inserted] = name_index_.emplace(name, name_groups_.size());
-    if (inserted) {
-      name_groups_.emplace_back(name, std::vector<int32_t>{});
-    }
-    name_group_of_pk_[name_table.GetInt(row, pk_col)] = it->second;
-  }
   const int64_t old_ref_rows =
       old_rows[static_cast<size_t>(resolved_.reference_table_id)];
-  for (int64_t row = old_ref_rows; row < ref_table.num_rows(); ++row) {
-    if (ref_table.IsNull(row, resolved_.identity_column)) {
-      continue;
-    }
-    auto it = name_group_of_pk_.find(
-        ref_table.GetInt(row, resolved_.identity_column));
-    if (it != name_group_of_pk_.end()) {
-      name_groups_[it->second].second.push_back(static_cast<int32_t>(row));
-    }
-  }
-  report.new_refs = ref_table.num_rows() - old_ref_rows;
+  AbsorbNameRows(old_rows[static_cast<size_t>(resolved_.name_table_id)],
+                 old_ref_rows);
+  report.new_refs =
+      db.table(resolved_.reference_table_id).num_rows() - old_ref_rows;
 
   // Changed tuples per node: tuples the delta appended, plus forward
   // targets of appended rows (their reverse lists and fanouts grew —
@@ -280,14 +258,9 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
   // tuples of the start node, so brand-new names are dirty by definition.
   std::vector<char> group_dirty(name_groups_.size(), 0);
   for (size_t r = 0; r < dirty_ref.size(); ++r) {
-    if (dirty_ref[r] == 0 ||
-        ref_table.IsNull(static_cast<int64_t>(r), resolved_.identity_column)) {
-      continue;
-    }
-    auto it = name_group_of_pk_.find(ref_table.GetInt(
-        static_cast<int64_t>(r), resolved_.identity_column));
-    if (it != name_group_of_pk_.end()) {
-      group_dirty[it->second] = 1;
+    const int64_t group = NameGroupOfRef(static_cast<int64_t>(r));
+    if (dirty_ref[r] != 0 && group >= 0) {
+      group_dirty[static_cast<size_t>(group)] = 1;
     }
   }
   for (size_t g = 0; g < group_dirty.size(); ++g) {

@@ -93,38 +93,23 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
   if (engine.config_.num_threads > 1) {
     engine.pool_ = std::make_unique<ThreadPool>(engine.config_.num_threads);
   }
+  // Warm state for every query of the engine's lifetime: suffix
+  // distributions computed for one name are hits for every later name.
+  // Sharing cannot change results — a memo hit returns exactly what a miss
+  // would recompute.
+  if (engine.config_.propagation.algorithm ==
+      PropagationAlgorithm::kWorkspace) {
+    engine.memo_ =
+        std::make_unique<SubtreeCache>(engine.config_.propagation.cache_bytes);
+    engine.workspaces_ = std::make_unique<WorkspacePool>(*engine.link_graph_);
+  }
 
   // Name -> reference-rows index, built once; RefsForName and
   // ScanNameGroups(engine, ...) queries reuse it instead of rescanning the
   // name and reference tables.
   {
     DISTINCT_TRACE_SPAN("name_index");
-    const Table& name_table = db.table(engine.resolved_.name_table_id);
-    const Table& ref_table = db.table(engine.resolved_.reference_table_id);
-    const int pk_col = name_table.primary_key_column();
-    engine.name_group_of_pk_.reserve(
-        static_cast<size_t>(name_table.num_rows()));
-    for (int64_t row = 0; row < name_table.num_rows(); ++row) {
-      const std::string& name =
-          name_table.GetString(row, engine.resolved_.name_column);
-      auto [it, inserted] =
-          engine.name_index_.emplace(name, engine.name_groups_.size());
-      if (inserted) {
-        engine.name_groups_.emplace_back(name, std::vector<int32_t>{});
-      }
-      engine.name_group_of_pk_[name_table.GetInt(row, pk_col)] = it->second;
-    }
-    for (int64_t row = 0; row < ref_table.num_rows(); ++row) {
-      if (ref_table.IsNull(row, engine.resolved_.identity_column)) {
-        continue;
-      }
-      auto it = engine.name_group_of_pk_.find(
-          ref_table.GetInt(row, engine.resolved_.identity_column));
-      if (it != engine.name_group_of_pk_.end()) {
-        engine.name_groups_[it->second].second.push_back(
-            static_cast<int32_t>(row));
-      }
-    }
+    engine.AbsorbNameRows(0, 0);
   }
   engine.tuple_watermark_ = db.TotalRows();
   engine.catalog_version_ = engine.config_.base_catalog_version;
@@ -151,6 +136,34 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
   return engine;
 }
 
+void Distinct::AbsorbNameRows(int64_t first_name_row, int64_t first_ref_row) {
+  const Table& name_table = db_->table(resolved_.name_table_id);
+  const Table& ref_table = db_->table(resolved_.reference_table_id);
+  const int pk_col = name_table.primary_key_column();
+  name_group_of_pk_.reserve(static_cast<size_t>(name_table.num_rows()));
+  for (int64_t row = first_name_row; row < name_table.num_rows(); ++row) {
+    const std::string& name = name_table.GetString(row, resolved_.name_column);
+    auto [it, inserted] = name_index_.emplace(name, name_groups_.size());
+    if (inserted) {
+      name_groups_.emplace_back(name, std::vector<int32_t>{});
+    }
+    name_group_of_pk_[name_table.GetInt(row, pk_col)] = it->second;
+  }
+  group_of_ref_.resize(static_cast<size_t>(ref_table.num_rows()), -1);
+  for (int64_t row = first_ref_row; row < ref_table.num_rows(); ++row) {
+    if (ref_table.IsNull(row, resolved_.identity_column)) {
+      continue;
+    }
+    auto it = name_group_of_pk_.find(
+        ref_table.GetInt(row, resolved_.identity_column));
+    if (it != name_group_of_pk_.end()) {
+      name_groups_[it->second].second.push_back(static_cast<int32_t>(row));
+      group_of_ref_[static_cast<size_t>(row)] =
+          static_cast<int32_t>(it->second);
+    }
+  }
+}
+
 AgglomerativeOptions Distinct::cluster_options() const {
   AgglomerativeOptions options;
   options.min_sim = config_.min_sim;
@@ -173,16 +186,6 @@ StatusOr<std::vector<int32_t>> Distinct::RefsForName(
 }
 
 ProfileStore Distinct::BuildProfileStore(const std::vector<int32_t>& refs) {
-  // Under the kWorkspace engine the subtree memo and the dense scratch
-  // pool live for the engine's lifetime: suffix distributions stay warm
-  // across queries and across ApplyDelta (which erases only the entries
-  // its delta dirtied). Sharing cannot change results — a memo hit
-  // returns exactly what a miss would recompute.
-  if (config_.propagation.algorithm == PropagationAlgorithm::kWorkspace &&
-      memo_ == nullptr) {
-    memo_ = std::make_unique<SubtreeCache>(config_.propagation.cache_bytes);
-    workspaces_ = std::make_unique<WorkspacePool>(*link_graph_);
-  }
   DISTINCT_TRACE_SPAN("profile_store");
   return ProfileStore::Build(*engine_, paths_, config_.propagation, refs,
                              pool_.get(), ProfileStore::kMinParallelRefs,

@@ -10,6 +10,13 @@
 // default) constructs the automatic training set and fits the SVM path
 // weights — the paper's offline phase. ResolveName()/ResolveRefs() run the
 // per-name clustering — the paper's online phase.
+//
+// The engine is the only builder of what it derives from its database:
+// the name index (name -> reference rows, and reference row -> name group)
+// and the warm propagation state (the subtree memo and the dense workspace
+// pool). Create() builds both and ApplyDelta() keeps them current, so the
+// scan filter (core/scan.h) and the server (serve/service.h) read the
+// engine's copies instead of rebuilding their own.
 
 #ifndef DISTINCT_CORE_DISTINCT_H_
 #define DISTINCT_CORE_DISTINCT_H_
@@ -59,14 +66,6 @@ struct DistinctConfig {
   bool supervised = true;
   TrainingSetOptions training;
   SvmParams svm;
-  /// Fraction of negative examples drawn from *linked* distinct-author
-  /// pairs (pairs with at least one nonzero path similarity). Random
-  /// negatives are mostly unlinked, which would teach the SVM that any
-  /// linkage implies equivalence; hard negatives make it learn which
-  /// linkage types discriminate. Negatives are oversampled
-  /// `negative_oversample`x to find enough linked ones.
-  double hard_negative_fraction = 0.5;
-  int negative_oversample = 4;
 
   // --- Clustering ---
   /// Merge floor (the paper's min-sim). Calibrated on the standard
@@ -232,6 +231,14 @@ class Distinct {
     return name_groups_;
   }
 
+  /// Position in name_groups() of the group holding reference row `row`;
+  /// -1 when the row is out of range or carries no indexed name.
+  int64_t NameGroupOfRef(int64_t row) const {
+    return row >= 0 && row < static_cast<int64_t>(group_of_ref_.size())
+               ? group_of_ref_[static_cast<size_t>(row)]
+               : -1;
+  }
+
   const DistinctConfig& config() const { return config_; }
   const std::vector<JoinPath>& paths() const { return paths_; }
   /// The stateless propagation engine; safe to share across threads (build
@@ -240,6 +247,16 @@ class Distinct {
   const SimilarityModel& model() const { return model_; }
   const TrainingReport& report() const { return report_; }
   const SchemaGraph& schema_graph() const { return *schema_graph_; }
+
+  /// The engine-lifetime subtree memo and dense workspace pool, built at
+  /// Create(); both null under PropagationAlgorithm::kDepthFirst. The memo
+  /// is safe for concurrent use and the pool is a locked free-list, so a
+  /// server may propagate on them from many threads. ApplyDelta erases the
+  /// memo entries its delta dirtied and replaces the pool (dense slabs are
+  /// sized to the tuple universes at first acquire), so fetch the pool per
+  /// use rather than keeping the pointer across a delta.
+  SubtreeCache* memo() const { return memo_.get(); }
+  WorkspacePool* workspaces() const { return workspaces_.get(); }
 
   /// Clustering options derived from config (measure/combine/min_sim).
   AgglomerativeOptions cluster_options() const;
@@ -254,9 +271,16 @@ class Distinct {
  private:
   Distinct() = default;
 
-  /// Lazily creates the engine-lifetime subtree memo + workspace pool
-  /// (kWorkspace only), then builds the profiles of `refs`.
+  /// Builds the profiles of `refs` on the engine's pool, memo and
+  /// workspaces.
   ProfileStore BuildProfileStore(const std::vector<int32_t>& refs);
+
+  /// Absorbs name-table rows from `first_name_row` and reference-table
+  /// rows from `first_ref_row` into the name index, in first-seen order.
+  /// Create() absorbs every row; ApplyDelta() absorbs the appended ones,
+  /// which grows the index to exactly what a fresh Create() over the
+  /// appended database builds.
+  void AbsorbNameRows(int64_t first_name_row, int64_t first_ref_row);
 
   const Database* db_ = nullptr;
   ResolvedReferenceSpec resolved_;
@@ -278,11 +302,12 @@ class Distinct {
   /// name-table primary key -> position in name_groups_; lets ApplyDelta
   /// route appended reference rows to their group without a rescan.
   std::unordered_map<int64_t, size_t> name_group_of_pk_;
-  /// Engine-lifetime subtree memo + workspace pool, created lazily by the
-  /// first BuildProfileStore under the kWorkspace engine so warm
-  /// suffix distributions survive across queries; ApplyDelta erases only
-  /// the entries its delta dirtied and recreates the workspaces (their
-  /// dense slabs are sized at first acquire and never grow).
+  /// reference row -> position in name_groups_, or -1 (NameGroupOfRef).
+  std::vector<int32_t> group_of_ref_;
+  /// Engine-lifetime subtree memo + workspace pool (kWorkspace only), so
+  /// warm suffix distributions survive across queries; ApplyDelta erases
+  /// only the entries its delta dirtied and recreates the workspaces
+  /// (their dense slabs are sized at first acquire and never grow).
   std::unique_ptr<SubtreeCache> memo_;
   std::unique_ptr<WorkspacePool> workspaces_;
   int64_t catalog_version_ = 0;

@@ -2,9 +2,11 @@
 // resolve all of them.
 //
 // The paper resolves ten hand-picked names; a production deployment wants
-// "split every name in the catalog". This module enumerates the candidate
-// names (those with enough references to possibly be several people) and
-// resolves them with one group loop.
+// "split every name in the catalog". This module filters the candidate
+// names (those with enough references to possibly be several people) out
+// of the engine's name index, the one grouping of references by name that
+// Create() builds and ApplyDelta() grows, and resolves them with one group
+// loop.
 
 #ifndef DISTINCT_CORE_SCAN_H_
 #define DISTINCT_CORE_SCAN_H_
@@ -42,15 +44,10 @@ struct ScanOptions {
   int64_t max_refs = 0;
 };
 
-/// Groups every reference in the database by name string (names appearing
-/// in several name-table rows are one group) and returns the groups
-/// passing the filters, ordered by descending reference count.
-StatusOr<std::vector<NameGroup>> ScanNameGroups(const Database& db,
-                                                const ReferenceSpec& spec,
-                                                const ScanOptions& options = {});
-
-/// Same result, but served from the engine's name index (built once at
-/// Create() time) instead of rescanning the name and reference tables.
+/// The groups of the engine's name index (every reference grouped by name
+/// string; names appearing in several name-table rows are one group) that
+/// pass the filters, ordered by descending reference count (stable, so
+/// equal sizes keep name-table row order).
 StatusOr<std::vector<NameGroup>> ScanNameGroups(const Distinct& engine,
                                                 const ScanOptions& options = {});
 
@@ -59,6 +56,9 @@ struct BulkResolution {
   std::string name;
   size_t num_refs = 0;
   ClusteringResult clustering;
+
+  /// Exact equality (see ClusteringResult::operator==).
+  bool operator==(const BulkResolution&) const = default;
 };
 
 /// Statistics of a bulk run.
@@ -99,9 +99,10 @@ struct GroupLoopBudget {
 /// concurrent worker is ever allocated.
 ///
 /// The standing bytes that admission adds to a group's matrix estimate
-/// are measured here, before the memo exists, so every group of the scan
-/// is admitted against the same number wherever it runs. Counting the
-/// memo that earlier groups filled would make later shards stricter.
+/// are measured here, before the memo and the scan's own workspaces exist,
+/// so every group of the scan is admitted against the same number wherever
+/// it runs. Counting the memo that earlier groups filled would make later
+/// shards stricter.
 class ScanState {
  public:
   ScanState(const Distinct& engine, const GroupLoopBudget& budget);

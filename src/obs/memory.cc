@@ -26,6 +26,8 @@ const char* MemoryTracker::ComponentName(Component component) {
       return "ingest_dictionary";
     case kCatalogSegment:
       return "catalog_segment";
+    case kPropagationWorkspace:
+      return "propagation_workspace";
     case kRss:
       return "rss";
     case kNumComponents:

@@ -4,9 +4,10 @@
 // The scan's memory budget (ShardedScanOptions::memory_budget_mb) used to
 // reason about *estimated* bytes only; this tracker records what the big
 // allocators actually hold. Each tracked component (profile arenas, the
-// subtree memo, pair matrices, checkpoint serialization buffers) registers
-// the bytes it owns through a TrackedBytes member or explicit Add() calls;
-// the tracker keeps a current total and a high-water mark per component.
+// subtree memo, propagation workspaces, pair matrices, checkpoint
+// serialization buffers) registers the bytes it owns through a
+// TrackedBytes member or explicit Add() calls; the tracker keeps a current
+// total and a high-water mark per component.
 // CollectRunReport folds the snapshot into the run report as
 // `mem.<component>_bytes` / `mem.<component>_peak_bytes` gauges, and the
 // sharded scan's admission control consults the measured numbers.
@@ -45,6 +46,7 @@ class MemoryTracker {
     kCheckpoint,        // core/checkpoint.cc serialization buffers
     kIngestDictionary,  // catalog/writer.cc intern tables
     kCatalogSegment,    // catalog/writer.cc open-segment column buffers
+    kPropagationWorkspace,  // prop/workspace.h dense scratch slabs
     kRss,               // OS-reported resident set (sampled, not summed)
     kNumComponents,
   };

@@ -36,6 +36,9 @@ PropagationWorkspace::Slab& PropagationWorkspace::Acquire(int node_id) {
   slab->reverse_.resize(universe);
   slab->count_.resize(universe);
   slab->stamp_.assign(universe, 0u);
+  tracked_.Set(tracked_.bytes() +
+               static_cast<int64_t>(universe * (3 * sizeof(double) +
+                                                sizeof(uint32_t))));
   slab->in_use_ = true;
   slab->Begin();
   pool.push_back(std::move(slab));

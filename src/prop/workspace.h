@@ -46,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/memory.h"
 #include "prop/link_graph.h"
 #include "prop/profile.h"
 #include "relational/join_path.h"
@@ -55,7 +56,9 @@ namespace distinct {
 struct PropagationOptions;
 
 /// Per-thread dense scratch space for one LinkGraph. Not thread-safe; hand
-/// each worker its own (ProfileStore::Build keeps a free-list).
+/// each worker its own (ProfileStore::Build keeps a free-list). The dense
+/// arrays of every slab it allocates count toward the
+/// kPropagationWorkspace memory gauge for the workspace's lifetime.
 class PropagationWorkspace {
  public:
   /// One epoch-stamped dense distribution over a node's tuple universe:
@@ -138,6 +141,7 @@ class PropagationWorkspace {
   const LinkGraph* link_;
   /// slabs_[node] = every slab ever needed for that node (usually one).
   std::vector<std::vector<std::unique_ptr<Slab>>> slabs_;
+  obs::TrackedBytes tracked_{obs::MemoryTracker::kPropagationWorkspace};
 };
 
 /// One neighbor of a memoized subtree: suffix-forward and suffix-reverse

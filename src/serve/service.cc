@@ -54,25 +54,14 @@ ServeService::ServeService(const Distinct& engine, ServiceOptions options)
                                   : engine.config().num_threads);
   options_.num_threads = threads;
   pool_ = std::make_unique<ThreadPool>(threads);
-  // The warm state the bulk scan builds per run, pinned for the server's
-  // lifetime (see ResolveAllNamesParallel for the sharing argument).
-  if (engine.config().propagation.algorithm ==
-      PropagationAlgorithm::kWorkspace) {
-    memo_ = std::make_unique<SubtreeCache>(
-        engine.config().propagation.cache_bytes);
-    workspaces_ =
-        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
-  }
+  cache_version_ = engine.catalog_version();
   if (options_.progress != nullptr) {
     progress_ = options_.progress;
   }
   const auto& groups = engine.name_groups();
   int64_t total_refs = 0;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (const int32_t row : groups[g].second) {
-      group_of_row_.emplace(row, g);
-    }
-    total_refs += static_cast<int64_t>(groups[g].second.size());
+  for (const auto& group : groups) {
+    total_refs += static_cast<int64_t>(group.second.size());
   }
   progress_->groups_total.store(static_cast<int64_t>(groups.size()),
                                 std::memory_order_relaxed);
@@ -122,15 +111,15 @@ std::string ServeService::Handle(const ServeRequest& request) {
     }
     case Method::kClassifyRow: {
       queries_.fetch_add(1, std::memory_order_relaxed);
-      const auto row = static_cast<int32_t>(request.row);
-      auto it = group_of_row_.find(row);
-      if (request.row > INT32_MAX || it == group_of_row_.end()) {
+      const int64_t group = engine_.NameGroupOfRef(request.row);
+      if (group < 0) {
         not_found_.fetch_add(1, std::memory_order_relaxed);
         response = ErrorResponseJson(
             request.id, NotFoundError("serve: no reference row " +
                                       std::to_string(request.row)));
       } else {
-        const std::string& name = engine_.name_groups()[it->second].first;
+        const std::string& name =
+            engine_.name_groups()[static_cast<size_t>(group)].first;
         auto answer = ResolveShared(name, DeadlineFor(request));
         if (!answer.ok()) {
           response = ErrorResponseJson(
@@ -141,7 +130,8 @@ std::string ServeService::Handle(const ServeRequest& request) {
         } else {
           const std::vector<int32_t>& refs = (*answer)->refs;
           const size_t pos = static_cast<size_t>(
-              std::find(refs.begin(), refs.end(), row) - refs.begin());
+              std::find(refs.begin(), refs.end(), request.row) -
+              refs.begin());
           const int cluster =
               pos < refs.size() ? (*answer)->clustering.assignment[pos] : -1;
           response = AnswerResponseJson(request.id, Method::kClassifyRow,
@@ -211,6 +201,12 @@ StatusOr<std::shared_ptr<const ResolveAnswer>> ServeService::ResolveShared(
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (cache_version_ != engine_.catalog_version()) {
+      // The engine applied a delta since these answers were computed.
+      cache_.clear();
+      cache_fifo_.clear();
+      cache_version_ = engine_.catalog_version();
+    }
     if (auto cached = cache_.find(name); cached != cache_.end()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       answered_.fetch_add(1, std::memory_order_relaxed);
@@ -307,14 +303,13 @@ StatusOr<std::shared_ptr<const ResolveAnswer>> ServeService::ComputeAnswer(
     }
   }
 
-  // The exact batch sequence (Distinct::ResolveRefs via the shared warm
-  // state, like ResolveAllNamesParallel): memo hits return precisely what
-  // misses would compute, so the answer is bit-identical to a cold batch
-  // run.
+  // The exact batch sequence (Distinct::ResolveRefs on the engine's warm
+  // state): memo hits return precisely what misses would compute, so the
+  // answer is bit-identical to a cold batch run.
   const ProfileStore store = ProfileStore::Build(
       engine_.propagation_engine(), engine_.paths(),
       engine_.config().propagation, refs, pool_.get(),
-      ProfileStore::kMinParallelRefs, memo_.get(), workspaces_.get());
+      ProfileStore::kMinParallelRefs, engine_.memo(), engine_.workspaces());
   PairKernelOptions kernel;
   kernel.cancel = token.has_value() ? &*token : nullptr;
   auto matrices =

@@ -2,12 +2,16 @@
 // any socket: the server (serve/server.h), the stress driver (bench_serve)
 // and the tests all drive this layer directly.
 //
-// A ServeService wraps one trained, immutable Distinct engine and pins the
-// warm state a batch scan builds per run: a scan-wide SubtreeCache (suffix
-// distributions computed for one name are hits for every later name that
-// reaches the same junction tuples), a WorkspacePool capping dense scratch
-// at one workspace per concurrent worker, and one kernel ThreadPool. On
-// top of the warm state it layers the three serving mechanisms:
+// A ServeService wraps one trained Distinct engine and propagates on the
+// engine's warm state: its SubtreeCache (suffix distributions computed for
+// one name are hits for every later name that reaches the same junction
+// tuples) and its WorkspacePool (dense scratch recycled across queries).
+// The service keeps only its own kernel ThreadPool, sized by
+// ServiceOptions::num_threads. Reference rows map to their name through
+// the engine's name index too, so everything a query reads follows the
+// engine across an ApplyDelta; answers cached before a delta are dropped
+// once the engine's catalog_version() moves. On top of the warm state it
+// layers the three serving mechanisms:
 //
 //  - Request batching (single-flight): concurrent queries for the same
 //    name coalesce onto one kernel invocation — the first caller computes,
@@ -29,9 +33,8 @@
 //
 // Answers are bit-identical to the batch path: the executor is the same
 // ProfileStore::Build → ComputePairMatrices → ClusterReferences sequence
-// as Distinct::ResolveRefs, sharing the memo exactly like the bulk scan —
-// memo hits return what misses would compute, so warmth never changes a
-// result.
+// as Distinct::ResolveRefs, on the same memo — memo hits return what
+// misses would compute, so warmth never changes a result.
 
 #ifndef DISTINCT_SERVE_SERVICE_H_
 #define DISTINCT_SERVE_SERVICE_H_
@@ -52,7 +55,6 @@
 #include "common/thread_pool.h"
 #include "core/distinct.h"
 #include "obs/heartbeat.h"
-#include "prop/workspace.h"
 #include "serve/protocol.h"
 
 namespace distinct {
@@ -101,8 +103,10 @@ struct ServiceStats {
 
 class ServeService {
  public:
-  /// `engine` must outlive the service and must not be mutated while
-  /// serving (ApplyDelta and serving are mutually exclusive phases).
+  /// `engine` must outlive the service. Serving and ApplyDelta may
+  /// alternate but must not overlap: no query may be in flight while the
+  /// engine applies a delta. Queries after a delta answer over the
+  /// appended database.
   ServeService(const Distinct& engine, ServiceOptions options);
 
   /// Parses and executes one request line; always returns one response
@@ -159,16 +163,14 @@ class ServeService {
   ServiceOptions options_;
   int64_t budget_bytes_ = 0;  // 0 = unbounded
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<SubtreeCache> memo_;
-  std::unique_ptr<WorkspacePool> workspaces_;
-  /// reference row -> position in engine.name_groups(), for classify_row.
-  std::unordered_map<int32_t, size_t> group_of_row_;
 
   mutable std::mutex mutex_;  // flights + cache
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
   std::unordered_map<std::string, std::shared_ptr<const ResolveAnswer>>
       cache_;
   std::deque<std::string> cache_fifo_;
+  /// engine_.catalog_version() the cached answers were computed under.
+  int64_t cache_version_ = 0;
 
   std::atomic<int64_t> inflight_{0};
   std::atomic<int64_t> reserved_bytes_{0};

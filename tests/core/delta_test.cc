@@ -464,6 +464,50 @@ TEST_F(DeltaTest, PatchResolveArtifactsRejectsNonPrefixRefs) {
   EXPECT_EQ(patched.status().code(), StatusCode::kInvalidArgument);
 }
 
+// ApplyDelta grows the one name index to exactly what a fresh Create()
+// builds over the appended database: a brand-new name gets its own group,
+// a reference to an existing name joins that name's group, and every
+// reference row maps to the same group — for every name, not only those a
+// scan's min_refs keeps.
+TEST_F(DeltaTest, NameIndexAfterDeltaMatchesFreshCreate) {
+  Database db = CopyDb();
+  auto engine = Distinct::Create(db, DblpReferenceSpec(), TestConfig());
+  ASSERT_TRUE(engine.ok());
+  const size_t names_before = engine->name_groups().size();
+  const Table& authors = **db.FindTable(kAuthorsTable);
+  const Table& publications = **db.FindTable(kPublicationsTable);
+  const int64_t new_author = MaxPrimaryKey(db, kAuthorsTable) + 1;
+  int64_t next_pub = MaxPrimaryKey(db, kPublishTable) + 1;
+
+  DatabaseDelta delta;
+  delta.Add(kAuthorsTable,
+            {Value::Int(new_author), Value::Str("Brand New Name")});
+  delta.Add(kPublishTable, {Value::Int(next_pub++), Value::Int(new_author),
+                            Value::Int(publications.GetInt(0, 0))});
+  delta.Add(kPublishTable,
+            {Value::Int(next_pub++), Value::Int(authors.GetInt(0, 0)),
+             Value::Int(publications.GetInt(1, 0))});
+  ASSERT_TRUE(engine->ApplyDelta(db, delta).ok());
+
+  auto fresh = Distinct::Create(db, DblpReferenceSpec(), TestConfig());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(engine->name_groups(), fresh->name_groups());
+  ASSERT_EQ(engine->name_groups().size(), names_before + 1);
+  EXPECT_EQ(engine->name_groups().back().first, "Brand New Name");
+  const int64_t ref_rows = (**db.FindTable(kPublishTable)).num_rows();
+  for (int64_t row = 0; row < ref_rows; ++row) {
+    EXPECT_EQ(engine->NameGroupOfRef(row), fresh->NameGroupOfRef(row))
+        << "reference row " << row;
+  }
+  EXPECT_EQ(engine->NameGroupOfRef(ref_rows - 2),
+            static_cast<int64_t>(names_before));
+  const int64_t existing = engine->NameGroupOfRef(ref_rows - 1);
+  ASSERT_GE(existing, 0);
+  EXPECT_EQ(engine->name_groups()[static_cast<size_t>(existing)].first,
+            authors.GetString(0, kAuthorsName));
+  EXPECT_EQ(engine->NameGroupOfRef(ref_rows), -1);
+}
+
 TEST_F(DeltaTest, EmptyDeltaDirtiesNothing) {
   Database db = CopyDb();
   auto engine = Distinct::Create(db, DblpReferenceSpec(), TestConfig());

@@ -6,13 +6,27 @@
 
 #include "../test_util.h"
 #include "dblp/generator.h"
+#include "obs/memory.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
 
 namespace distinct {
 namespace {
 
+/// An unsupervised engine over the mini DBLP database, whose name index
+/// every ScanNameGroups call below filters.
+Distinct MiniEngine(const Database& db) {
+  DistinctConfig config;
+  config.supervised = false;
+  auto engine = Distinct::Create(db, DblpReferenceSpec(), config);
+  DISTINCT_CHECK(engine.ok());
+  return *std::move(engine);
+}
+
 TEST(ScanTest, GroupsReferencesByName) {
   Database db = testing_util::MakeMiniDblp();
-  auto groups = ScanNameGroups(db, DblpReferenceSpec());
+  Distinct engine = MiniEngine(db);
+  auto groups = ScanNameGroups(engine);
   ASSERT_TRUE(groups.ok());
   // Wei Wang: 3 refs, Jiong Yang: 2 refs; others below min_refs=2.
   ASSERT_EQ(groups->size(), 2u);
@@ -24,23 +38,25 @@ TEST(ScanTest, GroupsReferencesByName) {
 
 TEST(ScanTest, MinRefsFilter) {
   Database db = testing_util::MakeMiniDblp();
+  Distinct engine = MiniEngine(db);
   ScanOptions options;
   options.min_refs = 1;
-  auto groups = ScanNameGroups(db, DblpReferenceSpec(), options);
+  auto groups = ScanNameGroups(engine, options);
   ASSERT_TRUE(groups.ok());
   // Everyone in Publish: Wei Wang, Jiong Yang, Jian Pei, Haixun Wang.
   EXPECT_EQ(groups->size(), 4u);
   options.min_refs = 3;
-  groups = ScanNameGroups(db, DblpReferenceSpec(), options);
+  groups = ScanNameGroups(engine, options);
   EXPECT_EQ(groups->size(), 1u);
 }
 
 TEST(ScanTest, MaxRefsCap) {
   Database db = testing_util::MakeMiniDblp();
+  Distinct engine = MiniEngine(db);
   ScanOptions options;
   options.min_refs = 1;
   options.max_refs = 2;
-  auto groups = ScanNameGroups(db, DblpReferenceSpec(), options);
+  auto groups = ScanNameGroups(engine, options);
   ASSERT_TRUE(groups.ok());
   for (const NameGroup& group : *groups) {
     EXPECT_LE(group.refs.size(), 2u);
@@ -53,56 +69,61 @@ TEST(ScanTest, MaxRefsCap) {
 /// could wrap and admit or reject the wrong groups.
 TEST(ScanTest, FiltersCompareBeyondInt32) {
   Database db = testing_util::MakeMiniDblp();
+  Distinct engine = MiniEngine(db);
   ScanOptions options;
   options.min_refs = int64_t{1} << 33;  // no group is this large
-  auto groups = ScanNameGroups(db, DblpReferenceSpec(), options);
+  auto groups = ScanNameGroups(engine, options);
   ASSERT_TRUE(groups.ok());
   EXPECT_TRUE(groups->empty());
 
   options.min_refs = 1;
   options.max_refs = int64_t{1} << 33;  // cap far above every group
-  groups = ScanNameGroups(db, DblpReferenceSpec(), options);
+  groups = ScanNameGroups(engine, options);
   ASSERT_TRUE(groups.ok());
   EXPECT_EQ(groups->size(), 4u);
 }
 
 TEST(ScanTest, OrderedByDescendingRefCount) {
   Database db = testing_util::MakeMiniDblp();
+  Distinct engine = MiniEngine(db);
   ScanOptions options;
   options.min_refs = 1;
-  auto groups = ScanNameGroups(db, DblpReferenceSpec(), options);
+  auto groups = ScanNameGroups(engine, options);
   ASSERT_TRUE(groups.ok());
   for (size_t i = 1; i < groups->size(); ++i) {
     EXPECT_GE((*groups)[i - 1].refs.size(), (*groups)[i].refs.size());
   }
 }
 
-TEST(ScanTest, BadSpecFails) {
-  Database db = testing_util::MakeMiniDblp();
-  ReferenceSpec spec = DblpReferenceSpec();
-  spec.reference_table = "Ghost";
-  EXPECT_FALSE(ScanNameGroups(db, spec).ok());
-}
-
-TEST(ScanTest, EngineScanMatchesDatabaseScan) {
+/// The dense slabs a scan's workspaces allocate count toward the memory
+/// the tracker measures, so run reports show them and admission sees the
+/// workspaces that exist when it measures.
+TEST(ScanTest, RunReportCountsWorkspaceBytes) {
+  const bool was_enabled = obs::Enabled();
   Database db = testing_util::MakeMiniDblp();
   DistinctConfig config;
   config.supervised = false;
+  config.observability = true;
+  obs::MemoryTracker::Global().Reset();
   auto engine = Distinct::Create(db, DblpReferenceSpec(), config);
   ASSERT_TRUE(engine.ok());
-  for (const int min_refs : {1, 2, 3}) {
-    ScanOptions options;
-    options.min_refs = min_refs;
-    auto from_db = ScanNameGroups(db, DblpReferenceSpec(), options);
-    auto from_index = ScanNameGroups(*engine, options);
-    ASSERT_TRUE(from_db.ok());
-    ASSERT_TRUE(from_index.ok());
-    ASSERT_EQ(from_index->size(), from_db->size()) << min_refs;
-    for (size_t g = 0; g < from_db->size(); ++g) {
-      EXPECT_EQ((*from_index)[g].name, (*from_db)[g].name);
-      EXPECT_EQ((*from_index)[g].refs, (*from_db)[g].refs);
+  auto groups = ScanNameGroups(*engine);
+  ASSERT_TRUE(groups.ok());
+  ASSERT_TRUE(ResolveAllNamesParallel(*engine, *groups, 2).ok());
+  const obs::RunReport report = obs::CollectRunReport("scan");
+  obs::SetEnabled(was_enabled);
+
+  int64_t current = -1;
+  int64_t peak = -1;
+  for (const obs::MemoryTracker::ComponentSnapshot& component :
+       report.memory) {
+    if (component.name == "propagation_workspace") {
+      current = component.current_bytes;
+      peak = component.peak_bytes;
     }
   }
+  EXPECT_GT(peak, 0);
+  EXPECT_EQ(current, 0);  // the scan's workspaces went with the scan
 }
 
 /// The single-name path, one group after another: the oracle every batch
@@ -137,7 +158,7 @@ class ResolveAllTest : public ::testing::Test {
 };
 
 TEST_F(ResolveAllTest, ResolvesEveryGroup) {
-  auto groups = ScanNameGroups(db_, DblpReferenceSpec());
+  auto groups = ScanNameGroups(*engine_);
   ASSERT_TRUE(groups.ok());
   std::vector<BulkResolution> results;
   auto stats = ResolveAllNamesParallel(*engine_, *groups, 2, &results);
@@ -176,7 +197,7 @@ TEST_F(ResolveAllTest, OutOfRangeReferenceIsInvalidArgument) {
 TEST_F(ResolveAllTest, ParallelMatchesSequential) {
   ScanOptions options;
   options.min_refs = 1;
-  auto groups = ScanNameGroups(db_, DblpReferenceSpec(), options);
+  auto groups = ScanNameGroups(*engine_, options);
   ASSERT_TRUE(groups.ok());
 
   BulkStats seq_stats;

@@ -19,6 +19,7 @@
 
 #include "../test_util.h"
 #include "common/io_util.h"
+#include "core/delta.h"
 #include "core/distinct.h"
 #include "obs/memory.h"
 #include "serve/protocol.h"
@@ -153,6 +154,45 @@ TEST(ServeServiceTest, AdmissionRejectsWhenStandingBytesExceedBudget) {
   const std::string retry = service.HandleLine(
       R"({"id":6,"method":"resolve_name","name":"Wei Wang"})");
   EXPECT_NE(retry.find(R"("ok":true)"), std::string::npos) << retry;
+}
+
+// Serving and ApplyDelta may alternate. After a delta appends a reference
+// of a name the service already answered (and cached), the next answer is
+// the engine's over the appended database, and the appended row classifies
+// into its cluster.
+TEST(ServeServiceTest, AnswersFreshResultsAfterApplyDelta) {
+  Database db = testing_util::MakeMiniDblp();
+  Distinct engine = MiniEngine(db);
+  ServeService service(engine, ServiceOptions{});
+  EXPECT_EQ(service.HandleLine(
+                R"({"id":1,"method":"resolve_name","name":"Wei Wang"})"),
+            ExpectedResolveJson(engine, 1, "Wei Wang"));
+
+  // A new paper by Wei Wang and Jiong Yang; Publish row 7 is the new Wei
+  // Wang reference.
+  DatabaseDelta delta;
+  delta.Add(kPublicationsTable,
+            {Value::Int(3), Value::Str("Paper 3"), Value::Int(1)});
+  delta.Add(kPublishTable, {Value::Int(7), Value::Int(testing_util::kWeiWang),
+                            Value::Int(3)});
+  delta.Add(kPublishTable,
+            {Value::Int(8), Value::Int(testing_util::kJiongYang),
+             Value::Int(3)});
+  ASSERT_TRUE(engine.ApplyDelta(db, delta).ok());
+
+  auto result = engine.ResolveName("Wei Wang");
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->refs, (std::vector<int32_t>{0, 2, 6, 7}));
+  ResolveAnswer answer;
+  answer.refs = result->refs;
+  answer.clustering = result->clustering;
+  EXPECT_EQ(service.HandleLine(
+                R"({"id":2,"method":"resolve_name","name":"Wei Wang"})"),
+            AnswerResponseJson(2, Method::kResolveName, "Wei Wang", answer));
+  EXPECT_EQ(
+      service.HandleLine(R"({"id":3,"method":"classify_row","row":7})"),
+      AnswerResponseJson(3, Method::kClassifyRow, "Wei Wang", answer, 7,
+                         answer.clustering.assignment[3]));
 }
 
 TEST(ServeServiceTest, ConcurrentSameNameQueriesShareOneAnswer) {
