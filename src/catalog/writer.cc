@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -302,14 +301,8 @@ Status CatalogWriter::WriteCatalogFile(const std::string& file_name,
                                        int64_t* bytes_out) {
   const uint32_t crc = Crc32c(payload.data(), payload.size());
   AppendU32(payload, crc);
-  const std::string path = options_.dir + "/" + file_name;
-  const std::string tmp = path + ".tmp";
-  DISTINCT_RETURN_IF_ERROR(WriteFileDurable(tmp, payload, "catalog"));
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return InternalError("catalog: rename of '" + tmp +
-                         "' failed: " + std::strerror(errno));
-  }
-  DISTINCT_RETURN_IF_ERROR(FsyncDir(options_.dir, "catalog"));
+  DISTINCT_RETURN_IF_ERROR(ReplaceFileDurable(options_.dir + "/" + file_name,
+                                              payload, "catalog"));
   if (crc_out != nullptr) {
     *crc_out = crc;
   }
@@ -453,15 +446,8 @@ StatusOr<CatalogSummary> CatalogWriter::Finish(int64_t records_skipped) {
   // The manifest commits the generation: the rename swaps the previous
   // manifest (if any) for this one in one step, so a crash before it
   // leaves the previous generation, and a crash after it the new one.
-  const std::string manifest_path =
-      std::string(options_.dir) + "/" + kManifestFile;
-  const std::string tmp = manifest_path + ".tmp";
-  DISTINCT_RETURN_IF_ERROR(WriteFileDurable(tmp, json.str(), "catalog"));
-  if (::rename(tmp.c_str(), manifest_path.c_str()) != 0) {
-    return InternalError("catalog: rename of '" + tmp +
-                         "' failed: " + std::strerror(errno));
-  }
-  DISTINCT_RETURN_IF_ERROR(FsyncDir(options_.dir, "catalog"));
+  DISTINCT_RETURN_IF_ERROR(ReplaceFileDurable(
+      options_.dir + "/" + kManifestFile, json.str(), "catalog"));
   bytes_written_ += static_cast<int64_t>(json.str().size());
   finished_ = true;
 

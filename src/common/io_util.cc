@@ -115,6 +115,24 @@ Status FsyncDir(const std::string& dir, const std::string& context) {
   return error;
 }
 
+Status ReplaceFileDurable(const std::string& path, std::string_view data,
+                          const std::string& context) {
+  const std::string tmp = path + ".tmp";
+  Status status = WriteFileDurable(tmp, data, context);
+  if (status.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = DataLossError(context + ": rename of '" + tmp + "' onto '" +
+                           path + "' failed: " + std::strerror(errno));
+  }
+  if (!status.ok()) {
+    ::unlink(tmp.c_str());
+    return status;
+  }
+  const size_t slash = path.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash == 0 ? 1 : slash);
+  return FsyncDir(dir, context);
+}
+
 Status WriteFdAll(int fd, std::string_view data,
                   const std::string& context) {
   size_t written = 0;

@@ -10,8 +10,9 @@
 // ("checkpoint", "serve", ...) prefixed exactly like the messages the call
 // sites used to build by hand.
 //
-// The durable variants (WriteFileDurable + FsyncDir) carry the checkpoint
-// contract: data fsync'd before rename, directory fsync'd after.
+// The durable variants (WriteFileDurable + FsyncDir, combined in
+// ReplaceFileDurable) carry the checkpoint and catalog contract: data
+// fsync'd before rename, directory fsync'd after.
 
 #ifndef DISTINCT_COMMON_IO_UTIL_H_
 #define DISTINCT_COMMON_IO_UTIL_H_
@@ -42,6 +43,13 @@ Status WriteFileDurable(const std::string& path, std::string_view data,
 
 /// fsyncs a directory so a prior rename/create in it survives a crash.
 Status FsyncDir(const std::string& dir, const std::string& context = "io");
+
+/// Atomic, crash-durable replacement of `path` by `data`: WriteFileDurable
+/// to `path + ".tmp"`, rename onto `path`, FsyncDir of its directory. A
+/// reader sees the old bytes or the new, never a mix. A failed rename is
+/// DataLoss. A failed write or rename removes the tmp file.
+Status ReplaceFileDurable(const std::string& path, std::string_view data,
+                          const std::string& context = "io");
 
 /// Writes all of `data` to `fd` (file or socket): EINTR-retried,
 /// short-write-resumed. EPIPE/ECONNRESET come back as Unavailable so a

@@ -1,11 +1,6 @@
 #include "core/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -213,22 +208,11 @@ Status WriteShardCheckpoint(const std::string& dir,
   // against the kCheckpoint gauge so its peak shows up in the report.
   obs::TrackedBytes buffer_bytes(obs::MemoryTracker::kCheckpoint);
   buffer_bytes.Set(static_cast<int64_t>(json.capacity()));
-  const std::string path = ShardCheckpointPath(dir, checkpoint.shard_id);
-  const std::string tmp = path + ".tmp";
-  // A failed write or rename must not leak the tmp file: the retry path
+  // A failed write or rename removes the tmp file: the retry path
   // recreates it from scratch, and CleanupCheckpointTmpFiles() only covers
   // crashes, not surviving processes that keep checkpointing.
-  if (Status written = WriteFileDurable(tmp, json, "checkpoint"); !written.ok()) {
-    ::unlink(tmp.c_str());
-    return written;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string error = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return DataLossError("checkpoint: rename '" + tmp + "' -> '" + path +
-                         "' failed: " + error);
-  }
-  DISTINCT_RETURN_IF_ERROR(FsyncDir(dir, "checkpoint"));
+  DISTINCT_RETURN_IF_ERROR(ReplaceFileDurable(
+      ShardCheckpointPath(dir, checkpoint.shard_id), json, "checkpoint"));
   // The marker is written only after the data file is durably in place, so
   // its presence certifies a complete, readable checkpoint.
   DISTINCT_RETURN_IF_ERROR(WriteFileDurable(

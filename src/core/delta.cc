@@ -108,18 +108,6 @@ Status ValidateDelta(const Database& db, const DatabaseDelta& delta) {
   return Status::Ok();
 }
 
-/// Schema node of every level of `path` (size steps + 1).
-std::vector<int> NodeAtLevels(const SchemaGraph& schema,
-                              const JoinPath& path) {
-  std::vector<int> node_at(path.steps.size() + 1);
-  node_at[0] = path.start_node;
-  for (size_t i = 0; i < path.steps.size(); ++i) {
-    node_at[i + 1] = schema.Traverse(
-        node_at[i], IncidentEdge{path.steps[i].edge_id, path.steps[i].forward});
-  }
-  return node_at;
-}
-
 }  // namespace
 
 StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
@@ -205,7 +193,7 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
       static_cast<size_t>(link_graph_->NumTuples(start_node)), 0);
   for (size_t p = 0; p < paths.size(); ++p) {
     const JoinPath& path = paths[p];
-    const std::vector<int> node_at = NodeAtLevels(schema, path);
+    const std::vector<int> node_at = path.LevelNodes(schema);
     const size_t k = path.steps.size();
     const size_t junction = SubtreeJunctionLevel(
         path, node_at, config_.propagation.exclude_start_tuple);

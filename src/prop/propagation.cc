@@ -87,20 +87,6 @@ NeighborProfile ComputeDepthFirst(const LinkGraph& link, const JoinPath& path,
   return profile;
 }
 
-/// Schema node at every path level (node_at[0] == path.start_node).
-std::vector<int> NodeAtLevels(const LinkGraph& link, const JoinPath& path) {
-  std::vector<int> node_at;
-  node_at.reserve(path.steps.size() + 1);
-  node_at.push_back(path.start_node);
-  const SchemaGraph& schema = link.schema();
-  int node = path.start_node;
-  for (const JoinStep& step : path.steps) {
-    node = schema.Traverse(node, IncidentEdge{step.edge_id, step.forward});
-    node_at.push_back(node);
-  }
-  return node_at;
-}
-
 }  // namespace
 
 NeighborProfile PropagationEngine::Compute(
@@ -116,7 +102,7 @@ NeighborProfile PropagationEngine::Compute(
                   start_tuple < link_->NumTuples(path.start_node));
 
   return ComputeDepthFirst(*link_, path, start_tuple, options,
-                           NodeAtLevels(*link_, path));
+                           path.LevelNodes(link_->schema()));
 }
 
 NeighborProfile PropagationEngine::Compute(const JoinPath& path,
@@ -133,7 +119,7 @@ NeighborProfile PropagationEngine::Compute(const JoinPath& path,
   DISTINCT_DCHECK(start_tuple >= 0 &&
                   start_tuple < link_->NumTuples(path.start_node));
 
-  std::vector<int> node_at = NodeAtLevels(*link_, path);
+  std::vector<int> node_at = path.LevelNodes(link_->schema());
   std::optional<NeighborProfile> profile =
       PropagateDense(*link_, path, start_tuple, options, node_at, workspace,
                      cache, cache_path_id);

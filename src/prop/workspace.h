@@ -191,8 +191,6 @@ class SubtreeCache {
   /// Releases the resident payload from the kSubtreeCache byte gauge.
   ~SubtreeCache();
 
-  size_t capacity_bytes() const { return capacity_bytes_; }
-
   /// The memoized distribution, or nullptr on miss.
   std::shared_ptr<const SubtreeDistribution> Find(int path_id, int32_t tuple);
 

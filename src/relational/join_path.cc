@@ -12,6 +12,17 @@ int JoinPath::EndNode(const SchemaGraph& graph) const {
   return node;
 }
 
+std::vector<int> JoinPath::LevelNodes(const SchemaGraph& graph) const {
+  std::vector<int> nodes;
+  nodes.reserve(steps.size() + 1);
+  nodes.push_back(start_node);
+  for (const JoinStep& step : steps) {
+    nodes.push_back(
+        graph.Traverse(nodes.back(), IncidentEdge{step.edge_id, step.forward}));
+  }
+  return nodes;
+}
+
 std::string JoinPath::Describe(const SchemaGraph& graph) const {
   std::string out = graph.node(start_node).name;
   int node = start_node;

@@ -36,6 +36,10 @@ struct JoinPath {
   /// Node reached after walking every step.
   int EndNode(const SchemaGraph& graph) const;
 
+  /// Node at every level of the walk: length() + 1 entries, the first
+  /// start_node and the last EndNode(). One allocation.
+  std::vector<int> LevelNodes(const SchemaGraph& graph) const;
+
   /// Human-readable form, e.g.
   /// "Publish -paper-> Publications <-paper- Publish -author-> Authors".
   std::string Describe(const SchemaGraph& graph) const;

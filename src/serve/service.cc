@@ -58,7 +58,11 @@ ServeService::ServeService(const Distinct& engine, ServiceOptions options)
   if (options_.progress != nullptr) {
     progress_ = options_.progress;
   }
-  const auto& groups = engine.name_groups();
+  PublishTotals();
+}
+
+void ServeService::PublishTotals() {
+  const auto& groups = engine_.name_groups();
   int64_t total_refs = 0;
   for (const auto& group : groups) {
     total_refs += static_cast<int64_t>(group.second.size());
@@ -206,6 +210,7 @@ StatusOr<std::shared_ptr<const ResolveAnswer>> ServeService::ResolveShared(
       cache_.clear();
       cache_fifo_.clear();
       cache_version_ = engine_.catalog_version();
+      PublishTotals();
     }
     if (auto cached = cache_.find(name); cached != cache_.end()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);

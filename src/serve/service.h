@@ -9,9 +9,9 @@
 // The service keeps only its own kernel ThreadPool, sized by
 // ServiceOptions::num_threads. Reference rows map to their name through
 // the engine's name index too, so everything a query reads follows the
-// engine across an ApplyDelta; answers cached before a delta are dropped
-// once the engine's catalog_version() moves. On top of the warm state it
-// layers the three serving mechanisms:
+// engine across an ApplyDelta; answers cached before a delta are dropped,
+// and the progress totals republished, once the engine's catalog_version()
+// moves. On top of the warm state it layers the three serving mechanisms:
 //
 //  - Request batching (single-flight): concurrent queries for the same
 //    name coalesce onto one kernel invocation — the first caller computes,
@@ -158,6 +158,9 @@ class ServeService {
                    std::shared_ptr<const ResolveAnswer> answer);
   std::chrono::steady_clock::time_point DeadlineFor(
       const ServeRequest& request) const;
+  /// Stores the engine's group and reference counts as the progress
+  /// totals: at construction and again once catalog_version() moves.
+  void PublishTotals();
 
   const Distinct& engine_;
   ServiceOptions options_;

@@ -78,7 +78,6 @@ std::unique_ptr<PropagationWorkspace> WorkspacePool::Acquire() {
       free_.pop_back();
       return workspace;
     }
-    ++created_;
   }
   return std::make_unique<PropagationWorkspace>(*link_);
 }
@@ -86,11 +85,6 @@ std::unique_ptr<PropagationWorkspace> WorkspacePool::Acquire() {
 void WorkspacePool::Release(std::unique_ptr<PropagationWorkspace> workspace) {
   std::lock_guard<std::mutex> lock(mutex_);
   free_.push_back(std::move(workspace));
-}
-
-int64_t WorkspacePool::num_created() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return created_;
 }
 
 std::vector<std::vector<NeighborProfile>> ProfileStore::Propagate(

@@ -45,15 +45,9 @@ class WorkspacePool {
   std::unique_ptr<PropagationWorkspace> Acquire();
   void Release(std::unique_ptr<PropagationWorkspace> workspace);
 
-  /// Workspaces ever allocated — the high-water mark of concurrent use.
-  /// Multiplied by ApproxWorkspaceBytes(link) this bounds the pool's
-  /// resident footprint.
-  int64_t num_created() const;
-
  private:
   const LinkGraph* link_;
-  mutable std::mutex mutex_;
-  int64_t created_ = 0;
+  std::mutex mutex_;
   std::vector<std::unique_ptr<PropagationWorkspace>> free_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -89,20 +88,13 @@ StatusOr<LinearSvmModel> TrainLinearSvm(const SvmProblem& problem,
   const size_t raw_dim = problem.num_features();
   const size_t dim = raw_dim + (params.fit_bias ? 1 : 0);
 
-  // L2-loss runs the same coordinate updates with a diagonal shift
-  // D_ii = 1/(2C) and an unbounded upper box (Hsieh et al., ICML 2008).
-  const bool squared = params.loss == SvmLoss::kSquaredHinge;
-  const double diagonal_shift = squared ? 1.0 / (2.0 * params.c) : 0.0;
-  const double upper_bound =
-      squared ? std::numeric_limits<double>::infinity() : params.c;
-
   // Augmented rows (bias feature == 1) and their squared norms Q_ii.
   auto feature = [&](size_t i, size_t f) -> double {
     return f < raw_dim ? problem.x[i][f] : 1.0;
   };
   std::vector<double> q_diag(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    double q = diagonal_shift;
+    double q = 0.0;
     for (size_t f = 0; f < dim; ++f) {
       const double v = feature(i, f);
       q += v * v;
@@ -134,13 +126,13 @@ StatusOr<LinearSvmModel> TrainLinearSvm(const SvmProblem& problem,
       for (size_t f = 0; f < dim; ++f) {
         wx += w[f] * feature(i, f);
       }
-      const double gradient = yi * wx - 1.0 + diagonal_shift * alpha[i];
+      const double gradient = yi * wx - 1.0;
 
-      // Projected gradient for the box constraint 0 <= alpha_i <= U.
+      // Projected gradient for the box constraint 0 <= alpha_i <= C.
       double projected = gradient;
       if (alpha[i] <= 0.0) {
         projected = std::min(gradient, 0.0);
-      } else if (alpha[i] >= upper_bound) {
+      } else if (alpha[i] >= params.c) {
         projected = std::max(gradient, 0.0);
       }
       max_violation = std::max(max_violation, std::fabs(projected));
@@ -149,8 +141,7 @@ StatusOr<LinearSvmModel> TrainLinearSvm(const SvmProblem& problem,
       }
 
       const double old_alpha = alpha[i];
-      alpha[i] =
-          std::clamp(old_alpha - gradient / q_diag[i], 0.0, upper_bound);
+      alpha[i] = std::clamp(old_alpha - gradient / q_diag[i], 0.0, params.c);
       const double delta = (alpha[i] - old_alpha) * yi;
       if (delta != 0.0) {
         for (size_t f = 0; f < dim; ++f) {
@@ -175,57 +166,6 @@ StatusOr<LinearSvmModel> TrainLinearSvm(const SvmProblem& problem,
     w.pop_back();
   }
   return LinearSvmModel(std::move(w), bias);
-}
-
-StatusOr<double> CrossValidateAccuracy(const SvmProblem& problem,
-                                       const SvmParams& params, int k) {
-  DISTINCT_RETURN_IF_ERROR(ValidateProblem(problem));
-  if (k < 2) {
-    return InvalidArgumentError("cross-validation requires k >= 2");
-  }
-
-  // Stratified fold assignment: shuffle each class, deal round-robin.
-  const size_t n = problem.num_examples();
-  std::vector<int> fold_of(n, -1);
-  Rng rng(params.seed ^ 0x9e3779b97f4a7c15ULL);
-  for (const int label : {1, -1}) {
-    std::vector<size_t> members;
-    for (size_t i = 0; i < n; ++i) {
-      if (problem.y[i] == label) {
-        members.push_back(i);
-      }
-    }
-    if (members.size() < static_cast<size_t>(k)) {
-      return InvalidArgumentError(StrFormat(
-          "cross-validation: class %+d has %zu examples, need >= %d", label,
-          members.size(), k));
-    }
-    rng.Shuffle(members);
-    for (size_t j = 0; j < members.size(); ++j) {
-      fold_of[members[j]] = static_cast<int>(j % static_cast<size_t>(k));
-    }
-  }
-
-  int64_t correct = 0;
-  for (int fold = 0; fold < k; ++fold) {
-    SvmProblem train;
-    SvmProblem test;
-    for (size_t i = 0; i < n; ++i) {
-      SvmProblem& target = (fold_of[i] == fold) ? test : train;
-      target.x.push_back(problem.x[i]);
-      target.y.push_back(problem.y[i]);
-    }
-    auto model = TrainLinearSvm(train, params);
-    if (!model.ok()) {
-      return model.status();
-    }
-    for (size_t i = 0; i < test.x.size(); ++i) {
-      if (model->Predict(test.x[i]) == test.y[i]) {
-        ++correct;
-      }
-    }
-  }
-  return static_cast<double>(correct) / static_cast<double>(n);
 }
 
 }  // namespace distinct

@@ -30,15 +30,8 @@ struct SvmProblem {
   size_t num_features() const { return x.empty() ? 0 : x.front().size(); }
 };
 
-/// Loss functions supported by the dual coordinate-descent solver.
-enum class SvmLoss {
-  kHinge,         // L1-SVM: max(0, 1 - y w.x); alpha in [0, C]
-  kSquaredHinge,  // L2-SVM: max(0, 1 - y w.x)^2; alpha in [0, inf)
-};
-
 /// Solver hyper-parameters.
 struct SvmParams {
-  SvmLoss loss = SvmLoss::kHinge;
   double c = 1.0;            // misclassification cost
   int max_epochs = 1000;     // passes over the data
   double epsilon = 1e-4;     // stop when max projected-gradient violation < ε
@@ -74,11 +67,6 @@ class LinearSvmModel {
 /// labels outside {+1,-1}, or a single-class problem.
 StatusOr<LinearSvmModel> TrainLinearSvm(const SvmProblem& problem,
                                         const SvmParams& params);
-
-/// Stratified k-fold cross-validated accuracy. Requires k >= 2 and at least
-/// k examples of each class.
-StatusOr<double> CrossValidateAccuracy(const SvmProblem& problem,
-                                       const SvmParams& params, int k);
 
 }  // namespace distinct
 

@@ -1,11 +1,7 @@
 #include "xml/xml_parser.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <utility>
 
-#include "common/io_util.h"
 #include "common/string_util.h"
 
 namespace distinct {
@@ -557,42 +553,6 @@ Status XmlParser::Parse(std::string_view content, XmlHandler& handler) {
     return status;
   }
   return parser.Finish();
-}
-
-Status XmlParser::ParseFile(const std::string& path, XmlHandler& handler) {
-  auto content = ReadFileToString(path, "xml");
-  if (!content.ok()) {
-    return content.status();
-  }
-  return Parse(*content, handler);
-}
-
-Status XmlParser::ParseFileStreaming(const std::string& path,
-                                     XmlHandler& handler,
-                                     XmlStreamOptions options) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return NotFoundError("cannot open file '" + path + "'");
-  }
-  XmlStreamParser parser(handler, options);
-  char buffer[1 << 18];
-  Status status = Status::Ok();
-  for (;;) {
-    auto n = ReadFdSome(fd, buffer, sizeof(buffer), "xml");
-    if (!n.ok()) {
-      status = n.status();
-      break;
-    }
-    if (*n == 0) {
-      status = parser.Finish();
-      break;
-    }
-    if (status = parser.Feed(std::string_view(buffer, *n)); !status.ok()) {
-      break;
-    }
-  }
-  ::close(fd);
-  return status;
 }
 
 }  // namespace distinct

@@ -6,14 +6,17 @@
 // and the ISO latin named entities DBLP uses for author names. It is not a
 // validating parser.
 //
-// Two entry points share one implementation:
-//   * XmlParser::Parse / ParseFile — whole document in one call.
+// Two entry points share one implementation; neither opens files, so
+// each caller reads its input its own way:
+//   * XmlParser::Parse — one in-memory document in one call (the DBLP
+//     loader reads the whole file first).
 //   * XmlStreamParser — push chunks of any size with Feed(); the parser
 //     holds only the bytes of the one construct currently straddling a
 //     chunk boundary (a tag, comment, CDATA section, or a possible partial
 //     entity reference at the tail of a text run), so a multi-GB document
 //     parses in O(max_token_bytes) memory. A single construct larger than
 //     the bound is rejected with OutOfRange instead of being truncated.
+//     Catalog ingest feeds it from its own bounded read loop.
 
 #ifndef DISTINCT_XML_XML_PARSER_H_
 #define DISTINCT_XML_XML_PARSER_H_
@@ -102,15 +105,6 @@ class XmlParser {
   /// syntax error (with byte offset) or OK. Checks that tags balance and
   /// that there is a root element (XmlStreamParser::Finish).
   static Status Parse(std::string_view content, XmlHandler& handler);
-
-  /// Convenience: reads `path` fully and parses it.
-  static Status ParseFile(const std::string& path, XmlHandler& handler);
-
-  /// Streams `path` through a bounded buffer (never materialising the
-  /// document) — the entry point for multi-GB dblp.xml inputs.
-  static Status ParseFileStreaming(const std::string& path,
-                                   XmlHandler& handler,
-                                   XmlStreamOptions options = {});
 };
 
 /// Decodes entity and character references in `text` ("&amp;" -> "&").

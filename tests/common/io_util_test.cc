@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -14,6 +15,10 @@ std::string TempPath(const char* name) {
   const char* dir = ::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/distinct_io_" +
          name + "_" + std::to_string(::getpid());
+}
+
+bool Exists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
 }
 
 TEST(FileIoTest, WriteThenReadRoundTrips) {
@@ -40,6 +45,36 @@ TEST(FileIoTest, DurableWriteProducesSameBytes) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, "checkpoint");
   std::remove(path.c_str());
+}
+
+TEST(FileIoTest, ReplaceLeavesNewBytesAndNoTmp) {
+  const std::string path = TempPath("replace");
+  ASSERT_TRUE(WriteStringToFile(path, "old bytes, longer", "test").ok());
+  ASSERT_TRUE(ReplaceFileDurable(path, "new", "test").ok());
+  auto read = ReadFileToString(path, "test");
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, "new");
+  EXPECT_FALSE(Exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(FileIoTest, ReplaceIntoMissingDirectoryFailsAndLeavesNoFile) {
+  const std::string path = TempPath("no_such_dir") + "/file";
+  const Status status = ReplaceFileDurable(path, "data", "test");
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("test"), std::string::npos);
+  EXPECT_FALSE(Exists(path));
+  EXPECT_FALSE(Exists(path + ".tmp"));
+}
+
+TEST(FileIoTest, FailedRenameIsDataLossAndRemovesTmp) {
+  // A directory in the target's place makes the rename itself fail.
+  const std::string path = TempPath("rename_target");
+  ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+  const Status status = ReplaceFileDurable(path, "data", "test");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(Exists(path + ".tmp"));
+  ::rmdir(path.c_str());
 }
 
 TEST(FdLineReaderTest, SplitsLinesAcrossPipeWrites) {

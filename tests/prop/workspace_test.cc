@@ -316,16 +316,6 @@ TEST(SubtreeJunctionLevelTest, ExclusionOffIgnoresStartNodeLevels) {
   EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("rfrf"), node_at, false), 1u);
 }
 
-/// Schema node at every level of `path`.
-std::vector<int> NodesOf(const SchemaGraph& schema, const JoinPath& path) {
-  std::vector<int> node_at = {path.start_node};
-  for (const JoinStep& step : path.steps) {
-    node_at.push_back(schema.Traverse(
-        node_at.back(), IncidentEdge{step.edge_id, step.forward}));
-  }
-  return node_at;
-}
-
 /// Complete walks of `path` from `origin`, pruning walks into the origin
 /// at start-node levels (the last level only when `prune_last`).
 int64_t CountWalks(const LinkGraph& link, const JoinPath& path,
@@ -357,7 +347,7 @@ TEST(WorkspaceBudgetTest, OriginWalksLeaveTheInstanceCount) {
 
   int checked = 0;
   for (const JoinPath& path : world.paths) {
-    const std::vector<int> node_at = NodesOf(*world.schema, path);
+    const std::vector<int> node_at = path.LevelNodes(*world.schema);
     const size_t k = path.steps.size();
     if (node_at[k] != node_at[0] ||
         SubtreeJunctionLevel(path, node_at, true) == k) {

@@ -60,6 +60,23 @@ TEST_F(JoinPathTest, EveryPathEndsWhereTraverseSaysItDoes) {
   }
 }
 
+TEST_F(JoinPathTest, LevelNodesFollowEveryStep) {
+  PathEnumerationOptions options;
+  options.max_length = 4;
+  for (const JoinPath& path : EnumerateJoinPaths(*graph_, publish_,
+                                                 options)) {
+    const std::vector<int> nodes = path.LevelNodes(*graph_);
+    ASSERT_EQ(nodes.size(), path.steps.size() + 1);
+    EXPECT_EQ(nodes.front(), path.start_node);
+    for (size_t i = 0; i < path.steps.size(); ++i) {
+      EXPECT_EQ(nodes[i + 1],
+                graph_->Traverse(nodes[i], IncidentEdge{path.steps[i].edge_id,
+                                                        path.steps[i].forward}));
+    }
+    EXPECT_EQ(nodes.back(), path.EndNode(*graph_));
+  }
+}
+
 TEST_F(JoinPathTest, PathsAreUnique) {
   PathEnumerationOptions options;
   options.max_length = 4;

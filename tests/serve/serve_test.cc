@@ -193,6 +193,15 @@ TEST(ServeServiceTest, AnswersFreshResultsAfterApplyDelta) {
       service.HandleLine(R"({"id":3,"method":"classify_row","row":7})"),
       AnswerResponseJson(3, Method::kClassifyRow, "Wei Wang", answer, 7,
                          answer.clustering.assignment[3]));
+
+  // The heartbeat's totals follow the appended catalog too.
+  int64_t total_refs = 0;
+  for (const auto& group : engine.name_groups()) {
+    total_refs += static_cast<int64_t>(group.second.size());
+  }
+  EXPECT_EQ(service.progress()->groups_total.load(),
+            static_cast<int64_t>(engine.name_groups().size()));
+  EXPECT_EQ(service.progress()->refs_total.load(), total_refs);
 }
 
 TEST(ServeServiceTest, ConcurrentSameNameQueriesShareOneAnswer) {

@@ -140,69 +140,6 @@ TEST(LinearSvmTest, BiasDisabledStaysZero) {
   EXPECT_DOUBLE_EQ(model->bias(), 0.0);
 }
 
-TEST(LinearSvmTest, SquaredHingeAlsoLearnsSeparableProblems) {
-  const SvmProblem problem = SeparableProblem(400, 51);
-  SvmParams params;
-  params.loss = SvmLoss::kSquaredHinge;
-  auto model = TrainLinearSvm(problem, params);
-  ASSERT_TRUE(model.ok());
-  EXPECT_DOUBLE_EQ(model->Accuracy(problem), 1.0);
-}
-
-TEST(LinearSvmTest, SquaredHingeHandlesNoise) {
-  Rng rng(5);
-  SvmProblem problem = SeparableProblem(500, 53);
-  for (size_t i = 0; i < problem.y.size(); ++i) {
-    if (rng.Bernoulli(0.08)) {
-      problem.y[i] = -problem.y[i];
-    }
-  }
-  SvmParams params;
-  params.loss = SvmLoss::kSquaredHinge;
-  auto model = TrainLinearSvm(problem, params);
-  ASSERT_TRUE(model.ok());
-  EXPECT_GT(model->Accuracy(problem), 0.84);
-}
-
-TEST(LinearSvmTest, LossesAgreeOnCleanData) {
-  const SvmProblem problem = SeparableProblem(300, 57);
-  SvmParams hinge;
-  SvmParams squared;
-  squared.loss = SvmLoss::kSquaredHinge;
-  auto hinge_model = TrainLinearSvm(problem, hinge);
-  auto squared_model = TrainLinearSvm(problem, squared);
-  ASSERT_TRUE(hinge_model.ok() && squared_model.ok());
-  // Same classifications on the training set; weight vectors point the
-  // same way (positive cosine).
-  double dot = 0.0;
-  double na = 0.0;
-  double nb = 0.0;
-  for (size_t f = 0; f < hinge_model->weights().size(); ++f) {
-    dot += hinge_model->weights()[f] * squared_model->weights()[f];
-    na += hinge_model->weights()[f] * hinge_model->weights()[f];
-    nb += squared_model->weights()[f] * squared_model->weights()[f];
-  }
-  EXPECT_GT(dot / std::sqrt(na * nb), 0.9);
-}
-
-TEST(CrossValidationTest, SeparableProblemScoresHigh) {
-  const SvmProblem problem = SeparableProblem(300, 41);
-  auto accuracy = CrossValidateAccuracy(problem, SvmParams{}, 5);
-  ASSERT_TRUE(accuracy.ok());
-  EXPECT_GT(*accuracy, 0.95);
-}
-
-TEST(CrossValidationTest, RejectsBadK) {
-  const SvmProblem problem = SeparableProblem(50, 43);
-  EXPECT_FALSE(CrossValidateAccuracy(problem, SvmParams{}, 1).ok());
-
-  SvmProblem tiny;
-  tiny.x = {{0.0}, {1.0}, {2.0}};
-  tiny.y = {-1, 1, 1};
-  // Class -1 has one example < k = 2.
-  EXPECT_FALSE(CrossValidateAccuracy(tiny, SvmParams{}, 2).ok());
-}
-
 /// Property sweep: the learned model beats chance across dimensions.
 class SvmDimensionTest : public ::testing::TestWithParam<size_t> {};
 

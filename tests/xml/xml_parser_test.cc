@@ -146,12 +146,6 @@ TEST(DecodeXmlEntitiesTest, UnknownAndMalformedPreserved) {
   EXPECT_EQ(DecodeXmlEntities("trailing &"), "trailing &");
 }
 
-TEST(XmlParserTest, ParseFileMissingFile) {
-  RecordingHandler handler;
-  EXPECT_EQ(XmlParser::ParseFile("/no/such/file.xml", handler).code(),
-            StatusCode::kNotFound);
-}
-
 TEST(XmlParserTest, DblpShapedRecord) {
   RecordingHandler handler;
   const char* doc =
