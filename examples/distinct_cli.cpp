@@ -68,36 +68,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-void Usage() {
-  std::fprintf(stderr,
-               "usage: distinct_cli "
-               "<generate|generate-xml|ingest|train|resolve|scan|append|"
-               "eval|serve> [flags]\n"
-               "  common flags: --dir=DATA --model=FILE --min-sim=0.03\n"
-               "                --catalog=DIR (load the database from an\n"
-               "                 ingested columnar catalog instead of "
-               "--dir)\n"
-               "                --threads=N --stopping=fixed|largest-gap\n"
-               "                --prop-cache-mb=N\n"
-               "                --verbosity=0|1|2\n"
-               "                --report --metrics-json=FILE "
-               "--trace-json=FILE\n"
-               "  generate: --seed=N\n"
-               "  generate-xml: --out=FILE --rows=N (target references) "
-               "--seed=N\n"
-               "  ingest:   --xml=FILE --catalog=DIR --segment-papers=N\n"
-               "            --scan-memory-mb=N (working-set budget)\n"
-               "  resolve:  --name=\"Wei Wang\"\n"
-               "  scan:     --min-refs=N --threads=N --shards=N\n"
-               "            --scan-memory-mb=N --checkpoint-dir=DIR "
-               "--resume\n"
-               "            --heartbeat=FILE --progress-interval=SECONDS\n"
-               "  append:   --delta=DIR [--verify] [--min-refs=N]\n"
-               "  serve:    --port=N --host=ADDR --max-inflight=N\n"
-               "            --deadline-ms=N --result-cache=N\n"
-               "            --scan-memory-mb=N (admission budget)\n");
-}
-
 /// Tables attached to the run report by subcommands (the scan's shard
 /// table); collected by main() after the command finishes.
 std::vector<obs::ReportTable> g_report_tables;
@@ -231,6 +201,20 @@ StatusOr<DistinctConfig> EngineConfigFromFlags(const FlagParser& flags,
 /// the budget in bytes (mb << 20) inside int64.
 StatusOr<int64_t> ScanMemoryMb(const FlagParser& flags) {
   return flags.GetInt64InRange("scan-memory-mb", 0, int64_t{1} << 40);
+}
+
+/// --min-refs/--max-refs as the scan filters of scan and append; int64
+/// end to end, so a bound beyond INT_MAX compares exactly instead of being
+/// narrowed.
+StatusOr<ScanOptions> ScanOptionsFromFlags(const FlagParser& flags) {
+  ScanOptions scan;
+  auto min_refs = flags.GetInt64InRange("min-refs", 1, INT64_MAX);
+  DISTINCT_RETURN_IF_ERROR(min_refs.status());
+  scan.min_refs = *min_refs;
+  auto max_refs = flags.GetInt64InRange("max-refs", 0, INT64_MAX);
+  DISTINCT_RETURN_IF_ERROR(max_refs.status());
+  scan.max_refs = *max_refs;
+  return scan;
 }
 
 StatusOr<Distinct> MakeEngine(const Database& db, const FlagParser& flags,
@@ -389,21 +373,14 @@ obs::ReportTable ShardTable(const std::vector<ShardOutcome>& shards) {
 }
 
 int RunScan(const FlagParser& flags) {
+  auto scan = ScanOptionsFromFlags(flags);
+  if (!scan.ok()) return Fail(scan.status());
   auto db = LoadCliDatabase(flags);
   if (!db.ok()) return Fail(db.status());
   auto engine = MakeEngine(db->db, flags, db->catalog_generation);
   if (!engine.ok()) return Fail(engine.status());
-  ScanOptions scan;
-  // int64 end to end: a --min-refs/--max-refs beyond INT_MAX compares
-  // exactly instead of being narrowed.
-  auto min_refs = flags.GetInt64InRange("min-refs", 1, INT64_MAX);
-  if (!min_refs.ok()) return Fail(min_refs.status());
-  scan.min_refs = *min_refs;
-  auto max_refs = flags.GetInt64InRange("max-refs", 0, INT64_MAX);
-  if (!max_refs.ok()) return Fail(max_refs.status());
-  scan.max_refs = *max_refs;
   // Served from the engine's name index; no second pass over the tables.
-  auto groups = ScanNameGroups(*engine, scan);
+  auto groups = ScanNameGroups(*engine, *scan);
   if (!groups.ok()) return Fail(groups.status());
 
   ShardedScanOptions options;
@@ -446,6 +423,8 @@ int RunScan(const FlagParser& flags) {
 }
 
 int RunAppend(const FlagParser& flags) {
+  auto scan = ScanOptionsFromFlags(flags);
+  if (!scan.ok()) return Fail(scan.status());
   auto loaded = LoadCliDatabase(flags);
   if (!loaded.ok()) return Fail(loaded.status());
   Database* db = &loaded->db;
@@ -458,15 +437,7 @@ int RunAppend(const FlagParser& flags) {
   auto engine = MakeEngine(*db, flags, loaded->catalog_generation);
   if (!engine.ok()) return Fail(engine.status());
 
-  ScanOptions scan;
-  auto min_refs = flags.GetInt64InRange("min-refs", 1, INT64_MAX);
-  if (!min_refs.ok()) return Fail(min_refs.status());
-  scan.min_refs = *min_refs;
-  auto max_refs = flags.GetInt64InRange("max-refs", 0, INT64_MAX);
-  if (!max_refs.ok()) return Fail(max_refs.status());
-  scan.max_refs = *max_refs;
-
-  IncrementalCatalog catalog(*engine, scan);
+  IncrementalCatalog catalog(*engine, *scan);
   if (Status s = catalog.Build(); !s.ok()) return Fail(s);
   const size_t names_before = catalog.resolutions().size();
 
@@ -495,7 +466,7 @@ int RunAppend(const FlagParser& flags) {
     auto fresh = Distinct::CreateWithModel(*db, DblpReferenceSpec(),
                                            engine->config(), engine->model());
     if (!fresh.ok()) return Fail(fresh.status());
-    IncrementalCatalog rebuilt(*fresh, scan);
+    IncrementalCatalog rebuilt(*fresh, *scan);
     if (Status s = rebuilt.Build(); !s.ok()) return Fail(s);
     // Exact equality: same names in the same order, same assignments,
     // the same merge sequence with equal similarities.
@@ -584,6 +555,13 @@ int RunServe(const FlagParser& flags) {
 }
 
 int RunEval(const FlagParser& flags) {
+  // The labels live in --dir's cases.csv; a catalog carries none, so
+  // --catalog would otherwise be ignored and --dir scored instead.
+  if (!flags.GetString("catalog").empty()) {
+    return Fail(InvalidArgumentError(
+        "eval scores the labeled names of --dir/cases.csv; an ingested "
+        "catalog carries no labels, so --catalog is not accepted"));
+  }
   auto dataset = LoadDataset(flags.GetString("dir"));
   if (!dataset.ok()) return Fail(dataset.status());
   auto engine = MakeEngine(dataset->db, flags);
@@ -607,15 +585,38 @@ int RunEval(const FlagParser& flags) {
   return 0;
 }
 
+/// One subcommand: its name on the command line, its runner and the line
+/// Usage() prints for it.
+struct Command {
+  const char* name;
+  int (*run)(const FlagParser&);
+  const char* summary;
+};
+
+constexpr Command kCommands[] = {
+    {"generate", RunGenerate, "write a generated dataset into --dir"},
+    {"generate-xml", RunGenerateXml, "write a synthetic dblp.xml to --out"},
+    {"ingest", RunIngest, "stream --xml into the columnar catalog --catalog"},
+    {"train", RunTrain, "fit path weights and save them to --model"},
+    {"resolve", RunResolve, "split the references of --name into people"},
+    {"scan", RunScan, "resolve every name with --min-refs..--max-refs refs"},
+    {"append", RunAppend, "ingest the rows in --delta without rebuilding"},
+    {"eval", RunEval, "score the labeled names of --dir/cases.csv"},
+    {"serve", RunServe, "answer name queries over TCP"},
+};
+
+/// The command list, then every flag with its default and help text.
+void Usage(const FlagParser& flags) {
+  std::string text = "usage: distinct_cli <command> [flags]\nCommands:\n";
+  for (const Command& command : kCommands) {
+    text += StrFormat("  %-13s %s\n", command.name, command.summary);
+  }
+  std::fprintf(stderr, "%s%s", text.c_str(), flags.Help().c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    Usage();
-    return 1;
-  }
-  const std::string command = argv[1];
-
   FlagParser flags;
   flags.AddString("dir", "distinct_data", "dataset directory");
   flags.AddString("model", "", "similarity-model file");
@@ -700,6 +701,18 @@ int main(int argc, char** argv) {
   flags.AddInt64("result-cache", 4096,
                  "serve: completed answers kept for exact re-serving "
                  "(FIFO-evicted; 0 disables the cache)");
+
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (argc >= 2 && argv[1] == std::string(candidate.name)) {
+      command = &candidate;
+    }
+  }
+  if (command == nullptr) {
+    Usage(flags);
+    return 1;
+  }
+
   if (Status s = flags.Parse(argc - 2, argv + 2); !s.ok()) {
     std::fprintf(stderr, "%s\n%s", s.ToString().c_str(),
                  flags.Help().c_str());
@@ -738,33 +751,11 @@ int main(int argc, char** argv) {
     beat.file_path = heartbeat_path;
     beat.interval_seconds = *interval;
     beat.print_progress = *verbosity >= 1;
-    beat.label = command;
+    beat.label = command->name;
     heartbeat = std::make_unique<obs::HeartbeatReporter>(beat, &g_progress);
   }
 
-  int exit_code = 1;
-  if (command == "generate") {
-    exit_code = RunGenerate(flags);
-  } else if (command == "generate-xml") {
-    exit_code = RunGenerateXml(flags);
-  } else if (command == "ingest") {
-    exit_code = RunIngest(flags);
-  } else if (command == "train") {
-    exit_code = RunTrain(flags);
-  } else if (command == "resolve") {
-    exit_code = RunResolve(flags);
-  } else if (command == "scan") {
-    exit_code = RunScan(flags);
-  } else if (command == "append") {
-    exit_code = RunAppend(flags);
-  } else if (command == "eval") {
-    exit_code = RunEval(flags);
-  } else if (command == "serve") {
-    exit_code = RunServe(flags);
-  } else {
-    Usage();
-    return 1;
-  }
+  const int exit_code = command->run(flags);
 
   if (heartbeat != nullptr) {
     // Terminal beat carries the run's outcome: a failed command ends the
@@ -779,7 +770,7 @@ int main(int argc, char** argv) {
     DISTINCT_LOG(INFO) << "wrote trace to " << trace_json;
   }
   if (want_report) {
-    obs::RunReport run_report = obs::CollectRunReport(command);
+    obs::RunReport run_report = obs::CollectRunReport(command->name);
     run_report.tables = std::move(g_report_tables);
     if (flags.GetBool("report")) {
       std::printf("%s", obs::RunReportToText(run_report).c_str());

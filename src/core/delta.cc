@@ -30,77 +30,59 @@ int64_t DatabaseDelta::num_rows() const {
 
 namespace {
 
-/// Full dry run of `delta` against `db`: schema arity/types, primary-key
-/// uniqueness (against existing rows and within the delta), and
-/// foreign-key resolvability (against existing rows and keys the delta
-/// itself appends). Nothing is mutated, so a rejected delta leaves the
-/// database and every structure derived from it untouched.
+/// Dry run of `delta` against `db`. Each batch is staged through
+/// Table::AppendRow on an empty copy of its table, so the checks of one row
+/// (arity, types, NULL and INT64_MIN cells, keys repeated within the batch)
+/// are the ones the real append makes. What spans tables is checked here:
+/// primary keys against existing rows, and foreign keys against existing
+/// and staged rows. Nothing of `db` is mutated, so a rejected delta leaves
+/// the database and every structure derived from it untouched.
 Status ValidateDelta(const Database& db, const DatabaseDelta& delta) {
-  std::unordered_map<std::string, std::unordered_set<int64_t>> pending_pks;
+  std::unordered_map<std::string, Table> staged;
   for (const DatabaseDelta::TableRows& batch : delta.tables()) {
     auto table = db.FindTable(batch.table);
     DISTINCT_RETURN_IF_ERROR(table.status());
-    const Table& t = **table;
-    auto& pending = pending_pks[batch.table];
+    const Table& live = **table;
+    Table staging = live.EmptyCopy();
+    const int pk = live.primary_key_column();
     for (size_t r = 0; r < batch.rows.size(); ++r) {
-      const std::vector<Value>& row = batch.rows[r];
-      if (static_cast<int>(row.size()) != t.num_columns()) {
-        return InvalidArgumentError(StrFormat(
-            "delta row %zu of %s has %zu cells; table has %d columns", r,
-            batch.table.c_str(), row.size(), t.num_columns()));
+      auto row = staging.AppendRow(batch.rows[r]);
+      if (!row.ok()) {
+        return InvalidArgumentError(
+            StrFormat("delta row %zu of %s: %s", r, batch.table.c_str(),
+                      row.status().message().c_str()));
       }
-      for (int c = 0; c < t.num_columns(); ++c) {
-        const ColumnSpec& spec = t.column(c);
-        const Value& cell = row[c];
-        if (cell.is_null()) {
-          if (spec.is_primary_key) {
-            return InvalidArgumentError(
-                StrFormat("delta row %zu of %s: NULL primary key", r,
-                          batch.table.c_str()));
-          }
-          continue;
-        }
-        if (cell.type() != spec.type) {
-          return InvalidArgumentError(StrFormat(
-              "delta row %zu of %s: column %s expects %s", r,
-              batch.table.c_str(), spec.name.c_str(),
-              ColumnTypeToString(spec.type)));
-        }
-        if (spec.is_primary_key) {
-          const int64_t pk = cell.AsInt();
-          if (t.RowForPrimaryKey(pk).ok() || !pending.insert(pk).second) {
-            return InvalidArgumentError(StrFormat(
-                "delta row %zu of %s: duplicate primary key %lld", r,
-                batch.table.c_str(), static_cast<long long>(pk)));
-          }
-        }
+      if (pk >= 0 && live.RowForPrimaryKey(staging.raw(*row, pk)).ok()) {
+        return InvalidArgumentError(StrFormat(
+            "delta row %zu of %s: duplicate primary key %lld", r,
+            batch.table.c_str(),
+            static_cast<long long>(staging.raw(*row, pk))));
       }
     }
+    staged.emplace(batch.table, std::move(staging));
   }
-  // Second pass, once every pending primary key is known: foreign keys may
-  // point at rows the delta itself appends.
+  // Once every batch is staged: foreign keys may point at rows the delta
+  // itself appends.
   for (const DatabaseDelta::TableRows& batch : delta.tables()) {
-    const Table& t = **db.FindTable(batch.table);
-    for (size_t r = 0; r < batch.rows.size(); ++r) {
-      const std::vector<Value>& row = batch.rows[r];
+    const Table& t = staged.at(batch.table);
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
       for (int c = 0; c < t.num_columns(); ++c) {
         const ColumnSpec& spec = t.column(c);
-        if (spec.fk_table.empty() || row[c].is_null()) {
+        const int64_t fk = t.raw(r, c);
+        if (spec.fk_table.empty() || fk == kNullCell) {
           continue;
         }
         auto target = db.FindTable(spec.fk_table);
         DISTINCT_RETURN_IF_ERROR(target.status());
-        const int64_t fk = row[c].AsInt();
-        if ((*target)->RowForPrimaryKey(fk).ok()) {
-          continue;
-        }
-        auto p = pending_pks.find(spec.fk_table);
-        if (p != pending_pks.end() && p->second.count(fk) > 0) {
+        const auto pending = staged.find(spec.fk_table);
+        if ((*target)->RowForPrimaryKey(fk).ok() ||
+            (pending != staged.end() &&
+             pending->second.RowForPrimaryKey(fk).ok())) {
           continue;
         }
         return FailedPreconditionError(StrFormat(
-            "delta row %zu of %s: dangling FK %s -> %lld (%s)", r,
-            batch.table.c_str(), spec.name.c_str(),
+            "delta row %lld of %s: dangling FK %s -> %lld (%s)",
+            static_cast<long long>(r), batch.table.c_str(), spec.name.c_str(),
             static_cast<long long>(fk), spec.fk_table.c_str()));
       }
     }
@@ -135,8 +117,6 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
     auto table = db.FindMutableTable(batch.table);
     DISTINCT_RETURN_IF_ERROR(table.status());
     for (const std::vector<Value>& row : batch.rows) {
-      // Validated above; a failure here would mean the table mutated
-      // between validation and append.
       DISTINCT_RETURN_IF_ERROR((*table)->AppendRow(row).status());
       ++report.rows_appended;
     }
@@ -351,35 +331,19 @@ StatusOr<std::pair<Database, DatabaseDelta>> MakeTailDelta(
   Database base;
   for (int i = 0; i < db.num_tables(); ++i) {
     const Table& src = db.table(i);
-    std::vector<ColumnSpec> columns;
-    columns.reserve(static_cast<size_t>(src.num_columns()));
-    for (int c = 0; c < src.num_columns(); ++c) {
-      columns.push_back(src.column(c));
-    }
-    auto copy = Table::Create(src.name(), std::move(columns));
-    DISTINCT_RETURN_IF_ERROR(copy.status());
+    Table copy = src.EmptyCopy();
     const int64_t keep =
         i == *target_id ? src.num_rows() - tail_rows : src.num_rows();
     for (int64_t row = 0; row < keep; ++row) {
-      std::vector<Value> values;
-      values.reserve(static_cast<size_t>(src.num_columns()));
-      for (int c = 0; c < src.num_columns(); ++c) {
-        values.push_back(src.GetValue(row, c));
-      }
-      DISTINCT_RETURN_IF_ERROR(copy->AppendRow(values).status());
+      DISTINCT_RETURN_IF_ERROR(copy.AppendRow(src.RowValues(row)).status());
     }
-    DISTINCT_RETURN_IF_ERROR(base.AddTable(*std::move(copy)).status());
+    DISTINCT_RETURN_IF_ERROR(base.AddTable(std::move(copy)).status());
   }
 
   DatabaseDelta delta;
   for (int64_t row = target.num_rows() - tail_rows; row < target.num_rows();
        ++row) {
-    std::vector<Value> values;
-    values.reserve(static_cast<size_t>(target.num_columns()));
-    for (int c = 0; c < target.num_columns(); ++c) {
-      values.push_back(target.GetValue(row, c));
-    }
-    delta.Add(table, std::move(values));
+    delta.Add(table, target.RowValues(row));
   }
   return std::make_pair(std::move(base), std::move(delta));
 }
@@ -395,19 +359,13 @@ StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
   int files_found = 0;
   for (int i = 0; i < db.num_tables(); ++i) {
     const Table& src = db.table(i);
-    std::vector<ColumnSpec> columns;
-    columns.reserve(static_cast<size_t>(src.num_columns()));
-    for (int c = 0; c < src.num_columns(); ++c) {
-      columns.push_back(src.column(c));
-    }
     // Stage through an empty table with the same schema: the CSV header,
     // cell types, and within-file primary-key uniqueness are validated
     // exactly like a full LoadDatabaseCsv (uniqueness against the live
     // database is ApplyDelta's dry run).
-    auto staging = Table::Create(src.name(), std::move(columns));
-    DISTINCT_RETURN_IF_ERROR(staging.status());
+    Table staging = src.EmptyCopy();
     auto loaded =
-        LoadTableCsv(directory + "/" + src.name() + ".csv", *staging);
+        LoadTableCsv(directory + "/" + src.name() + ".csv", staging);
     if (!loaded.ok()) {
       if (loaded.status().code() == StatusCode::kNotFound) {
         continue;  // a delta need not touch every table
@@ -415,13 +373,8 @@ StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
       return loaded.status();
     }
     ++files_found;
-    for (int64_t row = 0; row < staging->num_rows(); ++row) {
-      std::vector<Value> values;
-      values.reserve(static_cast<size_t>(staging->num_columns()));
-      for (int c = 0; c < staging->num_columns(); ++c) {
-        values.push_back(staging->GetValue(row, c));
-      }
-      delta.Add(src.name(), std::move(values));
+    for (int64_t row = 0; row < staging.num_rows(); ++row) {
+      delta.Add(src.name(), staging.RowValues(row));
     }
   }
   if (files_found == 0) {
@@ -432,30 +385,25 @@ StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
 }
 
 Status IncrementalCatalog::Build() {
-  auto groups = ScanNameGroups(*engine_, options_);
-  DISTINCT_RETURN_IF_ERROR(groups.status());
   resolutions_.clear();
   artifacts_.clear();
   index_.clear();
-  resolutions_.reserve(groups->size());
-  artifacts_.reserve(groups->size());
-  for (const NameGroup& group : *groups) {
-    index_.emplace(group.name, resolutions_.size());
-    auto resolved = engine_->ResolveRefsArtifacts(group.refs);
-    DISTINCT_RETURN_IF_ERROR(resolved.status());
-    resolutions_.push_back(BulkResolution{group.name, group.refs.size(),
-                                          resolved->clustering});
-    artifacts_.push_back(*std::move(resolved));
-  }
-  return Status::Ok();
+  // Nothing cached and nothing dirty: Refresh() resolves every name fresh.
+  DeltaReport nothing_cached;
+  return Refresh(nothing_cached);
 }
 
 StatusOr<DeltaReport> IncrementalCatalog::Apply(Database& db,
                                                 const DatabaseDelta& delta) {
   auto report = engine_->ApplyDelta(db, delta);
   DISTINCT_RETURN_IF_ERROR(report.status());
-  std::unordered_set<std::string> dirty(report->dirty_names.begin(),
-                                        report->dirty_names.end());
+  DISTINCT_RETURN_IF_ERROR(Refresh(*report));
+  return report;
+}
+
+Status IncrementalCatalog::Refresh(DeltaReport& report) {
+  std::unordered_set<std::string> dirty(report.dirty_names.begin(),
+                                        report.dirty_names.end());
 
   // A clean name has the same references and the same profiles as before,
   // so its cached clustering is exactly what re-resolving would produce.
@@ -465,7 +413,8 @@ StatusOr<DeltaReport> IncrementalCatalog::Apply(Database& db,
   // exact clusterer — that is the un-merge/re-seed rule. Their cached
   // matrices are spliced — only cells with an endpoint in the delta's
   // dirty references are recomputed — which is bit-identical to refilling
-  // them (every cell is a pure function of its two profiles).
+  // them (every cell is a pure function of its two profiles). A name with
+  // nothing cached is resolved fresh.
   auto groups = ScanNameGroups(*engine_, options_);
   DISTINCT_RETURN_IF_ERROR(groups.status());
   std::vector<BulkResolution> next;
@@ -479,25 +428,25 @@ StatusOr<DeltaReport> IncrementalCatalog::Apply(Database& db,
     if (cached != index_.end() && dirty.count(group.name) == 0) {
       next.push_back(std::move(resolutions_[cached->second]));
       next_artifacts.push_back(std::move(artifacts_[cached->second]));
-      ++report->names_reused;
+      ++report.names_reused;
       continue;
     }
     auto resolved =
         cached != index_.end()
             ? engine_->PatchResolveArtifacts(
                   std::move(artifacts_[cached->second]), group.refs,
-                  report->dirty_refs, report->dirty_ref_path_masks)
+                  report.dirty_refs, report.dirty_ref_path_masks)
             : engine_->ResolveRefsArtifacts(group.refs);
     DISTINCT_RETURN_IF_ERROR(resolved.status());
     next.push_back(BulkResolution{group.name, group.refs.size(),
                                   resolved->clustering});
     next_artifacts.push_back(*std::move(resolved));
-    ++report->names_reresolved;
+    ++report.names_reresolved;
   }
   resolutions_ = std::move(next);
   artifacts_ = std::move(next_artifacts);
   index_ = std::move(next_index);
-  return report;
+  return Status::Ok();
 }
 
 }  // namespace distinct

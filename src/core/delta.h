@@ -1,13 +1,10 @@
 // Incremental catalog maintenance: ingesting appended rows without
 // rebuilding the engine.
 //
-// Everything else in core/ is batch — any appended Publish row used to
-// invalidate the whole Distinct instance and force a full Create() +
-// rescan. This module adds the delta path:
-//
 //   * DatabaseDelta batches rows to append, per table.
 //   * Distinct::ApplyDelta() (declared in distinct.h, defined here)
-//     validates the batch, appends it, extends the LinkGraph in place,
+//     validates the batch by staging it through Table::AppendRow on empty
+//     copies of its tables, appends it, extends the LinkGraph in place,
 //     absorbs new names/references into the name index, erases exactly the
 //     SubtreeCache entries whose memoized path suffixes touch changed
 //     tuples, and reports every name whose similarity evidence changed.
@@ -18,6 +15,11 @@
 //     catalog after Apply() equals a batch rebuild cluster-for-cluster
 //     (the differential harness in tests/core/delta_test.cc and
 //     bench_incremental enforce this).
+//
+// A build is an append from zero: Distinct::Create() builds the link graph
+// and the name index by the routines ApplyDelta() extends them with, run
+// from row 0, and IncrementalCatalog::Build() is Apply()'s refresh loop
+// over an empty cache. Every engine therefore runs the append code.
 //
 // Dirty detection runs one backward sweep per join path. Let S be the set
 // of changed tuples: tuples appended by the delta plus forward-targets of
@@ -134,7 +136,8 @@ class IncrementalCatalog {
   explicit IncrementalCatalog(Distinct& engine, ScanOptions options = {})
       : engine_(&engine), options_(options) {}
 
-  /// Resolves every name group passing the scan filters.
+  /// Resolves every name group passing the scan filters: the refresh of
+  /// Apply() over an empty cache.
   Status Build();
 
   /// Applies `delta` to the engine (see Distinct::ApplyDelta), then brings
@@ -150,6 +153,11 @@ class IncrementalCatalog {
   }
 
  private:
+  /// Brings the catalog up to the engine's name groups: each name is reused
+  /// when cached and clean, spliced when cached and dirty, and resolved
+  /// fresh when not cached. Counts both outcomes into `report`.
+  Status Refresh(DeltaReport& report);
+
   Distinct* engine_;
   ScanOptions options_;
   std::vector<BulkResolution> resolutions_;

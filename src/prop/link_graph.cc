@@ -7,99 +7,12 @@
 namespace distinct {
 
 StatusOr<LinkGraph> LinkGraph::Build(const SchemaGraph& graph) {
+  // An empty graph, then every row appended from row 0.
   LinkGraph link(graph);
-  const Database& db = graph.db();
-
   link.num_tuples_.assign(static_cast<size_t>(graph.num_nodes()), 0);
   link.attribute_values_.resize(static_cast<size_t>(graph.num_nodes()));
-  for (int n = 0; n < graph.num_nodes(); ++n) {
-    const SchemaNode& node = graph.node(n);
-    if (!node.is_attribute) {
-      link.num_tuples_[static_cast<size_t>(n)] =
-          db.table(node.table_id).num_rows();
-    }
-  }
-
-  // Dense value-id assignment for each attribute node, in first-seen order.
-  std::vector<std::unordered_map<int64_t, int32_t>> value_ids(
-      static_cast<size_t>(graph.num_nodes()));
-  for (int n = 0; n < graph.num_nodes(); ++n) {
-    const SchemaNode& node = graph.node(n);
-    if (!node.is_attribute) {
-      continue;
-    }
-    const Table& table = db.table(node.table_id);
-    auto& ids = value_ids[static_cast<size_t>(n)];
-    auto& values = link.attribute_values_[static_cast<size_t>(n)];
-    for (int64_t row = 0; row < table.num_rows(); ++row) {
-      const int64_t cell = table.raw(row, node.column);
-      if (cell == kNullCell) {
-        continue;
-      }
-      if (ids.emplace(cell, static_cast<int32_t>(values.size())).second) {
-        values.push_back(cell);
-      }
-    }
-    link.num_tuples_[static_cast<size_t>(n)] =
-        static_cast<int64_t>(values.size());
-  }
-
   link.edges_.resize(static_cast<size_t>(graph.num_edges()));
-  for (int e = 0; e < graph.num_edges(); ++e) {
-    const SchemaEdge& edge = graph.edge(e);
-    const Table& from_table = db.table(edge.table_id);
-    EdgeAdjacency& adjacency = link.edges_[static_cast<size_t>(e)];
-    const int64_t from_rows = from_table.num_rows();
-    const int64_t to_tuples =
-        link.num_tuples_[static_cast<size_t>(edge.to_node)];
-
-    adjacency.forward_target.assign(static_cast<size_t>(from_rows), -1);
-    std::vector<int64_t> reverse_counts(static_cast<size_t>(to_tuples), 0);
-
-    for (int64_t row = 0; row < from_rows; ++row) {
-      const int64_t cell = from_table.raw(row, edge.column);
-      if (cell == kNullCell) {
-        continue;
-      }
-      int32_t target = -1;
-      if (edge.is_attribute_edge) {
-        target = value_ids[static_cast<size_t>(edge.to_node)].at(cell);
-      } else {
-        const Table& to_table = db.table(graph.node(edge.to_node).table_id);
-        auto to_row = to_table.RowForPrimaryKey(cell);
-        if (!to_row.ok()) {
-          return FailedPreconditionError(StrFormat(
-              "dangling FK: %s row %lld -> %lld",
-              graph.edge(e).name.c_str(), static_cast<long long>(row),
-              static_cast<long long>(cell)));
-        }
-        target = static_cast<int32_t>(*to_row);
-      }
-      adjacency.forward_target[static_cast<size_t>(row)] = target;
-      ++reverse_counts[static_cast<size_t>(target)];
-    }
-
-    adjacency.reverse_offsets.assign(static_cast<size_t>(to_tuples) + 1, 0);
-    for (int64_t t = 0; t < to_tuples; ++t) {
-      adjacency.reverse_offsets[static_cast<size_t>(t) + 1] =
-          adjacency.reverse_offsets[static_cast<size_t>(t)] +
-          reverse_counts[static_cast<size_t>(t)];
-    }
-    adjacency.reverse_items.resize(
-        static_cast<size_t>(adjacency.reverse_offsets.back()));
-    std::vector<int64_t> cursor(adjacency.reverse_offsets.begin(),
-                                adjacency.reverse_offsets.end() - 1);
-    for (int64_t row = 0; row < from_rows; ++row) {
-      const int32_t target =
-          adjacency.forward_target[static_cast<size_t>(row)];
-      if (target < 0) {
-        continue;
-      }
-      adjacency.reverse_items[static_cast<size_t>(
-          cursor[static_cast<size_t>(target)]++)] =
-          static_cast<int32_t>(row);
-    }
-  }
+  DISTINCT_RETURN_IF_ERROR(link.ApplyAppend());
   return link;
 }
 
@@ -118,8 +31,7 @@ Status LinkGraph::ApplyAppend() {
   // Replay the first-seen value-id assignment over each full attribute
   // column. The map is seeded from attribute_values_ (which preserves id
   // order), so every old cell re-finds its old id and only values first
-  // seen in appended rows extend the universe — exactly the ids a fresh
-  // Build() would assign.
+  // seen in appended rows extend the universe.
   std::vector<std::unordered_map<int64_t, int32_t>> value_ids(
       static_cast<size_t>(graph.num_nodes()));
   for (int n = 0; n < graph.num_nodes(); ++n) {
@@ -180,9 +92,9 @@ Status LinkGraph::ApplyAppend() {
       adjacency.forward_target[static_cast<size_t>(row)] = target;
     }
 
-    // The reverse CSR is rebuilt whole with the same ascending-row counting
-    // sort as Build(): appended rows shift offsets everywhere, and the
-    // identical fill order keeps the items bit-identical to a fresh build.
+    // The reverse CSR is rebuilt whole by an ascending-row counting sort:
+    // appended rows shift offsets everywhere, and filling in row order
+    // keeps the items in the order a build from row 0 gives them.
     std::vector<int64_t> reverse_counts(static_cast<size_t>(to_tuples), 0);
     for (int64_t row = 0; row < from_rows; ++row) {
       const int32_t target =

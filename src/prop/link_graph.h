@@ -22,10 +22,12 @@
 
 namespace distinct {
 
-/// Tuple-level adjacency, immutable between builds. Borrows the SchemaGraph
-/// (and through it the Database); both must outlive the LinkGraph. The only
-/// mutation is ApplyAppend(), which extends the adjacency in place after
-/// rows were appended to the database.
+/// Tuple-level adjacency, extended only by appends. Borrows the SchemaGraph
+/// (and through it the Database); both must outlive the LinkGraph. There is
+/// one construction path: Build() is an empty graph plus ApplyAppend() from
+/// row 0, and Distinct::ApplyDelta() runs the same ApplyAppend() from the
+/// pre-append row counts, so a graph extended by appends is bit-identical
+/// to one built over the grown database.
 class LinkGraph {
  public:
   /// Materializes adjacency for every edge of `graph`. Fails on dangling
@@ -37,11 +39,10 @@ class LinkGraph {
   /// table tuples are row indices (append-only), and attribute value ids
   /// are assigned in first-seen row order, so replaying the assignment
   /// over the grown columns reproduces every old id and appends new values
-  /// after them. The rebuilt reverse CSRs use the same ascending-row
-  /// counting sort as Build(), so the result is bit-identical to a fresh
-  /// Build() over the appended database. Returns FailedPrecondition on a
-  /// dangling FK among the new rows — validate appended rows first; after
-  /// an error the graph must be rebuilt.
+  /// after them. Reverse CSRs are rebuilt whole by an ascending-row
+  /// counting sort. Returns FailedPrecondition on a dangling FK among the
+  /// new rows — validate appended rows first; after an error the graph
+  /// must be rebuilt.
   Status ApplyAppend();
 
   const SchemaGraph& schema() const { return *schema_; }

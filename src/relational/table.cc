@@ -147,6 +147,15 @@ Value Table::GetValue(int64_t row, int col) const {
   return Value::Str(dictionaries_[static_cast<size_t>(col)].Lookup(cell));
 }
 
+std::vector<Value> Table::RowValues(int64_t row) const {
+  std::vector<Value> values;
+  values.reserve(columns_.size());
+  for (int c = 0; c < num_columns(); ++c) {
+    values.push_back(GetValue(row, c));
+  }
+  return values;
+}
+
 StatusOr<int64_t> Table::RowForPrimaryKey(int64_t pk) const {
   if (pk_column_ < 0) {
     return FailedPreconditionError("table '" + name_ +

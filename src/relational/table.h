@@ -54,9 +54,14 @@ class Table {
   /// Index of the primary-key column, or -1 when the table has none.
   int primary_key_column() const { return pk_column_; }
 
+  /// A table with this one's name and columns and no rows (empty
+  /// dictionaries): the staging table for rows bound for this one.
+  Table EmptyCopy() const { return Table(name_, columns_); }
+
   /// Appends a row. `values` must match the schema arity and types
-  /// (NULL allowed anywhere except the primary key). Duplicate primary keys
-  /// are rejected. Returns the new row index.
+  /// (NULL allowed anywhere except the primary key; INT64_MIN, the raw NULL
+  /// cell, is refused in int64 columns). Duplicate primary keys are
+  /// rejected. Returns the new row index.
   StatusOr<int64_t> AppendRow(const std::vector<Value>& values);
 
   /// Raw cell payload (int64 value, dictionary id, or kNullCell).
@@ -70,6 +75,10 @@ class Table {
 
   /// Typed read with NULL propagation.
   Value GetValue(int64_t row, int col) const;
+
+  /// Every cell of `row` as GetValue() reads it: the AppendRow() input
+  /// that reproduces the row.
+  std::vector<Value> RowValues(int64_t row) const;
 
   /// Row index of the row whose primary key equals `pk`, or NotFound.
   /// Requires the table to have a primary key.

@@ -19,9 +19,10 @@ TEST(StopwatchTest, ElapsedNanosIsMonotonic) {
 
 TEST(StopwatchTest, UnitsAgree) {
   Stopwatch watch;
-  // Spin briefly so every reading is non-zero.
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) {
+  // Spin briefly so every reading is non-zero. The sink is unsigned: a
+  // signed running sum would overflow, which is undefined behaviour.
+  volatile unsigned sink = 0;
+  for (unsigned i = 0; i < 100000; ++i) {
     sink = sink + i;
   }
   const int64_t nanos = watch.ElapsedNanos();
@@ -34,8 +35,8 @@ TEST(StopwatchTest, UnitsAgree) {
 
 TEST(StopwatchTest, ResetRestartsTheClock) {
   Stopwatch watch;
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) {
+  volatile unsigned sink = 0;
+  for (unsigned i = 0; i < 100000; ++i) {
     sink = sink + i;
   }
   const int64_t before = watch.ElapsedNanos();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <numeric>
@@ -10,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "core/distinct.h"
 #include "dblp/generator.h"
 #include "dblp/schema.h"
@@ -212,8 +215,12 @@ TEST_F(DeltaTest, LinkGraphApplyAppendMatchesFreshBuild) {
 
 class DeltaValidationTest : public DeltaTest {
  protected:
-  void SetUp() override {
-    db_ = std::make_unique<Database>(CopyDb());
+  void SetUp() override { Reset(CopyDb()); }
+
+  /// A fresh engine at catalog version 0 over `db`.
+  void Reset(Database db) {
+    engine_.reset();
+    db_ = std::make_unique<Database>(std::move(db));
     auto engine = Distinct::Create(*db_, DblpReferenceSpec(), TestConfig());
     ASSERT_TRUE(engine.ok());
     engine_ = std::make_unique<Distinct>(*std::move(engine));
@@ -283,6 +290,130 @@ TEST_F(DeltaValidationTest, RejectsDanglingForeignKey) {
             {Value::Int(MaxPrimaryKey(*db_, kPublishTable) + 1),
              Value::Int(99999999), publish.GetValue(0, 2)});
   ExpectRejected(delta, StatusCode::kFailedPrecondition);
+}
+
+TEST_F(DeltaValidationTest, RejectsReservedInt64Min) {
+  // INT64_MIN is the raw NULL cell, so appending it is refused; the row
+  // before it must not be left appended either.
+  const Table& proceedings = **db_->FindTable(kProceedingsTable);
+  const int64_t pk = MaxPrimaryKey(*db_, kProceedingsTable) + 1;
+  DatabaseDelta delta;
+  delta.Add(kProceedingsTable, {Value::Int(pk), proceedings.GetValue(0, 1),
+                                Value::Int(2007), Value::Str("Istanbul")});
+  delta.Add(kProceedingsTable, {Value::Int(pk + 1), proceedings.GetValue(0, 1),
+                                Value::Int(INT64_MIN), Value::Str("Istanbul")});
+  ExpectRejected(delta, StatusCode::kInvalidArgument);
+}
+
+// A seeded mutator in the dice style: each round applies one mutation to a
+// valid tail delta of the Publish table. A rejected delta must leave the
+// rows and the catalog version as they were; an accepted one must bump the
+// version, after which the fixture is rebuilt.
+TEST_F(DeltaValidationTest, SeededMutationsRejectWholeOrApplyWhole) {
+  constexpr int64_t kTailRows = 6;
+  constexpr int kRounds = 70;
+  auto base = [] {
+    auto split = MakeTailDelta(dataset_->db, kPublishTable, kTailRows);
+    DISTINCT_CHECK(split.ok());
+    return std::move(split->first);
+  };
+  auto split = MakeTailDelta(dataset_->db, kPublishTable, kTailRows);
+  ASSERT_TRUE(split.ok());
+  const std::vector<std::vector<Value>> valid =
+      split->second.tables().front().rows;
+  Reset(std::move(split->first));
+
+  const Table& schema = **dataset_->db.FindTable(kPublishTable);
+  const int pk = schema.primary_key_column();
+  std::vector<int> fk_columns;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    if (!schema.column(c).fk_table.empty()) {
+      fk_columns.push_back(c);
+    }
+  }
+  ASSERT_FALSE(fk_columns.empty());
+
+  enum Mutation {
+    kNullCell,
+    kInt64MinCell,
+    kWrongType,
+    kExistingKey,
+    kRepeatedKey,
+    kDanglingFk,
+    kWrongArity,
+    kNumMutations
+  };
+  Rng rng(24);
+  int accepted = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto mutation = static_cast<Mutation>(round % kNumMutations);
+    // Fetched each round: an accepted round replaces the database.
+    const Table& publish = **db_->FindTable(kPublishTable);
+    std::vector<std::vector<Value>> rows = valid;
+    const auto row = static_cast<size_t>(rng.UniformInt(0, kTailRows - 1));
+    const auto column =
+        static_cast<size_t>(rng.UniformInt(0, publish.num_columns() - 1));
+    StatusCode expected = StatusCode::kInvalidArgument;
+    switch (mutation) {
+      case kNullCell:
+        // NULL is refused only in the key; a NULL foreign key is valid.
+        rows[row][column] = Value::Null();
+        if (static_cast<int>(column) != pk) {
+          expected = StatusCode::kOk;
+        }
+        break;
+      case kInt64MinCell:
+        rows[row][column] = Value::Int(INT64_MIN);
+        break;
+      case kWrongType:
+        rows[row][column] = Value::Str("not a number");
+        break;
+      case kExistingKey:
+        rows[row][static_cast<size_t>(pk)] =
+            publish.GetValue(rng.UniformInt(0, publish.num_rows() - 1), pk);
+        break;
+      case kRepeatedKey:
+        rows[row][static_cast<size_t>(pk)] =
+            rows[(row + static_cast<size_t>(rng.UniformInt(1, kTailRows - 1))) %
+                 rows.size()][static_cast<size_t>(pk)];
+        break;
+      case kDanglingFk: {
+        const int fk = fk_columns[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(fk_columns.size()) - 1))];
+        rows[row][static_cast<size_t>(fk)] =
+            Value::Int(MaxPrimaryKey(*db_, publish.column(fk).fk_table) + 1 +
+                       rng.UniformInt(0, 1000));
+        expected = StatusCode::kFailedPrecondition;
+        break;
+      }
+      case kWrongArity:
+        if (rng.Bernoulli(0.5)) {
+          rows[row].pop_back();
+        } else {
+          rows[row].push_back(Value::Int(1));
+        }
+        break;
+      case kNumMutations:
+        break;
+    }
+    SCOPED_TRACE(StrFormat("round %d: mutation %d at row %zu column %zu",
+                           round, static_cast<int>(mutation), row, column));
+    DatabaseDelta delta;
+    for (std::vector<Value>& cells : rows) {
+      delta.Add(kPublishTable, std::move(cells));
+    }
+    if (expected != StatusCode::kOk) {
+      ExpectRejected(delta, expected);
+      continue;
+    }
+    auto report = engine_->ApplyDelta(*db_, delta);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(engine_->catalog_version(), 1);
+    EXPECT_EQ(db_->TotalRows(), rows_before_ + kTailRows);
+    ++accepted;
+    Reset(base());
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST_F(DeltaValidationTest, RejectsTheWrongDatabaseInstance) {
