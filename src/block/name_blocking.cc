@@ -43,6 +43,9 @@ StatusOr<std::vector<NameBlock>> BlockSimilarNames(
   std::vector<int64_t> rows;
   rows.reserve(static_cast<size_t>(name_table.num_rows()));
   for (int64_t row = 0; row < name_table.num_rows(); ++row) {
+    if (name_table.IsNull(row, resolved->name_column)) {
+      continue;  // a NULL name is no name group (Distinct::AbsorbNameRows)
+    }
     index.Add(name_table.GetString(row, resolved->name_column));
     rows.push_back(row);
   }

@@ -173,10 +173,11 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
       static_cast<size_t>(link_graph_->NumTuples(start_node)), 0);
   for (size_t p = 0; p < paths.size(); ++p) {
     const JoinPath& path = paths[p];
-    const std::vector<int> node_at = path.LevelNodes(schema);
+    const PathShape shape =
+        ShapePath(path, schema, config_.propagation.exclude_start_tuple);
+    const std::vector<int>& node_at = shape.node_at;
     const size_t k = path.steps.size();
-    const size_t junction = SubtreeJunctionLevel(
-        path, node_at, config_.propagation.exclude_start_tuple);
+    const size_t junction = shape.junction;
     std::vector<int32_t> frontier =
         changed[static_cast<size_t>(node_at[k])];
     std::vector<int32_t> junction_dirty;

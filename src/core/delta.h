@@ -127,9 +127,10 @@ StatusOr<DatabaseDelta> LoadDatabaseDeltaCsv(const Database& db,
 /// only the profiles and matrix cells of the delta's dirty references —
 /// instead of from scratch, making Apply() cost proportional to the
 /// delta's blast radius rather than the dirty names' full size. Resident
-/// cost is roughly the corpus' profile volume in the stores' CSR slabs (20
-/// bytes per profile entry plus a 4-byte offset per (reference, path)),
-/// plus the matrices.
+/// cost is the stores' explicit slabs (20 bytes per entry plus a 4-byte
+/// offset per (reference, path)), a 40-byte hub slice per (reference,
+/// path) that points at a hub's suffix, each pinned suffix once however
+/// many stores share it, plus the matrices.
 class IncrementalCatalog {
  public:
   /// `engine` must outlive the catalog.

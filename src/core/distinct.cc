@@ -142,6 +142,9 @@ void Distinct::AbsorbNameRows(int64_t first_name_row, int64_t first_ref_row) {
   const int pk_col = name_table.primary_key_column();
   name_group_of_pk_.reserve(static_cast<size_t>(name_table.num_rows()));
   for (int64_t row = first_name_row; row < name_table.num_rows(); ++row) {
+    if (name_table.IsNull(row, resolved_.name_column)) {
+      continue;  // no name, no group: like a NULL identity below
+    }
     const std::string& name = name_table.GetString(row, resolved_.name_column);
     auto [it, inserted] = name_index_.emplace(name, name_groups_.size());
     if (inserted) {

@@ -157,11 +157,12 @@ class Distinct {
 
   /// Everything ResolveRefs computes on the way to a clustering, kept so a
   /// later delta can be spliced in instead of recomputed from scratch: the
-  /// profile store (its CSR slabs are what the fused kernel reads, and
+  /// profile store (its slices are what the fused kernel reads, and
   /// ProfileStore::Update patches them in place), both pair matrices, and
   /// the clustering itself. The store is the resident cost of the
-  /// profiles (20 bytes per profile entry plus a 4-byte offset per
-  /// (reference, path)); the matrices are O(refs²) doubles.
+  /// profiles: 20 bytes per explicit entry plus a 4-byte offset per
+  /// (reference, path), or a 40-byte hub slice over a suffix it pins,
+  /// each distinct suffix counted once; the matrices are O(refs²) doubles.
   struct ResolveArtifacts {
     ProfileStore store;
     PairMatrix resem;

@@ -87,7 +87,8 @@ StatusOr<int64_t> CountReferencesForName(const Database& db,
   // Find the name row.
   int64_t name_pk = -1;
   for (int64_t row = 0; row < name_table.num_rows(); ++row) {
-    if (name_table.GetString(row, resolved->name_column) == name) {
+    if (!name_table.IsNull(row, resolved->name_column) &&
+        name_table.GetString(row, resolved->name_column) == name) {
       name_pk = name_table.GetInt(row, name_table.primary_key_column());
       break;
     }

@@ -111,23 +111,32 @@ NeighborProfile PropagationEngine::Compute(const JoinPath& path,
                                            PropagationWorkspace& workspace,
                                            SubtreeCache* cache,
                                            int cache_path_id) const {
-  if (options.algorithm != PropagationAlgorithm::kWorkspace) {
-    return Compute(path, start_tuple, options);
-  }
+  return ExpandProfile(ComputeSlice(
+      path, ShapePath(path, link_->schema(), options.exclude_start_tuple),
+      start_tuple, options, &workspace, cache, cache_path_id));
+}
+
+PathProfile PropagationEngine::ComputeSlice(
+    const JoinPath& path, const PathShape& shape, int32_t start_tuple,
+    const PropagationOptions& options, PropagationWorkspace* workspace,
+    SubtreeCache* cache, int cache_path_id) const {
   DISTINCT_CHECK(path.start_node >= 0);
   DISTINCT_CHECK(!path.steps.empty());
   DISTINCT_DCHECK(start_tuple >= 0 &&
                   start_tuple < link_->NumTuples(path.start_node));
-
-  std::vector<int> node_at = path.LevelNodes(link_->schema());
-  std::optional<NeighborProfile> profile =
-      PropagateDense(*link_, path, start_tuple, options, node_at, workspace,
-                     cache, cache_path_id);
-  if (profile.has_value()) {
-    return *std::move(profile);
+  if (options.algorithm == PropagationAlgorithm::kWorkspace) {
+    DISTINCT_CHECK(workspace != nullptr);
+    std::optional<PathProfile> profile =
+        PropagateDense(*link_, path, start_tuple, options, shape, *workspace,
+                       cache, cache_path_id);
+    if (profile.has_value()) {
+      return *std::move(profile);
+    }
   }
-  return ComputeDepthFirst(*link_, path, start_tuple, options,
-                           std::move(node_at));
+  PathProfile profile;
+  profile.entries = ComputeDepthFirst(*link_, path, start_tuple, options,
+                                      shape.node_at);
+  return profile;
 }
 
 }  // namespace distinct

@@ -62,6 +62,8 @@ struct PropagationOptions {
 
 class PropagationWorkspace;
 class SubtreeCache;
+struct PathProfile;
+struct PathShape;
 
 /// Computes neighbor profiles. Borrows the link graph, which must outlive
 /// the engine. Stateless and safe to share across threads.
@@ -87,6 +89,19 @@ class PropagationEngine {
                           PropagationWorkspace& workspace,
                           SubtreeCache* cache = nullptr,
                           int cache_path_id = 0) const;
+
+  /// The call behind both Compute overloads and ProfileStore::Propagate,
+  /// with `path`'s constants computed once by the caller
+  /// (ShapePath(path, link().schema(), options.exclude_start_tuple)).
+  /// With kWorkspace (`workspace` required) a single-hub junction frontier
+  /// comes back as a hub slice; over the instance budget, or with
+  /// kDepthFirst, the profile comes back explicit from the depth-first
+  /// walker.
+  PathProfile ComputeSlice(const JoinPath& path, const PathShape& shape,
+                           int32_t start_tuple,
+                           const PropagationOptions& options,
+                           PropagationWorkspace* workspace,
+                           SubtreeCache* cache, int cache_path_id) const;
 
  private:
   const LinkGraph* link_;

@@ -77,7 +77,7 @@ std::shared_ptr<const SubtreeDistribution> SubtreeCache::Find(
 
 std::shared_ptr<const SubtreeDistribution> SubtreeCache::Insert(
     int path_id, int32_t tuple, SubtreeDistribution dist) {
-  dist.entries.shrink_to_fit();
+  dist.ShrinkToFit();
   auto resident = std::make_shared<const SubtreeDistribution>(std::move(dist));
   if (capacity_bytes_ == 0) {
     return resident;
@@ -181,6 +181,39 @@ size_t SubtreeJunctionLevel(const JoinPath& path,
   return std::min(std::max(junction, size_t{1}), k);
 }
 
+PathShape ShapePath(const JoinPath& path, const SchemaGraph& schema,
+                    bool exclude_start_tuple) {
+  PathShape shape;
+  shape.node_at = path.LevelNodes(schema);
+  shape.junction =
+      SubtreeJunctionLevel(path, shape.node_at, exclude_start_tuple);
+  shape.reverse_suffix =
+      shape.junction < path.steps.size() &&
+      std::none_of(path.steps.begin() + static_cast<ptrdiff_t>(shape.junction),
+                   path.steps.end(),
+                   [](const JoinStep& step) { return step.forward; });
+  return shape;
+}
+
+NeighborProfile ExpandHubSlice(const HubSlice& slice) {
+  const SubtreeDistribution& suffix = *slice.suffix;
+  std::vector<ProfileEntry> entries;
+  entries.reserve(suffix.size());
+  for (size_t e = 0; e < suffix.size(); ++e) {
+    if (e != slice.skip) {
+      entries.push_back(ProfileEntry{suffix.tuples[e],
+                                     slice.forward * suffix.forward[e],
+                                     slice.reverse * suffix.reverse[e]});
+    }
+  }
+  return NeighborProfile(std::move(entries));
+}
+
+NeighborProfile ExpandProfile(PathProfile profile) {
+  return profile.is_hub() ? ExpandHubSlice(profile.hub)
+                          : std::move(profile.entries);
+}
+
 namespace {
 
 using Slab = PropagationWorkspace::Slab;
@@ -242,10 +275,13 @@ SubtreeDistribution ComputeSubtree(const LinkGraph& link,
   }
   cur->SortTouched();
   SubtreeDistribution dist;
-  dist.entries.reserve(cur->touched().size());
+  const size_t size = cur->touched().size();
+  dist.tuples.reserve(size);
+  dist.forward.reserve(size);
+  dist.reverse.reserve(size);
+  dist.walks.reserve(size);
   for (const int32_t e : cur->touched()) {
-    dist.entries.push_back(
-        SubtreeEntry{e, cur->forward(e), cur->reverse(e), cur->count(e)});
+    dist.Append(e, cur->forward(e), cur->reverse(e), cur->count(e));
     dist.instances += cur->count(e);
   }
   workspace.Release(*cur);
@@ -254,15 +290,15 @@ SubtreeDistribution ComputeSubtree(const LinkGraph& link,
 
 }  // namespace
 
-std::optional<NeighborProfile> PropagateDense(
+std::optional<PathProfile> PropagateDense(
     const LinkGraph& link, const JoinPath& path, int32_t start_tuple,
-    const PropagationOptions& options, const std::vector<int>& node_at,
+    const PropagationOptions& options, const PathShape& shape,
     PropagationWorkspace& workspace, SubtreeCache* cache,
     int cache_path_id) {
   DISTINCT_DCHECK(&workspace.link() == &link);
+  const std::vector<int>& node_at = shape.node_at;
   const size_t k = path.steps.size();
-  const size_t junction =
-      SubtreeJunctionLevel(path, node_at, options.exclude_start_tuple);
+  const size_t junction = shape.junction;
 
   // Reference-dependent prefix: levels 0..junction with origin exclusion,
   // accumulating forward mass, reverse mass, and instance counts together.
@@ -280,8 +316,9 @@ std::optional<NeighborProfile> PropagateDense(
   cur->SortTouched();
 
   double total_instances = 0.0;
-  std::vector<ProfileEntry> entries;
+  PathProfile profile;
   if (junction == k) {
+    std::vector<ProfileEntry> entries;
     entries.reserve(cur->touched().size());
     for (const int32_t t : cur->touched()) {
       entries.push_back(
@@ -289,6 +326,7 @@ std::optional<NeighborProfile> PropagateDense(
       total_instances += cur->count(t);
     }
     workspace.Release(*cur);
+    profile.entries = NeighborProfile(std::move(entries));
   } else {
     // Shared suffix: merge each junction tuple's memoized distribution in
     // ascending tuple order. A miss computes exactly what a hit returns,
@@ -307,57 +345,68 @@ std::optional<NeighborProfile> PropagateDense(
           ComputeSubtree(link, path, node_at, junction, t, workspace));
     };
     // Walks ending on the origin are pruned at a start-node last level. The
-    // memoized suffix keeps them, so its origin entry is skipped here and
-    // that entry's walks leave the instance count.
+    // memoized suffix keeps them, so the origin's entry is left out here
+    // and that entry's walks leave the instance count.
     const int32_t origin =
         options.exclude_start_tuple && node_at[k] == node_at[0]
             ? start_tuple
             : -1;
-    // One hub (every path whose prefix is forward steps only): its entries
-    // already ascend, so they are scaled straight into the profile. Each
-    // product equals the slab's 0.0 + x (x >= 0), so both sinks agree.
-    const bool one_hub = cur->touched().size() == 1;
-    Slab* out = one_hub ? nullptr : &workspace.Acquire(node_at[k]);
-    for (const int32_t t : cur->touched()) {
-      const std::shared_ptr<const SubtreeDistribution> dist = subtree(t);
-      const double forward = cur->forward(t);
-      const double reverse = cur->reverse(t);
-      double walks = dist->instances;
-      if (one_hub) {
-        entries.reserve(dist->entries.size());
+    const auto origin_index = [origin](const SubtreeDistribution& dist) {
+      if (origin < 0) {
+        return dist.size();
       }
-      for (const SubtreeEntry& entry : dist->entries) {
-        if (entry.tuple == origin) {
-          walks -= entry.walks;
-          continue;
+      const auto it = std::lower_bound(dist.tuples.begin(), dist.tuples.end(),
+                                       origin);
+      return it != dist.tuples.end() && *it == origin
+                 ? static_cast<size_t>(it - dist.tuples.begin())
+                 : dist.size();
+    };
+    if (cur->touched().size() == 1) {
+      // One hub: the profile is that hub's suffix, scaled in place by the
+      // pair fill rather than copied here.
+      const int32_t t = cur->touched().front();
+      HubSlice& hub = profile.hub;
+      hub.suffix = subtree(t);
+      hub.hub = t;
+      hub.skip = static_cast<uint32_t>(origin_index(*hub.suffix));
+      hub.forward = cur->forward(t);
+      hub.reverse = cur->reverse(t);
+      const double dropped =
+          hub.skip < hub.suffix->size() ? hub.suffix->walks[hub.skip] : 0.0;
+      total_instances = cur->count(t) * (hub.suffix->instances - dropped);
+      workspace.Release(*cur);
+    } else {
+      Slab* out = &workspace.Acquire(node_at[k]);
+      for (const int32_t t : cur->touched()) {
+        const std::shared_ptr<const SubtreeDistribution> dist = subtree(t);
+        const double forward = cur->forward(t);
+        const double reverse = cur->reverse(t);
+        const size_t skip = origin_index(*dist);
+        for (size_t e = 0; e < dist->size(); ++e) {
+          if (e != skip) {
+            out->Add(dist->tuples[e], forward * dist->forward[e],
+                     reverse * dist->reverse[e], 0.0);
+          }
         }
-        if (one_hub) {
-          entries.push_back(ProfileEntry{
-              entry.tuple, forward * entry.forward, reverse * entry.reverse});
-        } else {
-          out->Add(entry.tuple, forward * entry.forward,
-                   reverse * entry.reverse, 0.0);
-        }
+        const double dropped = skip < dist->size() ? dist->walks[skip] : 0.0;
+        total_instances += cur->count(t) * (dist->instances - dropped);
       }
-      total_instances += cur->count(t) * walks;
-    }
-    workspace.Release(*cur);
-    if (out != nullptr) {
+      workspace.Release(*cur);
       out->SortTouched();
+      std::vector<ProfileEntry> entries;
       entries.reserve(out->touched().size());
       for (const int32_t e : out->touched()) {
         entries.push_back(
             ProfileEntry{e, out->forward(e), out->reverse(e)});
       }
       workspace.Release(*out);
+      profile.entries = NeighborProfile(std::move(entries));
     }
   }
 
   if (total_instances > static_cast<double>(options.max_instances)) {
     return std::nullopt;  // over budget: caller reruns depth-first
   }
-  NeighborProfile profile{std::move(entries)};
-  profile.set_truncated(false);
   return profile;
 }
 

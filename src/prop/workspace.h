@@ -27,6 +27,12 @@
 //    threads. The cache is size-bounded with per-shard FIFO eviction and
 //    safe for concurrent use.
 //
+//  * A reference whose junction frontier is a single hub tuple (every path
+//    whose prefix is forward steps only) gets a HubSlice: a pointer to the
+//    hub's immutable suffix plus the two prefix scales, which the pair fill
+//    reads in place. Only a frontier of several hubs is summed into
+//    explicit entries.
+//
 // Determinism: every sweep iterates frontiers in ascending tuple id and
 // merges memoized suffixes in ascending junction-tuple order, and a cache
 // hit returns exactly the value a miss would recompute, so profiles are
@@ -144,29 +150,81 @@ class PropagationWorkspace {
   obs::TrackedBytes tracked_{obs::MemoryTracker::kPropagationWorkspace};
 };
 
-/// One neighbor of a memoized subtree: suffix-forward and suffix-reverse
-/// mass reaching `tuple` from the junction tuple, and the number of suffix
-/// walks ending there (exact below 2^53) — what origin exclusion takes out
-/// of the instance budget when `tuple` is the origin.
-struct SubtreeEntry {
-  int32_t tuple = -1;
-  double forward = 0.0;
-  double reverse = 0.0;
-  double walks = 0.0;
-};
-
-/// Distribution of one path suffix from one junction tuple.
+/// Distribution of one path suffix from one junction tuple, as parallel
+/// arrays in ascending tuple id — the layout of a ProfileStore slab, so a
+/// hub slice (below) reads it in place. Per end tuple: the suffix-forward
+/// and suffix-reverse mass reaching it from the junction tuple, and the
+/// number of suffix walks ending there (exact below 2^53) — what origin
+/// exclusion takes out of the instance budget when it is the origin.
 struct SubtreeDistribution {
-  std::vector<SubtreeEntry> entries;  // ascending tuple id
-  /// Complete suffix walks, the sum of the entries' walks (for the
-  /// instance budget); exact below 2^53.
+  std::vector<int32_t> tuples;
+  std::vector<double> forward;
+  std::vector<double> reverse;
+  std::vector<double> walks;
+  /// Complete suffix walks, the sum of `walks` (for the instance budget);
+  /// exact below 2^53.
   double instances = 0.0;
+
+  size_t size() const { return tuples.size(); }
+
+  void Append(int32_t tuple, double forward_mass, double reverse_mass,
+              double walk_count) {
+    tuples.push_back(tuple);
+    forward.push_back(forward_mass);
+    reverse.push_back(reverse_mass);
+    walks.push_back(walk_count);
+  }
+
+  void ShrinkToFit() {
+    tuples.shrink_to_fit();
+    forward.shrink_to_fit();
+    reverse.shrink_to_fit();
+    walks.shrink_to_fit();
+  }
 
   size_t ByteSize() const {
     return sizeof(SubtreeDistribution) +
-           entries.capacity() * sizeof(SubtreeEntry);
+           tuples.capacity() * sizeof(int32_t) +
+           (forward.capacity() + reverse.capacity() + walks.capacity()) *
+               sizeof(double);
   }
 };
+
+/// A (reference, path) profile whose junction frontier is one hub tuple:
+/// the hub's memoized suffix, scaled by the prefix mass that reaches the
+/// hub, read in place instead of copied. Entry e is
+/// {suffix->tuples[e], forward * suffix->forward[e],
+///  reverse * suffix->reverse[e]} for every e except `skip`, the origin's
+/// entry that a path ending on the start node drops (`skip` ==
+/// suffix->size() when nothing is dropped). Each product is the one the
+/// expanded profile holds, so both read the same bits.
+struct HubSlice {
+  std::shared_ptr<const SubtreeDistribution> suffix;
+  /// The junction tuple. Equal hubs hold equal suffixes, though not always
+  /// the same copy: with the memo's storage off or a suffix too large for
+  /// a shard, each reference pins its own.
+  int32_t hub = -1;
+  uint32_t skip = 0;
+  double forward = 0.0;  // prefix Prob(r -> hub)
+  double reverse = 0.0;  // prefix Prob(hub -> r)
+};
+
+/// The explicit, ascending entries of `slice` — the one place a hub slice
+/// is turned back into a profile (PropagationEngine::Compute, training's
+/// profiles, the test oracles).
+NeighborProfile ExpandHubSlice(const HubSlice& slice);
+
+/// One reference's profile along one path as the dense engine returns it:
+/// a hub slice when `hub.suffix` is set, else the explicit `entries`.
+struct PathProfile {
+  NeighborProfile entries;
+  HubSlice hub;
+
+  bool is_hub() const { return hub.suffix != nullptr; }
+};
+
+/// `profile`'s explicit entries: its own, or its hub slice expanded.
+NeighborProfile ExpandProfile(PathProfile profile);
 
 /// Counters of one SubtreeCache (cumulative since construction).
 struct SubtreeCacheStats {
@@ -196,7 +254,9 @@ class SubtreeCache {
 
   /// Stores `dist` (evicting FIFO-oldest entries of the shard to fit) and
   /// returns the resident copy — the previously inserted one when another
-  /// thread won the race (values are identical by construction).
+  /// thread won the race (values are identical by construction). With
+  /// capacity 0, or a suffix larger than a shard, returns a copy it does
+  /// not store; a hub slice keeps that copy alive.
   std::shared_ptr<const SubtreeDistribution> Insert(int path_id,
                                                     int32_t tuple,
                                                     SubtreeDistribution dist);
@@ -265,18 +325,34 @@ size_t SubtreeJunctionLevel(const JoinPath& path,
                             const std::vector<int>& node_at,
                             bool exclude_start_tuple);
 
-/// Dense-scratch propagation (the kWorkspace engine). `node_at` holds the
-/// schema node of every level (size path.steps.size() + 1). Memoizes path
-/// suffixes through `cache` when non-null, keyed by `cache_path_id` (the
-/// caller's stable index of `path`; pass 0 when cache is null). When the
-/// junction frontier is a single hub tuple, its scaled suffix entries are
-/// written straight into the (already ascending) profile. Returns
+/// What propagating along a path needs besides its steps. It depends on
+/// the path and the options alone, so ProfileStore::Propagate computes it
+/// once per path, not once per reference.
+struct PathShape {
+  std::vector<int> node_at;  // schema node of every level
+  size_t junction = 0;       // SubtreeJunctionLevel
+  /// A memoizable suffix of reverse steps only. Each end tuple then has
+  /// exactly one way back to its hub (every step back is the one FK or
+  /// attribute value of a row), so the suffixes of different hubs share
+  /// no tuple.
+  bool reverse_suffix = false;
+};
+
+PathShape ShapePath(const JoinPath& path, const SchemaGraph& schema,
+                    bool exclude_start_tuple);
+
+/// Dense-scratch propagation (the kWorkspace engine) along `path`, whose
+/// constants `shape` holds. Memoizes path suffixes through `cache` when
+/// non-null, keyed by `cache_path_id` (the caller's stable index of
+/// `path`; pass 0 when cache is null). When the junction frontier is a
+/// single hub tuple, the result is a hub slice over that tuple's suffix;
+/// otherwise the suffixes are summed into explicit entries. Returns
 /// nullopt when the number of complete path instances exceeds
 /// options.max_instances — the caller falls back to the depth-first engine
 /// so truncation semantics stay identical across algorithms.
-std::optional<NeighborProfile> PropagateDense(
+std::optional<PathProfile> PropagateDense(
     const LinkGraph& link, const JoinPath& path, int32_t start_tuple,
-    const PropagationOptions& options, const std::vector<int>& node_at,
+    const PropagationOptions& options, const PathShape& shape,
     PropagationWorkspace& workspace, SubtreeCache* cache, int cache_path_id);
 
 }  // namespace distinct

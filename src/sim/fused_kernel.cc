@@ -46,6 +46,25 @@ bool CandidateSet::contains(size_t i, size_t j) const {
   return false;
 }
 
+namespace {
+
+/// Calls `visit(tuple)` for every entry of slice `r` of `path`, in
+/// ascending tuple order, stepping over a hub slice's dropped entry.
+template <typename Visit>
+void ForEachTuple(const ProfileStore::Path& path, size_t r,
+                  const Visit& visit) {
+  const ProfileStore::SliceView view = path.slice(r);
+  const uint32_t cut = std::min(view.skip, view.size);
+  for (uint32_t e = 0; e < cut; ++e) {
+    visit(view.tuples[e]);
+  }
+  for (uint32_t e = cut + 1; e < view.size; ++e) {
+    visit(view.tuples[e]);
+  }
+}
+
+}  // namespace
+
 CandidateSet CandidateSet::Build(const ProfileStore& store,
                                  const std::vector<char>* dirty) {
   CandidateSet set;
@@ -70,19 +89,81 @@ CandidateSet CandidateSet::Build(const ProfileStore& store,
   static thread_local std::vector<std::pair<uint32_t, uint32_t>> postings;
   static thread_local std::vector<uint32_t> group_begin;  // dense id -> start
   static thread_local std::vector<uint32_t> grouped;  // refs by dense id
+  // (hub tuple, ref) of every hub slice of a path marked by hub.
+  static thread_local std::vector<std::pair<int32_t, uint32_t>> hub_members;
+
+  // Marks the pairs inside one group of references, ascending — exactly
+  // the incidences the fused kernel would visit. With a mask only a dirty
+  // member marks, pairing itself with every other member, so a group costs
+  // O(dirty members x members) and no clean-clean pair is marked; a
+  // dirty-dirty pair marked from both ends is idempotent.
+  const auto mark_group = [&](std::vector<uint64_t>& bits,
+                              const uint32_t* members, size_t size) {
+    const auto mark = [&bits](size_t i, size_t j) {  // i > j
+      const size_t bit = i * (i - 1) / 2 + j;
+      bits[bit >> 6] |= uint64_t{1} << (bit & 63);
+    };
+    for (size_t a = 0; a < size; ++a) {
+      const size_t i = members[a];
+      if (dirty != nullptr && !(*dirty)[i]) {
+        continue;
+      }
+      for (size_t b = 0; b < a; ++b) {
+        mark(i, members[b]);
+      }
+      if (dirty != nullptr) {
+        for (size_t b = a + 1; b < size; ++b) {
+          mark(members[b], i);
+        }
+      }
+    }
+  };
 
   for (size_t p = 0; p < store.num_paths(); ++p) {
     const ProfileStore::Path& path = store.path(p);
-    if (path.tuples.empty()) {
+    if (path.by_hub) {
+      // Reverse-only suffixes: slices under different hubs share no
+      // tuple. Group by hub tuple, not by suffix pointer — references
+      // under one hub may each pin their own equal copy.
+      hub_members.clear();
+      for (size_t r = 0; r < n; ++r) {
+        if (path.is_hub(r)) {
+          hub_members.emplace_back(path.hubs[path.hub_of[r]].hub,
+                                   static_cast<uint32_t>(r));
+        }
+      }
+      std::sort(hub_members.begin(), hub_members.end());
+      grouped.clear();
+      for (const auto& [hub, r] : hub_members) {
+        grouped.push_back(r);
+      }
+      std::vector<uint64_t>& bits = set.path_bits_[p];
+      for (size_t begin = 0; begin < hub_members.size();) {
+        size_t end = begin + 1;
+        while (end < hub_members.size() &&
+               hub_members[end].first == hub_members[begin].first) {
+          ++end;
+        }
+        if (end - begin >= 2) {
+          if (bits.empty()) {
+            bits.assign(set.words_, 0);
+          }
+          mark_group(bits, grouped.data() + begin, end - begin);
+        }
+        begin = end;
+      }
+      continue;
+    }
+    if (path.tuples.empty() && path.hubs.empty()) {
       continue;
     }
     // Slices are sorted, so their last tuples bound the path's ids.
     size_t max_tuple = 0;
     for (size_t r = 0; r < n; ++r) {
-      const size_t end = path.offsets[r + 1];
-      if (path.offsets[r] < end) {
-        max_tuple =
-            std::max(max_tuple, static_cast<size_t>(path.tuples[end - 1]));
+      const ProfileStore::SliceView view = path.slice(r);
+      if (view.size > 0) {
+        max_tuple = std::max(max_tuple,
+                             static_cast<size_t>(view.tuples[view.size - 1]));
       }
     }
     if ((max_tuple >> 6) >= seen.size()) {
@@ -100,11 +181,19 @@ CandidateSet CandidateSet::Build(const ProfileStore& store,
     // not — find them. With a mask only a group with a dirty member can
     // mark a pair, so pass 1 keeps the tuples the dirty references hold.
     if (dirty == nullptr) {
-      for (const int32_t tuple : path.tuples) {
+      const auto count = [](int32_t tuple) {
         const auto t = static_cast<size_t>(tuple);
         const uint64_t bit = uint64_t{1} << (t & 63);
         keep[t >> 6] |= seen[t >> 6] & bit;
         seen[t >> 6] |= bit;
+      };
+      for (const int32_t tuple : path.tuples) {
+        count(tuple);
+      }
+      for (size_t r = 0; r < n && !path.hubs.empty(); ++r) {
+        if (path.is_hub(r)) {
+          ForEachTuple(path, r, count);
+        }
       }
     } else {
       bool kept = false;
@@ -112,11 +201,11 @@ CandidateSet CandidateSet::Build(const ProfileStore& store,
         if (!(*dirty)[r]) {
           continue;
         }
-        kept = kept || path.offsets[r] < path.offsets[r + 1];
-        for (size_t e = path.offsets[r]; e < path.offsets[r + 1]; ++e) {
-          const auto t = static_cast<size_t>(path.tuples[e]);
+        ForEachTuple(path, r, [&kept](int32_t tuple) {
+          const auto t = static_cast<size_t>(tuple);
           keep[t >> 6] |= uint64_t{1} << (t & 63);
-        }
+          kept = true;
+        });
       }
       if (!kept) {
         continue;  // no dirty reference has entries on this path
@@ -135,11 +224,11 @@ CandidateSet CandidateSet::Build(const ProfileStore& store,
     counts.clear();
     postings.clear();
     for (size_t r = 0; r < n; ++r) {
-      for (size_t e = path.offsets[r]; e < path.offsets[r + 1]; ++e) {
-        const auto t = static_cast<size_t>(path.tuples[e]);
+      ForEachTuple(path, r, [&](int32_t tuple) {
+        const auto t = static_cast<size_t>(tuple);
         seen_words[t >> 6] = 0;
         if (((keep_words[t >> 6] >> (t & 63)) & 1) == 0) {
-          continue;
+          return;
         }
         if (dense[t] < 0) {
           dense[t] = static_cast<int32_t>(touched.size());
@@ -149,7 +238,7 @@ CandidateSet CandidateSet::Build(const ProfileStore& store,
         const auto d = static_cast<uint32_t>(dense[t]);
         ++counts[d];
         postings.emplace_back(static_cast<uint32_t>(r), d);
-      }
+      });
     }
     for (const int32_t t : touched) {
       keep[static_cast<size_t>(t) >> 6] = 0;
@@ -162,11 +251,7 @@ CandidateSet CandidateSet::Build(const ProfileStore& store,
     bits.assign(set.words_, 0);
 
     // Scatter references into per-tuple groups (counting sort, ref order
-    // preserved ascending) and mark the pairs inside each group — exactly
-    // the incidences the fused kernel would visit. With a mask only a
-    // dirty member marks, pairing itself with every other member, so a
-    // group costs O(dirty members x members) and no clean-clean pair is
-    // marked; a dirty-dirty pair marked from both ends is idempotent.
+    // preserved ascending) and mark the pairs inside each group.
     const size_t distinct = touched.size();
     group_begin.assign(distinct + 1, 0);
     for (size_t d = 0; d < distinct; ++d) {
@@ -177,27 +262,9 @@ CandidateSet CandidateSet::Build(const ProfileStore& store,
     for (const auto& [r, d] : postings) {
       grouped[group_begin[d] + counts[d]++] = r;
     }
-    const auto mark = [&bits](size_t i, size_t j) {  // i > j
-      const size_t bit = i * (i - 1) / 2 + j;
-      bits[bit >> 6] |= uint64_t{1} << (bit & 63);
-    };
     for (size_t d = 0; d < distinct; ++d) {
-      const size_t begin = group_begin[d];
-      const size_t end = group_begin[d + 1];
-      for (size_t a = begin; a < end; ++a) {
-        const size_t i = grouped[a];
-        if (dirty != nullptr && !(*dirty)[i]) {
-          continue;
-        }
-        for (size_t b = begin; b < a; ++b) {
-          mark(i, grouped[b]);
-        }
-        if (dirty != nullptr) {
-          for (size_t b = a + 1; b < end; ++b) {
-            mark(grouped[b], i);
-          }
-        }
-      }
+      mark_group(bits, grouped.data() + group_begin[d],
+                 group_begin[d + 1] - group_begin[d]);
     }
   }
 

@@ -19,7 +19,8 @@
 // refill after an append builds the same index under a dirty mask, so it
 // marks only the pairs it recomputes.
 //
-// Both read the per-path CSR slabs of a ProfileStore (sim/profile_store.h).
+// Both read the slices of a ProfileStore (sim/profile_store.h) through its
+// one SliceView, explicit slab slices and hub slices alike.
 
 #ifndef DISTINCT_SIM_FUSED_KERNEL_H_
 #define DISTINCT_SIM_FUSED_KERNEL_H_
@@ -39,8 +40,8 @@ struct FusedPathFeatures {
   double walk = 0.0;  // symmetric: mean of both directions
 };
 
-/// Single-pass resemblance + both walk directions for the pair (i, j) of
-/// one path slab. Accumulators advance in the same visit order as the
+/// Single-pass resemblance + both walk directions for one pair of slices
+/// of one path. Accumulators advance in the same visit order as the
 /// three-pass reference — one denominator add per union element in
 /// increasing tuple order, numerator and walk contributions per match in
 /// match order — so each value is bit-identical to SetResemblance /
@@ -48,46 +49,80 @@ struct FusedPathFeatures {
 /// is the fused fill's innermost call, and keeping the body visible lets
 /// the per-cell loop inline it instead of paying a cross-TU call per
 /// (pair, path).
-inline FusedPathFeatures FusedMergeJoin(const ProfileStore::Path& path,
-                                        size_t i, size_t j) {
+///
+/// With `kScaled` each value is read as scale * array[e] — the product
+/// the expanded profile of a hub slice holds — and each view's `skip`
+/// entry is stepped over; an explicit side then reads its values times
+/// 1.0, which is exact. Without it both views must be explicit, and the
+/// arrays are read as they are.
+template <bool kScaled>
+inline FusedPathFeatures FusedMergeJoin(const ProfileStore::SliceView& a,
+                                        const ProfileStore::SliceView& b) {
   FusedPathFeatures features;
-  size_t x = path.offsets[i];
-  const size_t x_end = path.offsets[i + 1];
-  size_t y = path.offsets[j];
-  const size_t y_end = path.offsets[j + 1];
+  // A view whose first entry is the skipped one starts at its second.
+  uint32_t x = kScaled && a.skip == 0 ? 1 : 0;
+  uint32_t y = kScaled && b.skip == 0 ? 1 : 0;
+  const uint32_t x_end = a.size;
+  const uint32_t y_end = b.size;
   // SetResemblance defines an empty side as 0 before any accumulation; the
   // walk sums have no matches to visit either way.
-  if (x == x_end || y == y_end) {
+  if (x >= x_end || y >= y_end) {
     return features;
   }
+  const auto forward_a = [&a](uint32_t e) {
+    return kScaled ? a.forward_scale * a.forward[e] : a.forward[e];
+  };
+  const auto forward_b = [&b](uint32_t e) {
+    return kScaled ? b.forward_scale * b.forward[e] : b.forward[e];
+  };
+  const auto reverse_a = [&a](uint32_t e) {
+    return kScaled ? a.reverse_scale * a.reverse[e] : a.reverse[e];
+  };
+  const auto reverse_b = [&b](uint32_t e) {
+    return kScaled ? b.reverse_scale * b.reverse[e] : b.reverse[e];
+  };
+  const auto next_x = [&] {
+    ++x;
+    if (kScaled && x == a.skip) {
+      ++x;
+    }
+  };
+  const auto next_y = [&] {
+    ++y;
+    if (kScaled && y == b.skip) {
+      ++y;
+    }
+  };
 
   double numerator = 0.0;
   double denominator = 0.0;
   double walk_ij = 0.0;  // Walk_P(i -> j): forward_i · reverse_j
   double walk_ji = 0.0;  // Walk_P(j -> i): forward_j · reverse_i
   while (x < x_end && y < y_end) {
-    const int32_t tx = path.tuples[x];
-    const int32_t ty = path.tuples[y];
+    const int32_t tx = a.tuples[x];
+    const int32_t ty = b.tuples[y];
     if (tx < ty) {
-      denominator += path.forward[x];
-      ++x;
+      denominator += forward_a(x);
+      next_x();
     } else if (ty < tx) {
-      denominator += path.forward[y];
-      ++y;
+      denominator += forward_b(y);
+      next_y();
     } else {
-      numerator += std::min(path.forward[x], path.forward[y]);
-      denominator += std::max(path.forward[x], path.forward[y]);
-      walk_ij += path.forward[x] * path.reverse[y];
-      walk_ji += path.forward[y] * path.reverse[x];
-      ++x;
-      ++y;
+      const double fx = forward_a(x);
+      const double fy = forward_b(y);
+      numerator += std::min(fx, fy);
+      denominator += std::max(fx, fy);
+      walk_ij += fx * reverse_b(y);
+      walk_ji += fy * reverse_a(x);
+      next_x();
+      next_y();
     }
   }
-  for (; x < x_end; ++x) {
-    denominator += path.forward[x];
+  for (; x < x_end; next_x()) {
+    denominator += forward_a(x);
   }
-  for (; y < y_end; ++y) {
-    denominator += path.forward[y];
+  for (; y < y_end; next_y()) {
+    denominator += forward_b(y);
   }
   if (denominator > 0.0) {
     features.resemblance = numerator / denominator;
@@ -97,16 +132,33 @@ inline FusedPathFeatures FusedMergeJoin(const ProfileStore::Path& path,
   return features;
 }
 
+/// The join of slices i and j of `path`: the plain read when both are
+/// explicit, the scaled one when either is a hub slice.
+inline FusedPathFeatures FusedMergeJoin(const ProfileStore::Path& path,
+                                        size_t i, size_t j) {
+  if (path.is_hub(i) || path.is_hub(j)) {
+    return FusedMergeJoin<true>(path.slice(i), path.slice(j));
+  }
+  return FusedMergeJoin<false>(path.slice(i), path.slice(j));
+}
+
 /// The overlap-sparse candidate pairs, one lower-triangle bitset per join
-/// path: bit b(i, j) = i(i-1)/2 + j of path P is set iff references i and
-/// j share at least one neighbor tuple on P. A path on which no pair shares
-/// a tuple keeps no bitset at all.
+/// path: bit b(i, j) = i(i-1)/2 + j of path P is set when references i
+/// and j share at least one neighbor tuple on P — iff, except on a path
+/// marked by hub, where a pair under one hub is set whether or not its
+/// slices meet. A path on which no pair is set keeps no bitset at all.
 class CandidateSet {
  public:
-  /// Per path, two passes over the entries: pass 1 keeps the tuples whose
-  /// groups can mark a pair, pass 2 groups their holders by tuple (an
-  /// inverted index tuple -> references); then every pair inside a group
-  /// is marked. Without `dirty` a kept tuple is one two or more references
+  /// On a path whose slices are all hub slices over reverse-only suffixes
+  /// (ProfileStore::Path::by_hub), slices under different hubs share no
+  /// tuple, so the references are grouped by hub tuple and every pair
+  /// inside a group is marked without reading an entry — a superset of
+  /// the sharing pairs, which is exact (a marked pair that shares nothing
+  /// adds a signed zero). On every other path, two passes over the
+  /// entries: pass 1 keeps the tuples whose groups can mark a pair, pass 2
+  /// groups their holders by tuple (an inverted index tuple ->
+  /// references); then every pair inside a group is marked. Without
+  /// `dirty` a kept tuple is one two or more references
   /// hold, and the cost is the two passes plus the (pair, shared tuple)
   /// incidences. With `dirty` (size num_refs), pass 1 reads only the dirty
   /// references' entries and keeps the tuples they hold, and only the

@@ -139,8 +139,8 @@ void FillFused(const ProfileStore& store, const SimilarityModel& model,
           // Overlap the next path's slice loads with this join.
           const ProfileStore::Path& next =
               store.path(live[static_cast<size_t>(std::countr_zero(rest))]);
-          __builtin_prefetch(next.tuples.data() + next.offsets[i]);
-          __builtin_prefetch(next.tuples.data() + next.offsets[j]);
+          __builtin_prefetch(next.slice(i).tuples);
+          __builtin_prefetch(next.slice(j).tuples);
         }
         const FusedPathFeatures features = FusedMergeJoin(store.path(p), i, j);
         resem_sim += resem_weights[p] * features.resemblance;

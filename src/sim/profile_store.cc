@@ -28,15 +28,42 @@ bool PathInMask(uint64_t mask, size_t p) {
   return p >= 64 || ((mask >> p) & 1) != 0;
 }
 
-/// Lays out one path slab in reference order. Slice r holds the entries of
-/// `*fresh[r]`, which is released once copied, or, where fresh[r] is null,
-/// slice r of `old` verbatim.
-ProfileStore::Path LayoutPath(const std::vector<NeighborProfile*>& fresh,
-                              const ProfileStore::Path* old) {
+/// Every path's constants, once per propagation call.
+std::vector<PathShape> ShapePaths(const PropagationEngine& engine,
+                                  const std::vector<JoinPath>& paths,
+                                  const PropagationOptions& options) {
+  std::vector<PathShape> shapes;
+  shapes.reserve(paths.size());
+  for (const JoinPath& path : paths) {
+    shapes.push_back(ShapePath(path, engine.link().schema(),
+                               options.exclude_start_tuple));
+  }
+  return shapes;
+}
+
+/// Lays out one path in reference order. Slice r is `*fresh[r]`, released
+/// once laid out, or, where fresh[r] is null, slice r of `old` as it was.
+/// A hub slice stays one; explicit entries go to the slab. `reverse_suffix`
+/// is the path's PathShape::reverse_suffix.
+ProfileStore::Path LayoutPath(const std::vector<PathProfile*>& fresh,
+                              const ProfileStore::Path* old,
+                              bool reverse_suffix) {
   const size_t n = fresh.size();
+  const auto hub_at = [&](size_t r) -> const HubSlice* {
+    if (fresh[r] != nullptr) {
+      return fresh[r]->is_hub() ? &fresh[r]->hub : nullptr;
+    }
+    return old->is_hub(r) ? &old->hubs[old->hub_of[r]] : nullptr;
+  };
   size_t total = 0;
+  size_t num_hubs = 0;
   for (size_t r = 0; r < n; ++r) {
-    total += fresh[r] != nullptr ? fresh[r]->size() : old->size(r);
+    if (hub_at(r) != nullptr) {
+      ++num_hubs;
+    } else {
+      total += fresh[r] != nullptr ? fresh[r]->entries.size()
+                                   : old->offsets[r + 1] - old->offsets[r];
+    }
   }
   DISTINCT_CHECK(total <= kMaxPathEntries);
   ProfileStore::Path path;
@@ -44,9 +71,26 @@ ProfileStore::Path LayoutPath(const std::vector<NeighborProfile*>& fresh,
   path.tuples.reserve(total);
   path.forward.reserve(total);
   path.reverse.reserve(total);
+  if (num_hubs > 0) {
+    path.hub_of.assign(n, ProfileStore::Path::kExplicit);
+    path.hubs.reserve(num_hubs);
+  }
   for (size_t r = 0; r < n; ++r) {
     path.offsets[r] = static_cast<uint32_t>(path.tuples.size());
-    if (fresh[r] == nullptr) {
+    if (const HubSlice* hub = hub_at(r)) {
+      path.hub_of[r] = static_cast<uint32_t>(path.hubs.size());
+      if (fresh[r] != nullptr) {
+        path.hubs.push_back(std::move(fresh[r]->hub));
+      } else {
+        path.hubs.push_back(*hub);
+      }
+    } else if (fresh[r] != nullptr) {
+      for (const ProfileEntry& entry : fresh[r]->entries.entries()) {
+        path.tuples.push_back(entry.tuple);
+        path.forward.push_back(entry.forward);
+        path.reverse.push_back(entry.reverse);
+      }
+    } else {
       const size_t begin = old->offsets[r];
       const size_t end = old->offsets[r + 1];
       path.tuples.insert(path.tuples.end(), old->tuples.begin() + begin,
@@ -55,16 +99,13 @@ ProfileStore::Path LayoutPath(const std::vector<NeighborProfile*>& fresh,
                           old->forward.begin() + end);
       path.reverse.insert(path.reverse.end(), old->reverse.begin() + begin,
                           old->reverse.begin() + end);
-      continue;
     }
-    for (const ProfileEntry& entry : fresh[r]->entries()) {
-      path.tuples.push_back(entry.tuple);
-      path.forward.push_back(entry.forward);
-      path.reverse.push_back(entry.reverse);
+    if (fresh[r] != nullptr) {
+      *fresh[r] = PathProfile();
     }
-    *fresh[r] = NeighborProfile();
   }
   path.offsets[n] = static_cast<uint32_t>(path.tuples.size());
+  path.by_hub = reverse_suffix && num_hubs > 0 && path.tuples.empty();
   return path;
 }
 
@@ -87,12 +128,24 @@ void WorkspacePool::Release(std::unique_ptr<PropagationWorkspace> workspace) {
   free_.push_back(std::move(workspace));
 }
 
-std::vector<std::vector<NeighborProfile>> ProfileStore::Propagate(
+NeighborProfile ProfileStore::Path::Expand(size_t ref) const {
+  if (is_hub(ref)) {
+    return ExpandHubSlice(hubs[hub_of[ref]]);
+  }
+  std::vector<ProfileEntry> entries;
+  for (size_t e = offsets[ref]; e < offsets[ref + 1]; ++e) {
+    entries.push_back(ProfileEntry{tuples[e], forward[e], reverse[e]});
+  }
+  return NeighborProfile(std::move(entries));
+}
+
+void ProfileStore::PropagateEach(
     const PropagationEngine& engine, const std::vector<JoinPath>& paths,
-    const PropagationOptions& options, const std::vector<int32_t>& refs,
-    ThreadPool* pool, size_t min_parallel_refs, SubtreeCache* shared_cache,
-    WorkspacePool* shared_workspaces,
-    const std::vector<uint64_t>* path_masks) {
+    const std::vector<PathShape>& shapes, const PropagationOptions& options,
+    const std::vector<int32_t>& refs, ThreadPool* pool,
+    size_t min_parallel_refs, SubtreeCache* shared_cache,
+    WorkspacePool* shared_workspaces, const std::vector<uint64_t>* path_masks,
+    const std::function<void(size_t, size_t, PathProfile)>& emit) {
   Stopwatch watch;
   const bool dense = options.algorithm == PropagationAlgorithm::kWorkspace;
   WorkspacePool local_workspaces(engine.link());
@@ -105,7 +158,6 @@ std::vector<std::vector<NeighborProfile>> ProfileStore::Propagate(
     cache = owned_cache.get();
   }
 
-  std::vector<std::vector<NeighborProfile>> profiles(refs.size());
   const auto compute_one = [&](int64_t i) {
     const auto item = static_cast<size_t>(i);
     const uint64_t mask = MaskOf(path_masks, item);
@@ -113,17 +165,12 @@ std::vector<std::vector<NeighborProfile>> ProfileStore::Propagate(
     if (dense) {
       workspace = workspaces.Acquire();
     }
-    profiles[item].resize(paths.size());
     for (size_t p = 0; p < paths.size(); ++p) {
-      if (!PathInMask(mask, p)) {
-        continue;
-      }
-      if (dense) {
-        profiles[item][p] = engine.Compute(paths[p], refs[item], options,
-                                           *workspace, cache,
-                                           static_cast<int>(p));
-      } else {
-        profiles[item][p] = engine.Compute(paths[p], refs[item], options);
+      if (PathInMask(mask, p)) {
+        emit(item, p,
+             engine.ComputeSlice(paths[p], shapes[p], refs[item], options,
+                                 workspace.get(), cache,
+                                 static_cast<int>(p)));
       }
     }
     if (workspace != nullptr) {
@@ -141,21 +188,23 @@ std::vector<std::vector<NeighborProfile>> ProfileStore::Propagate(
   DISTINCT_COUNTER_ADD("prop.profiles_built",
                        static_cast<int64_t>(refs.size()));
   DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
-  return profiles;
 }
 
-void ProfileStore::Layout(size_t num_paths,
-                          std::vector<std::vector<NeighborProfile>> profiles) {
-  paths_.clear();
-  paths_.reserve(num_paths);
-  std::vector<NeighborProfile*> slices(profiles.size());
-  for (size_t p = 0; p < num_paths; ++p) {
-    for (size_t r = 0; r < profiles.size(); ++r) {
-      slices[r] = &profiles[r][p];
-    }
-    paths_.push_back(LayoutPath(slices, /*old=*/nullptr));
-  }
-  tracked_.Set(SlabBytes());
+std::vector<std::vector<NeighborProfile>> ProfileStore::Propagate(
+    const PropagationEngine& engine, const std::vector<JoinPath>& paths,
+    const PropagationOptions& options, const std::vector<int32_t>& refs,
+    ThreadPool* pool, size_t min_parallel_refs, SubtreeCache* shared_cache,
+    WorkspacePool* shared_workspaces,
+    const std::vector<uint64_t>* path_masks) {
+  std::vector<std::vector<NeighborProfile>> profiles(
+      refs.size(), std::vector<NeighborProfile>(paths.size()));
+  PropagateEach(engine, paths, ShapePaths(engine, paths, options), options,
+                refs, pool, min_parallel_refs, shared_cache,
+                shared_workspaces, path_masks,
+                [&profiles](size_t i, size_t p, PathProfile profile) {
+                  profiles[i][p] = ExpandProfile(std::move(profile));
+                });
+  return profiles;
 }
 
 ProfileStore ProfileStore::Build(const PropagationEngine& engine,
@@ -167,10 +216,8 @@ ProfileStore ProfileStore::Build(const PropagationEngine& engine,
                                  SubtreeCache* shared_cache,
                                  WorkspacePool* shared_workspaces) {
   ProfileStore store;
-  store.refs_ = std::move(refs);
-  store.Layout(paths.size(),
-               Propagate(engine, paths, options, store.refs_, pool,
-                         min_parallel_refs, shared_cache, shared_workspaces));
+  store.Splice(engine, paths, options, {}, std::move(refs), pool,
+               min_parallel_refs, shared_cache, shared_workspaces, nullptr);
   DISTINCT_COUNTER_ADD("sim.profile_store_builds", 1);
   return store;
 }
@@ -181,6 +228,21 @@ void ProfileStore::Update(const PropagationEngine& engine,
                           const std::vector<size_t>& positions,
                           std::vector<int32_t> new_refs,
                           ThreadPool* pool,
+                          size_t min_parallel_refs,
+                          SubtreeCache* shared_cache,
+                          WorkspacePool* shared_workspaces,
+                          const std::vector<uint64_t>* position_path_masks) {
+  Splice(engine, paths, options, positions, std::move(new_refs), pool,
+         min_parallel_refs, shared_cache, shared_workspaces,
+         position_path_masks);
+  DISTINCT_COUNTER_ADD("sim.profile_store_updates", 1);
+}
+
+void ProfileStore::Splice(const PropagationEngine& engine,
+                          const std::vector<JoinPath>& paths,
+                          const PropagationOptions& options,
+                          const std::vector<size_t>& positions,
+                          std::vector<int32_t> new_refs, ThreadPool* pool,
                           size_t min_parallel_refs,
                           SubtreeCache* shared_cache,
                           WorkspacePool* shared_workspaces,
@@ -202,13 +264,19 @@ void ProfileStore::Update(const PropagationEngine& engine,
     DISTINCT_CHECK(r < refs_.size());
     work.push_back(refs_[r]);
   }
-  std::vector<std::vector<NeighborProfile>> fresh =
-      Propagate(engine, paths, options, work, pool, min_parallel_refs,
-                shared_cache, shared_workspaces, position_path_masks);
+  const std::vector<PathShape> shapes = ShapePaths(engine, paths, options);
+  std::vector<std::vector<PathProfile>> fresh(
+      work.size(), std::vector<PathProfile>(paths.size()));
+  PropagateEach(engine, paths, shapes, options, work, pool,
+                min_parallel_refs, shared_cache, shared_workspaces,
+                position_path_masks,
+                [&fresh](size_t k, size_t p, PathProfile profile) {
+                  fresh[k][p] = std::move(profile);
+                });
 
   // A slice comes from the fresh profiles where its reference was
-  // re-propagated on that path; every other slice keeps its old bytes.
-  std::vector<NeighborProfile*> slices(refs_.size());
+  // re-propagated on that path; every other slice keeps what it held.
+  std::vector<PathProfile*> slices(refs_.size());
   for (size_t p = 0; p < paths.size(); ++p) {
     std::fill(slices.begin(), slices.end(), nullptr);
     for (size_t k = 0; k < slot.size(); ++k) {
@@ -216,10 +284,9 @@ void ProfileStore::Update(const PropagationEngine& engine,
         slices[slot[k]] = &fresh[k][p];
       }
     }
-    paths_[p] = LayoutPath(slices, &paths_[p]);
+    paths_[p] = LayoutPath(slices, &paths_[p], shapes[p].reverse_suffix);
   }
-  tracked_.Set(SlabBytes());
-  DISTINCT_COUNTER_ADD("sim.profile_store_updates", 1);
+  tracked_.Set(ResidentBytes());
 }
 
 ProfileStore ProfileStore::FromProfiles(
@@ -227,22 +294,48 @@ ProfileStore ProfileStore::FromProfiles(
     std::vector<std::vector<NeighborProfile>> profiles) {
   DISTINCT_CHECK(refs.size() == profiles.size());
   const size_t num_paths = profiles.empty() ? 0 : profiles.front().size();
-  for (const std::vector<NeighborProfile>& per_ref : profiles) {
-    DISTINCT_CHECK(per_ref.size() == num_paths);
+  std::vector<std::vector<PathProfile>> explicit_profiles(profiles.size());
+  for (size_t r = 0; r < profiles.size(); ++r) {
+    DISTINCT_CHECK(profiles[r].size() == num_paths);
+    explicit_profiles[r].resize(num_paths);
+    for (size_t p = 0; p < num_paths; ++p) {
+      explicit_profiles[r][p].entries = std::move(profiles[r][p]);
+    }
   }
   ProfileStore store;
   store.refs_ = std::move(refs);
-  store.Layout(num_paths, std::move(profiles));
+  std::vector<PathProfile*> slices(store.refs_.size());
+  for (size_t p = 0; p < num_paths; ++p) {
+    for (size_t r = 0; r < slices.size(); ++r) {
+      slices[r] = &explicit_profiles[r][p];
+    }
+    store.paths_.push_back(
+        LayoutPath(slices, /*old=*/nullptr, /*reverse_suffix=*/false));
+  }
+  store.tracked_.Set(store.ResidentBytes());
   return store;
 }
 
-int64_t ProfileStore::SlabBytes() const {
+int64_t ProfileStore::ResidentBytes() const {
   size_t bytes = paths_.capacity() * sizeof(Path);
+  std::vector<const SubtreeDistribution*> pinned;
   for (const Path& path : paths_) {
     bytes += path.offsets.capacity() * sizeof(uint32_t);
     bytes += path.tuples.capacity() * sizeof(int32_t);
     bytes += (path.forward.capacity() + path.reverse.capacity()) *
              sizeof(double);
+    bytes += path.hub_of.capacity() * sizeof(uint32_t);
+    bytes += path.hubs.capacity() * sizeof(HubSlice);
+    for (const HubSlice& hub : path.hubs) {
+      if (pinned.empty() || pinned.back() != hub.suffix.get()) {
+        pinned.push_back(hub.suffix.get());
+      }
+    }
+  }
+  std::sort(pinned.begin(), pinned.end());
+  pinned.erase(std::unique(pinned.begin(), pinned.end()), pinned.end());
+  for (const SubtreeDistribution* suffix : pinned) {
+    bytes += suffix->ByteSize();
   }
   return static_cast<int64_t>(bytes);
 }

@@ -3,21 +3,26 @@
 //
 // Each of the n references needs one propagation per join path, and the
 // propagations are mutually independent, so Propagate() fans them out over
-// a ThreadPool. Build() lays the result out as one flat structure-of-arrays
-// CSR slab per join path — tuple[], forward[], reverse[] plus per-reference
-// offsets — which is all the store holds: the fused pair fill of
-// fused_kernel.h merge-joins over adjacent same-typed memory instead of
-// chasing n·P heap blocks of 24-byte entries. Once built the store is
-// immutable: any number of threads may read it concurrently without
-// synchronization. It is the only profile cache, and deliberately not a
-// `thread_local` one: keyed by engine address, such a cache dangles when
-// an engine is destroyed and a new one reuses the address.
+// a ThreadPool. Build() keeps each path's profiles as one of two kinds of
+// slice. A hub slice (prop/workspace.h) points at the memo's immutable
+// suffix of the reference's one hub tuple, with the two prefix scales:
+// every reference under one proceedings shares the thousands of entries
+// below it instead of copying them. Every other slice lives in the path's
+// structure-of-arrays CSR slab — tuple[], forward[], reverse[] plus
+// per-reference offsets. The fused pair fill of fused_kernel.h reads both
+// kinds through one SliceView and merge-joins over adjacent same-typed
+// memory instead of chasing n·P heap blocks of 24-byte entries. Once built
+// the store is immutable: any number of threads may read it concurrently
+// without synchronization. It is the only profile cache, and deliberately
+// not a `thread_local` one: keyed by engine address, such a cache dangles
+// when an engine is destroyed and a new one reuses the address.
 
 #ifndef DISTINCT_SIM_PROFILE_STORE_H_
 #define DISTINCT_SIM_PROFILE_STORE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -57,29 +62,91 @@ class ProfileStore {
   /// is supplied (task overhead would dominate n propagations).
   static constexpr size_t kMinParallelRefs = 32;
 
-  /// One path's profiles, concatenated in reference order. The slice of
-  /// reference i is [offsets[i], offsets[i + 1]); tuples are strictly
-  /// increasing within a slice (NeighborProfile guarantees sorted,
-  /// duplicate-free entries).
+  /// One slice as the pair fill reads it, whichever its kind: `size`
+  /// entries at `tuples`/`forward`/`reverse` except entry `skip` (== size
+  /// when none is left out), with tuples strictly increasing. A hub
+  /// slice's values are scaled — forward_scale * forward[e] — and an
+  /// explicit slice's are read as they are (scales 1.0).
+  struct SliceView {
+    const int32_t* tuples = nullptr;
+    const double* forward = nullptr;
+    const double* reverse = nullptr;
+    uint32_t size = 0;
+    uint32_t skip = 0;
+    double forward_scale = 1.0;
+    double reverse_scale = 1.0;
+  };
+
+  /// One path's profiles in reference order. An explicit slice of
+  /// reference i is [offsets[i], offsets[i + 1]) of the slab; tuples are
+  /// strictly increasing within a slice (NeighborProfile guarantees
+  /// sorted, duplicate-free entries). A hub slice is hubs[hub_of[i]], and
+  /// its slab range is empty.
   ///
   /// Offsets are packed to uint32_t — half the index bytes of a size_t, so
   /// the offset table of a mega-name stays in cache while the merge-joins
-  /// stream the entry arrays. A path is capped at 2^32-1 entries (checked
+  /// stream the entry arrays. A slab is capped at 2^32-1 entries (checked
   /// at layout time); at 20 bytes per entry that is an ~80 GiB slab, far
   /// past the per-shard memory budget.
   struct Path {
+    static constexpr uint32_t kExplicit = ~uint32_t{0};
+
     std::vector<uint32_t> offsets;  // num_refs + 1 entries
     std::vector<int32_t> tuples;
     std::vector<double> forward;   // Prob_P(r -> tuple)
     std::vector<double> reverse;   // Prob_P(tuple -> r)
+    /// Index into `hubs` per reference, kExplicit for a slab slice; empty
+    /// when no slice of the path is a hub slice.
+    std::vector<uint32_t> hub_of;
+    std::vector<HubSlice> hubs;
+    /// Every slice with entries is a hub slice and the suffix below the
+    /// hubs is reverse steps only (PathShape::reverse_suffix). Slices
+    /// under different hubs then share no tuple, so CandidateSet marks
+    /// the pairs under each hub without reading an entry.
+    bool by_hub = false;
 
-    size_t size(size_t ref) const {
-      return offsets[ref + 1] - offsets[ref];
+    bool is_hub(size_t ref) const {
+      return !hub_of.empty() && hub_of[ref] != kExplicit;
     }
+
+    SliceView slice(size_t ref) const {
+      SliceView view;
+      if (is_hub(ref)) {
+        const HubSlice& hub = hubs[hub_of[ref]];
+        view.tuples = hub.suffix->tuples.data();
+        view.forward = hub.suffix->forward.data();
+        view.reverse = hub.suffix->reverse.data();
+        view.size = static_cast<uint32_t>(hub.suffix->size());
+        view.skip = hub.skip;
+        view.forward_scale = hub.forward;
+        view.reverse_scale = hub.reverse;
+        return view;
+      }
+      const uint32_t begin = offsets[ref];
+      view.tuples = tuples.data() + begin;
+      view.forward = forward.data() + begin;
+      view.reverse = reverse.data() + begin;
+      view.size = offsets[ref + 1] - begin;
+      view.skip = view.size;
+      return view;
+    }
+
+    /// Entries of slice `ref`, a hub slice's dropped entry not counted.
+    size_t size(size_t ref) const {
+      const SliceView view = slice(ref);
+      return view.size - (view.skip < view.size ? 1 : 0);
+    }
+
+    /// Slice `ref`'s explicit entries: a copy of its slab range, or its
+    /// hub slice expanded (ExpandHubSlice).
+    NeighborProfile Expand(size_t ref) const;
   };
 
-  /// The per-reference propagation loop: returns profiles[i][p], the
-  /// profile of refs[i] along paths[p]. With `path_masks`, item i < its
+  /// The per-reference propagation loop, with hub slices expanded:
+  /// returns profiles[i][p], the profile of refs[i] along paths[p], for
+  /// the readers that take profiles as they are (training, the test
+  /// oracles). Each path's constants (PathShape) are computed once per
+  /// call. With `path_masks`, item i < its
   /// size computes only the paths whose bit is set in (*path_masks)[i]
   /// (bits past path 63 are treated as set) and leaves the others empty;
   /// items past the masks compute every path. With a non-null `pool`,
@@ -108,8 +175,8 @@ class ProfileStore {
 
   /// Propagates every reference in `refs` along every path (see
   /// Propagate() for the pool, memo and workspace arguments) and lays the
-  /// profiles out path by path, dropping each path's profiles once its
-  /// slab is written.
+  /// profiles out path by path, keeping hub slices as they are and
+  /// dropping each path's explicit profiles once its slab is written.
   static ProfileStore Build(const PropagationEngine& engine,
                             const std::vector<JoinPath>& paths,
                             const PropagationOptions& options,
@@ -144,9 +211,10 @@ class ProfileStore {
               WorkspacePool* shared_workspaces = nullptr,
               const std::vector<uint64_t>* position_path_masks = nullptr);
 
-  /// Lays out already-computed profiles (profiles[position][path]) — the
-  /// test seam that lets kernel suites fill matrices without an engine.
-  /// Every inner vector must have the same number of paths.
+  /// Lays out already-computed profiles (profiles[position][path]) as
+  /// explicit slices only — the test seam that lets kernel suites fill
+  /// matrices without an engine. Every inner vector must have the same
+  /// number of paths.
   static ProfileStore FromProfiles(
       std::vector<int32_t> refs,
       std::vector<std::vector<NeighborProfile>> profiles);
@@ -159,14 +227,35 @@ class ProfileStore {
  private:
   ProfileStore() : tracked_(obs::MemoryTracker::kProfileArena) {}
 
-  /// Lays `profiles` (one vector of `num_paths` per reference) out as
-  /// this store's slabs, path by path, releasing each path's profiles
-  /// once its slab is written.
-  void Layout(size_t num_paths,
-              std::vector<std::vector<NeighborProfile>> profiles);
+  /// The one propagation loop behind Propagate, Build and Update: hands
+  /// the profile of refs[i] along paths[p] (masked as in Propagate) to
+  /// emit(i, p, profile) in the worker that computed it, so each caller
+  /// keeps only the form it needs.
+  static void PropagateEach(
+      const PropagationEngine& engine, const std::vector<JoinPath>& paths,
+      const std::vector<PathShape>& shapes, const PropagationOptions& options,
+      const std::vector<int32_t>& refs, ThreadPool* pool,
+      size_t min_parallel_refs, SubtreeCache* shared_cache,
+      WorkspacePool* shared_workspaces,
+      const std::vector<uint64_t>* path_masks,
+      const std::function<void(size_t, size_t, PathProfile)>& emit);
 
-  /// Capacity bytes of every slab vector, for the kProfileArena gauge.
-  int64_t SlabBytes() const;
+  /// Build and Update: re-propagates `positions` (masked) and appends
+  /// `new_refs`, keeping every other slice; Build starts from no
+  /// references.
+  void Splice(const PropagationEngine& engine,
+              const std::vector<JoinPath>& paths,
+              const PropagationOptions& options,
+              const std::vector<size_t>& positions,
+              std::vector<int32_t> new_refs, ThreadPool* pool,
+              size_t min_parallel_refs, SubtreeCache* shared_cache,
+              WorkspacePool* shared_workspaces,
+              const std::vector<uint64_t>* position_path_masks);
+
+  /// Slab bytes plus, once each, the suffixes the hub slices pin, for the
+  /// kProfileArena gauge: a pinned suffix stays resident after the memo
+  /// evicts it, so admission must keep seeing it.
+  int64_t ResidentBytes() const;
 
   std::vector<int32_t> refs_;
   std::vector<Path> paths_;

@@ -18,6 +18,9 @@ StatusOr<RareNameIndex> RareNameIndex::Build(const Database& db,
   std::unordered_map<std::string, int> first_counts;
   std::unordered_map<std::string, int> last_counts;
   for (int64_t row = 0; row < name_table.num_rows(); ++row) {
+    if (name_table.IsNull(row, resolved->name_column)) {
+      continue;
+    }
     const std::string& name = name_table.GetString(row, resolved->name_column);
     if (StripWhitespace(name).empty()) {
       continue;  // nameless rows are not evidence of part frequency
@@ -42,6 +45,9 @@ StatusOr<RareNameIndex> RareNameIndex::Build(const Database& db,
   index.names_scanned_ = name_table.num_rows();
   const int pk_col = name_table.primary_key_column();
   for (int64_t row = 0; row < name_table.num_rows(); ++row) {
+    if (name_table.IsNull(row, resolved->name_column)) {
+      continue;  // a NULL name is no name group (Distinct::AbsorbNameRows)
+    }
     const std::string& name = name_table.GetString(row, resolved->name_column);
     const std::string first(FirstNameOf(name));
     const std::string last(LastNameOf(name));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "prop/link_graph.h"
 #include "prop/workspace.h"
 #include "relational/csv.h"
+#include "sim/parallel_kernel.h"
 #include "sim/profile_store.h"
 
 namespace distinct {
@@ -70,18 +72,36 @@ void ExpectSameResolutions(const std::vector<BulkResolution>& got,
   }
 }
 
-/// Same references and the same bytes in every path slab.
-void ExpectSameSlabs(const ProfileStore& got, const ProfileStore& want) {
+/// Same references, the same kind of slice everywhere, and every slice
+/// expanding to the same entries bit for bit.
+void ExpectSameSlices(const ProfileStore& got, const ProfileStore& want) {
   ASSERT_EQ(got.refs(), want.refs());
   ASSERT_EQ(got.num_paths(), want.num_paths());
   for (size_t p = 0; p < want.num_paths(); ++p) {
-    SCOPED_TRACE("path " + std::to_string(p));
-    const ProfileStore::Path& a = got.path(p);
-    const ProfileStore::Path& b = want.path(p);
-    EXPECT_EQ(a.offsets, b.offsets);
-    EXPECT_EQ(a.tuples, b.tuples);
-    EXPECT_EQ(a.forward, b.forward);
-    EXPECT_EQ(a.reverse, b.reverse);
+    for (size_t r = 0; r < want.num_refs(); ++r) {
+      SCOPED_TRACE("path " + std::to_string(p) + " slice " +
+                   std::to_string(r));
+      EXPECT_EQ(got.path(p).is_hub(r), want.path(p).is_hub(r));
+      const NeighborProfile a = got.path(p).Expand(r);
+      const NeighborProfile b = want.path(p).Expand(r);
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t e = 0; e < b.size(); ++e) {
+        EXPECT_EQ(a.entries()[e].tuple, b.entries()[e].tuple);
+        EXPECT_EQ(a.entries()[e].forward, b.entries()[e].forward);
+        EXPECT_EQ(a.entries()[e].reverse, b.entries()[e].reverse);
+      }
+    }
+  }
+}
+
+void ExpectBitIdentical(const PairMatrix& got, const PairMatrix& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.at(i, j)),
+                std::bit_cast<uint64_t>(want.at(i, j)))
+          << "cell (" << i << ", " << j << ")";
+    }
   }
 }
 
@@ -639,6 +659,31 @@ TEST_F(DeltaTest, NameIndexAfterDeltaMatchesFreshCreate) {
   EXPECT_EQ(engine->NameGroupOfRef(ref_rows), -1);
 }
 
+// An appended author row with a NULL name, and a Publish row pointing at
+// it: the delta applies, the reference joins no name group, and the name
+// index keeps answering.
+TEST_F(DeltaTest, NullNameAuthorJoinsNoNameGroup) {
+  Database db = CopyDb();
+  auto engine = Distinct::Create(db, DblpReferenceSpec(), TestConfig());
+  ASSERT_TRUE(engine.ok());
+  const auto names_before = engine->name_groups();
+  const Table& publications = **db.FindTable(kPublicationsTable);
+  const int64_t nameless = MaxPrimaryKey(db, kAuthorsTable) + 1;
+  DatabaseDelta delta;
+  delta.Add(kAuthorsTable, {Value::Int(nameless), Value::Null()});
+  delta.Add(kPublishTable, {Value::Int(MaxPrimaryKey(db, kPublishTable) + 1),
+                            Value::Int(nameless),
+                            Value::Int(publications.GetInt(0, 0))});
+  auto report = engine->ApplyDelta(db, delta);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->new_refs, 1);
+  const int64_t ref_row = (**db.FindTable(kPublishTable)).num_rows() - 1;
+  EXPECT_EQ(engine->NameGroupOfRef(ref_row), -1);
+  EXPECT_EQ(engine->name_groups(), names_before);
+  auto resolved = engine->ResolveName("Wei Wang");
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+}
+
 TEST_F(DeltaTest, EmptyDeltaDirtiesNothing) {
   Database db = CopyDb();
   auto engine = Distinct::Create(db, DblpReferenceSpec(), TestConfig());
@@ -754,7 +799,7 @@ TEST_F(DeltaTest, ProfileStoreUpdateMatchesFullBuildAfterDelta) {
       ProfileStore store = base;
       store.Update(engine->propagation_engine(), engine->paths(), options,
                    all_positions, appended, &pool);
-      ExpectSameSlabs(store, full);
+      ExpectSameSlices(store, full);
     }
     {
       SCOPED_TRACE("dirty positions and paths");
@@ -763,9 +808,90 @@ TEST_F(DeltaTest, ProfileStoreUpdateMatchesFullBuildAfterDelta) {
                    dirty_positions, appended, &pool,
                    ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
                    /*shared_workspaces=*/nullptr, &dirty_masks);
-      ExpectSameSlabs(store, full);
+      ExpectSameSlices(store, full);
     }
   }
+}
+
+// Resident stores pin the suffixes their hub slices read. After ApplyDelta
+// erased the memo entries of the hubs the delta dirtied — and with every
+// other hub of those stores erased too — a clean name's cached store still
+// fills its cached matrices, and a dirty name's store splices to a fresh
+// resolution, bit for bit.
+TEST_F(DeltaTest, ResidentStoresOutliveTheirHubsMemoEntries) {
+  auto split = MakeTailDelta(dataset_->db, kPublishTable, 40);
+  ASSERT_TRUE(split.ok());
+  Database db = std::move(split->first);
+  auto engine = Distinct::Create(db, DblpReferenceSpec(), TestConfig());
+  ASSERT_TRUE(engine.ok());
+  SubtreeCache& memo = *engine->memo();
+
+  IncrementalCatalog probe(*engine);  // only used to enumerate names
+  ASSERT_TRUE(probe.Build().ok());
+  std::vector<std::string> names;
+  std::vector<std::vector<int32_t>> refs_before;
+  std::vector<Distinct::ResolveArtifacts> cached;
+  for (const BulkResolution& resolution : probe.resolutions()) {
+    auto refs = engine->RefsForName(resolution.name);
+    ASSERT_TRUE(refs.ok());
+    auto artifacts = engine->ResolveRefsArtifacts(*refs);
+    ASSERT_TRUE(artifacts.ok());
+    names.push_back(resolution.name);
+    refs_before.push_back(*std::move(refs));
+    cached.push_back(*std::move(artifacts));
+  }
+
+  auto report = engine->ApplyDelta(db, split->second);
+  ASSERT_TRUE(report.ok());
+  // Some hub a resident store reads lost its memo entry to the delta.
+  size_t erased_by_delta = 0;
+  for (const Distinct::ResolveArtifacts& artifacts : cached) {
+    for (size_t p = 0; p < artifacts.store.num_paths(); ++p) {
+      std::vector<int32_t> hubs;
+      for (const HubSlice& hub : artifacts.store.path(p).hubs) {
+        erased_by_delta += memo.Find(static_cast<int>(p), hub.hub) == nullptr;
+        hubs.push_back(hub.hub);
+      }
+      memo.Erase(static_cast<int>(p), hubs);
+    }
+  }
+  EXPECT_GT(erased_by_delta, 0u);
+
+  size_t clean = 0;
+  size_t dirty = 0;
+  for (size_t g = 0; g < names.size(); ++g) {
+    SCOPED_TRACE("name " + names[g]);
+    auto refs = engine->RefsForName(names[g]);
+    ASSERT_TRUE(refs.ok());
+    const bool is_dirty =
+        std::find(report->dirty_names.begin(), report->dirty_names.end(),
+                  names[g]) != report->dirty_names.end();
+    const auto refill =
+        ComputePairMatrices(cached[g].store, engine->model());
+    if (!is_dirty) {
+      ++clean;
+      ASSERT_EQ(*refs, refs_before[g]);
+      ExpectBitIdentical(refill.first, cached[g].resem);
+      ExpectBitIdentical(refill.second, cached[g].walk);
+    }
+    auto fresh = engine->ResolveRefsArtifacts(*refs);
+    ASSERT_TRUE(fresh.ok());
+    if (is_dirty) {
+      ++dirty;
+      auto patched = engine->PatchResolveArtifacts(
+          std::move(cached[g]), *refs, report->dirty_refs,
+          report->dirty_ref_path_masks);
+      ASSERT_TRUE(patched.ok());
+      ExpectSameSlices(patched->store, fresh->store);
+      ExpectBitIdentical(patched->resem, fresh->resem);
+      ExpectBitIdentical(patched->walk, fresh->walk);
+    } else {
+      ExpectBitIdentical(refill.first, fresh->resem);
+      ExpectBitIdentical(refill.second, fresh->walk);
+    }
+  }
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(dirty, 0u);
 }
 
 TEST_F(DeltaTest, CleanNameProfilesSurviveTheDeltaVerbatim) {
@@ -806,7 +932,7 @@ TEST_F(DeltaTest, CleanNameProfilesSurviveTheDeltaVerbatim) {
   // full rebuild, proving the kept-verbatim profiles are genuinely
   // unchanged by the append.
   store.Update(engine->propagation_engine(), engine->paths(), options, {}, {});
-  ExpectSameSlabs(store, ProfileStore::Build(engine->propagation_engine(),
+  ExpectSameSlices(store, ProfileStore::Build(engine->propagation_engine(),
                                              engine->paths(), options,
                                              *refs));
 }
@@ -816,7 +942,7 @@ TEST_F(DeltaTest, CleanNameProfilesSurviveTheDeltaVerbatim) {
 TEST(SubtreeCacheEraseTest, DropsOnlyTheTargetedEntries) {
   SubtreeCache cache(1 << 20);
   SubtreeDistribution dist;
-  dist.entries = {{7, 0.5, 0.25}};
+  dist.Append(7, 0.5, 0.25, 1.0);
   dist.instances = 1.0;
   cache.Insert(0, 11, dist);
   cache.Insert(0, 12, dist);
@@ -835,7 +961,7 @@ TEST(SubtreeCacheEraseTest, DropsOnlyTheTargetedEntries) {
 
 TEST(SubtreeCacheEraseTest, ReinsertedKeyQueuesAsNewest) {
   SubtreeDistribution dist;
-  dist.entries = {{7, 0.5, 0.25}};
+  dist.Append(7, 0.5, 0.25, 1.0);
   const size_t entry_bytes = dist.ByteSize();
   constexpr size_t kShards = 16;  // SubtreeCache's shard count
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../test_util.h"
 #include "dblp/generator.h"
+#include "dblp/schema.h"
 
 namespace distinct {
 namespace {
@@ -220,6 +223,48 @@ TEST(DistinctTest, SupervisedTrainingOnGeneratedData) {
   EXPECT_NEAR(total, 1.0, 1e-9);
   // Path names attached.
   EXPECT_EQ(engine->model().path_names().size(), engine->paths().size());
+}
+
+// A NULL in the name column is a name row without a name: it forms no name
+// group, as a NULL identity forms none, and its references belong to no
+// group. Create reads every name row, supervised (rare-name training) and
+// not, so neither may fail on it.
+TEST(DistinctTest, CreateSkipsANullNameRow) {
+  GeneratorConfig generator;
+  generator.seed = 11;
+  generator.num_communities = 10;
+  generator.authors_per_community = 20;
+  generator.ambiguous = {{"Wei Wang", 3, 20}};
+  auto dataset = GenerateDblpDataset(generator);
+  ASSERT_TRUE(dataset.ok());
+  Database& db = dataset->db;
+  Table* authors = *db.FindMutableTable(kAuthorsTable);
+  Table* publish = *db.FindMutableTable(kPublishTable);
+  const int64_t nameless = authors->num_rows() + 1000;
+  ASSERT_TRUE(authors->AppendRow({Value::Int(nameless), Value::Null()}).ok());
+  const int64_t ref_row = publish->num_rows();
+  ASSERT_TRUE(publish
+                  ->AppendRow({Value::Int(ref_row + 1000),
+                               Value::Int(nameless),
+                               publish->GetValue(0, 2)})
+                  .ok());
+
+  for (const bool supervised : {true, false}) {
+    SCOPED_TRACE(supervised ? "supervised" : "unsupervised");
+    DistinctConfig config;
+    config.supervised = supervised;
+    config.promotions = DblpDefaultPromotions();
+    config.training.num_positive = 80;
+    config.training.num_negative = 80;
+    auto engine = Distinct::Create(db, DblpReferenceSpec(), config);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ(engine->NameGroupOfRef(ref_row), -1);
+    for (const auto& [name, refs] : engine->name_groups()) {
+      EXPECT_EQ(std::find(refs.begin(), refs.end(), ref_row), refs.end());
+    }
+    auto resolved = engine->ResolveName("Wei Wang");
+    ASSERT_TRUE(resolved.ok());
+  }
 }
 
 TEST(DistinctTest, AutoMinSimInstallsSuggestedThreshold) {

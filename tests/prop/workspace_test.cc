@@ -198,7 +198,7 @@ TEST(SubtreeCacheTest, FindInsertEvictAndStats) {
   EXPECT_EQ(cache.Find(0, 7), nullptr);
 
   SubtreeDistribution dist;
-  dist.entries = {SubtreeEntry{3, 0.5, 0.25}};
+  dist.Append(3, 0.5, 0.25, 1.0);
   dist.instances = 1.0;
   auto resident = cache.Insert(0, 7, dist);
   ASSERT_NE(resident, nullptr);
@@ -206,8 +206,8 @@ TEST(SubtreeCacheTest, FindInsertEvictAndStats) {
   auto hit = cache.Find(0, 7);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit.get(), resident.get());
-  ASSERT_EQ(hit->entries.size(), 1u);
-  EXPECT_EQ(hit->entries[0].tuple, 3);
+  ASSERT_EQ(hit->size(), 1u);
+  EXPECT_EQ(hit->tuples[0], 3);
   EXPECT_EQ(cache.Find(1, 7), nullptr);  // other path id: distinct key
 
   const SubtreeCacheStats stats = cache.stats();
@@ -220,7 +220,7 @@ TEST(SubtreeCacheTest, FindInsertEvictAndStats) {
 TEST(SubtreeCacheTest, ZeroCapacityNeverStoresButStillReturnsValues) {
   SubtreeCache cache(0);
   SubtreeDistribution dist;
-  dist.entries = {SubtreeEntry{1, 1.0, 1.0}};
+  dist.Append(1, 1.0, 1.0, 1.0);
   auto resident = cache.Insert(0, 1, dist);
   ASSERT_NE(resident, nullptr);  // callers can still merge from the return
   EXPECT_EQ(cache.Find(0, 1), nullptr);
@@ -231,15 +231,20 @@ TEST(SubtreeCacheTest, ZeroCapacityNeverStoresButStillReturnsValues) {
 TEST(SubtreeCacheTest, TinyCapacityEvictsToFit) {
   // Room for roughly one entry per shard; inserting many keys must evict
   // rather than grow without bound.
-  SubtreeCache cache(16 * 128);
   SubtreeDistribution dist;
-  dist.entries.assign(4, SubtreeEntry{0, 1.0, 1.0});
+  for (int32_t t = 0; t < 4; ++t) {
+    dist.Append(t, 1.0, 1.0, 1.0);
+  }
+  dist.ShrinkToFit();
+  const size_t capacity = 16 * (dist.ByteSize() + dist.ByteSize() / 2);
+  SubtreeCache cache(capacity);
   for (int32_t t = 0; t < 64; ++t) {
     cache.Insert(0, t, dist);
   }
   const SubtreeCacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0);
-  EXPECT_LE(static_cast<size_t>(stats.bytes), size_t{16} * 128);
+  EXPECT_GT(stats.entries, 0);  // one fits per shard: evicted, not refused
+  EXPECT_LE(static_cast<size_t>(stats.bytes), capacity);
 }
 
 TEST(SubtreeCacheTest, SharedCacheHitsAcrossBuilds) {
@@ -316,6 +321,36 @@ TEST(SubtreeJunctionLevelTest, ExclusionOffIgnoresStartNodeLevels) {
   EXPECT_EQ(SubtreeJunctionLevel(PathWithSteps("rfrf"), node_at, false), 1u);
 }
 
+// The per-path constants: level nodes, junction level, and whether every
+// step below the junction is a reverse step — false on a suffix that
+// steps forward again (e.g. Proceedings <- Publications -> Proceedings),
+// whose hubs' suffixes may meet, and when there is no suffix at all.
+TEST(ShapePathTest, ReverseSuffixIsReverseStepsBelowTheJunction) {
+  const World world = MakeMiniWorld();
+  int reverse = 0;
+  int mixed = 0;
+  for (const JoinPath& path : world.paths) {
+    SCOPED_TRACE(path.Describe(*world.schema));
+    const PathShape shape = ShapePath(path, *world.schema, true);
+    EXPECT_EQ(shape.node_at, path.LevelNodes(*world.schema));
+    EXPECT_EQ(shape.junction,
+              SubtreeJunctionLevel(path, shape.node_at, true));
+    const size_t k = path.steps.size();
+    if (shape.junction == k) {
+      EXPECT_FALSE(shape.reverse_suffix);
+      continue;
+    }
+    bool all_reverse = true;
+    for (size_t i = shape.junction; i < k; ++i) {
+      all_reverse = all_reverse && !path.steps[i].forward;
+    }
+    EXPECT_EQ(shape.reverse_suffix, all_reverse);
+    ++(all_reverse ? reverse : mixed);
+  }
+  EXPECT_GT(reverse, 0);
+  EXPECT_GT(mixed, 0);
+}
+
 /// Complete walks of `path` from `origin`, pruning walks into the origin
 /// at start-node levels (the last level only when `prune_last`).
 int64_t CountWalks(const LinkGraph& link, const JoinPath& path,
@@ -347,10 +382,10 @@ TEST(WorkspaceBudgetTest, OriginWalksLeaveTheInstanceCount) {
 
   int checked = 0;
   for (const JoinPath& path : world.paths) {
-    const std::vector<int> node_at = path.LevelNodes(*world.schema);
+    const PathShape shape = ShapePath(path, *world.schema, true);
+    const std::vector<int>& node_at = shape.node_at;
     const size_t k = path.steps.size();
-    if (node_at[k] != node_at[0] ||
-        SubtreeJunctionLevel(path, node_at, true) == k) {
+    if (node_at[k] != node_at[0] || shape.junction == k) {
       continue;  // only memoized paths that end on the start node
     }
     for (const int32_t ref : world.refs) {
@@ -366,22 +401,23 @@ TEST(WorkspaceBudgetTest, OriginWalksLeaveTheInstanceCount) {
           path.Describe(*world.schema) + " ref " + std::to_string(ref);
       PropagationWorkspace workspace(*world.link);
       SubtreeCache cache(64 << 20);
-      const std::optional<NeighborProfile> full = PropagateDense(
-          *world.link, path, ref, unbounded, node_at, workspace, &cache, 0);
+      const std::optional<PathProfile> full = PropagateDense(
+          *world.link, path, ref, unbounded, shape, workspace, &cache, 0);
       ASSERT_TRUE(full.has_value()) << context;
 
       PropagationOptions exact = unbounded;
       exact.max_instances = walks;
-      const std::optional<NeighborProfile> at_budget = PropagateDense(
-          *world.link, path, ref, exact, node_at, workspace, &cache, 0);
+      std::optional<PathProfile> at_budget = PropagateDense(
+          *world.link, path, ref, exact, shape, workspace, &cache, 0);
       ASSERT_TRUE(at_budget.has_value()) << context;
-      EXPECT_FALSE(at_budget->truncated()) << context;
-      ExpectProfilesIdentical(*full, *at_budget, context);
+      const NeighborProfile expanded = ExpandProfile(*std::move(at_budget));
+      EXPECT_FALSE(expanded.truncated()) << context;
+      ExpectProfilesIdentical(ExpandProfile(*full), expanded, context);
 
       PropagationOptions short_by_one = exact;
       short_by_one.max_instances = walks - 1;
       EXPECT_FALSE(PropagateDense(*world.link, path, ref, short_by_one,
-                                  node_at, workspace, &cache, 0)
+                                  shape, workspace, &cache, 0)
                        .has_value())
           << context;
       PropagationOptions dfs_short = dfs;

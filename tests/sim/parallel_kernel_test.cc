@@ -39,30 +39,29 @@ void ExpectBitIdentical(const PairMatrix& a, const PairMatrix& b) {
   }
 }
 
-/// Slice `r` of path `p` holds exactly `expected`'s entries.
+/// Slice `r` of path `p`, expanded, holds exactly `expected`'s entries.
 void ExpectSliceIs(const ProfileStore& store, size_t p, size_t r,
                    const NeighborProfile& expected) {
   SCOPED_TRACE(::testing::Message() << "path " << p << " slice " << r);
-  const ProfileStore::Path& path = store.path(p);
-  ASSERT_EQ(path.size(r), expected.size());
+  const NeighborProfile slice = store.path(p).Expand(r);
+  ASSERT_EQ(slice.size(), expected.size());
   for (size_t e = 0; e < expected.size(); ++e) {
-    const size_t at = path.offsets[r] + e;
-    EXPECT_EQ(path.tuples[at], expected.entries()[e].tuple);
-    EXPECT_EQ(path.forward[at], expected.entries()[e].forward);
-    EXPECT_EQ(path.reverse[at], expected.entries()[e].reverse);
+    EXPECT_EQ(slice.entries()[e].tuple, expected.entries()[e].tuple);
+    EXPECT_EQ(slice.entries()[e].forward, expected.entries()[e].forward);
+    EXPECT_EQ(slice.entries()[e].reverse, expected.entries()[e].reverse);
   }
 }
 
-/// Same references and the same bytes in every slab.
-void ExpectSameSlabs(const ProfileStore& got, const ProfileStore& want) {
+/// Same references, the same kind of slice everywhere, and every slice
+/// expanding to the same entries bit for bit.
+void ExpectSameSlices(const ProfileStore& got, const ProfileStore& want) {
   ASSERT_EQ(got.refs(), want.refs());
   ASSERT_EQ(got.num_paths(), want.num_paths());
   for (size_t p = 0; p < want.num_paths(); ++p) {
-    SCOPED_TRACE(::testing::Message() << "path " << p);
-    EXPECT_EQ(got.path(p).offsets, want.path(p).offsets);
-    EXPECT_EQ(got.path(p).tuples, want.path(p).tuples);
-    EXPECT_EQ(got.path(p).forward, want.path(p).forward);
-    EXPECT_EQ(got.path(p).reverse, want.path(p).reverse);
+    for (size_t r = 0; r < want.num_refs(); ++r) {
+      EXPECT_EQ(got.path(p).is_hub(r), want.path(p).is_hub(r));
+      ExpectSliceIs(got, p, r, want.path(p).Expand(r));
+    }
   }
 }
 
@@ -201,7 +200,7 @@ TEST_F(ParallelKernelTest, UpdatePairMatricesMatchesFullFill) {
     const ProfileStore full = ProfileStore::Build(
         engine_->propagation_engine(), engine_->paths(),
         engine_->config().propagation, refs_, &pool);
-    ExpectSameSlabs(store, full);
+    ExpectSameSlices(store, full);
 
     const auto patched =
         UpdatePairMatrices(store, engine_->model(), dirty,
