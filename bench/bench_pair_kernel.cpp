@@ -2,12 +2,12 @@
 // mega-name whose references spread over many distinct entities (and
 // therefore many communities), so most reference pairs share no neighbor
 // tuples. Rows: the three-pass exactness oracle (ReferencePairMatrices,
-// over the raw profiles ProfileStore::Propagate returns) and the fused
-// kernel over the ProfileStore's CSR slabs, which must reproduce the
-// oracle's matrices bit-for-bit (hard failure otherwise). Neither row
-// includes propagation or the store's layout. The serial fill is measured
-// so the row ratio is the kernel speedup itself, not a parallelization
-// artifact.
+// over a built store's slices expanded to raw profiles) and the fused
+// kernel over the CSR slabs of an all-explicit store of the same
+// profiles, which must reproduce the oracle's matrices bit-for-bit (hard
+// failure otherwise). Neither row includes propagation or the store's
+// layout. The serial fill is measured so the row ratio is the kernel
+// speedup itself, not a parallelization artifact.
 
 #include <cstdio>
 #include <vector>
@@ -82,9 +82,18 @@ int main(int argc, char** argv) {
   const size_t n = refs->size();
   const int64_t total_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
 
-  const std::vector<std::vector<NeighborProfile>> profiles =
-      ProfileStore::Propagate(engine.propagation_engine(), engine.paths(),
-                              engine.config().propagation, *refs);
+  const std::vector<std::vector<NeighborProfile>> profiles = [&] {
+    const ProfileStore built = ProfileStore::Build(
+        engine.propagation_engine(), engine.paths(),
+        engine.config().propagation, *refs);
+    std::vector<std::vector<NeighborProfile>> expanded(n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t p = 0; p < built.num_paths(); ++p) {
+        expanded[i].push_back(built.path(p).Expand(i));
+      }
+    }
+    return expanded;
+  }();
   const ProfileStore store = ProfileStore::FromProfiles(*refs, profiles);
   const CandidateSet candidates = CandidateSet::Build(store);
   std::printf("mega-name 'Wei Wang': %zu references over %lld entities, "

@@ -11,7 +11,7 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/feature_vector.h"
+#include "sim/fused_kernel.h"
 #include "sim/profile_store.h"
 #include "svm/scaler.h"
 
@@ -83,12 +83,11 @@ StatusOr<SimilarityModel> TrainSimilarityModel(
   SvmProblem resem_problem;
   SvmProblem walk_problem;
 
-  // Similarity-kernel phase 1: profiles of every reference that appears in
-  // a training pair, fanned out over the configured thread count; phase 2:
-  // per-pair features straight from those profiles, also parallel. Both
-  // phases are bit-identical at every thread count. Training lays out no
-  // store: it reads each pair once, so the raw profiles serve it as they
-  // are.
+  // Similarity-kernel phase 1: one ProfileStore over every reference that
+  // appears in a training pair, fanned out over the configured thread
+  // count; phase 2: each pair's features read from the store with the
+  // merge-join resolution runs, also parallel. Both phases are
+  // bit-identical at every thread count.
   std::vector<int32_t> unique_refs;
   std::unordered_map<int32_t, size_t> position_of;  // into unique_refs
   for (const TrainingPair& pair : *pairs) {
@@ -112,17 +111,17 @@ StatusOr<SimilarityModel> TrainSimilarityModel(
   if (config.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(config.num_threads);
   }
-  const std::vector<std::vector<NeighborProfile>> profiles = [&] {
+  const ProfileStore store = [&] {
     DISTINCT_TRACE_SPAN("profile_store");
-    return ProfileStore::Propagate(engine, paths, config.propagation,
-                                   unique_refs, pool.get());
+    return ProfileStore::Build(engine, paths, config.propagation, unique_refs,
+                               pool.get());
   }();
   std::vector<PairFeatures> pair_features(pairs->size());
   const auto features_of = [&](int64_t p) {
     const TrainingPair& pair = (*pairs)[static_cast<size_t>(p)];
     pair_features[static_cast<size_t>(p)] =
-        ComputePairFeatures(profiles[position_of.at(pair.ref1)],
-                            profiles[position_of.at(pair.ref2)]);
+        FusedPairFeatures(store, position_of.at(pair.ref1),
+                          position_of.at(pair.ref2));
   };
   {
     DISTINCT_TRACE_SPAN("pair_features");

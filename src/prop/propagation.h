@@ -90,8 +90,8 @@ class PropagationEngine {
                           SubtreeCache* cache = nullptr,
                           int cache_path_id = 0) const;
 
-  /// The call behind both Compute overloads and ProfileStore::Propagate,
-  /// with `path`'s constants computed once by the caller
+  /// The call behind both Compute overloads and ProfileStore::Build and
+  /// Update, with `path`'s constants computed once by the caller
   /// (ShapePath(path, link().schema(), options.exclude_start_tuple)).
   /// With kWorkspace (`workspace` required) a single-hub junction frontier
   /// comes back as a hub slice; over the instance budget, or with

@@ -326,7 +326,7 @@ size_t SubtreeJunctionLevel(const JoinPath& path,
                             bool exclude_start_tuple);
 
 /// What propagating along a path needs besides its steps. It depends on
-/// the path and the options alone, so ProfileStore::Propagate computes it
+/// the path and the options alone, so ProfileStore::Build computes it
 /// once per path, not once per reference.
 struct PathShape {
   std::vector<int> node_at;  // schema node of every level

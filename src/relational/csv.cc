@@ -2,9 +2,7 @@
 
 #include "relational/database.h"
 
-#include <cstdio>
-#include <memory>
-
+#include "common/io_util.h"
 #include "common/string_util.h"
 
 namespace distinct {
@@ -249,32 +247,14 @@ Status LoadDatabaseCsv(Database& db, const std::string& directory,
 
 Status SaveTableCsv(const Table& table, const std::string& path,
                     const CsvOptions& options) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (file == nullptr) {
-    return InvalidArgumentError("cannot open '" + path + "' for writing");
-  }
-  const std::string text = TableToCsv(table, options);
-  if (std::fwrite(text.data(), 1, text.size(), file.get()) != text.size()) {
-    return DataLossError("short write to '" + path + "'");
-  }
-  return Status::Ok();
+  return WriteStringToFile(path, TableToCsv(table, options), "CSV");
 }
 
 StatusOr<int64_t> LoadTableCsv(const std::string& path, Table& table,
                                const CsvOptions& options) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (file == nullptr) {
-    return NotFoundError("cannot open '" + path + "'");
-  }
-  std::string text;
-  char buffer[1 << 14];
-  size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof(buffer), file.get())) > 0) {
-    text.append(buffer, read);
-  }
-  return AppendCsvToTable(text, table, options);
+  auto text = ReadFileToString(path, "CSV");
+  DISTINCT_RETURN_IF_ERROR(text.status());
+  return AppendCsvToTable(*text, table, options);
 }
 
 }  // namespace distinct

@@ -1,5 +1,8 @@
 // Per-pair features: one resemblance and one walk-probability value per
-// join path.
+// join path. Training fills them from a ProfileStore with
+// FusedPairFeatures (sim/fused_kernel.h); ComputePairFeatures, the
+// three-pass form over expanded profiles, is the oracle it is tested
+// against.
 
 #ifndef DISTINCT_SIM_FEATURE_VECTOR_H_
 #define DISTINCT_SIM_FEATURE_VECTOR_H_
@@ -18,10 +21,11 @@ struct PairFeatures {
 };
 
 /// Pair features from two per-path profile vectors (one profile per path,
-/// same path order on both sides). Pure function of its inputs; training
-/// derives its pair features with it from ProfileStore::Propagate's
-/// output, and ReferencePairMatrices, the pair fill's exactness oracle,
-/// is built on it.
+/// same path order on both sides): SetResemblance and
+/// SymmetricWalkProbability on each path. Pure function of its inputs;
+/// ReferencePairMatrices, the pair fill's exactness oracle, is built on
+/// it, and tests hold FusedPairFeatures to it bit for bit. No engine path
+/// calls it.
 PairFeatures ComputePairFeatures(const std::vector<NeighborProfile>& p1,
                                  const std::vector<NeighborProfile>& p2);
 

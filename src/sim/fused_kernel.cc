@@ -6,6 +6,19 @@
 
 namespace distinct {
 
+PairFeatures FusedPairFeatures(const ProfileStore& store, size_t i,
+                               size_t j) {
+  PairFeatures features;
+  features.resemblance.reserve(store.num_paths());
+  features.walk.reserve(store.num_paths());
+  for (size_t p = 0; p < store.num_paths(); ++p) {
+    const FusedPathFeatures fused = FusedMergeJoin(store.path(p), i, j);
+    features.resemblance.push_back(fused.resemblance);
+    features.walk.push_back(fused.walk);
+  }
+  return features;
+}
+
 void CandidateSet::Init(const ProfileStore& store) {
   num_refs_ = store.num_refs();
   const size_t cells = num_refs_ < 2 ? 0 : num_refs_ * (num_refs_ - 1) / 2;

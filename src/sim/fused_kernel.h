@@ -20,7 +20,9 @@
 // marks only the pairs it recomputes.
 //
 // Both read the slices of a ProfileStore (sim/profile_store.h) through its
-// one SliceView, explicit slab slices and hub slices alike.
+// one SliceView, explicit slab slices and hub slices alike, and so does
+// FusedPairFeatures, the per-pair reader training samples its features
+// with.
 
 #ifndef DISTINCT_SIM_FUSED_KERNEL_H_
 #define DISTINCT_SIM_FUSED_KERNEL_H_
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/feature_vector.h"
 #include "sim/profile_store.h"
 
 namespace distinct {
@@ -141,6 +144,13 @@ inline FusedPathFeatures FusedMergeJoin(const ProfileStore::Path& path,
   }
   return FusedMergeJoin<false>(path.slice(i), path.slice(j));
 }
+
+/// Every path's features of the pair (i, j) of `store`, one FusedMergeJoin
+/// per path, in the order given: training reads its sampled pairs, in
+/// sampling order, with it. Each value is bit-identical to the three-pass
+/// oracle of sim/feature_vector.h over the two references' expanded
+/// profiles, and to the same call with i and j swapped.
+PairFeatures FusedPairFeatures(const ProfileStore& store, size_t i, size_t j);
 
 /// The overlap-sparse candidate pairs, one lower-triangle bitset per join
 /// path: bit b(i, j) = i(i-1)/2 + j of path P is set when references i

@@ -69,8 +69,8 @@ std::pair<PairMatrix, PairMatrix> UpdatePairMatrices(
 
 /// The exactness oracle: fills every cell serially from
 /// ComputePairFeatures (three sorted merges per (pair, path)) over
-/// profiles[i][p] — the output of ProfileStore::Propagate or of one
-/// PropagationEngine::Compute per (reference, path) — and the model.
+/// profiles[i][p] — one PropagationEngine::Compute per (reference, path),
+/// or a built store's slices expanded by Path::Expand — and the model.
 /// ComputePairMatrices over a store of the same profiles must match it bit
 /// for bit; tests and benches call it, the engine never does.
 std::pair<PairMatrix, PairMatrix> ReferencePairMatrices(

@@ -28,19 +28,6 @@ bool PathInMask(uint64_t mask, size_t p) {
   return p >= 64 || ((mask >> p) & 1) != 0;
 }
 
-/// Every path's constants, once per propagation call.
-std::vector<PathShape> ShapePaths(const PropagationEngine& engine,
-                                  const std::vector<JoinPath>& paths,
-                                  const PropagationOptions& options) {
-  std::vector<PathShape> shapes;
-  shapes.reserve(paths.size());
-  for (const JoinPath& path : paths) {
-    shapes.push_back(ShapePath(path, engine.link().schema(),
-                               options.exclude_start_tuple));
-  }
-  return shapes;
-}
-
 /// Lays out one path in reference order. Slice r is `*fresh[r]`, released
 /// once laid out, or, where fresh[r] is null, slice r of `old` as it was.
 /// A hub slice stays one; explicit entries go to the slab. `reverse_suffix`
@@ -139,74 +126,6 @@ NeighborProfile ProfileStore::Path::Expand(size_t ref) const {
   return NeighborProfile(std::move(entries));
 }
 
-void ProfileStore::PropagateEach(
-    const PropagationEngine& engine, const std::vector<JoinPath>& paths,
-    const std::vector<PathShape>& shapes, const PropagationOptions& options,
-    const std::vector<int32_t>& refs, ThreadPool* pool,
-    size_t min_parallel_refs, SubtreeCache* shared_cache,
-    WorkspacePool* shared_workspaces, const std::vector<uint64_t>* path_masks,
-    const std::function<void(size_t, size_t, PathProfile)>& emit) {
-  Stopwatch watch;
-  const bool dense = options.algorithm == PropagationAlgorithm::kWorkspace;
-  WorkspacePool local_workspaces(engine.link());
-  WorkspacePool& workspaces =
-      shared_workspaces != nullptr ? *shared_workspaces : local_workspaces;
-  std::unique_ptr<SubtreeCache> owned_cache;
-  SubtreeCache* cache = shared_cache;
-  if (dense && cache == nullptr) {
-    owned_cache = std::make_unique<SubtreeCache>(options.cache_bytes);
-    cache = owned_cache.get();
-  }
-
-  const auto compute_one = [&](int64_t i) {
-    const auto item = static_cast<size_t>(i);
-    const uint64_t mask = MaskOf(path_masks, item);
-    std::unique_ptr<PropagationWorkspace> workspace;
-    if (dense) {
-      workspace = workspaces.Acquire();
-    }
-    for (size_t p = 0; p < paths.size(); ++p) {
-      if (PathInMask(mask, p)) {
-        emit(item, p,
-             engine.ComputeSlice(paths[p], shapes[p], refs[item], options,
-                                 workspace.get(), cache,
-                                 static_cast<int>(p)));
-      }
-    }
-    if (workspace != nullptr) {
-      workspaces.Release(std::move(workspace));
-    }
-  };
-
-  if (pool != nullptr && refs.size() >= min_parallel_refs) {
-    ParallelForShared(*pool, static_cast<int64_t>(refs.size()), compute_one);
-  } else {
-    for (size_t i = 0; i < refs.size(); ++i) {
-      compute_one(static_cast<int64_t>(i));
-    }
-  }
-  DISTINCT_COUNTER_ADD("prop.profiles_built",
-                       static_cast<int64_t>(refs.size()));
-  DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
-}
-
-std::vector<std::vector<NeighborProfile>> ProfileStore::Propagate(
-    const PropagationEngine& engine, const std::vector<JoinPath>& paths,
-    const PropagationOptions& options, const std::vector<int32_t>& refs,
-    ThreadPool* pool, size_t min_parallel_refs, SubtreeCache* shared_cache,
-    WorkspacePool* shared_workspaces,
-    const std::vector<uint64_t>* path_masks) {
-  std::vector<std::vector<NeighborProfile>> profiles(
-      refs.size(), std::vector<NeighborProfile>(paths.size()));
-  PropagateEach(engine, paths, ShapePaths(engine, paths, options), options,
-                refs, pool, min_parallel_refs, shared_cache,
-                shared_workspaces, path_masks,
-                [&profiles](size_t i, size_t p, PathProfile profile) {
-                  profiles[i][p] = ExpandProfile(std::move(profile));
-                });
-  return profiles;
-}
-
 ProfileStore ProfileStore::Build(const PropagationEngine& engine,
                                  const std::vector<JoinPath>& paths,
                                  const PropagationOptions& options,
@@ -258,21 +177,58 @@ void ProfileStore::Splice(const PropagationEngine& engine,
   for (size_t r = old_n; r < refs_.size(); ++r) {
     slot.push_back(r);
   }
-  std::vector<int32_t> work;
-  work.reserve(slot.size());
   for (const size_t r : slot) {
     DISTINCT_CHECK(r < refs_.size());
-    work.push_back(refs_[r]);
   }
-  const std::vector<PathShape> shapes = ShapePaths(engine, paths, options);
+  std::vector<PathShape> shapes;
+  shapes.reserve(paths.size());
+  for (const JoinPath& path : paths) {
+    shapes.push_back(ShapePath(path, engine.link().schema(),
+                               options.exclude_start_tuple));
+  }
+
   std::vector<std::vector<PathProfile>> fresh(
-      work.size(), std::vector<PathProfile>(paths.size()));
-  PropagateEach(engine, paths, shapes, options, work, pool,
-                min_parallel_refs, shared_cache, shared_workspaces,
-                position_path_masks,
-                [&fresh](size_t k, size_t p, PathProfile profile) {
-                  fresh[k][p] = std::move(profile);
-                });
+      slot.size(), std::vector<PathProfile>(paths.size()));
+  Stopwatch watch;
+  const bool dense = options.algorithm == PropagationAlgorithm::kWorkspace;
+  WorkspacePool local_workspaces(engine.link());
+  WorkspacePool& workspaces =
+      shared_workspaces != nullptr ? *shared_workspaces : local_workspaces;
+  std::unique_ptr<SubtreeCache> owned_cache;
+  SubtreeCache* cache = shared_cache;
+  if (dense && cache == nullptr) {
+    owned_cache = std::make_unique<SubtreeCache>(options.cache_bytes);
+    cache = owned_cache.get();
+  }
+  const auto compute_one = [&](int64_t i) {
+    const auto k = static_cast<size_t>(i);
+    const uint64_t mask = MaskOf(position_path_masks, k);
+    std::unique_ptr<PropagationWorkspace> workspace;
+    if (dense) {
+      workspace = workspaces.Acquire();
+    }
+    for (size_t p = 0; p < paths.size(); ++p) {
+      if (PathInMask(mask, p)) {
+        fresh[k][p] = engine.ComputeSlice(paths[p], shapes[p],
+                                          refs_[slot[k]], options,
+                                          workspace.get(), cache,
+                                          static_cast<int>(p));
+      }
+    }
+    if (workspace != nullptr) {
+      workspaces.Release(std::move(workspace));
+    }
+  };
+  if (pool != nullptr && slot.size() >= min_parallel_refs) {
+    ParallelForShared(*pool, static_cast<int64_t>(slot.size()), compute_one);
+  } else {
+    for (size_t k = 0; k < slot.size(); ++k) {
+      compute_one(static_cast<int64_t>(k));
+    }
+  }
+  DISTINCT_COUNTER_ADD("prop.profiles_built",
+                       static_cast<int64_t>(slot.size()));
+  DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
 
   // A slice comes from the fresh profiles where its reference was
   // re-propagated on that path; every other slice keeps what it held.

@@ -1,28 +1,29 @@
 // Shared read-only store of per-reference neighbor profiles — phase 1 of
-// the parallel intra-name similarity kernel.
+// the parallel intra-name similarity kernel, and the one layout in which
+// resolution, the refill after a delta and training read profiles.
 //
 // Each of the n references needs one propagation per join path, and the
-// propagations are mutually independent, so Propagate() fans them out over
-// a ThreadPool. Build() keeps each path's profiles as one of two kinds of
+// propagations are mutually independent, so Build() fans them out over a
+// ThreadPool. Build() keeps each path's profiles as one of two kinds of
 // slice. A hub slice (prop/workspace.h) points at the memo's immutable
 // suffix of the reference's one hub tuple, with the two prefix scales:
 // every reference under one proceedings shares the thousands of entries
 // below it instead of copying them. Every other slice lives in the path's
 // structure-of-arrays CSR slab — tuple[], forward[], reverse[] plus
-// per-reference offsets. The fused pair fill of fused_kernel.h reads both
-// kinds through one SliceView and merge-joins over adjacent same-typed
-// memory instead of chasing n·P heap blocks of 24-byte entries. Once built
-// the store is immutable: any number of threads may read it concurrently
-// without synchronization. It is the only profile cache, and deliberately
-// not a `thread_local` one: keyed by engine address, such a cache dangles
-// when an engine is destroyed and a new one reuses the address.
+// per-reference offsets. The fused pair fill and FusedPairFeatures of
+// fused_kernel.h read both kinds through one SliceView and merge-join over
+// adjacent same-typed memory instead of chasing n·P heap blocks of 24-byte
+// entries. Once built the store is immutable: any number of threads may
+// read it concurrently without synchronization. It is the only profile
+// cache, and deliberately not a `thread_local` one: keyed by engine
+// address, such a cache dangles when an engine is destroyed and a new one
+// reuses the address.
 
 #ifndef DISTINCT_SIM_PROFILE_STORE_H_
 #define DISTINCT_SIM_PROFILE_STORE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -58,8 +59,9 @@ class WorkspacePool {
 
 class ProfileStore {
  public:
-  /// Below this many references Propagate() stays serial even when a pool
-  /// is supplied (task overhead would dominate n propagations).
+  /// Below this many references Build() and Update() propagate serially
+  /// even when a pool is supplied (task overhead would dominate n
+  /// propagations).
   static constexpr size_t kMinParallelRefs = 32;
 
   /// One slice as the pair fill reads it, whichever its kind: `size`
@@ -142,19 +144,15 @@ class ProfileStore {
     NeighborProfile Expand(size_t ref) const;
   };
 
-  /// The per-reference propagation loop, with hub slices expanded:
-  /// returns profiles[i][p], the profile of refs[i] along paths[p], for
-  /// the readers that take profiles as they are (training, the test
-  /// oracles). Each path's constants (PathShape) are computed once per
-  /// call. With `path_masks`, item i < its
-  /// size computes only the paths whose bit is set in (*path_masks)[i]
-  /// (bits past path 63 are treated as set) and leaves the others empty;
-  /// items past the masks compute every path. With a non-null `pool`,
-  /// references are processed in parallel from `min_parallel_refs` on;
-  /// safe to call from inside a pool task (work is shared via
-  /// ParallelForShared). Each reference's profiles are computed by exactly
-  /// one thread with the same per-path loop, so the result is bit-identical
-  /// across thread counts.
+  /// Propagates every reference in `refs` along every path and lays the
+  /// profiles out path by path, keeping hub slices as they are and
+  /// dropping each path's explicit profiles once its slab is written. Each
+  /// path's constants (PathShape) are computed once per call. With a
+  /// non-null `pool`, references are processed in parallel from
+  /// `min_parallel_refs` on; safe to call from inside a pool task (work is
+  /// shared via ParallelForShared). Each reference's profiles are computed
+  /// by exactly one thread with the same per-path loop, so the store is
+  /// bit-identical across thread counts.
   ///
   /// With PropagationAlgorithm::kWorkspace, each worker checks a
   /// PropagationWorkspace out of a free-list (dense scratch is recycled
@@ -165,18 +163,6 @@ class ProfileStore {
   /// `shared_workspaces` (optional, must be over the same link graph)
   /// likewise recycles dense scratch across calls; workspaces are
   /// epoch-reset on reuse, so sharing cannot change results.
-  static std::vector<std::vector<NeighborProfile>> Propagate(
-      const PropagationEngine& engine, const std::vector<JoinPath>& paths,
-      const PropagationOptions& options, const std::vector<int32_t>& refs,
-      ThreadPool* pool = nullptr, size_t min_parallel_refs = kMinParallelRefs,
-      SubtreeCache* shared_cache = nullptr,
-      WorkspacePool* shared_workspaces = nullptr,
-      const std::vector<uint64_t>* path_masks = nullptr);
-
-  /// Propagates every reference in `refs` along every path (see
-  /// Propagate() for the pool, memo and workspace arguments) and lays the
-  /// profiles out path by path, keeping hub slices as they are and
-  /// dropping each path's explicit profiles once its slab is written.
   static ProfileStore Build(const PropagationEngine& engine,
                             const std::vector<JoinPath>& paths,
                             const PropagationOptions& options,
@@ -193,7 +179,7 @@ class ProfileStore {
   /// slice is copied verbatim, so the store afterwards is bit-identical to
   /// a full Build() over the combined reference list (clean profiles are
   /// unchanged by construction; dirty and new ones go through the same
-  /// Propagate() loop). Parallelized like Build().
+  /// propagation loop). Parallelized like Build().
   ///
   /// `position_path_masks` (optional, aligned with `positions`) restricts
   /// each position's recompute to the paths whose bit is set — propagation
@@ -227,22 +213,9 @@ class ProfileStore {
  private:
   ProfileStore() : tracked_(obs::MemoryTracker::kProfileArena) {}
 
-  /// The one propagation loop behind Propagate, Build and Update: hands
-  /// the profile of refs[i] along paths[p] (masked as in Propagate) to
-  /// emit(i, p, profile) in the worker that computed it, so each caller
-  /// keeps only the form it needs.
-  static void PropagateEach(
-      const PropagationEngine& engine, const std::vector<JoinPath>& paths,
-      const std::vector<PathShape>& shapes, const PropagationOptions& options,
-      const std::vector<int32_t>& refs, ThreadPool* pool,
-      size_t min_parallel_refs, SubtreeCache* shared_cache,
-      WorkspacePool* shared_workspaces,
-      const std::vector<uint64_t>* path_masks,
-      const std::function<void(size_t, size_t, PathProfile)>& emit);
-
-  /// Build and Update: re-propagates `positions` (masked) and appends
-  /// `new_refs`, keeping every other slice; Build starts from no
-  /// references.
+  /// The one propagation loop, behind Build and Update: re-propagates
+  /// `positions` (masked as in Update) and appends `new_refs`, keeping
+  /// every other slice; Build starts from no references.
   void Splice(const PropagationEngine& engine,
               const std::vector<JoinPath>& paths,
               const PropagationOptions& options,

@@ -1,8 +1,6 @@
 #include "sim/similarity_model_io.h"
 
-#include <cstdio>
-#include <memory>
-
+#include "common/io_util.h"
 #include "common/string_util.h"
 
 namespace distinct {
@@ -91,31 +89,15 @@ StatusOr<SimilarityModel> ParseSimilarityModel(const std::string& text) {
 
 Status SaveSimilarityModel(const SimilarityModel& model,
                            const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (file == nullptr) {
-    return InvalidArgumentError("cannot open '" + path + "' for writing");
-  }
-  const std::string text = SerializeSimilarityModel(model);
-  if (std::fwrite(text.data(), 1, text.size(), file.get()) != text.size()) {
-    return DataLossError("short write to '" + path + "'");
-  }
-  return Status::Ok();
+  // Atomic replacement: a failed write leaves the previous model in place.
+  return ReplaceFileDurable(path, SerializeSimilarityModel(model),
+                            "similarity model");
 }
 
 StatusOr<SimilarityModel> LoadSimilarityModel(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (file == nullptr) {
-    return NotFoundError("cannot open '" + path + "'");
-  }
-  std::string text;
-  char buffer[1 << 14];
-  size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof(buffer), file.get())) > 0) {
-    text.append(buffer, read);
-  }
-  return ParseSimilarityModel(text);
+  auto text = ReadFileToString(path, "similarity model");
+  DISTINCT_RETURN_IF_ERROR(text.status());
+  return ParseSimilarityModel(*text);
 }
 
 }  // namespace distinct

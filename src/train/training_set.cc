@@ -1,11 +1,32 @@
 #include "train/training_set.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/rng.h"
 #include "common/string_util.h"
 
 namespace distinct {
+
+namespace {
+
+/// What a training-set failure adds to its count: the names scanned, the
+/// rarity thresholds in force and the ways to run without sampling.
+std::string RareNameHint(const RareNameIndex& index,
+                         const RareNameOptions& rare) {
+  return StrFormat(
+      " (%lld names scanned; a name is likely unique when its first part "
+      "is on at most max_first_name_count=%d names, its last part on at "
+      "most max_last_name_count=%d, and it has min_refs=%d to "
+      "max_refs=%d references). Raise those RareNameOptions thresholds, "
+      "resolve unsupervised (supervised = false, CLI --unsupervised), or "
+      "load a saved model (CLI --model)",
+      static_cast<long long>(index.names_scanned()),
+      rare.max_first_name_count, rare.max_last_name_count, rare.min_refs,
+      rare.max_refs);
+}
+
+}  // namespace
 
 StatusOr<std::vector<TrainingPair>> BuildTrainingSet(
     const Database& db, const ReferenceSpec& spec,
@@ -14,9 +35,10 @@ StatusOr<std::vector<TrainingPair>> BuildTrainingSet(
   DISTINCT_RETURN_IF_ERROR(index.status());
   const std::vector<UniqueAuthor>& authors = index->unique_authors();
   if (authors.size() < 2) {
-    return FailedPreconditionError(StrFormat(
-        "training set: only %zu likely-unique authors found",
-        authors.size()));
+    return FailedPreconditionError(
+        StrFormat("training set: only %zu likely-unique authors found",
+                  authors.size()) +
+        RareNameHint(*index, options.rare));
   }
 
   Rng rng(options.seed);
@@ -59,9 +81,11 @@ StatusOr<std::vector<TrainingPair>> BuildTrainingSet(
     }
   }
   if (positives < options.num_positive) {
-    return FailedPreconditionError(StrFormat(
-        "training set: could only sample %d of %d positive pairs", positives,
-        options.num_positive));
+    return FailedPreconditionError(
+        StrFormat("training set: could only sample %d of %d positive pairs "
+                  "from %zu likely-unique authors",
+                  positives, options.num_positive, authors.size()) +
+        RareNameHint(*index, options.rare));
   }
 
   // Negatives: two distinct likely-unique authors, one reference each.

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "../test_util.h"
 #include "dblp/generator.h"
 #include "dblp/schema.h"
+#include "sim/profile_store.h"
+#include "sim/similarity_model_io.h"
 
 namespace distinct {
 namespace {
@@ -223,6 +226,44 @@ TEST(DistinctTest, SupervisedTrainingOnGeneratedData) {
   EXPECT_NEAR(total, 1.0, 1e-9);
   // Path names attached.
   EXPECT_EQ(engine->model().path_names().size(), engine->paths().size());
+}
+
+// Training propagates on a pool of its own, num_threads wide, over a memo
+// of propagation.cache_bytes; neither may change one byte of the model.
+TEST(DistinctTest, SupervisedModelIsTheSameAtEveryThreadCountAndMemoSize) {
+  GeneratorConfig generator;
+  generator.seed = 11;
+  generator.num_communities = 10;
+  generator.authors_per_community = 20;
+  generator.ambiguous = {{"Wei Wang", 3, 20}};
+  auto dataset = GenerateDblpDataset(generator);
+  ASSERT_TRUE(dataset.ok());
+
+  std::string first;
+  for (const int threads : {1, 4}) {
+    for (const size_t cache_bytes :
+         {size_t{0}, DistinctConfig{}.propagation.cache_bytes}) {
+      SCOPED_TRACE(::testing::Message() << "threads " << threads
+                                        << ", memo bytes " << cache_bytes);
+      DistinctConfig config;
+      config.promotions = DblpDefaultPromotions();
+      config.num_threads = threads;
+      config.propagation.cache_bytes = cache_bytes;
+      config.training.num_positive = 80;
+      config.training.num_negative = 80;
+      auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      // Enough references that a pool actually fans the propagation out.
+      EXPECT_GE(engine->report().num_unique_refs,
+                ProfileStore::kMinParallelRefs);
+      const std::string model = SerializeSimilarityModel(engine->model());
+      if (first.empty()) {
+        first = model;
+      } else {
+        EXPECT_EQ(model, first);
+      }
+    }
+  }
 }
 
 // A NULL in the name column is a name row without a name: it forms no name

@@ -142,8 +142,8 @@ TEST(WorkspaceDeterminismTest, BitIdenticalAcrossCacheSizesAndThreads) {
 
   // Reference run: serial, no memo storage.
   options.cache_bytes = 0;
-  const std::vector<std::vector<NeighborProfile>> reference =
-      ProfileStore::Propagate(engine, world.paths, options, world.refs);
+  const ProfileStore reference =
+      ProfileStore::Build(engine, world.paths, options, world.refs);
 
   for (const size_t cache_bytes :
        {size_t{0}, size_t{4096}, size_t{64} << 20}) {
@@ -153,17 +153,21 @@ TEST(WorkspaceDeterminismTest, BitIdenticalAcrossCacheSizesAndThreads) {
       if (threads > 1) {
         pool = std::make_unique<ThreadPool>(threads);
       }
-      const std::vector<std::vector<NeighborProfile>> profiles =
-          ProfileStore::Propagate(engine, world.paths, options, world.refs,
-                                  pool.get(), /*min_parallel_refs=*/1);
-      ASSERT_EQ(profiles.size(), reference.size());
-      for (size_t i = 0; i < profiles.size(); ++i) {
+      const ProfileStore store =
+          ProfileStore::Build(engine, world.paths, options, world.refs,
+                              pool.get(), /*min_parallel_refs=*/1);
+      ASSERT_EQ(store.refs(), reference.refs());
+      ASSERT_EQ(store.num_paths(), world.paths.size());
+      for (size_t i = 0; i < store.num_refs(); ++i) {
         for (size_t p = 0; p < world.paths.size(); ++p) {
-          ExpectProfilesIdentical(
-              reference[i][p], profiles[i][p],
+          const std::string context =
               "cache=" + std::to_string(cache_bytes) + " threads=" +
-                  std::to_string(threads) + " ref " + std::to_string(i) +
-                  " path " + std::to_string(p));
+              std::to_string(threads) + " ref " + std::to_string(i) +
+              " path " + std::to_string(p);
+          EXPECT_EQ(store.path(p).is_hub(i), reference.path(p).is_hub(i))
+              << context;
+          ExpectProfilesIdentical(reference.path(p).Expand(i),
+                                  store.path(p).Expand(i), context);
         }
       }
     }

@@ -1,6 +1,7 @@
 #include "relational/csv.h"
 
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -233,6 +234,20 @@ TEST(CsvFileTest, MissingFile) {
   Table table = MakeTable();
   EXPECT_EQ(LoadTableCsv("/no/such.csv", table).status().code(),
             StatusCode::kNotFound);
+}
+
+// A read that fails is reported as the read error, not parsed as an empty
+// file without a header line.
+TEST(CsvFileTest, ReadErrorIsNotAnEmptyFile) {
+  Table table = MakeTable();
+  const auto loaded = LoadTableCsv(::testing::TempDir(), table);
+  ASSERT_FALSE(loaded.ok());
+  const std::string message = loaded.status().message();
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << message;
+  EXPECT_NE(message.find("read of"), std::string::npos) << message;
+  EXPECT_EQ(message.find("missing header line"), std::string::npos)
+      << message;
+  EXPECT_EQ(table.num_rows(), 0);
 }
 
 TEST(CsvDatabaseTest, WholeDatabaseRoundTrip) {

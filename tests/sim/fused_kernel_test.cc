@@ -16,6 +16,8 @@
 #include "dblp/generator.h"
 #include "dblp/schema.h"
 #include "obs/metrics.h"
+#include "prop/workspace.h"
+#include "sim/feature_vector.h"
 #include "sim/parallel_kernel.h"
 #include "sim/profile_store.h"
 
@@ -122,16 +124,33 @@ std::vector<int32_t> Refs(size_t n) {
   return refs;
 }
 
-/// All-path features of the pair (i, j), one FusedMergeJoin per path.
-PairFeatures FusedPairFeatures(const ProfileStore& store, size_t i,
-                               size_t j) {
-  PairFeatures features;
-  for (size_t p = 0; p < store.num_paths(); ++p) {
-    const FusedPathFeatures fused = FusedMergeJoin(store.path(p), i, j);
-    features.resemblance.push_back(fused.resemblance);
-    features.walk.push_back(fused.walk);
+/// FusedPairFeatures of every ordered pair (i, j), i != j, against
+/// ComputePairFeatures over profiles[i] and profiles[j], bit for bit: the
+/// fill passes only i > j, but training passes its pairs in sampling order.
+void ExpectFusedPairFeaturesAreThreePass(
+    const ProfileStore& store,
+    const std::vector<std::vector<NeighborProfile>>& profiles) {
+  ASSERT_EQ(store.num_refs(), profiles.size());
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    for (size_t j = 0; j < profiles.size(); ++j) {
+      if (i == j) {
+        continue;
+      }
+      const PairFeatures fused = FusedPairFeatures(store, i, j);
+      const PairFeatures reference =
+          ComputePairFeatures(profiles[i], profiles[j]);
+      ASSERT_EQ(fused.resemblance.size(), reference.resemblance.size());
+      ASSERT_EQ(fused.walk.size(), reference.walk.size());
+      for (size_t p = 0; p < fused.resemblance.size(); ++p) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(fused.resemblance[p]),
+                  std::bit_cast<uint64_t>(reference.resemblance[p]))
+            << "pair (" << i << ", " << j << ") path " << p;
+        EXPECT_EQ(std::bit_cast<uint64_t>(fused.walk[p]),
+                  std::bit_cast<uint64_t>(reference.walk[p]))
+            << "pair (" << i << ", " << j << ") path " << p;
+      }
+    }
   }
-  return features;
 }
 
 class FusedDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -165,23 +184,8 @@ TEST_P(FusedDifferentialTest, BitIdenticalToThreePassReference) {
   Rng rng(GetParam() + 1000);
   const size_t kRefs = 10;
   const auto profiles = RandomProfiles(rng, kRefs, /*num_paths=*/3);
-  const ProfileStore store = ProfileStore::FromProfiles(Refs(kRefs), profiles);
-
-  for (size_t i = 1; i < kRefs; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      const PairFeatures fused = FusedPairFeatures(store, i, j);
-      // The production reference path: SetResemblance + both
-      // WalkProbability directions per path.
-      const PairFeatures reference =
-          ComputePairFeatures(profiles[i], profiles[j]);
-      ASSERT_EQ(fused.resemblance.size(), reference.resemblance.size());
-      for (size_t p = 0; p < fused.resemblance.size(); ++p) {
-        // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the guarantee is bit-for-bit.
-        EXPECT_EQ(fused.resemblance[p], reference.resemblance[p]);
-        EXPECT_EQ(fused.walk[p], reference.walk[p]);
-      }
-    }
-  }
+  ExpectFusedPairFeaturesAreThreePass(
+      ProfileStore::FromProfiles(Refs(kRefs), profiles), profiles);
 }
 
 TEST_P(FusedDifferentialTest, CandidateSetMatchesBruteForceOverlap) {
@@ -361,6 +365,35 @@ TEST_P(FusedDifferentialTest, PartialPerPathBitsMatchBruteForceOnDirtyCells) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FusedDifferentialTest,
                          ::testing::Values(11, 42, 777, 123456));
 
+// The same check on an engine store with hub slices: "Wei Wang" of the
+// seed-42 corpus (`distinct_cli generate --seed=42`) under a trained
+// engine, built on a 64 MiB memo at 4 threads, against the oracle's
+// one PropagationEngine::Compute per (reference, path).
+TEST(FusedHubSliceTest, BitIdenticalToThreePassReference) {
+  auto dataset = GenerateDblpDataset(GeneratorConfig{});
+  ASSERT_TRUE(dataset.ok());
+  auto engine =
+      Distinct::Create(dataset->db, DblpReferenceSpec(), DistinctConfig{});
+  ASSERT_TRUE(engine.ok());
+  auto refs = engine->RefsForName("Wei Wang");
+  ASSERT_TRUE(refs.ok());
+  ThreadPool pool(4);
+  SubtreeCache memo(size_t{64} << 20);
+  const ProfileStore store = ProfileStore::Build(
+      engine->propagation_engine(), engine->paths(),
+      engine->config().propagation, *refs, &pool,
+      ProfileStore::kMinParallelRefs, &memo);
+  size_t hub_slices = 0;
+  for (size_t p = 0; p < store.num_paths(); ++p) {
+    for (size_t r = 0; r < store.num_refs(); ++r) {
+      hub_slices += store.path(p).is_hub(r) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(hub_slices, 0u);
+  ExpectFusedPairFeaturesAreThreePass(
+      store, testing_util::OracleProfiles(*engine, *refs));
+}
+
 // ---------------------------------------------------------------------------
 // Hand-built edge cases.
 // ---------------------------------------------------------------------------
@@ -475,10 +508,8 @@ class FusedKernelEngineTest : public ::testing::Test {
   }
 
   /// The oracle's input: the raw profiles, profiles[i][p].
-  std::vector<std::vector<NeighborProfile>> Propagate() const {
-    return ProfileStore::Propagate(engine_->propagation_engine(),
-                                   engine_->paths(),
-                                   engine_->config().propagation, refs_);
+  std::vector<std::vector<NeighborProfile>> OracleProfiles() const {
+    return testing_util::OracleProfiles(*engine_, refs_);
   }
 
   std::unique_ptr<DblpDataset> dataset_;
@@ -487,7 +518,8 @@ class FusedKernelEngineTest : public ::testing::Test {
 };
 
 TEST_F(FusedKernelEngineTest, FusedMatchesReferenceAcrossThreadCounts) {
-  const auto expected = ReferencePairMatrices(Propagate(), engine_->model());
+  const auto expected =
+      ReferencePairMatrices(OracleProfiles(), engine_->model());
 
   for (const int threads : {1, 4}) {
     ThreadPool pool(threads);
@@ -500,7 +532,8 @@ TEST_F(FusedKernelEngineTest, FusedMatchesReferenceAcrossThreadCounts) {
 
 TEST_F(FusedKernelEngineTest, NonCandidatePairsAreExactlyZeroInReference) {
   const CandidateSet candidates = CandidateSet::Build(BuildStore(nullptr));
-  const auto matrices = ReferencePairMatrices(Propagate(), engine_->model());
+  const auto matrices =
+      ReferencePairMatrices(OracleProfiles(), engine_->model());
   for (size_t i = 1; i < refs_.size(); ++i) {
     for (size_t j = 0; j < i; ++j) {
       if (!candidates.contains(i, j)) {
@@ -515,7 +548,8 @@ TEST_F(FusedKernelEngineTest, EngineResolveAgreesAcrossKernelsAndPruning) {
   auto baseline = engine_->ResolveRefs(refs_);
   ASSERT_TRUE(baseline.ok());
 
-  const auto oracle = ReferencePairMatrices(Propagate(), engine_->model());
+  const auto oracle =
+      ReferencePairMatrices(OracleProfiles(), engine_->model());
   const ClusteringResult reference = ClusterReferences(
       oracle.first, oracle.second, engine_->cluster_options());
 

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "../test_util.h"
 #include "common/thread_pool.h"
 #include "core/distinct.h"
 #include "dblp/generator.h"
@@ -54,8 +55,9 @@ int32_t HubOf(const ProfileStore::Path& path, size_t r) {
 }
 
 /// "Wei Wang" of the seed-42 corpus (`distinct_cli generate --seed=42`)
-/// under a trained engine, with its expanded profiles and the all-explicit
-/// store FromProfiles lays out over them.
+/// under a trained engine, with its oracle profiles (one
+/// PropagationEngine::Compute per reference and path) and the
+/// all-explicit store FromProfiles lays out over them.
 class HubSliceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -69,11 +71,8 @@ class HubSliceTest : public ::testing::Test {
     auto refs = engine_->RefsForName("Wei Wang");
     DISTINCT_CHECK(refs.ok() && refs->size() >= 100);
     refs_ = new std::vector<int32_t>(*std::move(refs));
-    PropagationOptions options = engine_->config().propagation;
-    options.cache_bytes = 0;
     profiles_ = new std::vector<std::vector<NeighborProfile>>(
-        ProfileStore::Propagate(engine_->propagation_engine(),
-                                engine_->paths(), options, *refs_));
+        testing_util::OracleProfiles(*engine_, *refs_));
   }
 
   static void TearDownTestSuite() {

@@ -15,19 +15,7 @@
 namespace distinct {
 namespace {
 
-/// Oracle profiles: one PropagationEngine::Compute per (reference, path),
-/// with no store, memo or pool.
-std::vector<std::vector<NeighborProfile>> OracleProfiles(
-    const Distinct& engine, const std::vector<int32_t>& refs) {
-  std::vector<std::vector<NeighborProfile>> profiles(refs.size());
-  for (size_t i = 0; i < refs.size(); ++i) {
-    for (const JoinPath& path : engine.paths()) {
-      profiles[i].push_back(engine.propagation_engine().Compute(
-          path, refs[i], engine.config().propagation));
-    }
-  }
-  return profiles;
-}
+using testing_util::OracleProfiles;
 
 void ExpectBitIdentical(const PairMatrix& a, const PairMatrix& b) {
   ASSERT_EQ(a.size(), b.size());

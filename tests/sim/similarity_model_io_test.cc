@@ -1,8 +1,11 @@
 #include "sim/similarity_model_io.h"
 
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "common/io_util.h"
 
 namespace distinct {
 namespace {
@@ -87,6 +90,34 @@ TEST(SimilarityModelIoTest, FileRoundTrip) {
 TEST(SimilarityModelIoTest, MissingFile) {
   EXPECT_EQ(LoadSimilarityModel("/no/such/model").status().code(),
             StatusCode::kNotFound);
+}
+
+// A read that fails is reported as the read error, not parsed as an empty
+// model file.
+TEST(SimilarityModelIoTest, ReadErrorIsNotAnEmptyFile) {
+  const auto loaded = LoadSimilarityModel(::testing::TempDir());
+  ASSERT_FALSE(loaded.ok());
+  const std::string message = loaded.status().message();
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << message;
+  EXPECT_NE(message.find("read of"), std::string::npos) << message;
+  EXPECT_EQ(message.find("header"), std::string::npos) << message;
+}
+
+// Saving replaces the old model file whole: exactly the new bytes, and no
+// temporary file left beside it.
+TEST(SimilarityModelIoTest, SaveReplacesAnExistingModel) {
+  const std::string path =
+      ::testing::TempDir() + "/similarity_model_replace_test.txt";
+  ASSERT_TRUE(
+      WriteStringToFile(path, std::string(4096, 'x') + "\nold model\n").ok());
+  const SimilarityModel model = MakeModel();
+  ASSERT_TRUE(SaveSimilarityModel(model, path).ok());
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, SerializeSimilarityModel(model));
+  EXPECT_EQ(ReadFileToString(path + ".tmp").status().code(),
+            StatusCode::kNotFound);
+  std::remove(path.c_str());
 }
 
 }  // namespace

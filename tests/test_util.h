@@ -1,12 +1,16 @@
 // Shared test fixtures: a hand-built miniature DBLP database (modeled on
 // the paper's Fig. 1) whose propagation probabilities are small enough to
-// verify by hand.
+// verify by hand, and the profiles the exactness oracles read.
 
 #ifndef DISTINCT_TESTS_TEST_UTIL_H_
 #define DISTINCT_TESTS_TEST_UTIL_H_
 
+#include <vector>
+
 #include "common/logging.h"
+#include "core/distinct.h"
 #include "dblp/schema.h"
+#include "prop/profile.h"
 #include "relational/database.h"
 
 namespace distinct {
@@ -96,6 +100,20 @@ inline Database MakeMiniDblp() {
   }
   DISTINCT_CHECK(db.ValidateIntegrity().ok());
   return db;
+}
+
+/// Oracle profiles, profiles[i][p]: one PropagationEngine::Compute per
+/// (reference, path), with no store, memo or pool.
+inline std::vector<std::vector<NeighborProfile>> OracleProfiles(
+    const Distinct& engine, const std::vector<int32_t>& refs) {
+  std::vector<std::vector<NeighborProfile>> profiles(refs.size());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    for (const JoinPath& path : engine.paths()) {
+      profiles[i].push_back(engine.propagation_engine().Compute(
+          path, refs[i], engine.config().propagation));
+    }
+  }
+  return profiles;
 }
 
 }  // namespace testing_util

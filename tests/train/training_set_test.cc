@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -163,8 +164,42 @@ TEST(TrainingSetErrorTest, FailsWhenTooFewPositivesExist) {
   TrainingSetOptions options;
   options.num_positive = 100000;
   options.num_negative = 10;
-  EXPECT_FALSE(
-      BuildTrainingSet(dataset->db, DblpReferenceSpec(), options).ok());
+  auto pairs = BuildTrainingSet(dataset->db, DblpReferenceSpec(), options);
+  ASSERT_FALSE(pairs.ok());
+  EXPECT_EQ(pairs.status().code(), StatusCode::kFailedPrecondition);
+  const std::string message = pairs.status().message();
+  EXPECT_NE(message.find("positive pairs"), std::string::npos) << message;
+  EXPECT_NE(message.find("max_first_name_count=3"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("--unsupervised"), std::string::npos) << message;
+}
+
+// Six first and six last names for 400 authors: every part is on more
+// than three names, so no name is rare and sampling cannot start. The
+// failure names the thresholds that decided it and the way to run without
+// training.
+TEST(TrainingSetErrorTest, TinyNamePoolsSayWhatToChange) {
+  GeneratorConfig config;
+  config.num_communities = 16;
+  config.authors_per_community = 25;
+  config.first_name_pool = 6;
+  config.last_name_pool = 6;
+  config.ambiguous = {{"Wei Wang", 2, 6}};
+  auto dataset = GenerateDblpDataset(config);
+  ASSERT_TRUE(dataset.ok());
+  auto pairs = BuildTrainingSet(dataset->db, DblpReferenceSpec(),
+                                TrainingSetOptions{});
+  ASSERT_FALSE(pairs.ok());
+  EXPECT_EQ(pairs.status().code(), StatusCode::kFailedPrecondition);
+  const std::string message = pairs.status().message();
+  EXPECT_NE(message.find("likely-unique authors found"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("names scanned"), std::string::npos) << message;
+  EXPECT_NE(message.find("max_first_name_count=3"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("max_last_name_count=3"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("--unsupervised"), std::string::npos) << message;
 }
 
 }  // namespace
