@@ -410,9 +410,9 @@ int main(int argc, char** argv) {
   // The engine (and phase A's warm memo) hold tracked standing bytes that
   // admission counts, so an absolute 1 MiB budget would reject everything;
   // auto mode leaves ~2 MiB of genuine headroom above whatever stands.
+  const int64_t standing = obs::MemoryTracker::Global().TrackedTotalBytes();
   if (budget_mb == 0) {
-    budget_mb =
-        (obs::MemoryTracker::Global().TrackedTotalBytes() >> 20) + 2;
+    budget_mb = (standing >> 20) + 2;
   }
   serve::ServiceOptions tiny_options;
   tiny_options.num_threads = threads;
@@ -422,11 +422,15 @@ int main(int argc, char** argv) {
   const int64_t budget_bytes = budget_mb << 20;
   const int64_t mega_estimate =
       EstimatedGroupMatrixBytes(static_cast<int64_t>(kMegaRefs));
-  if (mega_estimate <= budget_bytes) {
+  // Admission rejects a query when standing + reserved + its estimate
+  // exceed the budget, so the mega-name is rejected whenever it would be
+  // on an idle service: standing + estimate > budget.
+  if (standing + mega_estimate <= budget_bytes) {
     std::fprintf(stderr,
-                 "mega-name estimate %lld <= budget %lld — phase B "
-                 "cannot prove rejection\n",
+                 "mega-name estimate %lld + standing %lld <= budget %lld — "
+                 "phase B cannot prove rejection\n",
                  static_cast<long long>(mega_estimate),
+                 static_cast<long long>(standing),
                  static_cast<long long>(budget_bytes));
     return 1;
   }

@@ -1,6 +1,6 @@
 // Sharded bulk-scan overhead: the full filtered-scan workload resolved by
-// ResolveAllNamesParallel (the unsharded baseline), then by RunShardedScan
-// at several shard counts and under a memory budget, verifying
+// ResolveAllNamesParallel (one shard, no budget: the baseline), then by
+// RunShardedScan at several shard counts and under a memory budget, verifying
 // byte-identical output every time. Shards run sequentially on one thread
 // pool, subtree memo and workspace pool per scan, so sharding buys
 // memory-boundedness and checkpointability, not speed — the harness
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
               groups->size(), threads,
               std::thread::hardware_concurrency());
 
-  // Unsharded baseline.
+  // One-shard, unbudgeted baseline.
   Stopwatch baseline_watch;
   std::vector<BulkResolution> baseline;
   auto baseline_stats =

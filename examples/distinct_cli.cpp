@@ -367,7 +367,8 @@ obs::ReportTable ShardTable(const std::vector<ShardOutcome>& shards) {
          StrFormat("%lld", static_cast<long long>(shard.num_refs)),
          StrFormat("%lld", static_cast<long long>(shard.estimated_pairs)),
          StrFormat("%d", shard.threads_used),
-         StrFormat("%.3f", shard.seconds), shard.error});
+         StrFormat("%.3f", shard.seconds),
+         shard.error.ok() ? std::string() : shard.error.ToString()});
   }
   return table;
 }
@@ -405,7 +406,7 @@ int RunScan(const FlagParser& flags) {
   for (const ShardOutcome& shard : result->shards) {
     if (shard.state == ShardState::kFailed) {
       std::fprintf(stderr, "shard %d failed: %s\n", shard.shard_id,
-                   shard.error.c_str());
+                   shard.error.ToString().c_str());
     }
   }
   const BulkStats& stats = result->stats;

@@ -106,30 +106,57 @@ Status CatalogReader::OpenDictionary(const std::string& dir,
   const std::string_view data = mapped->view();
   DISTINCT_RETURN_IF_ERROR(
       CheckFraming(data, file, kDictMagic, expected_crc));
+  const size_t offsets_pos = 16;
+  // The smallest dictionary: header, offsets[0], CRC.
+  if (data.size() < offsets_pos + 8 + 4) {
+    return DataLossError("catalog: '" + file + "' is truncated");
+  }
   const uint64_t count = LoadU64(data.data() + 8);
   if (static_cast<int64_t>(count) != expected_count) {
     return DataLossError("catalog: '" + file + "' holds " +
                          std::to_string(count) + " strings, manifest says " +
                          std::to_string(expected_count));
   }
-  const size_t offsets_pos = 16;
-  const size_t offsets_bytes = (count + 1) * 8;
-  if (data.size() < offsets_pos + offsets_bytes + 4) {
+  // Compared by division first, so a hostile count cannot overflow the
+  // byte arithmetic below.
+  if (count >= (data.size() - offsets_pos - 4) / 8) {
     return DataLossError("catalog: '" + file + "' is truncated");
   }
+  const size_t offsets_bytes = (count + 1) * 8;
   const uint64_t* offsets =
       reinterpret_cast<const uint64_t*>(data.data() + offsets_pos);
   const uint64_t blob_bytes = offsets[count];
+  if (blob_bytes > data.size() - offsets_pos - offsets_bytes - 4) {
+    return DataLossError("catalog: '" + file +
+                         "' string offsets end past the file");
+  }
   size_t sorted_pos = offsets_pos + offsets_bytes + blob_bytes;
   sorted_pos += (8 - sorted_pos % 8) % 8;
   if (data.size() != sorted_pos + count * 4 + 4) {
     return DataLossError("catalog: '" + file + "' has inconsistent framing");
   }
+  // The CRC catches accidental damage only; a file written with wrong
+  // contents and a matching CRC must still not index outside the mapping.
+  for (uint64_t id = 0; id < count; ++id) {
+    if (offsets[id] > offsets[id + 1]) {
+      return DataLossError("catalog: '" + file +
+                           "' string offsets descend at id " +
+                           std::to_string(id));
+    }
+  }
+  const uint32_t* sorted_ids =
+      reinterpret_cast<const uint32_t*>(data.data() + sorted_pos);
+  for (uint64_t i = 0; i < count; ++i) {
+    if (sorted_ids[i] >= count) {
+      return DataLossError("catalog: '" + file + "' sorted id " +
+                           std::to_string(sorted_ids[i]) + " is not below " +
+                           std::to_string(count));
+    }
+  }
   view->count_ = count;
   view->offsets_ = offsets;
   view->blob_ = data.data() + offsets_pos + offsets_bytes;
-  view->sorted_ids_ =
-      reinterpret_cast<const uint32_t*>(data.data() + sorted_pos);
+  view->sorted_ids_ = sorted_ids;
   mapped_bytes_ += static_cast<int64_t>(data.size());
   mappings_.push_back(*std::move(mapped));
   return Status::Ok();
@@ -155,6 +182,13 @@ Status CatalogReader::OpenSegment(const std::string& dir,
       stored_refs != refs) {
     return DataLossError("catalog: '" + file +
                          "' header disagrees with the manifest");
+  }
+  // Every paper takes at least 8 bytes and every reference 4, so counts
+  // past these bounds cannot match the size (and would overflow it).
+  if (papers < 0 || refs < 0 ||
+      static_cast<uint64_t>(papers) > data.size() / 8 ||
+      static_cast<uint64_t>(refs) > data.size() / 4) {
+    return DataLossError("catalog: '" + file + "' has inconsistent framing");
   }
   const size_t expected_size = 32 + static_cast<size_t>(papers) * 8 +
                                (static_cast<size_t>(papers) * 2 +
@@ -187,6 +221,31 @@ Status CatalogReader::OpenSegment(const std::string& dir,
       reinterpret_cast<const uint32_t*>(cursor), refs);
   if (view.ref_begin[papers] != static_cast<uint32_t>(refs)) {
     return DataLossError("catalog: '" + file + "' ref ranges are torn");
+  }
+  // Contents the CRC cannot vouch for (a matching CRC may be recomputed
+  // over wrong contents): every id inside its dictionary, which Open()
+  // maps before the segments, and ref ranges ascending from 0.
+  if (view.ref_begin[0] != 0) {
+    return DataLossError("catalog: '" + file + "' ref ranges are torn");
+  }
+  for (int64_t p = 0; p < papers; ++p) {
+    if (view.ref_begin[p] > view.ref_begin[p + 1]) {
+      return DataLossError("catalog: '" + file + "' ref ranges are torn");
+    }
+    if (view.title_id[p] >= titles_.size() ||
+        view.venue_id[p] >= venues_.size()) {
+      return DataLossError("catalog: '" + file + "' paper " +
+                           std::to_string(paper_base + p) +
+                           " has a title or venue id outside its dictionary");
+    }
+  }
+  for (int64_t r = 0; r < refs; ++r) {
+    if (view.author_id[r] >= authors_.size()) {
+      return DataLossError("catalog: '" + file + "' reference " +
+                           std::to_string(r) + " has author id " +
+                           std::to_string(view.author_id[r]) +
+                           " outside its dictionary");
+    }
   }
   segments_.push_back(view);
   mapped_bytes_ += static_cast<int64_t>(data.size());

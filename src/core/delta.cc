@@ -301,8 +301,7 @@ StatusOr<Distinct::ResolveArtifacts> Distinct::PatchResolveArtifacts(
     cached.store.Update(*engine_, paths_, config_.propagation,
                         positions,
                         std::vector<int32_t>(refs.begin() + old_n, refs.end()),
-                        pool_.get(), ProfileStore::kMinParallelRefs,
-                        memo_.get(), workspaces_.get(),
+                        pool_.get(), memo_.get(), workspaces_.get(),
                         have_masks ? &path_masks : nullptr);
   }
   auto matrices = [&] {

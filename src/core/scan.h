@@ -5,27 +5,24 @@
 // "split every name in the catalog". This module filters the candidate
 // names (those with enough references to possibly be several people) out
 // of the engine's name index, the one grouping of references by name that
-// Create() builds and ApplyDelta() grows, and resolves them with one group
-// loop.
+// Create() builds and ApplyDelta() grows. Every batch of names runs through
+// the sharded scan (core/scan_shard.h), whose group loop resolves each name
+// with ResolveGroup; ResolveAllNamesParallel is its one-shard form.
 
 #ifndef DISTINCT_CORE_SCAN_H_
 #define DISTINCT_CORE_SCAN_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/thread_pool.h"
 #include "core/distinct.h"
 #include "prop/workspace.h"
 #include "sim/profile_store.h"
 
 namespace distinct {
-
-namespace obs {
-struct ProgressState;  // obs/heartbeat.h
-}  // namespace obs
 
 /// One candidate name and all its references.
 struct NameGroup {
@@ -74,82 +71,37 @@ struct BulkStats {
 };
 
 /// Pair matrices (resemblance + walk, strict lower triangle of doubles)
-/// plus the assignment vector for a group of n references. The group
-/// loop's admission check and the serve admission controller both price a
+/// plus the assignment vector for a group of n references. The sharded
+/// scan's admission check and the serve admission controller both price a
 /// group with this same estimate.
 int64_t EstimatedGroupMatrixBytes(int64_t n);
 
-/// What one scan may use.
-struct GroupLoopBudget {
-  /// Pool workers (at least 1).
-  int threads = 1;
-  /// Capacity of the subtree memo that every group of the scan shares.
-  size_t cache_bytes = 0;
-  /// A group whose estimated pair matrices, on top of the bytes the
-  /// MemoryTracker counted when the scan began, exceed this many bytes
-  /// fails its group loop (its shard, in RunShardedScan). 0 = unbounded.
-  int64_t budget_bytes = 0;
-};
-
-/// The propagation state of one scan, built once from its budget and
-/// handed to every group loop the scan runs: one thread pool, one subtree
-/// memo and one workspace free-list. The memo is reference-independent,
-/// so a hub suffix computed for one name is a hit for every later name of
-/// the scan, whichever shard it sits in; at most one workspace per
-/// concurrent worker is ever allocated.
+/// The untraced resolver of one group: ProfileStore::Build over `refs` on
+/// `pool`, `memo` and `workspaces`, then the pair fill under `cancel`,
+/// then ClusterReferences with the engine's cluster options. The bulk
+/// scan's group loop and the server's query executor both call it; the
+/// traced single-name path (Distinct::ResolveRefs) runs the same stages
+/// with a span around each. The result is bit-identical to
+/// engine.ResolveRefs(refs) at every thread count, memo size and memo
+/// history: a memo hit returns exactly what a miss computes, and a null or
+/// unfired token changes nothing.
 ///
-/// The standing bytes that admission adds to a group's matrix estimate
-/// are measured here, before the memo and the scan's own workspaces exist,
-/// so every group of the scan is admitted against the same number wherever
-/// it runs. Counting the memo that earlier groups filled would make later
-/// shards stricter.
-class ScanState {
- public:
-  ScanState(const Distinct& engine, const GroupLoopBudget& budget);
-  ScanState(const ScanState&) = delete;
-  ScanState& operator=(const ScanState&) = delete;
+/// DeadlineExceeded when `cancel` fired during the fill (the partial
+/// matrices are dropped, never clustered). Opens no span, so it may run on
+/// pool workers and connection threads. A null `memo` or `workspaces`
+/// falls back to call-local ones (see ProfileStore::Build). `refs` must
+/// lie inside the reference table.
+StatusOr<ClusteringResult> ResolveGroup(const Distinct& engine,
+                                        const std::vector<int32_t>& refs,
+                                        ThreadPool* pool, SubtreeCache* memo,
+                                        WorkspacePool* workspaces,
+                                        const CancelToken* cancel);
 
-  ThreadPool& pool() { return pool_; }
-  /// Null under PropagationAlgorithm::kDepthFirst, which has no memo and
-  /// no dense scratch.
-  SubtreeCache* memo() { return memo_.get(); }
-  WorkspacePool* workspaces() { return workspaces_.get(); }
-  int64_t budget_bytes() const { return budget_bytes_; }
-  /// MemoryTracker total at construction (see the class comment).
-  int64_t standing_bytes() const { return standing_bytes_; }
-
- private:
-  int64_t budget_bytes_;
-  int64_t standing_bytes_;
-  ThreadPool pool_;
-  std::unique_ptr<SubtreeCache> memo_;
-  std::unique_ptr<WorkspacePool> workspaces_;
-};
-
-/// The group loop behind every batch resolution (ResolveAllNamesParallel,
-/// and each shard of RunShardedScan): resolves groups[indices[i]] into
-/// (*out)[i] on the scan's state. Groups are one pool task each; a
-/// mega-group's profile propagations and pair-matrix tiles additionally
-/// fan out to the same pool from inside its task (ParallelForShared is
-/// re-entrant). Each group gets a fresh read-only ProfileStore. Results
-/// are bit-identical to engine.ResolveRefs(group.refs) at every thread
-/// count, memo size and memo history: a memo hit returns exactly what a
-/// miss computes.
-///
-/// Every group is checked before any is resolved: a reference outside the
-/// reference table is InvalidArgument; a group whose matrix estimate plus
-/// `state.standing_bytes()` exceeds `state.budget_bytes()` (when set) is
-/// OutOfRange. `progress` (optional) counts resolved groups and refs.
-/// Opens no span, so callers own the span tree.
-Status ResolveGroups(const Distinct& engine,
-                     const std::vector<NameGroup>& groups,
-                     const std::vector<size_t>& indices, ScanState& state,
-                     obs::ProgressState* progress,
-                     std::vector<BulkResolution>* out);
-
-/// Resolves every group in one ResolveGroups call on a ScanState of
-/// `num_threads` workers, the engine's memo budget and no memory bound,
-/// under one `bulk_resolve_parallel` span. Results are in group order.
+/// Resolves every group as a one-shard RunShardedScan (core/scan_shard.h)
+/// of `num_threads` workers, the engine's memo budget, no memory bound, no
+/// checkpoint and no progress feed. Results are in group order. When the
+/// shard fails (a reference outside the reference table), returns the
+/// shard's status.
 StatusOr<BulkStats> ResolveAllNamesParallel(
     const Distinct& engine, const std::vector<NameGroup>& groups,
     int num_threads, std::vector<BulkResolution>* results = nullptr);

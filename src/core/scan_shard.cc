@@ -1,13 +1,16 @@
 #include "core/scan_shard.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "core/checkpoint.h"
+#include "obs/memory.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -16,35 +19,141 @@ namespace distinct {
 
 namespace {
 
-/// What the scan's memory budget affords.
-GroupLoopBudget ComputeScanBudget(const Distinct& engine,
-                                  const ShardedScanOptions& options) {
+/// The propagation state of one scan, built once and handed to every
+/// shard's group loop: one thread pool, one subtree memo and one workspace
+/// free-list. The memo is reference-independent, so a hub suffix computed
+/// for one name is a hit for every later name of the scan, whichever shard
+/// it sits in; at most one workspace per concurrent worker is ever
+/// allocated.
+///
+/// The standing bytes that admission adds to a group's matrix estimate
+/// are measured here, before the memo and the scan's own workspaces exist,
+/// so every group of the scan is admitted against the same number wherever
+/// it runs. Counting the memo that earlier groups filled would make later
+/// shards stricter.
+struct ScanState {
+  ScanState(const Distinct& engine, int threads, size_t cache_bytes,
+            int64_t budget)
+      : budget_bytes(budget),
+        // Admission is measured, not just estimated: bytes the tracked
+        // subsystems already hold (engine-level memo entries, the profile
+        // stores of prior work) count against the budget alongside a
+        // group's matrix estimate.
+        standing_bytes(obs::MemoryTracker::Global().TrackedTotalBytes()),
+        pool(threads) {
+    if (engine.config().propagation.algorithm ==
+        PropagationAlgorithm::kWorkspace) {
+      memo = std::make_unique<SubtreeCache>(cache_bytes);
+      workspaces =
+          std::make_unique<WorkspacePool>(engine.propagation_engine().link());
+    }
+  }
+
+  const int64_t budget_bytes;    // 0 = unbounded
+  const int64_t standing_bytes;  // MemoryTracker total at construction
+  ThreadPool pool;
+  /// Null under PropagationAlgorithm::kDepthFirst, which has no memo and
+  /// no dense scratch.
+  std::unique_ptr<SubtreeCache> memo;
+  std::unique_ptr<WorkspacePool> workspaces;
+};
+
+/// Builds the scan's state from what its memory budget affords.
+ScanState MakeScanState(const Distinct& engine,
+                        const ShardedScanOptions& options) {
   const DistinctConfig& config = engine.config();
   const bool dense =
       config.propagation.algorithm == PropagationAlgorithm::kWorkspace;
-  GroupLoopBudget budget;
-  budget.threads = std::max(1, options.num_threads);
-  if (options.memory_budget_mb <= 0) {
-    budget.cache_bytes = dense ? config.propagation.cache_bytes : 0;
-    return budget;
-  }
-  budget.budget_bytes = options.memory_budget_mb << 20;
-  if (dense) {
+  int threads = std::max(1, options.num_threads);
+  size_t cache_bytes = dense ? config.propagation.cache_bytes : 0;
+  const int64_t budget_bytes = std::max<int64_t>(options.memory_budget_mb, 0)
+                               << 20;
+  if (dense && budget_bytes > 0) {
     // A quarter of the budget for the subtree memo (never more than the
     // configured cache), the rest for dense scratch: one workspace per
     // concurrent worker, so the workspace allowance caps the thread count.
-    budget.cache_bytes =
-        std::min(config.propagation.cache_bytes,
-                 static_cast<size_t>(budget.budget_bytes / 4));
-    const size_t workspace_bytes =
-        std::max<size_t>(ApproxWorkspaceBytes(engine.propagation_engine().link()), 1);
+    cache_bytes =
+        std::min(cache_bytes, static_cast<size_t>(budget_bytes / 4));
+    const size_t workspace_bytes = std::max<size_t>(
+        ApproxWorkspaceBytes(engine.propagation_engine().link()), 1);
     const int64_t affordable = static_cast<int64_t>(
-        (static_cast<size_t>(budget.budget_bytes) - budget.cache_bytes) /
-        workspace_bytes);
-    budget.threads = static_cast<int>(std::clamp<int64_t>(
-        affordable, 1, static_cast<int64_t>(budget.threads)));
+        (static_cast<size_t>(budget_bytes) - cache_bytes) / workspace_bytes);
+    threads = static_cast<int>(
+        std::clamp<int64_t>(affordable, 1, static_cast<int64_t>(threads)));
   }
-  return budget;
+  return ScanState(engine, threads, cache_bytes, budget_bytes);
+}
+
+/// The group loop every shard runs: resolves groups[indices[i]] into
+/// (*out)[i] with ResolveGroup on the scan's state. Groups are one pool
+/// task each; a mega-group's profile propagations and pair-matrix tiles
+/// additionally fan out to the same pool from inside its task
+/// (ParallelForShared is re-entrant). Hit/miss and reuse patterns cannot
+/// change values, only speed, so the memo size and how many groups and
+/// shards share it never change a result.
+///
+/// Every group is checked before any is resolved: a reference outside the
+/// reference table is InvalidArgument; a group whose matrix estimate plus
+/// `state.standing_bytes` exceeds `state.budget_bytes` (when set) is
+/// OutOfRange. `progress` (optional) counts resolved groups and refs.
+/// Opens no span, so the caller owns the span tree.
+Status ResolveGroups(const Distinct& engine,
+                     const std::vector<NameGroup>& groups,
+                     const std::vector<size_t>& indices, ScanState& state,
+                     obs::ProgressState* progress,
+                     std::vector<BulkResolution>* out) {
+  // Up-front validation so a bad group fails cleanly instead of crashing
+  // a worker mid-kernel.
+  const std::vector<JoinPath>& paths = engine.paths();
+  const int64_t num_start_tuples =
+      paths.empty() ? 0
+                    : engine.propagation_engine().link().NumTuples(
+                          paths.front().start_node);
+  for (const size_t g : indices) {
+    const NameGroup& group = groups[g];
+    for (const int32_t ref : group.refs) {
+      if (!paths.empty() && (ref < 0 || ref >= num_start_tuples)) {
+        return InvalidArgumentError(StrFormat(
+            "group '%s' has out-of-range reference %d (universe %lld)",
+            group.name.c_str(), ref,
+            static_cast<long long>(num_start_tuples)));
+      }
+    }
+    if (state.budget_bytes > 0) {
+      const int64_t matrix_bytes =
+          EstimatedGroupMatrixBytes(static_cast<int64_t>(group.refs.size()));
+      if (state.standing_bytes + matrix_bytes > state.budget_bytes) {
+        return OutOfRangeError(StrFormat(
+            "group '%s' (%zu refs) needs ~%lld bytes of pair matrices on "
+            "top of %lld measured resident bytes, over the %lld-byte scan "
+            "budget",
+            group.name.c_str(), group.refs.size(),
+            static_cast<long long>(matrix_bytes),
+            static_cast<long long>(state.standing_bytes),
+            static_cast<long long>(state.budget_bytes)));
+      }
+    }
+  }
+
+  out->assign(indices.size(), BulkResolution{});
+  ThreadPool& pool = state.pool;
+  ParallelFor(pool, static_cast<int64_t>(indices.size()), [&](int64_t i) {
+    const NameGroup& group = groups[indices[static_cast<size_t>(i)]];
+    // Without a token the resolver cannot fail.
+    auto clustering =
+        ResolveGroup(engine, group.refs, &pool, state.memo.get(),
+                     state.workspaces.get(), /*cancel=*/nullptr);
+    BulkResolution& resolution = (*out)[static_cast<size_t>(i)];
+    resolution.name = group.name;
+    resolution.num_refs = group.refs.size();
+    resolution.clustering = *std::move(clustering);
+    if (progress != nullptr) {
+      progress->groups_done.fetch_add(1, std::memory_order_relaxed);
+      progress->refs_done.fetch_add(static_cast<int64_t>(group.refs.size()),
+                                    std::memory_order_relaxed);
+    }
+  });
+  return Status::Ok();
 }
 
 /// Checks a loaded checkpoint against the current plan; resuming against a
@@ -159,19 +268,19 @@ StatusOr<ShardedScanResult> RunShardedScan(
     }
   }
   const ShardPlan plan = PlanShards(groups, options.num_shards);
-  const GroupLoopBudget budget = ComputeScanBudget(engine, options);
-  DISTINCT_COUNTER_ADD("scan.shards_planned", plan.num_shards());
-  DISTINCT_LOG(INFO) << "scan: " << groups.size() << " groups over "
-                     << plan.num_shards() << " shards, "
-                     << budget.threads << " threads"
-                     << (budget.budget_bytes > 0
-                             ? StrFormat(", %lld MiB budget",
-                                         static_cast<long long>(
-                                             budget.budget_bytes >> 20))
-                             : std::string());
   // One pool, memo and workspace free-list for every shard: a hub suffix
   // one shard computed is a hit for the next.
-  ScanState state(engine, budget);
+  ScanState state = MakeScanState(engine, options);
+  const int threads = state.pool.num_threads();
+  DISTINCT_COUNTER_ADD("scan.shards_planned", plan.num_shards());
+  DISTINCT_LOG(INFO) << "scan: " << groups.size() << " groups over "
+                     << plan.num_shards() << " shards, " << threads
+                     << " threads"
+                     << (state.budget_bytes > 0
+                             ? StrFormat(", %lld MiB budget",
+                                         static_cast<long long>(
+                                             state.budget_bytes >> 20))
+                             : std::string());
 
   if (options.progress != nullptr) {
     int64_t total_refs = 0;
@@ -202,7 +311,7 @@ StatusOr<ShardedScanResult> RunShardedScan(
     outcome.num_groups = static_cast<int64_t>(indices.size());
     outcome.estimated_pairs =
         plan.estimated_pairs[static_cast<size_t>(s)];
-    outcome.threads_used = budget.threads;
+    outcome.threads_used = threads;
     for (const size_t g : indices) {
       outcome.num_refs += static_cast<int64_t>(groups[g].refs.size());
     }
@@ -264,10 +373,10 @@ StatusOr<ShardedScanResult> RunShardedScan(
       // keep scanning. The shard table and scan.shards_failed make the
       // gap visible instead of the whole run aborting.
       outcome.state = ShardState::kFailed;
-      outcome.error = shard_status.ToString();
+      outcome.error = shard_status;
       DISTINCT_COUNTER_ADD("scan.shards_failed", 1);
-      DISTINCT_LOG(WARN) << "scan: shard " << s
-                         << " failed and was skipped: " << outcome.error;
+      DISTINCT_LOG(WARN) << "scan: shard " << s << " failed and was skipped: "
+                         << shard_status.ToString();
     } else {
       for (size_t g = 0; g < indices.size(); ++g) {
         by_group[indices[g]] = std::move(shard_results[g]);

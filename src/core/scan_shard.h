@@ -1,24 +1,27 @@
 // Sharded, memory-bounded bulk scan with checkpoint/resume.
 //
-// ScanNameGroups + ResolveAllNamesParallel materialize every group, every
-// profile, and every pair matrix inside one process lifetime — one OOM or
-// crash loses the whole run. This layer partitions the filtered groups
-// into deterministic, size-balanced shards (balanced by estimated pair
-// count, since cost and matrix memory are quadratic in group size, not by
-// group count), runs each shard through the group loop (ResolveGroups)
-// on one scan-wide ScanState (one thread pool, subtree memo and workspace
-// pool) under a memory budget (ShardedScanOptions::memory_budget_mb), and
-// persists each finished shard as a checkpoint (core/checkpoint.h) so an
-// interrupted run resumes by re-running only the unfinished shard. A shard
-// that fails — bad group, matrix estimate over budget, checkpoint I/O
-// error — is recorded with its error and skipped; the rest of the scan
-// completes.
+// The one bulk driver: every batch of names, from the CLI's `scan` to
+// ResolveAllNamesParallel (a one-shard scan with no budget, checkpoint or
+// progress feed), runs here. A scan in one piece materializes every
+// group, every profile, and every pair matrix inside one process
+// lifetime — one OOM or crash loses the whole run. This layer partitions
+// the filtered groups into deterministic, size-balanced shards (balanced
+// by estimated pair count, since cost and matrix memory are quadratic in
+// group size, not by group count), runs each shard through one private
+// group loop (ResolveGroup per name) on one scan-wide propagation state
+// (one thread pool, subtree memo and workspace pool) under a memory budget
+// (ShardedScanOptions::memory_budget_mb), and persists each finished shard
+// as a checkpoint (core/checkpoint.h) so an interrupted run resumes by
+// re-running only the unfinished shard. A shard that fails — bad group,
+// matrix estimate over budget, checkpoint I/O error — is recorded with its
+// status and skipped; the rest of the scan completes.
 //
 // Determinism: the plan is a pure function of (groups, num_shards); shard
 // results merge back into the original group order; and the kernel is
 // bit-identical across thread counts, cache sizes, memo history and
-// workspace reuse, so the merged output is byte-identical to the unsharded
-// scan at every shard count and every budget that completes.
+// workspace reuse, so the merged output is byte-identical to the one-shard
+// scan (and to Distinct::ResolveRefs per name) at every shard count and
+// every budget that completes.
 
 #ifndef DISTINCT_CORE_SCAN_SHARD_H_
 #define DISTINCT_CORE_SCAN_SHARD_H_
@@ -57,8 +60,7 @@ ShardPlan PlanShards(const std::vector<NameGroup>& groups, int num_shards);
 struct ShardedScanOptions {
   int num_shards = 1;
   /// Workers of the scan's one pool (shards run one after another on it;
-  /// within a shard, groups × tiles fan out exactly like
-  /// ResolveAllNamesParallel).
+  /// within a shard, groups × tiles fan out over it).
   int num_threads = 1;
   /// Memory budget in MiB; 0 = unbounded. Shards run one at a time, so it
   /// bounds each of them. The budget sizes the scan's one SubtreeCache,
@@ -106,7 +108,8 @@ struct ShardOutcome {
   /// Worker threads the memory budget afforded the scan.
   int threads_used = 0;
   double seconds = 0.0;
-  std::string error;  // kFailed only
+  /// Why the shard failed (kFailed only; OK otherwise).
+  Status error;
 };
 
 struct ShardedScanResult {

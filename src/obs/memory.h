@@ -8,9 +8,9 @@
 // serialization buffers) registers the bytes it owns through a
 // TrackedBytes member or explicit Add() calls; the tracker keeps a current
 // total and a high-water mark per component.
-// CollectRunReport folds the snapshot into the run report as
-// `mem.<component>_bytes` / `mem.<component>_peak_bytes` gauges, and the
-// sharded scan's admission control consults the measured numbers.
+// CollectRunReport copies the snapshot into the run report's `memory`
+// array (one current/peak row per component), and the sharded scan's and
+// the server's admission control consult the measured numbers.
 //
 // Accounting is always on (unlike metrics/tracing): the budget check needs
 // real numbers even when no report was requested. The cost is one relaxed

@@ -86,15 +86,6 @@ int64_t MetricsSnapshot::CounterValue(std::string_view name) const {
   return 0;
 }
 
-int64_t MetricsSnapshot::GaugeValue(std::string_view name) const {
-  for (const auto& [gauge_name, value] : gauges) {
-    if (gauge_name == name) {
-      return value;
-    }
-  }
-  return 0;
-}
-
 const HistogramSnapshot* MetricsSnapshot::FindHistogram(
     std::string_view name) const {
   for (const HistogramSnapshot& histogram : histograms) {
@@ -119,15 +110,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return slot.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = histograms_[name];
@@ -144,10 +126,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, counter] : counters_) {
     snapshot.counters.emplace_back(name, counter->Value());
   }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.emplace_back(name, gauge->Value());
-  }
   snapshot.histograms.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
     HistogramSnapshot merged = histogram->Snapshot();
@@ -161,9 +139,6 @@ void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, counter] : counters_) {
     counter->Reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->Reset();
   }
   for (auto& [name, histogram] : histograms_) {
     histogram->Reset();

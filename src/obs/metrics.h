@@ -1,13 +1,13 @@
-// Process-wide metrics: lock-cheap counters, gauges, and fixed-bucket
-// latency histograms.
+// Process-wide metrics: lock-cheap counters and fixed-bucket latency
+// histograms. (Byte levels are the MemoryTracker's, obs/memory.h.)
 //
 // Counters and histograms are sharded per thread (each thread owns a
 // cache-line-padded slot chosen once via a thread-local index), so the
 // similarity kernel and ParallelForShared workers increment without
-// contending; shards are summed only when a snapshot is taken. Gauges are a
-// single atomic (set-mostly, never hot). The registry hands out stable
-// pointers: call sites cache them in function-local statics and a
-// Reset() zeroes values without invalidating pointers.
+// contending; shards are summed only when a snapshot is taken. The
+// registry hands out stable pointers: call sites cache them in
+// function-local statics and a Reset() zeroes values without invalidating
+// pointers.
 //
 // Everything is gated on the process-wide observability switch. When it is
 // off (the default) the recording macros reduce to one relaxed atomic load
@@ -85,20 +85,6 @@ class Counter {
   std::array<Shard, kShards> shards_{};
 };
 
-/// A last-write-wins level (thread count, path count, queue depth).
-class Gauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
 /// Merged view of one histogram at snapshot time.
 struct HistogramSnapshot {
   /// Bucket b counts samples in [2^b, 2^(b+1)) nanoseconds (bucket 0 also
@@ -144,13 +130,10 @@ class Histogram {
 /// Point-in-time copy of every registered metric, sorted by name.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, int64_t>> counters;
-  std::vector<std::pair<std::string, int64_t>> gauges;
   std::vector<HistogramSnapshot> histograms;
 
   /// Value of the named counter, 0 when absent.
   int64_t CounterValue(std::string_view name) const;
-  /// Value of the named gauge, 0 when absent.
-  int64_t GaugeValue(std::string_view name) const;
   /// The named histogram, nullptr when absent.
   const HistogramSnapshot* FindHistogram(std::string_view name) const;
 };
@@ -163,7 +146,6 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
@@ -174,7 +156,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
@@ -189,16 +170,6 @@ class MetricsRegistry {
       static ::distinct::obs::Counter* const distinct_obs_counter_ =    \
           ::distinct::obs::MetricsRegistry::Global().GetCounter(name);  \
       distinct_obs_counter_->Add(delta);                                \
-    }                                                                   \
-  } while (0)
-
-/// Sets the named gauge when observability is on.
-#define DISTINCT_GAUGE_SET(name, value)                                 \
-  do {                                                                  \
-    if (::distinct::obs::Enabled()) {                                   \
-      static ::distinct::obs::Gauge* const distinct_obs_gauge_ =        \
-          ::distinct::obs::MetricsRegistry::Global().GetGauge(name);    \
-      distinct_obs_gauge_->Set(value);                                  \
     }                                                                   \
   } while (0)
 

@@ -141,12 +141,6 @@ std::string RunReportToJson(const RunReport& report) {
   }
   json.EndObject();
 
-  json.Key("gauges").BeginObject();
-  for (const auto& [name, value] : report.metrics.gauges) {
-    json.Key(name).Value(value);
-  }
-  json.EndObject();
-
   json.Key("histograms").BeginArray();
   for (const HistogramSnapshot& histogram : report.metrics.histograms) {
     json.BeginObject();
@@ -235,15 +229,11 @@ std::string RunReportToText(const RunReport& report) {
     out += "\n";
   }
 
-  if (!report.metrics.counters.empty() || !report.metrics.gauges.empty()) {
+  if (!report.metrics.counters.empty()) {
     TextTable counters({"metric", "value"});
     counters.SetRightAlign(1);
     for (const auto& [name, value] : report.metrics.counters) {
       counters.AddRow({name, StrFormat("%lld", static_cast<long long>(value))});
-    }
-    for (const auto& [name, value] : report.metrics.gauges) {
-      counters.AddRow({name + " (gauge)",
-                       StrFormat("%lld", static_cast<long long>(value))});
     }
     if (report.spans_dropped > 0) {
       counters.AddRow(

@@ -39,8 +39,9 @@ struct ReportTable {
 
 /// Everything recorded during one run.
 struct RunReport {
-  /// JSON schema version (the "distinct_run_report" field).
-  static constexpr int kSchemaVersion = 1;
+  /// JSON schema version (the "distinct_run_report" field). Version 2
+  /// has no "gauges" object; byte levels are in "memory".
+  static constexpr int kSchemaVersion = 2;
 
   std::string label;  // e.g. the CLI command
   MetricsSnapshot metrics;

@@ -5,13 +5,11 @@
 #include <utility>
 
 #include "common/cancel.h"
-
 #include "common/stopwatch.h"
-#include "core/scan_shard.h"
+#include "core/scan.h"
 #include "obs/json_writer.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
-#include "sim/profile_store.h"
 
 namespace distinct {
 namespace serve {
@@ -308,26 +306,17 @@ StatusOr<std::shared_ptr<const ResolveAnswer>> ServeService::ComputeAnswer(
     }
   }
 
-  // The exact batch sequence (Distinct::ResolveRefs on the engine's warm
-  // state): memo hits return precisely what misses would compute, so the
-  // answer is bit-identical to a cold batch run.
-  const ProfileStore store = ProfileStore::Build(
-      engine_.propagation_engine(), engine_.paths(),
-      engine_.config().propagation, refs, pool_.get(),
-      ProfileStore::kMinParallelRefs, engine_.memo(), engine_.workspaces());
-  PairKernelOptions kernel;
-  kernel.cancel = token.has_value() ? &*token : nullptr;
-  auto matrices =
-      ComputePairMatrices(store, engine_.model(), pool_.get(), kernel);
-  if (token.has_value() && token->aborted()) {
-    // The fill stopped at a tile/row boundary; the matrices are partial
-    // and are dropped here, never clustered and never cached.
-    return DeadlineExceededError("serve: deadline expired in pair kernel");
-  }
+  // The untraced batch resolver on the engine's warm state: memo hits
+  // return precisely what misses would compute, so the answer is
+  // bit-identical to a cold batch run. A fill the deadline stopped comes
+  // back as DeadlineExceeded and is never cached.
+  auto clustering = ResolveGroup(engine_, refs, pool_.get(), engine_.memo(),
+                                 engine_.workspaces(),
+                                 token.has_value() ? &*token : nullptr);
+  DISTINCT_RETURN_IF_ERROR(clustering.status());
   auto answer = std::make_shared<ResolveAnswer>();
   answer->refs = refs;
-  answer->clustering = ClusterReferences(matrices.first, matrices.second,
-                                         engine_.cluster_options());
+  answer->clustering = *std::move(clustering);
   return std::shared_ptr<const ResolveAnswer>(std::move(answer));
 }
 

@@ -31,10 +31,12 @@
 //    reservation and (as its matrices materialize) by the tracker, so the
 //    bound holds with margin rather than by luck.
 //
-// Answers are bit-identical to the batch path: the executor is the same
-// ProfileStore::Build → ComputePairMatrices → ClusterReferences sequence
-// as Distinct::ResolveRefs, on the same memo — memo hits return what
-// misses would compute, so warmth never changes a result.
+// Answers are bit-identical to the batch path: the executor is
+// ResolveGroup (core/scan.h), the untraced resolver the bulk scan runs for
+// every name — the same ProfileStore::Build → ComputePairMatrices →
+// ClusterReferences sequence as Distinct::ResolveRefs, on the engine's
+// memo — and memo hits return what misses would compute, so warmth never
+// changes a result.
 
 #ifndef DISTINCT_SERVE_SERVICE_H_
 #define DISTINCT_SERVE_SERVICE_H_
@@ -127,8 +129,10 @@ class ServeService {
   std::string StatsJson() const;
   std::string HealthJson() const;
 
-  /// Liveness counters for a HeartbeatReporter: groups_done = answered
-  /// queries, refs_done = references resolved.
+  /// Liveness counters for a HeartbeatReporter: groups_done = answers
+  /// this service computed, refs_done = their references. Cache hits and
+  /// coalesced followers are answered without a computation and are not
+  /// counted (stats().answered counts them).
   obs::ProgressState* progress() { return progress_; }
 
   const ServiceOptions& options() const { return options_; }

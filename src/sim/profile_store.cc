@@ -147,12 +147,11 @@ void ProfileStore::Update(const PropagationEngine& engine,
                           const std::vector<size_t>& positions,
                           std::vector<int32_t> new_refs,
                           ThreadPool* pool,
-                          size_t min_parallel_refs,
                           SubtreeCache* shared_cache,
                           WorkspacePool* shared_workspaces,
                           const std::vector<uint64_t>* position_path_masks) {
   Splice(engine, paths, options, positions, std::move(new_refs), pool,
-         min_parallel_refs, shared_cache, shared_workspaces,
+         kMinParallelRefs, shared_cache, shared_workspaces,
          position_path_masks);
   DISTINCT_COUNTER_ADD("sim.profile_store_updates", 1);
 }

@@ -59,9 +59,9 @@ class WorkspacePool {
 
 class ProfileStore {
  public:
-  /// Below this many references Build() and Update() propagate serially
-  /// even when a pool is supplied (task overhead would dominate n
-  /// propagations).
+  /// Below this many references Update(), and Build() by default,
+  /// propagate serially even when a pool is supplied (task overhead would
+  /// dominate n propagations).
   static constexpr size_t kMinParallelRefs = 32;
 
   /// One slice as the pair fill reads it, whichever its kind: `size`
@@ -179,7 +179,8 @@ class ProfileStore {
   /// slice is copied verbatim, so the store afterwards is bit-identical to
   /// a full Build() over the combined reference list (clean profiles are
   /// unchanged by construction; dirty and new ones go through the same
-  /// propagation loop). Parallelized like Build().
+  /// propagation loop). Parallelized like Build() from kMinParallelRefs
+  /// work items on.
   ///
   /// `position_path_masks` (optional, aligned with `positions`) restricts
   /// each position's recompute to the paths whose bit is set — propagation
@@ -192,7 +193,6 @@ class ProfileStore {
               const std::vector<size_t>& positions,
               std::vector<int32_t> new_refs,
               ThreadPool* pool = nullptr,
-              size_t min_parallel_refs = kMinParallelRefs,
               SubtreeCache* shared_cache = nullptr,
               WorkspacePool* shared_workspaces = nullptr,
               const std::vector<uint64_t>* position_path_masks = nullptr);

@@ -1,11 +1,14 @@
 // On-disk columnar catalog: dictionary round-trip through mmap, segment
-// column views, and the reopen/corruption contract — corrupt CRCs and
-// foreign format versions are rejected, a catalog killed mid-ingest (no
+// column views, and the reopen/corruption contract — corrupt CRCs, foreign
+// format versions and CRC-consistent files whose ids leave their
+// dictionaries are rejected, a catalog killed mid-ingest (no
 // manifest) reads as NotFound, and a fresh ingest over the debris succeeds
 // and then sweeps it.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "catalog/format.h"
 #include "catalog/reader.h"
 #include "catalog/writer.h"
+#include "common/crc32.h"
 #include "common/io_util.h"
 #include "gtest/gtest.h"
 
@@ -76,6 +80,52 @@ class ColumnarCatalogTest : public ::testing::Test {
     ASSERT_LT(index, data->size());
     (*data)[index] ^= 0x01;
     ASSERT_TRUE(WriteStringToFile(path, *data).ok());
+  }
+
+  /// Overwrites the `width`-byte little-endian integer at byte `at` of
+  /// `file` with `value`, then recomputes the file's CRC-32C trailer and
+  /// the CRC the manifest records for it: wrong contents that every CRC
+  /// vouches for.
+  void RewriteWithValidCrc(const std::string& file, size_t at,
+                           uint64_t value, size_t width) {
+    const std::string path = dir_ + "/" + file;
+    auto data = ReadFileToString(path);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    ASSERT_LE(at + width, data->size() - 4);
+    std::memcpy(data->data() + at, &value, width);
+    const uint32_t crc = Crc32c(data->data(), data->size() - 4);
+    std::memcpy(data->data() + data->size() - 4, &crc, 4);
+    ASSERT_TRUE(WriteStringToFile(path, *data).ok());
+
+    const std::string manifest_path = dir_ + "/" + kManifestFile;
+    auto manifest = ReadFileToString(manifest_path);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    const size_t entry = manifest->find("\"" + file + "\"");
+    ASSERT_NE(entry, std::string::npos) << *manifest;
+    const std::string key = "\"crc\":";
+    const size_t begin = manifest->find(key, entry);
+    ASSERT_NE(begin, std::string::npos) << *manifest;
+    const size_t digits = begin + key.size();
+    const size_t end = manifest->find_first_not_of("0123456789", digits);
+    manifest->replace(digits, end - digits, std::to_string(crc));
+    ASSERT_TRUE(WriteStringToFile(manifest_path, *manifest).ok());
+  }
+
+  /// Reads the little-endian u32 at byte `at` of `file`.
+  uint32_t ReadU32(const std::string& file, size_t at) const {
+    auto data = ReadFileToString(dir_ + "/" + file);
+    EXPECT_TRUE(data.ok());
+    uint32_t value = 0;
+    if (data.ok() && at + 4 <= data->size()) {
+      std::memcpy(&value, data->data() + at, 4);
+    }
+    return value;
+  }
+
+  /// Size of `file` in bytes.
+  size_t FileSize(const std::string& file) const {
+    return static_cast<size_t>(
+        std::filesystem::file_size(dir_ + "/" + file));
   }
 
   /// File names in dir_, sorted.
@@ -237,6 +287,79 @@ TEST_F(ColumnarCatalogTest, TruncatedSegmentIsDataLoss) {
       WriteStringToFile(path, data->substr(0, data->size() / 2)).ok());
   auto reader = CatalogReader::Open(dir_);
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+}
+
+// A CRC catches accidental damage only: a file rewritten with wrong
+// contents and recomputed CRCs passes every framing check. Open() must
+// still refuse ids that would index outside a mapping, here the author
+// id that MaterializeDatabase would use as a histogram index.
+TEST_F(ColumnarCatalogTest, AuthorIdOutsideDictionaryIsDataLoss) {
+  const CatalogSummary summary = WriteSampleCatalog();
+  const std::string segment = SegmentFileName(summary.generation, 0);
+  // The last author id sits just before the CRC trailer.
+  const size_t last_author = FileSize(segment) - 8;
+  // Rewriting a value unchanged opens: the CRCs are recomputed right.
+  RewriteWithValidCrc(segment, last_author, ReadU32(segment, last_author),
+                      4);
+  ASSERT_TRUE(CatalogReader::Open(dir_).ok());
+
+  RewriteWithValidCrc(segment, last_author, 0x7ffffff0, 4);
+  auto reader = CatalogReader::Open(dir_);
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
+      << reader.status().ToString();
+  EXPECT_NE(reader.status().message().find(segment), std::string::npos);
+}
+
+TEST_F(ColumnarCatalogTest, TitleAndVenueIdsOutsideDictionaryAreDataLoss) {
+  constexpr size_t kPapers = 5;
+  for (const size_t column : {0, 1}) {  // title_id, venue_id
+    SCOPED_TRACE(column == 0 ? "title" : "venue");
+    const CatalogSummary summary = WriteSampleCatalog();
+    const std::string segment = SegmentFileName(summary.generation, 0);
+    // Header, year[5], then title_id[5] and venue_id[5]; paper 3's id.
+    RewriteWithValidCrc(segment, 32 + kPapers * 8 + column * kPapers * 4 + 12,
+                        kPapers, 4);
+    auto reader = CatalogReader::Open(dir_);
+    EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
+        << reader.status().ToString();
+  }
+}
+
+TEST_F(ColumnarCatalogTest, DescendingRefRangesAreDataLoss) {
+  constexpr size_t kPapers = 5;
+  const size_t ref_begin = 32 + kPapers * 16;
+  // ref_begin[0] must be 0; ref_begin[2] must not fall below ref_begin[1].
+  for (const size_t index : {0, 2}) {
+    SCOPED_TRACE(::testing::Message() << "ref_begin[" << index << "]");
+    const CatalogSummary summary = WriteSampleCatalog();
+    const std::string segment = SegmentFileName(summary.generation, 0);
+    RewriteWithValidCrc(segment, ref_begin + index * 4,
+                        index == 0 ? 1 : 0, 4);
+    auto reader = CatalogReader::Open(dir_);
+    EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
+        << reader.status().ToString();
+  }
+}
+
+TEST_F(ColumnarCatalogTest, DescendingDictionaryOffsetsAreDataLoss) {
+  const CatalogSummary summary = WriteSampleCatalog();
+  const std::string dict = DictionaryFileName("authors", summary.generation);
+  // offsets[1], the end of string 0, far past every later offset.
+  RewriteWithValidCrc(dict, 16 + 8, uint64_t{1} << 40, 8);
+  auto reader = CatalogReader::Open(dir_);
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
+      << reader.status().ToString();
+  EXPECT_NE(reader.status().message().find(dict), std::string::npos);
+}
+
+TEST_F(ColumnarCatalogTest, SortedIdOutsideDictionaryIsDataLoss) {
+  const CatalogSummary summary = WriteSampleCatalog();
+  const std::string dict = DictionaryFileName("venues", summary.generation);
+  // sorted_ids[] ends just before the CRC trailer; rewrite its last id.
+  RewriteWithValidCrc(dict, FileSize(dict) - 8, 1000, 4);
+  auto reader = CatalogReader::Open(dir_);
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
+      << reader.status().ToString();
 }
 
 TEST_F(ColumnarCatalogTest, NeverIngestedDirectoryIsNotFound) {

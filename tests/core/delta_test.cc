@@ -806,8 +806,8 @@ TEST_F(DeltaTest, ProfileStoreUpdateMatchesFullBuildAfterDelta) {
       ProfileStore store = base;
       store.Update(engine->propagation_engine(), engine->paths(), options,
                    dirty_positions, appended, &pool,
-                   ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
-                   /*shared_workspaces=*/nullptr, &dirty_masks);
+                   /*shared_cache=*/nullptr, /*shared_workspaces=*/nullptr,
+                   &dirty_masks);
       ExpectSameSlices(store, full);
     }
   }

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -182,7 +181,7 @@ TEST_F(ShardedScanTest, ByteIdenticalAtEveryShardCount) {
     ASSERT_EQ(result->shards.size(), static_cast<size_t>(num_shards));
     for (const ShardOutcome& shard : result->shards) {
       EXPECT_EQ(shard.state, ShardState::kCompleted);
-      EXPECT_TRUE(shard.error.empty());
+      EXPECT_TRUE(shard.error.ok()) << shard.error.ToString();
     }
     ExpectMatchesBaseline(result->results);
     EXPECT_EQ(result->stats.names_resolved,
@@ -198,7 +197,7 @@ TEST_F(ShardedScanTest, MemoryBudgetCapsThreadsWithoutChangingResults) {
   auto result = RunShardedScan(*engine_, *groups_, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (const ShardOutcome& shard : result->shards) {
-    ASSERT_EQ(shard.state, ShardState::kCompleted) << shard.error;
+    ASSERT_EQ(shard.state, ShardState::kCompleted) << shard.error.ToString();
     EXPECT_GE(shard.threads_used, 1);
     EXPECT_LE(shard.threads_used, 8);
   }
@@ -250,18 +249,15 @@ TEST_F(ShardedScanTest, AdmissionDoesNotDependOnShardPosition) {
   // The budget is tight: the memo the other six groups leave behind does
   // not fit beside the probe's matrices.
   {
-    GroupLoopBudget budget;
-    budget.cache_bytes = kBudgetBytes / 4;  // what the scan budget affords
-    budget.budget_bytes = kBudgetBytes;
-    ScanState state(*engine_, budget);
-    std::vector<size_t> indices(others.size());
-    std::iota(indices.begin(), indices.end(), size_t{0});
-    std::vector<BulkResolution> out;
-    ASSERT_TRUE(
-        ResolveGroups(*engine_, others, indices, state, nullptr, &out).ok());
-    ASSERT_NE(state.memo(), nullptr);
-    EXPECT_GT(standing + state.memo()->stats().bytes +
-                  EstimatedGroupMatrixBytes(n),
+    ThreadPool pool(1);
+    SubtreeCache memo(kBudgetBytes / 4);  // what the scan budget affords
+    WorkspacePool workspaces(engine_->propagation_engine().link());
+    for (const NameGroup& group : others) {
+      ASSERT_TRUE(ResolveGroup(*engine_, group.refs, &pool, &memo,
+                               &workspaces, /*cancel=*/nullptr)
+                      .ok());
+    }
+    EXPECT_GT(standing + memo.stats().bytes + EstimatedGroupMatrixBytes(n),
               kBudgetBytes);
   }
 
@@ -274,7 +270,7 @@ TEST_F(ShardedScanTest, AdmissionDoesNotDependOnShardPosition) {
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   ASSERT_EQ(whole->shards.size(), 1u);
   ASSERT_EQ(whole->shards[0].state, ShardState::kCompleted)
-      << whole->shards[0].error;
+      << whole->shards[0].error.ToString();
   const BulkResolution& want = whole->results[0];
   ASSERT_EQ(want.name, probe.name);
 
@@ -289,7 +285,7 @@ TEST_F(ShardedScanTest, AdmissionDoesNotDependOnShardPosition) {
     ASSERT_EQ(sharded->shards.size(), 7u);
     ASSERT_EQ(sharded->shards[position].num_groups, 1);
     for (const ShardOutcome& shard : sharded->shards) {
-      EXPECT_EQ(shard.state, ShardState::kCompleted) << shard.error;
+      EXPECT_EQ(shard.state, ShardState::kCompleted) << shard.error.ToString();
     }
     ASSERT_EQ(sharded->results.size(), groups.size());
     const BulkResolution& got = sharded->results[position];
@@ -317,8 +313,9 @@ TEST_F(ShardedScanTest, BadGroupFailsItsShardOnly) {
   for (const ShardOutcome& shard : result->shards) {
     if (shard.state == ShardState::kFailed) {
       ++failed;
-      EXPECT_NE(shard.error.find("Bogus Ref"), std::string::npos)
-          << shard.error;
+      EXPECT_EQ(shard.error.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(shard.error.message().find("Bogus Ref"), std::string::npos)
+          << shard.error.ToString();
     }
   }
   EXPECT_EQ(failed, 1);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <memory>
 
 #include "../test_util.h"
+#include "common/cancel.h"
+#include "common/thread_pool.h"
 #include "dblp/generator.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
@@ -124,6 +129,82 @@ TEST(ScanTest, RunReportCountsWorkspaceBytes) {
   }
   EXPECT_GT(peak, 0);
   EXPECT_EQ(current, 0);  // the scan's workspaces went with the scan
+}
+
+/// The untraced resolver that the scan's group loop and the server share
+/// returns the traced single-name path's clustering, merge for merge and
+/// bit for bit, on a serial and a parallel pool, with the memo's storage
+/// off and on. The largest group is big enough to fan its propagations
+/// and pair tiles out over the pool.
+TEST(ScanTest, ResolveGroupMatchesResolveRefs) {
+  GeneratorConfig generator;
+  generator.seed = 5;
+  generator.num_communities = 6;
+  generator.authors_per_community = 10;
+  generator.ambiguous = {{"Wei Wang", 4, 80}, {"Jing Li", 2, 12}};
+  auto dataset = GenerateDblpDataset(generator);
+  ASSERT_TRUE(dataset.ok());
+  DistinctConfig config;
+  config.supervised = false;
+  config.promotions = DblpDefaultPromotions();
+  auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+  ASSERT_TRUE(engine.ok());
+  auto groups = ScanNameGroups(*engine);
+  ASSERT_TRUE(groups.ok());
+  ASSERT_GT(groups->size(), 2u);
+  ASSERT_GE(groups->front().refs.size(), 64u);
+
+  std::vector<ClusteringResult> want;
+  for (const NameGroup& group : *groups) {
+    auto clustering = engine->ResolveRefs(group.refs);
+    ASSERT_TRUE(clustering.ok());
+    want.push_back(*std::move(clustering));
+  }
+  for (const int threads : {1, 4}) {
+    for (const size_t memo_bytes : {size_t{0}, size_t{64} << 20}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, memo of "
+                                        << memo_bytes << " bytes");
+      ThreadPool pool(threads);
+      SubtreeCache memo(memo_bytes);
+      WorkspacePool workspaces(engine->propagation_engine().link());
+      for (size_t g = 0; g < groups->size(); ++g) {
+        const NameGroup& group = (*groups)[g];
+        auto got = ResolveGroup(*engine, group.refs, &pool, &memo,
+                                &workspaces, /*cancel=*/nullptr);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->assignment, want[g].assignment) << group.name;
+        ASSERT_EQ(got->merges.size(), want[g].merges.size()) << group.name;
+        for (size_t m = 0; m < got->merges.size(); ++m) {
+          EXPECT_EQ(got->merges[m].into, want[g].merges[m].into);
+          EXPECT_EQ(got->merges[m].from, want[g].merges[m].from);
+          EXPECT_EQ(std::bit_cast<uint64_t>(got->merges[m].similarity),
+                    std::bit_cast<uint64_t>(want[g].merges[m].similarity))
+              << group.name << " merge " << m;
+        }
+      }
+    }
+  }
+}
+
+/// A token that has fired stops the fill and comes back as
+/// DeadlineExceeded; without a token the same call clusters.
+TEST(ScanTest, ResolveGroupReportsAFiredToken) {
+  Database db = testing_util::MakeMiniDblp();
+  Distinct engine = MiniEngine(db);
+  const std::vector<int32_t> refs = {0, 2, 6};  // Wei Wang
+  ThreadPool pool(2);
+  const CancelToken fired(std::chrono::steady_clock::time_point::min());
+  auto late = ResolveGroup(engine, refs, &pool, engine.memo(),
+                           engine.workspaces(), &fired);
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded)
+      << late.status().ToString();
+
+  auto unbounded = ResolveGroup(engine, refs, &pool, engine.memo(),
+                                engine.workspaces(), /*cancel=*/nullptr);
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+  auto want = engine.ResolveRefs(refs);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*unbounded, *want);
 }
 
 /// The single-name path, one group after another: the oracle every batch

@@ -121,16 +121,6 @@ TEST_F(MetricsTest, RegistryReturnsStablePointers) {
   EXPECT_EQ(registry.Snapshot().CounterValue("test.stable"), 3);
 }
 
-TEST_F(MetricsTest, GaugeSetAndAdd) {
-  Gauge* gauge = MetricsRegistry::Global().GetGauge("test.gauge");
-  gauge->Set(42);
-  EXPECT_EQ(gauge->Value(), 42);
-  gauge->Add(-2);
-  EXPECT_EQ(gauge->Value(), 40);
-  EXPECT_EQ(MetricsRegistry::Global().Snapshot().GaugeValue("test.gauge"),
-            40);
-}
-
 TEST_F(MetricsTest, SnapshotSortedAndQueryable) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("test.b")->Add(2);
@@ -153,11 +143,9 @@ TEST_F(MetricsTest, SnapshotSortedAndQueryable) {
 
 TEST_F(MetricsTest, MacrosRecordWhenEnabled) {
   DISTINCT_COUNTER_ADD("test.macro_counter", 5);
-  DISTINCT_GAUGE_SET("test.macro_gauge", 11);
   DISTINCT_HISTOGRAM_RECORD("test.macro_histogram", 256);
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snapshot.CounterValue("test.macro_counter"), 5);
-  EXPECT_EQ(snapshot.GaugeValue("test.macro_gauge"), 11);
   ASSERT_NE(snapshot.FindHistogram("test.macro_histogram"), nullptr);
   EXPECT_EQ(snapshot.FindHistogram("test.macro_histogram")->count, 1);
 }

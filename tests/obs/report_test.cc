@@ -202,7 +202,6 @@ void RecordFixture() {
   // 1000 pairs in exactly 1 second of recorded fill time => 1000 pairs/sec.
   DISTINCT_COUNTER_ADD("sim.pairs_computed", 1000);
   DISTINCT_HISTOGRAM_RECORD("sim.pair_matrix_nanos", 1000000000);
-  DISTINCT_GAUGE_SET("test.gauge", 3);
 }
 
 TEST_F(ReportTest, JsonHasSchemaVersionAndAllSections) {
@@ -228,11 +227,12 @@ TEST_F(ReportTest, JsonHasSchemaVersionAndAllSections) {
     ASSERT_NE(section, nullptr) << key;
     EXPECT_EQ(section->kind, JsonValue::Kind::kArray) << key;
   }
-  for (const char* key : {"counters", "gauges", "derived"}) {
+  for (const char* key : {"counters", "derived"}) {
     const JsonValue* section = root->Get(key);
     ASSERT_NE(section, nullptr) << key;
     EXPECT_EQ(section->kind, JsonValue::Kind::kObject) << key;
   }
+  EXPECT_EQ(root->Get("gauges"), nullptr);  // dropped in schema 2
 }
 
 TEST_F(ReportTest, JsonCarriesRecordedValuesAndDerivedRates) {
@@ -245,10 +245,6 @@ TEST_F(ReportTest, JsonCarriesRecordedValuesAndDerivedRates) {
       root->Get("counters")->Get("sim.pairs_computed");
   ASSERT_NE(pairs, nullptr);
   EXPECT_EQ(pairs->number, 1000.0);
-
-  const JsonValue* gauge = root->Get("gauges")->Get("test.gauge");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->number, 3.0);
 
   // 1000 pairs over 1e9 summed fill nanoseconds -> 1000 pairs/sec.
   const JsonValue* rate =

@@ -136,12 +136,14 @@ TEST_F(TraceTest, ParallelBulkScanRecordsOneSpanPerRun) {
     Tracer::Global().Reset();
     auto stats = ResolveAllNamesParallel(*engine, *groups, threads);
     ASSERT_TRUE(stats.ok());
-    // Worker lambdas record only counters/histograms; the whole fan-out is
-    // one span on the calling thread, at any worker count.
+    // The run is a one-shard sharded scan. Worker lambdas record only
+    // counters/histograms; the whole fan-out is the scan's span and its one
+    // shard's span, both on the calling thread, at any worker count.
     const std::vector<std::string> structure =
         Structure(Tracer::Global().Snapshot());
-    ASSERT_EQ(structure.size(), 1u);
-    EXPECT_EQ(structure[0], "bulk_resolve_parallel(-1,0)");
+    ASSERT_EQ(structure.size(), 2u);
+    EXPECT_EQ(structure[0], "sharded_scan(-1,0)");
+    EXPECT_EQ(structure[1], "scan_shard(0,0)");
     if (baseline.empty()) {
       baseline = structure;
     } else {

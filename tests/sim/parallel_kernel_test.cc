@@ -183,8 +183,8 @@ TEST_F(ParallelKernelTest, UpdatePairMatricesMatchesFullFill) {
     }
     store.Update(engine_->propagation_engine(), engine_->paths(),
                  engine_->config().propagation, positions, new_refs, &pool,
-                 ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
-                 /*shared_workspaces=*/nullptr, &masks);
+                 /*shared_cache=*/nullptr, /*shared_workspaces=*/nullptr,
+                 &masks);
     const ProfileStore full = ProfileStore::Build(
         engine_->propagation_engine(), engine_->paths(),
         engine_->config().propagation, refs_, &pool);
@@ -234,8 +234,8 @@ TEST_F(ParallelKernelTest, UpdateKeepsMaskedOutSlices) {
     ProfileStore store = ProfileStore::FromProfiles(refs_, old_profiles);
     store.Update(engine_->propagation_engine(), engine_->paths(),
                  engine_->config().propagation, positions, {}, &pool,
-                 ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
-                 /*shared_workspaces=*/nullptr, &masks);
+                 /*shared_cache=*/nullptr, /*shared_workspaces=*/nullptr,
+                 &masks);
     ASSERT_EQ(store.refs(), refs_);
     std::vector<uint64_t> mask_of(refs_.size(), 0);
     for (size_t k = 0; k < positions.size(); ++k) {
