@@ -244,7 +244,7 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
     }
   }
 
-  // Pooled workspaces size their dense slabs at first acquire and never
+  // Pooled workspaces size their slot indexes at first acquire and never
   // grow them; after the universes grew they would index out of bounds, so
   // the pool is recreated (the memo keeps its surviving entries — those
   // are the expensive part).

@@ -253,7 +253,7 @@ class Distinct {
   /// Create(); both null under PropagationAlgorithm::kDepthFirst. The memo
   /// is safe for concurrent use and the pool is a locked free-list, so a
   /// server may propagate on them from many threads. ApplyDelta erases the
-  /// memo entries its delta dirtied and replaces the pool (dense slabs are
+  /// memo entries its delta dirtied and replaces the pool (slot indexes are
   /// sized to the tuple universes at first acquire), so fetch the pool per
   /// use rather than keeping the pointer across a delta.
   SubtreeCache* memo() const { return memo_.get(); }
@@ -308,7 +308,7 @@ class Distinct {
   /// Engine-lifetime subtree memo + workspace pool (kWorkspace only), so
   /// warm suffix distributions survive across queries; ApplyDelta erases
   /// only the entries its delta dirtied and recreates the workspaces
-  /// (their dense slabs are sized at first acquire and never grow).
+  /// (their slot indexes are sized at first acquire and never grow).
   std::unique_ptr<SubtreeCache> memo_;
   std::unique_ptr<WorkspacePool> workspaces_;
   int64_t catalog_version_ = 0;

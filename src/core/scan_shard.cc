@@ -53,7 +53,7 @@ struct ScanState {
   const int64_t standing_bytes;  // MemoryTracker total at construction
   ThreadPool pool;
   /// Null under PropagationAlgorithm::kDepthFirst, which has no memo and
-  /// no dense scratch.
+  /// no scratch slabs.
   std::unique_ptr<SubtreeCache> memo;
   std::unique_ptr<WorkspacePool> workspaces;
 };
@@ -70,12 +70,13 @@ ScanState MakeScanState(const Distinct& engine,
                                << 20;
   if (dense && budget_bytes > 0) {
     // A quarter of the budget for the subtree memo (never more than the
-    // configured cache), the rest for dense scratch: one workspace per
+    // configured cache), the rest for scratch slabs: one workspace per
     // concurrent worker, so the workspace allowance caps the thread count.
     cache_bytes =
         std::min(cache_bytes, static_cast<size_t>(budget_bytes / 4));
-    const size_t workspace_bytes = std::max<size_t>(
-        ApproxWorkspaceBytes(engine.propagation_engine().link()), 1);
+    const size_t workspace_bytes =
+        ApproxWorkspaceBytes(engine.propagation_engine().link(), engine.paths(),
+                             config.propagation.exclude_start_tuple);
     const int64_t affordable = static_cast<int64_t>(
         (static_cast<size_t>(budget_bytes) - cache_bytes) / workspace_bytes);
     threads = static_cast<int>(

@@ -46,7 +46,7 @@ class MemoryTracker {
     kCheckpoint,        // core/checkpoint.cc serialization buffers
     kIngestDictionary,  // catalog/writer.cc intern tables
     kCatalogSegment,    // catalog/writer.cc open-segment column buffers
-    kPropagationWorkspace,  // prop/workspace.h dense scratch slabs
+    kPropagationWorkspace,  // prop/workspace.h scratch slabs
     kRss,               // OS-reported resident set (sampled, not summed)
     kNumComponents,
   };

@@ -27,8 +27,8 @@ enum class PropagationAlgorithm {
   /// Depth-first enumeration of path instances (the paper's Fig. 3
   /// procedure). Cost grows with the number of instances.
   kDepthFirst,
-  /// Level-wise sweeps over epoch-stamped dense scratch arrays (no
-  /// per-tuple hashing or allocation) with per-path-suffix memoization
+  /// Level-wise sweeps over reusable scratch slabs (no per-tuple hashing,
+  /// no allocation once warm) with per-path-suffix memoization
   /// shared across references — see prop/workspace.h. Cost grows with the
   /// number of distinct (level, tuple) pairs — much cheaper than
   /// kDepthFirst on paths that fan out and reconverge (e.g. Publish ->
@@ -79,7 +79,7 @@ class PropagationEngine {
   NeighborProfile Compute(const JoinPath& path, int32_t start_tuple,
                           const PropagationOptions& options = {}) const;
 
-  /// Same, reusing caller-owned dense scratch (kWorkspace only; other
+  /// Same, reusing caller-owned scratch slabs (kWorkspace only; other
   /// algorithms ignore it). `workspace` must wrap this engine's link graph
   /// and be used by one thread at a time. `cache`, when non-null, memoizes
   /// path suffixes under `cache_path_id` (the caller's stable index of

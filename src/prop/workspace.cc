@@ -17,7 +17,9 @@ void TrackCacheBytes(int64_t delta) {
 
 namespace distinct {
 
-PropagationWorkspace::Slab& PropagationWorkspace::Acquire(int node_id) {
+using Slab = PropagationWorkspace::Slab;
+
+Slab& PropagationWorkspace::Acquire(int node_id) {
   if (static_cast<size_t>(node_id) >= slabs_.size()) {
     slabs_.resize(static_cast<size_t>(node_id) + 1);
   }
@@ -25,22 +27,15 @@ PropagationWorkspace::Slab& PropagationWorkspace::Acquire(int node_id) {
   for (auto& slab : pool) {
     if (!slab->in_use_) {
       slab->in_use_ = true;
-      slab->Begin();
+      slab->cells_.clear();
       return *slab;
     }
   }
   auto slab = std::make_unique<Slab>();
-  const auto universe =
-      static_cast<size_t>(link_->NumTuples(node_id));
-  slab->forward_.resize(universe);
-  slab->reverse_.resize(universe);
-  slab->count_.resize(universe);
-  slab->stamp_.assign(universe, 0u);
+  slab->slot_.assign(static_cast<size_t>(link_->NumTuples(node_id)), 0u);
   tracked_.Set(tracked_.bytes() +
-               static_cast<int64_t>(universe * (3 * sizeof(double) +
-                                                sizeof(uint32_t))));
+               static_cast<int64_t>(slab->slot_.size() * sizeof(uint32_t)));
   slab->in_use_ = true;
-  slab->Begin();
   pool.push_back(std::move(slab));
   return *pool.back();
 }
@@ -150,15 +145,49 @@ SubtreeCacheStats SubtreeCache::stats() const {
   return stats;
 }
 
-size_t ApproxWorkspaceBytes(const LinkGraph& link) {
-  // Per tuple: forward/reverse/count doubles, the uint32 epoch stamp, and
-  // one touched-list slot (the touched vector grows to the node universe in
-  // the worst case).
-  constexpr size_t kBytesPerTuple =
-      3 * sizeof(double) + sizeof(uint32_t) + sizeof(int32_t);
+size_t ApproxWorkspaceBytes(const LinkGraph& link,
+                            const std::vector<JoinPath>& paths,
+                            bool exclude_start_tuple) {
+  // Per node: the most slabs one propagation holds at once, and the most
+  // tuples a frontier on it can reach — the product of the steps' largest
+  // fan-outs, capped at the universe.
+  std::vector<size_t> slabs(link.schema().num_nodes()),
+      frontier(slabs.size(), 1);
+  for (const JoinPath& path : paths) {
+    const PathShape shape = ShapePath(path, link.schema(), exclude_start_tuple);
+    const std::vector<int>& at = shape.node_at;
+    const size_t j = shape.junction;
+    // A reverse prefix step can widen the junction frontier to several
+    // hubs, whose merge holds a slab on the last node while each memo miss
+    // sweeps the suffix with the junction frontier held.
+    const bool merge = std::any_of(
+        path.steps.begin(), path.steps.begin() + static_cast<ptrdiff_t>(j),
+        [](const JoinStep& step) { return !step.forward; });
+    size_t reach = 1;
+    for (size_t i = 0; i < path.steps.size(); ++i) {
+      // Held while stepping from level i (level 0 is a single cell, no slab).
+      std::vector<int> held = {at[i + 1]};
+      if (i > 0) held.push_back(at[i]);
+      if (i > j) held.push_back(at[j]);
+      if (i >= j && merge) held.push_back(at.back());
+      for (const int node : held) {
+        slabs[node] = std::max<size_t>(
+            slabs[node], std::count(held.begin(), held.end(), node));
+      }
+      size_t fanout = 0;
+      for (int32_t t = 0; t < link.NumTuples(at[i]); ++t) {
+        fanout = std::max(fanout, link.Neighbors(path.steps[i], t).size());
+      }
+      reach = std::min<size_t>(reach * fanout, link.NumTuples(at[i + 1]));
+      frontier[at[i + 1]] = std::max(frontier[at[i + 1]], reach);
+    }
+  }
+  // Each slab: a slot per tuple, and cells that grow by doubling, so their
+  // capacity stays under twice the largest frontier.
   size_t total = sizeof(PropagationWorkspace);
   for (int node = 0; node < link.schema().num_nodes(); ++node) {
-    total += static_cast<size_t>(link.NumTuples(node)) * kBytesPerTuple;
+    total += slabs[node] * (link.NumTuples(node) * sizeof(uint32_t) +
+                            2 * frontier[node] * sizeof(Slab::Cell));
   }
   return total;
 }
@@ -216,30 +245,42 @@ NeighborProfile ExpandProfile(PathProfile profile) {
 
 namespace {
 
-using Slab = PropagationWorkspace::Slab;
-
-/// One forward sweep step: frontier at `cur` (sorted) through `step` into
-/// `next`, optionally pruning walks into the origin tuple.
-void SweepStep(const LinkGraph& link, const JoinStep& step, const Slab& cur,
-               Slab& next, bool exclude, int32_t start_tuple) {
-  for (const int32_t t : cur.touched()) {
-    const std::span<const int32_t> targets = link.Neighbors(step, t);
-    if (targets.empty()) {
-      continue;  // NULL FK or no referencing rows: this mass is lost
-    }
-    const double share =
-        cur.forward(t) / static_cast<double>(targets.size());
-    const double reverse = cur.reverse(t);
-    const double count = cur.count(t);
-    for (const int32_t target : targets) {
-      if (exclude && target == start_tuple) {
-        continue;  // walks through the origin carry no identity signal
+/// Sweeps one unit-mass walk from `tuple` at level `from` of `path` down to
+/// level `to` (> from), pruning walks into `excluded` (-1 for none) at
+/// start-node levels. Every level's frontier is read in ascending tuple id.
+/// Returns the sorted slab of level `to`, which the caller releases.
+Slab& Sweep(const LinkGraph& link, const JoinPath& path,
+            const std::vector<int>& node_at, size_t from, size_t to,
+            int32_t tuple, int32_t excluded,
+            PropagationWorkspace& workspace) {
+  DISTINCT_DCHECK(from < to);
+  const Slab::Cell unit{tuple, 1.0, 1.0, 1.0};
+  std::span<const Slab::Cell> frontier(&unit, 1);
+  Slab* cur = nullptr;
+  for (size_t i = from; i < to; ++i) {
+    const JoinStep& step = path.steps[i];
+    const bool exclude = excluded >= 0 && node_at[i + 1] == node_at[0];
+    Slab& next = workspace.Acquire(node_at[i + 1]);
+    for (const Slab::Cell& cell : frontier) {
+      const std::span<const int32_t> targets = link.Neighbors(step, cell.tuple);
+      if (targets.empty()) {
+        continue;  // NULL FK or no referencing rows: this mass is lost
       }
-      const auto back =
-          static_cast<double>(link.ReverseFanout(step, target));
-      next.Add(target, share, reverse / back, count);
+      const double share = cell.forward / static_cast<double>(targets.size());
+      for (const int32_t target : targets) {
+        if (exclude && target == excluded) {
+          continue;  // walks through the origin carry no identity signal
+        }
+        const auto back = static_cast<double>(link.ReverseFanout(step, target));
+        next.Add(target, share, cell.reverse / back, cell.count);
+      }
     }
+    if (cur != nullptr) workspace.Release(*cur);
+    cur = &next;
+    cur->Sort();
+    frontier = cur->cells();
   }
+  return *cur;
 }
 
 /// Distribution of the suffix below `junction` from junction tuple
@@ -252,39 +293,19 @@ SubtreeDistribution ComputeSubtree(const LinkGraph& link,
                                    const std::vector<int>& node_at,
                                    size_t junction, int32_t tuple,
                                    PropagationWorkspace& workspace) {
-  const size_t k = path.steps.size();
-  Slab* cur = &workspace.Acquire(node_at[junction + 1]);
-  {
-    const JoinStep& step = path.steps[junction];
-    const std::span<const int32_t> targets = link.Neighbors(step, tuple);
-    const double share =
-        targets.empty() ? 0.0 : 1.0 / static_cast<double>(targets.size());
-    for (const int32_t target : targets) {
-      const auto back =
-          static_cast<double>(link.ReverseFanout(step, target));
-      cur->Add(target, share, 1.0 / back, 1.0);
-    }
-  }
-  for (size_t i = junction + 1; i < k; ++i) {
-    Slab* next = &workspace.Acquire(node_at[i + 1]);
-    cur->SortTouched();
-    SweepStep(link, path.steps[i], *cur, *next, /*exclude=*/false,
-              /*start_tuple=*/-1);
-    workspace.Release(*cur);
-    cur = next;
-  }
-  cur->SortTouched();
+  Slab& end = Sweep(link, path, node_at, junction, path.steps.size(), tuple,
+                    /*excluded=*/-1, workspace);
   SubtreeDistribution dist;
-  const size_t size = cur->touched().size();
+  const size_t size = end.cells().size();
   dist.tuples.reserve(size);
   dist.forward.reserve(size);
   dist.reverse.reserve(size);
   dist.walks.reserve(size);
-  for (const int32_t e : cur->touched()) {
-    dist.Append(e, cur->forward(e), cur->reverse(e), cur->count(e));
-    dist.instances += cur->count(e);
+  for (const Slab::Cell& cell : end.cells()) {
+    dist.Append(cell.tuple, cell.forward, cell.reverse, cell.count);
+    dist.instances += cell.count;
   }
-  workspace.Release(*cur);
+  workspace.Release(end);
   return dist;
 }
 
@@ -302,28 +323,18 @@ std::optional<PathProfile> PropagateDense(
 
   // Reference-dependent prefix: levels 0..junction with origin exclusion,
   // accumulating forward mass, reverse mass, and instance counts together.
-  Slab* cur = &workspace.Acquire(node_at[0]);
-  cur->Add(start_tuple, 1.0, 1.0, 1.0);
-  for (size_t i = 0; i < junction; ++i) {
-    Slab* next = &workspace.Acquire(node_at[i + 1]);
-    const bool exclude = options.exclude_start_tuple &&
-                         node_at[i + 1] == node_at[0];
-    cur->SortTouched();
-    SweepStep(link, path.steps[i], *cur, *next, exclude, start_tuple);
-    workspace.Release(*cur);
-    cur = next;
-  }
-  cur->SortTouched();
+  Slab* cur = &Sweep(link, path, node_at, 0, junction, start_tuple,
+                     options.exclude_start_tuple ? start_tuple : -1,
+                     workspace);
 
   double total_instances = 0.0;
   PathProfile profile;
   if (junction == k) {
     std::vector<ProfileEntry> entries;
-    entries.reserve(cur->touched().size());
-    for (const int32_t t : cur->touched()) {
-      entries.push_back(
-          ProfileEntry{t, cur->forward(t), cur->reverse(t)});
-      total_instances += cur->count(t);
+    entries.reserve(cur->cells().size());
+    for (const Slab::Cell& cell : cur->cells()) {
+      entries.push_back(ProfileEntry{cell.tuple, cell.forward, cell.reverse});
+      total_instances += cell.count;
     }
     workspace.Release(*cur);
     profile.entries = NeighborProfile(std::move(entries));
@@ -352,52 +363,46 @@ std::optional<PathProfile> PropagateDense(
             ? start_tuple
             : -1;
     const auto origin_index = [origin](const SubtreeDistribution& dist) {
-      if (origin < 0) {
-        return dist.size();
-      }
-      const auto it = std::lower_bound(dist.tuples.begin(), dist.tuples.end(),
-                                       origin);
+      const auto it = std::ranges::lower_bound(dist.tuples, origin);
       return it != dist.tuples.end() && *it == origin
                  ? static_cast<size_t>(it - dist.tuples.begin())
                  : dist.size();
     };
-    if (cur->touched().size() == 1) {
+    if (cur->cells().size() == 1) {
       // One hub: the profile is that hub's suffix, scaled in place by the
       // pair fill rather than copied here.
-      const int32_t t = cur->touched().front();
+      const Slab::Cell& cell = cur->cells().front();
       HubSlice& hub = profile.hub;
-      hub.suffix = subtree(t);
-      hub.hub = t;
+      hub.suffix = subtree(cell.tuple);
+      hub.hub = cell.tuple;
       hub.skip = static_cast<uint32_t>(origin_index(*hub.suffix));
-      hub.forward = cur->forward(t);
-      hub.reverse = cur->reverse(t);
+      hub.forward = cell.forward;
+      hub.reverse = cell.reverse;
       const double dropped =
           hub.skip < hub.suffix->size() ? hub.suffix->walks[hub.skip] : 0.0;
-      total_instances = cur->count(t) * (hub.suffix->instances - dropped);
+      total_instances = cell.count * (hub.suffix->instances - dropped);
       workspace.Release(*cur);
     } else {
       Slab* out = &workspace.Acquire(node_at[k]);
-      for (const int32_t t : cur->touched()) {
-        const std::shared_ptr<const SubtreeDistribution> dist = subtree(t);
-        const double forward = cur->forward(t);
-        const double reverse = cur->reverse(t);
+      for (const Slab::Cell& cell : cur->cells()) {
+        const std::shared_ptr<const SubtreeDistribution> dist =
+            subtree(cell.tuple);
         const size_t skip = origin_index(*dist);
         for (size_t e = 0; e < dist->size(); ++e) {
           if (e != skip) {
-            out->Add(dist->tuples[e], forward * dist->forward[e],
-                     reverse * dist->reverse[e], 0.0);
+            out->Add(dist->tuples[e], cell.forward * dist->forward[e],
+                     cell.reverse * dist->reverse[e], 0.0);
           }
         }
         const double dropped = skip < dist->size() ? dist->walks[skip] : 0.0;
-        total_instances += cur->count(t) * (dist->instances - dropped);
+        total_instances += cell.count * (dist->instances - dropped);
       }
       workspace.Release(*cur);
-      out->SortTouched();
+      out->Sort();
       std::vector<ProfileEntry> entries;
-      entries.reserve(out->touched().size());
-      for (const int32_t e : out->touched()) {
-        entries.push_back(
-            ProfileEntry{e, out->forward(e), out->reverse(e)});
+      entries.reserve(out->cells().size());
+      for (const Slab::Cell& cell : out->cells()) {
+        entries.push_back(ProfileEntry{cell.tuple, cell.forward, cell.reverse});
       }
       workspace.Release(*out);
       profile.entries = NeighborProfile(std::move(entries));

@@ -1,4 +1,4 @@
-// Dense scratch-space propagation with shared subtree memoization — the
+// Level-wise scratch-slab propagation with shared subtree memoization — the
 // PropagationAlgorithm::kWorkspace engine.
 //
 // The DFS engine in propagation.cc pushes every tuple through an
@@ -6,13 +6,13 @@
 // co-authors of one paper traverse the same Paper -> Conference subtree
 // once per reference). This layer removes both costs:
 //
-//  * PropagationWorkspace owns reusable dense slabs — per schema node,
-//    forward/reverse/instance-count arrays sized by LinkGraph::NumTuples
-//    with an epoch stamp per slot. "Clearing" a slab for the next level or
-//    the next reference is a single epoch bump, so the steady-state inner
-//    loops are index arithmetic over CSR spans with zero allocation or
-//    hashing. A workspace belongs to one thread at a time and is recycled
-//    across references.
+//  * PropagationWorkspace owns reusable scratch slabs per schema node: a
+//    4-byte slot per tuple of LinkGraph::NumTuples, and a cell (tuple,
+//    masses, instance count) per touched tuple in first-touch order. A
+//    slot names its tuple's cell only when that cell holds the tuple, so
+//    clearing a slab empties its cells and leaves the slots stale. Sweeps
+//    read a frontier's cells in sequence, with no hashing. A workspace
+//    belongs to one thread at a time and is recycled across references.
 //
 //  * SubtreeCache memoizes, per join path, the distribution emanating from
 //    a junction tuple down the path's suffix. The junction (see
@@ -61,66 +61,51 @@ namespace distinct {
 
 struct PropagationOptions;
 
-/// Per-thread dense scratch space for one LinkGraph. Not thread-safe; hand
-/// each worker its own (ProfileStore::Build keeps a free-list). The dense
-/// arrays of every slab it allocates count toward the
+/// Per-thread scratch space for one LinkGraph. Not thread-safe; hand each
+/// worker its own (ProfileStore::Build keeps a free-list). The slot index
+/// and the cell capacity of every slab it allocates count toward the
 /// kPropagationWorkspace memory gauge for the workspace's lifetime.
 class PropagationWorkspace {
  public:
-  /// One epoch-stamped dense distribution over a node's tuple universe:
-  /// forward mass, reverse mass, and path-instance count per tuple.
+  /// One sparse distribution over a node's tuple universe: forward mass,
+  /// reverse mass and path-instance count per touched tuple, held in a
+  /// cell per tuple in first-touch order.
   class Slab {
    public:
-    /// Accumulates into `tuple`'s slot, zero-initializing it on first touch
-    /// in the current epoch.
+    struct Cell {
+      int32_t tuple;
+      double forward, reverse, count;
+    };
+
+    /// Accumulates into `tuple`'s cell, appending a zeroed one on the
+    /// tuple's first touch since Acquire. A slot left from an earlier use
+    /// names a cell only when it is in range and that cell holds `tuple`.
     void Add(int32_t tuple, double forward, double reverse, double count) {
-      const auto t = static_cast<size_t>(tuple);
-      if (stamp_[t] != epoch_) {
-        stamp_[t] = epoch_;
-        forward_[t] = 0.0;
-        reverse_[t] = 0.0;
-        count_[t] = 0.0;
-        touched_.push_back(tuple);
+      uint32_t& slot = slot_[static_cast<size_t>(tuple)];
+      if (slot >= cells_.size() || cells_[slot].tuple != tuple) {
+        slot = static_cast<uint32_t>(cells_.size());
+        cells_.push_back(Cell{tuple, 0.0, 0.0, 0.0});
       }
-      forward_[t] += forward;
-      reverse_[t] += reverse;
-      count_[t] += count;
+      Cell& cell = cells_[slot];
+      cell.forward += forward;
+      cell.reverse += reverse;
+      cell.count += count;
     }
 
-    double forward(int32_t tuple) const {
-      return forward_[static_cast<size_t>(tuple)];
-    }
-    double reverse(int32_t tuple) const {
-      return reverse_[static_cast<size_t>(tuple)];
-    }
-    double count(int32_t tuple) const {
-      return count_[static_cast<size_t>(tuple)];
-    }
+    /// The touched tuples' cells, in ascending tuple id after Sort().
+    const std::vector<Cell>& cells() const { return cells_; }
 
-    /// Tuples touched this epoch, in ascending id after SortTouched().
-    const std::vector<int32_t>& touched() const { return touched_; }
-
-    /// Orders the frontier by tuple id — every sweep sorts before iterating
-    /// so floating-point accumulation order is reproducible.
-    void SortTouched() { std::sort(touched_.begin(), touched_.end()); }
+    /// Orders the cells by tuple id, as every sweep does before reading a
+    /// frontier, so accumulation order is reproducible. Slots then no
+    /// longer name their cells: no Add may follow until the next Acquire.
+    void Sort() { std::ranges::sort(cells_, {}, &Cell::tuple); }
 
    private:
     friend class PropagationWorkspace;
 
-    void Begin() {
-      touched_.clear();
-      if (++epoch_ == 0) {  // stamp wrap: old stamps could alias epoch 0
-        std::fill(stamp_.begin(), stamp_.end(), 0u);
-        epoch_ = 1;
-      }
-    }
-
-    std::vector<double> forward_;
-    std::vector<double> reverse_;
-    std::vector<double> count_;
-    std::vector<uint32_t> stamp_;
-    uint32_t epoch_ = 0;
-    std::vector<int32_t> touched_;
+    std::vector<uint32_t> slot_;  // per tuple: the index of its cell
+    std::vector<Cell> cells_;
+    size_t counted_cells_ = 0;  // cell capacity already in the gauge
     bool in_use_ = false;
   };
 
@@ -133,15 +118,22 @@ class PropagationWorkspace {
 
   const LinkGraph& link() const { return *link_; }
 
-  /// A fresh (epoch-bumped) slab over `node_id`'s universe. Several slabs
-  /// of the same node can be live at once (adjacent levels of a self-loop
-  /// path); allocation happens only the first time a node needs an extra
-  /// slab, after which slabs are recycled.
+  /// An empty slab over `node_id`'s universe. Several slabs of one node can
+  /// be live at once (a multi-hub merge holds one on the last node while a
+  /// memo miss sweeps down to it); slabs are allocated only when a node
+  /// needs one more, then recycled.
   Slab& Acquire(int node_id);
 
-  /// Returns a slab to the free pool. Its contents stay readable until the
-  /// next Acquire of the same slab.
-  void Release(Slab& slab) { slab.in_use_ = false; }
+  /// Returns a slab to the free pool and counts its cells' growth in the
+  /// gauge. Its contents stay readable until the next Acquire of the slab.
+  void Release(Slab& slab) {
+    slab.in_use_ = false;
+    if (const size_t grown = slab.cells_.capacity() - slab.counted_cells_) {
+      tracked_.Set(tracked_.bytes() +
+                   static_cast<int64_t>(grown * sizeof(Slab::Cell)));
+      slab.counted_cells_ += grown;
+    }
+  }
 
  private:
   const LinkGraph* link_;
@@ -303,13 +295,14 @@ class SubtreeCache {
   std::array<Shard, kNumShards> shards_;
 };
 
-/// Approximate resident footprint of one fully warmed PropagationWorkspace
-/// over `link`: one dense slab per schema node (forward/reverse/count
-/// doubles, an epoch stamp, and a touched-list slot per tuple). Paths that
-/// revisit a node need an extra slab for it, so treat this as a lower-bound
-/// estimate — the sharded scan uses it to decide how many concurrent
-/// workspaces a memory budget affords.
-size_t ApproxWorkspaceBytes(const LinkGraph& link);
+/// Upper bound on what one PropagationWorkspace over `link` allocates
+/// propagating along `paths`: per schema node, the most slabs one
+/// propagation holds at once (from each path's PathShape), each with its
+/// slot index and cells for the largest frontier the steps' fan-outs allow.
+/// The sharded scan divides a memory budget by it to cap its workers.
+size_t ApproxWorkspaceBytes(const LinkGraph& link,
+                            const std::vector<JoinPath>& paths,
+                            bool exclude_start_tuple);
 
 /// Level where `path`'s reference-dependent prefix ends: the memo key's
 /// level. With origin exclusion, walks can be pruned at every level whose
@@ -341,7 +334,7 @@ struct PathShape {
 PathShape ShapePath(const JoinPath& path, const SchemaGraph& schema,
                     bool exclude_start_tuple);
 
-/// Dense-scratch propagation (the kWorkspace engine) along `path`, whose
+/// Scratch-slab propagation (the kWorkspace engine) along `path`, whose
 /// constants `shape` holds. Memoizes path suffixes through `cache` when
 /// non-null, keyed by `cache_path_id` (the caller's stable index of
 /// `path`; pass 0 when cache is null). When the junction frontier is a

@@ -5,7 +5,7 @@
 // A ServeService wraps one trained Distinct engine and propagates on the
 // engine's warm state: its SubtreeCache (suffix distributions computed for
 // one name are hits for every later name that reaches the same junction
-// tuples) and its WorkspacePool (dense scratch recycled across queries).
+// tuples) and its WorkspacePool (scratch slabs recycled across queries).
 // The service keeps only its own kernel ThreadPool, sized by
 // ServiceOptions::num_threads. Reference rows map to their name through
 // the engine's name index too, so everything a query reads follows the

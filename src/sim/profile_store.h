@@ -38,7 +38,7 @@
 namespace distinct {
 
 /// Hands each worker a private PropagationWorkspace and takes it back when
-/// the worker's task ends, recycling the dense slabs across tasks (and,
+/// the worker's task ends, recycling the scratch slabs across tasks (and,
 /// when one pool is shared across many Build() calls, across name groups —
 /// a bulk scan then allocates at most one workspace per concurrent worker
 /// for the whole run, which is what makes its memory budgetable). A plain
@@ -155,14 +155,14 @@ class ProfileStore {
   /// bit-identical across thread counts.
   ///
   /// With PropagationAlgorithm::kWorkspace, each worker checks a
-  /// PropagationWorkspace out of a free-list (dense scratch is recycled
+  /// PropagationWorkspace out of a free-list (scratch slabs are recycled
   /// across references, never shared between concurrent workers) and all
   /// workers share one SubtreeCache: `shared_cache` when non-null —
   /// letting a caller reuse the memo across many calls over the same link
   /// graph — else a call-local cache of options.cache_bytes.
   /// `shared_workspaces` (optional, must be over the same link graph)
-  /// likewise recycles dense scratch across calls; workspaces are
-  /// epoch-reset on reuse, so sharing cannot change results.
+  /// likewise recycles them across calls; a reused workspace starts every
+  /// slab empty, so sharing cannot change results.
   static ProfileStore Build(const PropagationEngine& engine,
                             const std::vector<JoinPath>& paths,
                             const PropagationOptions& options,

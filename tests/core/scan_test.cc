@@ -100,7 +100,7 @@ TEST(ScanTest, OrderedByDescendingRefCount) {
   }
 }
 
-/// The dense slabs a scan's workspaces allocate count toward the memory
+/// The slabs a scan's workspaces allocate count toward the memory
 /// the tracker measures, so run reports show them and admission sees the
 /// workspaces that exist when it measures.
 TEST(ScanTest, RunReportCountsWorkspaceBytes) {

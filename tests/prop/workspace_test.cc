@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "core/distinct.h"
 #include "dblp/generator.h"
+#include "obs/memory.h"
 #include "prop/propagation.h"
 #include "prop/workspace.h"
 #include "sim/profile_store.h"
@@ -95,6 +96,122 @@ World MakeGeneratedWorld() {
   DISTINCT_CHECK(dataset.ok());
   std::vector<int32_t> refs = dataset->cases[0].publish_rows;
   return MakeWorld(std::move(dataset->db), std::move(refs));
+}
+
+using Cell = PropagationWorkspace::Slab::Cell;
+
+void ExpectCell(const Cell& cell, int32_t tuple, double forward,
+                double reverse, double count) {
+  EXPECT_EQ(cell.tuple, tuple);
+  EXPECT_EQ(cell.forward, forward) << "tuple " << tuple;
+  EXPECT_EQ(cell.reverse, reverse) << "tuple " << tuple;
+  EXPECT_EQ(cell.count, count) << "tuple " << tuple;
+}
+
+/// The mini corpus's Publish node: tuples 0..6.
+int PublishNode(const World& world) { return world.paths.front().start_node; }
+
+TEST(SlabTest, RepeatedAddsAccumulateInCallOrder) {
+  const World world = MakeMiniWorld();
+  PropagationWorkspace workspace(*world.link);
+  PropagationWorkspace::Slab& slab = workspace.Acquire(PublishNode(world));
+  slab.Add(3, 0.1, 0.3, 1.0);
+  slab.Add(1, 0.5, 0.5, 2.0);
+  slab.Add(3, 0.2, 0.2, 1.0);
+  slab.Add(3, 0.3, 0.1, 1.0);
+  ASSERT_EQ(slab.cells().size(), 2u);  // first-touch order
+  // (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit.
+  ExpectCell(slab.cells()[0], 3, ((0.0 + 0.1) + 0.2) + 0.3,
+             ((0.0 + 0.3) + 0.2) + 0.1, 3.0);
+  EXPECT_NE(slab.cells()[0].forward, 0.1 + (0.2 + 0.3));
+  ExpectCell(slab.cells()[1], 1, 0.5, 0.5, 2.0);
+  workspace.Release(slab);
+}
+
+// After Release and Acquire the cells are empty but the slots keep what
+// the last use wrote. A slot naming a live cell of another tuple must not
+// be taken for the tuple's own.
+TEST(SlabTest, StaleSlotOnAnotherTuplesCellGetsAFreshCell) {
+  const World world = MakeMiniWorld();
+  PropagationWorkspace workspace(*world.link);
+  PropagationWorkspace::Slab& slab = workspace.Acquire(PublishNode(world));
+  slab.Add(5, 1.0, 1.0, 1.0);  // slot 0
+  slab.Add(2, 1.0, 1.0, 1.0);  // slot 1
+  workspace.Release(slab);
+
+  PropagationWorkspace::Slab& again = workspace.Acquire(PublishNode(world));
+  ASSERT_EQ(&again, &slab);  // recycled, slots as the last use left them
+  EXPECT_TRUE(again.cells().empty());
+  again.Add(2, 0.25, 0.5, 3.0);    // takes cell 0
+  again.Add(5, 0.125, 0.75, 4.0);  // its stale slot 0 now holds tuple 2
+  ASSERT_EQ(again.cells().size(), 2u);
+  ExpectCell(again.cells()[0], 2, 0.25, 0.5, 3.0);
+  ExpectCell(again.cells()[1], 5, 0.125, 0.75, 4.0);
+  workspace.Release(again);
+}
+
+TEST(SlabTest, StaleSlotAtOrPastTheCellsIsAMiss) {
+  const World world = MakeMiniWorld();
+  PropagationWorkspace workspace(*world.link);
+  PropagationWorkspace::Slab& slab = workspace.Acquire(PublishNode(world));
+  slab.Add(0, 1.0, 1.0, 1.0);  // slot 0
+  slab.Add(1, 1.0, 1.0, 1.0);  // slot 1
+  slab.Add(4, 1.0, 1.0, 1.0);  // slot 2
+  slab.Add(6, 1.0, 1.0, 1.0);  // slot 3
+  workspace.Release(slab);
+
+  PropagationWorkspace::Slab& again = workspace.Acquire(PublishNode(world));
+  again.Add(0, 0.5, 0.5, 1.0);  // slot 0 at cells().size() 0
+  again.Add(6, 0.5, 0.5, 1.0);  // slot 3 past cells().size() 1
+  again.Add(4, 0.5, 0.5, 1.0);  // slot 2 at cells().size() 2
+  ASSERT_EQ(again.cells().size(), 3u);
+  ExpectCell(again.cells()[0], 0, 0.5, 0.5, 1.0);
+  ExpectCell(again.cells()[1], 6, 0.5, 0.5, 1.0);
+  ExpectCell(again.cells()[2], 4, 0.5, 0.5, 1.0);
+  workspace.Release(again);
+}
+
+TEST(SlabTest, SortOrdersTheCellsByTuple) {
+  const World world = MakeMiniWorld();
+  PropagationWorkspace workspace(*world.link);
+  PropagationWorkspace::Slab& slab = workspace.Acquire(PublishNode(world));
+  slab.Add(6, 0.5, 0.25, 1.0);
+  slab.Add(0, 0.125, 1.0, 2.0);
+  slab.Add(3, 1.0, 0.5, 3.0);
+  slab.Add(0, 0.125, 1.0, 2.0);
+  slab.Sort();
+  ASSERT_EQ(slab.cells().size(), 3u);
+  ExpectCell(slab.cells()[0], 0, 0.25, 2.0, 4.0);
+  ExpectCell(slab.cells()[1], 3, 1.0, 0.5, 3.0);
+  ExpectCell(slab.cells()[2], 6, 0.5, 0.25, 1.0);
+  workspace.Release(slab);
+}
+
+// The gauge holds a slab's slot index from its allocation and its cell
+// capacity from the Release after the cells grew, never a count per Add.
+TEST(SlabTest, GaugeCountsSlotIndexAndCellCapacity) {
+  const World world = MakeMiniWorld();
+  const auto gauge = [] {
+    return obs::MemoryTracker::Global().CurrentBytes(
+        obs::MemoryTracker::kPropagationWorkspace);
+  };
+  const int64_t before = gauge();
+  {
+    PropagationWorkspace workspace(*world.link);
+    PropagationWorkspace::Slab& slab = workspace.Acquire(PublishNode(world));
+    const auto slots = static_cast<int64_t>(
+        world.link->NumTuples(PublishNode(world)) * sizeof(uint32_t));
+    EXPECT_EQ(gauge() - before, slots);
+    for (int32_t tuple = 0; tuple < 7; ++tuple) {
+      slab.Add(tuple, 1.0, 1.0, 1.0);
+    }
+    EXPECT_EQ(gauge() - before, slots);
+    workspace.Release(slab);
+    EXPECT_EQ(gauge() - before,
+              slots + static_cast<int64_t>(slab.cells().capacity() *
+                                           sizeof(Cell)));
+  }
+  EXPECT_EQ(gauge(), before);
 }
 
 /// Exclusion on/off × cache capacity {0, small, unbounded}.
@@ -434,6 +551,64 @@ TEST(WorkspaceBudgetTest, OriginWalksLeaveTheInstanceCount) {
     }
   }
   EXPECT_GT(checked, 0);  // some memoized path must drop origin walks
+}
+
+// The memory budget's thread cap divides by ApproxWorkspaceBytes, so it
+// must price every slab a workspace allocates. Warmed over every path of
+// the seed-42 engine with the memo off, every multi-hub reference sweeps
+// its suffixes while the merge slab on the last node is held:
+// Publish -> Publications <- Publish -> Authors <- Publish needs a second
+// Publish slab, which one slab per node leaves out.
+TEST(ApproxWorkspaceBytesTest, BoundsAWorkspaceWarmedOverEveryPath) {
+  auto dataset = GenerateDblpDataset(GeneratorConfig{});
+  ASSERT_TRUE(dataset.ok());
+  DistinctConfig config;
+  config.supervised = false;
+  config.promotions = DblpDefaultPromotions();
+  auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+  ASSERT_TRUE(engine.ok());
+  const LinkGraph& link = engine->propagation_engine().link();
+  const PropagationOptions& options = engine->config().propagation;
+  auto refs = engine->RefsForName("Wei Wang");
+  ASSERT_TRUE(refs.ok());
+
+  const auto gauge = [] {
+    return obs::MemoryTracker::Global().CurrentBytes(
+        obs::MemoryTracker::kPropagationWorkspace);
+  };
+  const auto warm = [&](const JoinPath& path,
+                        PropagationWorkspace& workspace) {
+    const PathShape shape =
+        ShapePath(path, link.schema(), options.exclude_start_tuple);
+    for (const int32_t ref : *refs) {
+      PropagateDense(link, path, ref, options, shape, workspace,
+                     /*cache=*/nullptr, /*cache_path_id=*/0);
+    }
+  };
+  // One path at a time, the cells are small next to the slot indexes, so
+  // a slab the estimate leaves out shows even on a small node.
+  for (const JoinPath& path : engine->paths()) {
+    const int64_t before = gauge();
+    PropagationWorkspace workspace(link);
+    warm(path, workspace);
+    EXPECT_LE(static_cast<size_t>(gauge() - before),
+              ApproxWorkspaceBytes(link, {path}, options.exclude_start_tuple))
+        << path.Describe(link.schema());
+  }
+
+  // Every path in one workspace, as a scan's worker warms it.
+  const int64_t before = gauge();
+  PropagationWorkspace workspace(link);
+  for (const JoinPath& path : engine->paths()) {
+    warm(path, workspace);
+  }
+  const auto allocated = static_cast<size_t>(gauge() - before);
+  const size_t estimate = ApproxWorkspaceBytes(link, engine->paths(),
+                                               options.exclude_start_tuple);
+  EXPECT_LE(allocated, estimate);
+  // Tight enough not to starve a budgeted scan: pricing every cell at the
+  // universe would read 8x the allocation here.
+  EXPECT_LE(estimate, 2 * allocated);
 }
 
 /// The tentpole's end-to-end guarantee: identical clustering with the memo
