@@ -9,13 +9,13 @@
 #include <cstring>
 #include <filesystem>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "catalog/format.h"
 #include "common/crc32.h"
+#include "common/flat_index.h"
 #include "common/io_util.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -99,13 +99,6 @@ void SweepUncommitted(const std::string& dir,
   }
 }
 
-struct StringViewHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view text) const {
-    return std::hash<std::string_view>()(text);
-  }
-};
-
 }  // namespace
 
 struct CatalogWriter::SegmentManifest {
@@ -118,25 +111,27 @@ struct CatalogWriter::SegmentManifest {
 };
 
 /// Arena-backed intern table: ids are first-appearance order, strings live
-/// in stable 1 MiB blocks so the index can key on string_view without
-/// copies. For a DBLP-scale title column this halves resident bytes versus
-/// the map<string> + vector<string> layout common/dictionary.h uses.
+/// in stable 1 MiB blocks, and a FlatIndex over the ids finds a string's id
+/// without copying it. The arena blocks are what the ingest budget admits.
 class CatalogWriter::InternTable {
  public:
   explicit InternTable(obs::MemoryTracker::Component component)
       : tracked_(component) {}
 
   uint32_t Intern(std::string_view text) {
-    auto it = index_.find(text);
-    if (it != index_.end()) {
-      return it->second;
+    const int64_t id = index_.FindOrInsert(
+        HashOf(text),
+        [&](int64_t candidate) {
+          return views_[static_cast<size_t>(candidate)] == text;
+        },
+        [this](int64_t old) {
+          return HashOf(views_[static_cast<size_t>(old)]);
+        });
+    if (id == static_cast<int64_t>(views_.size())) {
+      views_.push_back(Store(text));
+      Account();
     }
-    const std::string_view stored = Store(text);
-    const uint32_t id = static_cast<uint32_t>(views_.size());
-    views_.push_back(stored);
-    index_.emplace(stored, id);
-    Account();
-    return id;
+    return static_cast<uint32_t>(id);
   }
 
   size_t size() const { return views_.size(); }
@@ -162,11 +157,16 @@ class CatalogWriter::InternTable {
  private:
   static constexpr size_t kBlockBytes = 1 << 20;
 
+  static uint64_t HashOf(std::string_view text) {
+    return std::hash<std::string_view>()(text);
+  }
+
   std::string_view Store(std::string_view text) {
     if (blocks_.empty() ||
         block_used_ + text.size() > blocks_.back().size()) {
       blocks_.emplace_back();
       blocks_.back().resize(std::max(kBlockBytes, text.size()));
+      block_bytes_ += static_cast<int64_t>(blocks_.back().size());
       block_used_ = 0;
     }
     char* dest = blocks_.back().data() + block_used_;
@@ -177,25 +177,19 @@ class CatalogWriter::InternTable {
   }
 
   void Account() {
-    // Arena blocks + the id vector + an estimate of the index's node and
-    // bucket payload (string_view key, u32 value, hash bookkeeping).
-    constexpr int64_t kIndexEntryBytes = 48;
-    int64_t bytes = 0;
-    for (const std::string& block : blocks_) {
-      bytes += static_cast<int64_t>(block.size());
-    }
-    bytes += static_cast<int64_t>(views_.capacity() * sizeof(std::string_view));
-    bytes += static_cast<int64_t>(index_.size()) * kIndexEntryBytes;
-    tracked_.Set(bytes);
+    // Arena blocks + the id vector + the index's slots.
+    tracked_.Set(
+        block_bytes_ +
+        static_cast<int64_t>(views_.capacity() * sizeof(std::string_view)) +
+        index_.bytes());
   }
 
   std::vector<std::string> blocks_;  // stable: never resized after fill
   size_t block_used_ = 0;
+  int64_t block_bytes_ = 0;
   int64_t blob_bytes_ = 0;
   std::vector<std::string_view> views_;  // id -> string
-  std::unordered_map<std::string_view, uint32_t, StringViewHash,
-                     std::equal_to<>>
-      index_;
+  FlatIndex index_;                      // string -> id, over views_
   obs::TrackedBytes tracked_;
 };
 

@@ -1,7 +1,9 @@
 // String interning: bidirectional string <-> dense integer id mapping.
 //
 // Tables dictionary-encode their string columns with one `Dictionary` per
-// column, so tuples are plain int64 vectors and joins compare integers.
+// column, so tuples are plain int64 columns and joins compare integers.
+// Each string is stored once, in id order; a FlatIndex over the ids finds
+// a string's id from its hash without copying the key.
 
 #ifndef DISTINCT_COMMON_DICTIONARY_H_
 #define DISTINCT_COMMON_DICTIONARY_H_
@@ -10,8 +12,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "common/flat_index.h"
 
 namespace distinct {
 
@@ -32,8 +35,8 @@ class Dictionary {
   int64_t size() const { return static_cast<int64_t>(strings_.size()); }
 
  private:
-  std::unordered_map<std::string, int64_t> index_;
-  std::vector<std::string> strings_;
+  std::vector<std::string> strings_;  // id -> string
+  FlatIndex index_;                   // string -> id, over strings_
 };
 
 }  // namespace distinct

@@ -139,30 +139,33 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
 void Distinct::AbsorbNameRows(int64_t first_name_row, int64_t first_ref_row) {
   const Table& name_table = db_->table(resolved_.name_table_id);
   const Table& ref_table = db_->table(resolved_.reference_table_id);
-  const int pk_col = name_table.primary_key_column();
-  name_group_of_pk_.reserve(static_cast<size_t>(name_table.num_rows()));
+  name_group_of_row_.resize(static_cast<size_t>(name_table.num_rows()), -1);
   for (int64_t row = first_name_row; row < name_table.num_rows(); ++row) {
     if (name_table.IsNull(row, resolved_.name_column)) {
       continue;  // no name, no group: like a NULL identity below
     }
     const std::string& name = name_table.GetString(row, resolved_.name_column);
-    auto [it, inserted] = name_index_.emplace(name, name_groups_.size());
-    if (inserted) {
+    const int64_t group = name_index_.Intern(name);
+    if (group == static_cast<int64_t>(name_groups_.size())) {
       name_groups_.emplace_back(name, std::vector<int32_t>{});
     }
-    name_group_of_pk_[name_table.GetInt(row, pk_col)] = it->second;
+    name_group_of_row_[static_cast<size_t>(row)] = static_cast<int32_t>(group);
   }
   group_of_ref_.resize(static_cast<size_t>(ref_table.num_rows()), -1);
   for (int64_t row = first_ref_row; row < ref_table.num_rows(); ++row) {
     if (ref_table.IsNull(row, resolved_.identity_column)) {
       continue;
     }
-    auto it = name_group_of_pk_.find(
+    const StatusOr<int64_t> name_row = name_table.RowForPrimaryKey(
         ref_table.GetInt(row, resolved_.identity_column));
-    if (it != name_group_of_pk_.end()) {
-      name_groups_[it->second].second.push_back(static_cast<int32_t>(row));
-      group_of_ref_[static_cast<size_t>(row)] =
-          static_cast<int32_t>(it->second);
+    if (!name_row.ok()) {
+      continue;
+    }
+    const int32_t group = name_group_of_row_[static_cast<size_t>(*name_row)];
+    if (group >= 0) {
+      name_groups_[static_cast<size_t>(group)].second.push_back(
+          static_cast<int32_t>(row));
+      group_of_ref_[static_cast<size_t>(row)] = group;
     }
   }
 }
@@ -181,11 +184,11 @@ StatusOr<std::vector<int32_t>> Distinct::RefsForName(
   // Several name-table rows may carry the same string (e.g. two "Forgotten"
   // songs the catalog already tells apart); the index collapses them into
   // one group.
-  auto it = name_index_.find(name);
-  if (it == name_index_.end()) {
+  const std::optional<int64_t> group = name_index_.Find(name);
+  if (!group.has_value()) {
     return std::vector<int32_t>{};
   }
-  return name_groups_[it->second].second;
+  return name_groups_[static_cast<size_t>(*group)].second;
 }
 
 ProfileStore Distinct::BuildProfileStore(const std::vector<int32_t>& refs) {

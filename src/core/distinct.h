@@ -23,11 +23,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cluster/agglomerative.h"
+#include "common/dictionary.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "prop/propagation.h"
@@ -297,12 +297,14 @@ class Distinct {
   /// Kernel pool, created at Create() when config.num_threads > 1; null in
   /// serial mode.
   std::unique_ptr<ThreadPool> pool_;
-  /// name -> position in name_groups_ (groups in name-table row order).
+  /// Groups in name-table row order; name_index_'s id of a name is its
+  /// group's position.
   std::vector<std::pair<std::string, std::vector<int32_t>>> name_groups_;
-  std::unordered_map<std::string, size_t> name_index_;
-  /// name-table primary key -> position in name_groups_; lets ApplyDelta
-  /// route appended reference rows to their group without a rescan.
-  std::unordered_map<int64_t, size_t> name_group_of_pk_;
+  Dictionary name_index_;
+  /// name-table row -> position in name_groups_, or -1 for a NULL name;
+  /// with the name table's primary-key index it routes appended reference
+  /// rows to their group without a rescan (ApplyDelta).
+  std::vector<int32_t> name_group_of_row_;
   /// reference row -> position in name_groups_, or -1 (NameGroupOfRef).
   std::vector<int32_t> group_of_ref_;
   /// Engine-lifetime subtree memo + workspace pool (kWorkspace only), so

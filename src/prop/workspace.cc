@@ -157,19 +157,15 @@ size_t ApproxWorkspaceBytes(const LinkGraph& link,
     const PathShape shape = ShapePath(path, link.schema(), exclude_start_tuple);
     const std::vector<int>& at = shape.node_at;
     const size_t j = shape.junction;
-    // A reverse prefix step can widen the junction frontier to several
-    // hubs, whose merge holds a slab on the last node while each memo miss
-    // sweeps the suffix with the junction frontier held.
-    const bool merge = std::any_of(
-        path.steps.begin(), path.steps.begin() + static_cast<ptrdiff_t>(j),
-        [](const JoinStep& step) { return !step.forward; });
     size_t reach = 1;
     for (size_t i = 0; i < path.steps.size(); ++i) {
-      // Held while stepping from level i (level 0 is a single cell, no slab).
+      // Held while stepping from level i (level 0 is a single cell, no slab),
+      // below the junction with the junction frontier held too. A multi-hub
+      // merge holds the junction frontier and the last level together only
+      // after every suffix is swept, which the last step already counts.
       std::vector<int> held = {at[i + 1]};
       if (i > 0) held.push_back(at[i]);
       if (i > j) held.push_back(at[j]);
-      if (i >= j && merge) held.push_back(at.back());
       for (const int node : held) {
         slabs[node] = std::max<size_t>(
             slabs[node], std::count(held.begin(), held.end(), node));
@@ -383,28 +379,36 @@ std::optional<PathProfile> PropagateDense(
       total_instances = cell.count * (hub.suffix->instances - dropped);
       workspace.Release(*cur);
     } else {
-      Slab* out = &workspace.Acquire(node_at[k]);
-      for (const Slab::Cell& cell : cur->cells()) {
-        const std::shared_ptr<const SubtreeDistribution> dist =
-            subtree(cell.tuple);
-        const size_t skip = origin_index(*dist);
-        for (size_t e = 0; e < dist->size(); ++e) {
+      // Every hub's suffix first, so a miss's sweep down to the last node
+      // and the merge below reuse one slab there.
+      const std::vector<Slab::Cell>& hubs = cur->cells();
+      std::vector<std::shared_ptr<const SubtreeDistribution>> suffixes;
+      suffixes.reserve(hubs.size());
+      for (const Slab::Cell& cell : hubs) {
+        suffixes.push_back(subtree(cell.tuple));
+      }
+      Slab& out = workspace.Acquire(node_at[k]);
+      for (size_t h = 0; h < hubs.size(); ++h) {
+        const Slab::Cell& cell = hubs[h];
+        const SubtreeDistribution& dist = *suffixes[h];
+        const size_t skip = origin_index(dist);
+        for (size_t e = 0; e < dist.size(); ++e) {
           if (e != skip) {
-            out->Add(dist->tuples[e], cell.forward * dist->forward[e],
-                     cell.reverse * dist->reverse[e], 0.0);
+            out.Add(dist.tuples[e], cell.forward * dist.forward[e],
+                    cell.reverse * dist.reverse[e], 0.0);
           }
         }
-        const double dropped = skip < dist->size() ? dist->walks[skip] : 0.0;
-        total_instances += cell.count * (dist->instances - dropped);
+        const double dropped = skip < dist.size() ? dist.walks[skip] : 0.0;
+        total_instances += cell.count * (dist.instances - dropped);
       }
       workspace.Release(*cur);
-      out->Sort();
+      out.Sort();
       std::vector<ProfileEntry> entries;
-      entries.reserve(out->cells().size());
-      for (const Slab::Cell& cell : out->cells()) {
+      entries.reserve(out.cells().size());
+      for (const Slab::Cell& cell : out.cells()) {
         entries.push_back(ProfileEntry{cell.tuple, cell.forward, cell.reverse});
       }
-      workspace.Release(*out);
+      workspace.Release(out);
       profile.entries = NeighborProfile(std::move(entries));
     }
   }

@@ -119,9 +119,9 @@ class PropagationWorkspace {
   const LinkGraph& link() const { return *link_; }
 
   /// An empty slab over `node_id`'s universe. Several slabs of one node can
-  /// be live at once (a multi-hub merge holds one on the last node while a
-  /// memo miss sweeps down to it); slabs are allocated only when a node
-  /// needs one more, then recycled.
+  /// be live at once (a path that holds its junction frontier while it
+  /// sweeps the suffix may meet the junction's node again below it); slabs
+  /// are allocated only when a node needs one more, then recycled.
   Slab& Acquire(int node_id);
 
   /// Returns a slab to the free pool and counts its cells' growth in the

@@ -6,9 +6,21 @@
 
 namespace distinct {
 
+namespace {
+
+/// Whether the row with a probed id holds primary key `pk`.
+auto KeyIs(const std::vector<int64_t>& keys, int64_t pk) {
+  return [&keys, pk](int64_t row) {
+    return keys[static_cast<size_t>(row)] == pk;
+  };
+}
+
+}  // namespace
+
 Table::Table(std::string name, std::vector<ColumnSpec> columns)
     : name_(std::move(name)),
       columns_(std::move(columns)),
+      cells_(columns_.size()),
       dictionaries_(columns_.size()) {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].is_primary_key) {
@@ -74,52 +86,64 @@ StatusOr<int64_t> Table::AppendRow(const std::vector<Value>& values) {
         "table '%s': row arity %zu != schema arity %d", name_.c_str(),
         values.size(), num_columns()));
   }
-  std::vector<int64_t> raw_row(values.size());
+  // Each cell goes straight onto its column; a rejected row takes its
+  // cells back off.
+  const int64_t row = num_rows();
+  const auto reject = [&](Status status) {
+    for (std::vector<int64_t>& column : cells_) {
+      column.resize(static_cast<size_t>(row));
+    }
+    return status;
+  };
   for (size_t i = 0; i < values.size(); ++i) {
     const ColumnSpec& spec = columns_[i];
     const Value& value = values[i];
     if (value.is_null()) {
       if (spec.is_primary_key) {
-        return InvalidArgumentError("table '" + name_ +
-                                    "': NULL primary key");
+        return reject(
+            InvalidArgumentError("table '" + name_ + "': NULL primary key"));
       }
-      raw_row[i] = kNullCell;
+      cells_[i].push_back(kNullCell);
       continue;
     }
     if (value.type() != spec.type) {
-      return InvalidArgumentError(StrFormat(
+      return reject(InvalidArgumentError(StrFormat(
           "table '%s' column '%s': expected %s, got %s", name_.c_str(),
           spec.name.c_str(), ColumnTypeToString(spec.type),
-          ColumnTypeToString(value.type())));
+          ColumnTypeToString(value.type()))));
     }
     if (spec.type == ColumnType::kInt64) {
       if (value.AsInt() == kNullCell) {
-        return InvalidArgumentError("table '" + name_ +
-                                    "': INT64_MIN is reserved for NULL");
+        return reject(InvalidArgumentError(
+            "table '" + name_ + "': INT64_MIN is reserved for NULL"));
       }
-      raw_row[i] = value.AsInt();
+      cells_[i].push_back(value.AsInt());
     } else {
-      raw_row[i] = dictionaries_[i].Intern(value.AsString());
+      cells_[i].push_back(dictionaries_[i].Intern(value.AsString()));
     }
   }
 
-  const int64_t row = num_rows();
   if (pk_column_ >= 0) {
-    const int64_t pk = raw_row[static_cast<size_t>(pk_column_)];
-    if (!pk_index_.emplace(pk, row).second) {
-      return AlreadyExistsError(StrFormat(
-          "table '%s': duplicate primary key %lld", name_.c_str(),
-          static_cast<long long>(pk)));
+    DISTINCT_DCHECK(pk_index_.size() == row);
+    const std::vector<int64_t>& keys = cells_[static_cast<size_t>(pk_column_)];
+    const int64_t pk = keys.back();
+    const int64_t holder = pk_index_.FindOrInsert(
+        static_cast<uint64_t>(pk), KeyIs(keys, pk), [&keys](int64_t old) {
+          return static_cast<uint64_t>(keys[static_cast<size_t>(old)]);
+        });
+    if (holder != row) {
+      return reject(AlreadyExistsError(
+          StrFormat("table '%s': duplicate primary key %lld", name_.c_str(),
+                    static_cast<long long>(pk))));
     }
   }
-  rows_.push_back(std::move(raw_row));
   return row;
 }
 
 int64_t Table::raw(int64_t row, int col) const {
   DISTINCT_DCHECK(row >= 0 && row < num_rows());
   DISTINCT_DCHECK(col >= 0 && col < num_columns());
-  return rows_[static_cast<size_t>(row)][static_cast<size_t>(col)];
+  return cells_[static_cast<size_t>(col)][static_cast<size_t>(row)];
 }
 
 int64_t Table::GetInt(int64_t row, int col) const {
@@ -161,13 +185,15 @@ StatusOr<int64_t> Table::RowForPrimaryKey(int64_t pk) const {
     return FailedPreconditionError("table '" + name_ +
                                    "' has no primary key");
   }
-  auto it = pk_index_.find(pk);
-  if (it == pk_index_.end()) {
+  const int64_t row = pk_index_.Find(
+      static_cast<uint64_t>(pk),
+      KeyIs(cells_[static_cast<size_t>(pk_column_)], pk));
+  if (row < 0) {
     return NotFoundError(StrFormat("table '%s': no row with pk %lld",
                                    name_.c_str(),
                                    static_cast<long long>(pk)));
   }
-  return it->second;
+  return row;
 }
 
 const Dictionary& Table::dictionary(int col) const {

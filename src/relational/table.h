@@ -1,10 +1,11 @@
 // In-memory relational table with dictionary-encoded string columns.
 //
-// Rows are stored columnar-free as int64 vectors: int64 cells hold their
-// value, string cells hold a per-column dictionary id, NULL cells hold
-// `kNullCell`. A table may declare one int64 primary-key column (unique,
-// hash-indexed) and any number of foreign-key columns referencing other
-// tables' primary keys.
+// Cells are stored column by column, one int64 vector per column: int64
+// cells hold their value, string cells hold a per-column dictionary id,
+// NULL cells hold `kNullCell`. A table may declare one int64 primary-key
+// column (unique, indexed by a FlatIndex of row ids over the key column
+// itself) and any number of foreign-key columns referencing other tables'
+// primary keys.
 
 #ifndef DISTINCT_RELATIONAL_TABLE_H_
 #define DISTINCT_RELATIONAL_TABLE_H_
@@ -12,10 +13,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/dictionary.h"
+#include "common/flat_index.h"
 #include "common/status.h"
 #include "relational/value.h"
 
@@ -45,7 +46,7 @@ class Table {
 
   const std::string& name() const { return name_; }
   int num_columns() const { return static_cast<int>(columns_.size()); }
-  int64_t num_rows() const { return static_cast<int64_t>(rows_.size()); }
+  int64_t num_rows() const { return static_cast<int64_t>(cells_[0].size()); }
   const ColumnSpec& column(int index) const;
 
   /// Index of the column called `name`, or NotFound.
@@ -61,7 +62,9 @@ class Table {
   /// Appends a row. `values` must match the schema arity and types
   /// (NULL allowed anywhere except the primary key; INT64_MIN, the raw NULL
   /// cell, is refused in int64 columns). Duplicate primary keys are
-  /// rejected. Returns the new row index.
+  /// rejected. A rejected row appends nothing, though strings interned
+  /// before the failing check stay in their dictionaries. Returns the new
+  /// row index.
   StatusOr<int64_t> AppendRow(const std::vector<Value>& values);
 
   /// Raw cell payload (int64 value, dictionary id, or kNullCell).
@@ -102,10 +105,10 @@ class Table {
 
   std::string name_;
   std::vector<ColumnSpec> columns_;
-  std::vector<std::vector<int64_t>> rows_;
+  std::vector<std::vector<int64_t>> cells_;  // cells_[col][row]
   std::vector<Dictionary> dictionaries_;  // one per column; unused for ints
   int pk_column_ = -1;
-  std::unordered_map<int64_t, int64_t> pk_index_;  // pk value -> row
+  FlatIndex pk_index_;  // pk value -> row, over cells_[pk_column_]
 };
 
 }  // namespace distinct

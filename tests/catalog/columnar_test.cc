@@ -1,23 +1,29 @@
 // On-disk columnar catalog: dictionary round-trip through mmap, segment
 // column views, and the reopen/corruption contract — corrupt CRCs, foreign
 // format versions and CRC-consistent files whose ids leave their
-// dictionaries are rejected, a catalog killed mid-ingest (no
-// manifest) reads as NotFound, and a fresh ingest over the debris succeeds
-// and then sweeps it.
+// dictionaries are rejected, seeded mutations of every file come back as
+// a Status, a catalog killed mid-ingest (no manifest) reads as NotFound,
+// and a fresh ingest over the debris succeeds and then sweeps it.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "catalog/format.h"
+#include "catalog/ingest.h"
 #include "catalog/reader.h"
 #include "catalog/writer.h"
 #include "common/crc32.h"
 #include "common/io_util.h"
+#include "common/rng.h"
+#include "core/distinct.h"
+#include "dblp/schema.h"
+#include "dblp/xml_corpus.h"
 #include "gtest/gtest.h"
 
 namespace distinct {
@@ -88,14 +94,20 @@ class ColumnarCatalogTest : public ::testing::Test {
   /// vouches for.
   void RewriteWithValidCrc(const std::string& file, size_t at,
                            uint64_t value, size_t width) {
-    const std::string path = dir_ + "/" + file;
-    auto data = ReadFileToString(path);
+    auto data = ReadFileToString(dir_ + "/" + file);
     ASSERT_TRUE(data.ok()) << data.status().ToString();
     ASSERT_LE(at + width, data->size() - 4);
     std::memcpy(data->data() + at, &value, width);
-    const uint32_t crc = Crc32c(data->data(), data->size() - 4);
-    std::memcpy(data->data() + data->size() - 4, &crc, 4);
-    ASSERT_TRUE(WriteStringToFile(path, *data).ok());
+    WriteWithValidCrc(file, *std::move(data));
+  }
+
+  /// Writes `data` as `file` after recomputing its CRC-32C trailer (its
+  /// last 4 bytes) and the CRC the manifest records for it.
+  void WriteWithValidCrc(const std::string& file, std::string data) {
+    ASSERT_GE(data.size(), 4u);
+    const uint32_t crc = Crc32c(data.data(), data.size() - 4);
+    std::memcpy(data.data() + data.size() - 4, &crc, 4);
+    ASSERT_TRUE(WriteStringToFile(dir_ + "/" + file, data).ok());
 
     const std::string manifest_path = dir_ + "/" + kManifestFile;
     auto manifest = ReadFileToString(manifest_path);
@@ -410,6 +422,92 @@ TEST_F(ColumnarCatalogTest, EachIngestGetsADistinctNonZeroGeneration) {
   EXPECT_NE(first.generation, 0);
   EXPECT_NE(second.generation, 0);
   EXPECT_NE(first.generation, second.generation);
+}
+
+// Seeded mutations of every file of a small ingested catalog: byte flips,
+// truncations and extensions, written as they fall or under recomputed
+// CRCs. Open answers each with a Status, and a mutated binary file whose
+// CRCs were left alone never opens. A catalog that does open materializes
+// and builds an engine or fails with a Status: never a crash.
+TEST_F(ColumnarCatalogTest, SeededMutationsFailWithAStatusOrOpen) {
+  const std::string xml_path = dir_ + ".xml";
+  XmlCorpusConfig corpus;
+  corpus.seed = 20261019;
+  corpus.target_refs = 200;
+  ASSERT_TRUE(WriteSyntheticDblpXml(xml_path, corpus).ok());
+  IngestOptions ingest;
+  ingest.segment_papers = 48;  // several segments
+  ASSERT_TRUE(IngestDblpXml(xml_path, dir_, ingest).ok());
+  std::filesystem::remove(xml_path);
+
+  std::map<std::string, std::string> pristine;
+  for (const std::string& file : DirectoryFiles()) {
+    auto bytes = ReadFileToString(dir_ + "/" + file);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    pristine[file] = *std::move(bytes);
+  }
+  ASSERT_GE(pristine.size(), 6u);  // manifest, 3 dictionaries, segments
+
+  DistinctConfig config;
+  config.supervised = false;
+  config.promotions = DblpDefaultPromotions();
+  Rng rng(20261019);
+  int opened = 0;
+  int created = 0;
+  for (const auto& [file, original] : pristine) {
+    const bool binary = file != kManifestFile;
+    for (int m = 0; m < 100; ++m) {
+      std::string data = original;
+      const int64_t size = static_cast<int64_t>(data.size());
+      switch (rng.UniformInt(0, 2)) {
+        case 0:  // flip 1-3 bytes
+          for (int64_t n = rng.UniformInt(1, 3); n > 0; --n) {
+            data[static_cast<size_t>(rng.UniformInt(0, size - 1))] ^=
+                static_cast<char>(rng.UniformInt(1, 255));
+          }
+          break;
+        case 1:  // truncate
+          data.resize(static_cast<size_t>(rng.UniformInt(0, size - 1)));
+          break;
+        default:  // extend
+          for (int64_t n = rng.UniformInt(1, 16); n > 0; --n) {
+            data.push_back(static_cast<char>(rng.UniformInt(0, 255)));
+          }
+      }
+      const bool recompute = binary && data.size() >= 4 && rng.Bernoulli(0.5);
+      const std::string context = file + " mutation " + std::to_string(m) +
+                                  (recompute ? " (CRCs recomputed)" : "");
+      if (recompute) {
+        WriteWithValidCrc(file, data);
+      } else {
+        ASSERT_TRUE(WriteStringToFile(dir_ + "/" + file, data).ok());
+      }
+
+      {  // the mapping is gone before the files are restored
+        auto reader = CatalogReader::Open(dir_);
+        if (!reader.ok()) {
+          EXPECT_FALSE(reader.status().message().empty()) << context;
+        } else {
+          EXPECT_FALSE(binary && !recompute && data != original) << context;
+          ++opened;
+          auto materialized = (*reader)->MaterializeDatabase();
+          if (materialized.ok()) {
+            auto engine = Distinct::Create(materialized->db,
+                                           DblpReferenceSpec(), config);
+            created += engine.ok() ? 1 : 0;
+          }
+        }
+      }
+      ASSERT_TRUE(WriteStringToFile(dir_ + "/" + file, original).ok());
+      ASSERT_TRUE(WriteStringToFile(dir_ + "/" + kManifestFile,
+                                    pristine.at(kManifestFile))
+                      .ok());
+    }
+  }
+  // Some mutations must reach the materializer and the engine for the
+  // test to mean anything.
+  EXPECT_GT(opened, 0);
+  EXPECT_GT(created, 0);
 }
 
 TEST_F(ColumnarCatalogTest, TinyBudgetIsResourceExhausted) {

@@ -611,6 +611,66 @@ TEST(ApproxWorkspaceBytesTest, BoundsAWorkspaceWarmedOverEveryPath) {
   EXPECT_LE(estimate, 2 * allocated);
 }
 
+// A multi-hub merge resolves every hub's suffix before it takes its slab
+// on the last node, so each memo miss's sweep down to that node and the
+// merge reuse one slab there. Warmed over the co-author path of the
+// seed-42 engine with the memo off, a workspace allocates one slot index
+// per node the path steps onto: a second Publish index would show as more
+// than the cells could account for.
+TEST(ApproxWorkspaceBytesTest, MultiHubMergeSharesTheLastNodesSlab) {
+  auto dataset = GenerateDblpDataset(GeneratorConfig{});
+  ASSERT_TRUE(dataset.ok());
+  DistinctConfig config;
+  config.supervised = false;
+  config.promotions = DblpDefaultPromotions();
+  auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+  ASSERT_TRUE(engine.ok());
+  const LinkGraph& link = engine->propagation_engine().link();
+  const SchemaGraph& schema = link.schema();
+  const PropagationOptions& options = engine->config().propagation;
+  auto refs = engine->RefsForName("Wei Wang");
+  ASSERT_TRUE(refs.ok());
+
+  const std::vector<std::string> coauthor_nodes = {
+      "Publish", "Publications", "Publish", "Authors", "Publish"};
+  const JoinPath* coauthor = nullptr;
+  for (const JoinPath& path : engine->paths()) {
+    std::vector<std::string> names;
+    for (const int node : path.LevelNodes(schema)) {
+      names.push_back(schema.node(node).name);
+    }
+    if (names == coauthor_nodes) coauthor = &path;
+  }
+  ASSERT_NE(coauthor, nullptr);
+  const PathShape shape =
+      ShapePath(*coauthor, schema, options.exclude_start_tuple);
+
+  const auto gauge = [] {
+    return obs::MemoryTracker::Global().CurrentBytes(
+        obs::MemoryTracker::kPropagationWorkspace);
+  };
+  const int64_t before = gauge();
+  PropagationWorkspace workspace(link);
+  int multi_hub = 0;
+  for (const int32_t ref : *refs) {
+    const std::optional<PathProfile> profile =
+        PropagateDense(link, *coauthor, ref, options, shape, workspace,
+                       /*cache=*/nullptr, /*cache_path_id=*/0);
+    ASSERT_TRUE(profile.has_value());
+    multi_hub += profile->is_hub() ? 0 : 1;
+  }
+  EXPECT_GT(multi_hub, 0);  // the merge must run for this to mean anything
+
+  const auto slot_index = [&](size_t level) {
+    return static_cast<int64_t>(link.NumTuples(shape.node_at[level]) *
+                                sizeof(uint32_t));
+  };
+  const int64_t slot_indexes = slot_index(1) + slot_index(2) + slot_index(3);
+  const int64_t cells = gauge() - before - slot_indexes;
+  EXPECT_GE(cells, 0);
+  EXPECT_LT(cells, slot_index(4)) << "a second Publish slot index";
+}
+
 /// The tentpole's end-to-end guarantee: identical clustering with the memo
 /// on vs. off, serial and parallel.
 TEST(WorkspaceEndToEndTest, ClusteringIdenticalCacheOnOffAcrossThreads) {
