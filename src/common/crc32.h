@@ -5,9 +5,9 @@
 // disk, or a partially synced page is detected at open time instead of
 // surfacing later as silently wrong resolver output. CRC-32C is used (not
 // the zip polynomial) for its better error-detection properties on the
-// short-burst corruptions file systems actually produce; this is the plain
-// table-driven software implementation, fast enough to check a multi-GB
-// catalog at hundreds of MB/s during open.
+// short-burst corruptions file systems actually produce. This is a portable
+// table-driven software implementation that consumes eight bytes per step
+// (slicing-by-8), with no ISA-specific path.
 
 #ifndef DISTINCT_COMMON_CRC32_H_
 #define DISTINCT_COMMON_CRC32_H_

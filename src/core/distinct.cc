@@ -1,5 +1,6 @@
 #include "core/distinct.h"
 
+#include "common/dictionary.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -139,17 +140,20 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
 void Distinct::AbsorbNameRows(int64_t first_name_row, int64_t first_ref_row) {
   const Table& name_table = db_->table(resolved_.name_table_id);
   const Table& ref_table = db_->table(resolved_.reference_table_id);
+  const Dictionary& names = name_table.dictionary(resolved_.name_column);
   name_group_of_row_.resize(static_cast<size_t>(name_table.num_rows()), -1);
+  group_of_name_id_.resize(static_cast<size_t>(names.size()), -1);
   for (int64_t row = first_name_row; row < name_table.num_rows(); ++row) {
-    if (name_table.IsNull(row, resolved_.name_column)) {
+    const int64_t id = name_table.raw(row, resolved_.name_column);
+    if (id == kNullCell) {
       continue;  // no name, no group: like a NULL identity below
     }
-    const std::string& name = name_table.GetString(row, resolved_.name_column);
-    const int64_t group = name_index_.Intern(name);
-    if (group == static_cast<int64_t>(name_groups_.size())) {
-      name_groups_.emplace_back(name, std::vector<int32_t>{});
+    int32_t& group = group_of_name_id_[static_cast<size_t>(id)];
+    if (group < 0) {
+      group = static_cast<int32_t>(name_groups_.size());
+      name_groups_.emplace_back(names.Lookup(id), std::vector<int32_t>{});
     }
-    name_group_of_row_[static_cast<size_t>(row)] = static_cast<int32_t>(group);
+    name_group_of_row_[static_cast<size_t>(row)] = group;
   }
   group_of_ref_.resize(static_cast<size_t>(ref_table.num_rows()), -1);
   for (int64_t row = first_ref_row; row < ref_table.num_rows(); ++row) {
@@ -182,13 +186,19 @@ AgglomerativeOptions Distinct::cluster_options() const {
 StatusOr<std::vector<int32_t>> Distinct::RefsForName(
     const std::string& name) const {
   // Several name-table rows may carry the same string (e.g. two "Forgotten"
-  // songs the catalog already tells apart); the index collapses them into
-  // one group.
-  const std::optional<int64_t> group = name_index_.Find(name);
-  if (!group.has_value()) {
+  // songs the catalog already tells apart); they share its dictionary id,
+  // so the index collapses them into one group.
+  const std::optional<int64_t> id =
+      db_->table(resolved_.name_table_id)
+          .FindString(resolved_.name_column, name);
+  const int32_t group =
+      id.has_value() && *id < static_cast<int64_t>(group_of_name_id_.size())
+          ? group_of_name_id_[static_cast<size_t>(*id)]
+          : -1;
+  if (group < 0) {
     return std::vector<int32_t>{};
   }
-  return name_groups_[static_cast<size_t>(*group)].second;
+  return name_groups_[static_cast<size_t>(group)].second;
 }
 
 ProfileStore Distinct::BuildProfileStore(const std::vector<int32_t>& refs) {

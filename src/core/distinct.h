@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "cluster/agglomerative.h"
-#include "common/dictionary.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "prop/propagation.h"
@@ -297,10 +296,13 @@ class Distinct {
   /// Kernel pool, created at Create() when config.num_threads > 1; null in
   /// serial mode.
   std::unique_ptr<ThreadPool> pool_;
-  /// Groups in name-table row order; name_index_'s id of a name is its
-  /// group's position.
+  /// Groups in the order of their names' first name-table rows.
   std::vector<std::pair<std::string, std::vector<int32_t>>> name_groups_;
-  Dictionary name_index_;
+  /// The name column's dictionary id -> position in name_groups_, or -1
+  /// until a name-table row carries that id (a string a rejected append
+  /// left in the dictionary has no group). The ids already identify the
+  /// names, so the index holds no string of its own.
+  std::vector<int32_t> group_of_name_id_;
   /// name-table row -> position in name_groups_, or -1 for a NULL name;
   /// with the name table's primary-key index it routes appended reference
   /// rows to their group without a rescan (ApplyDelta).

@@ -132,32 +132,6 @@ int64_t LinkGraph::NumTuples(int node_id) const {
   return num_tuples_[static_cast<size_t>(node_id)];
 }
 
-std::span<const int32_t> LinkGraph::Forward(int edge_id,
-                                            int32_t tuple) const {
-  const EdgeAdjacency& adjacency = edges_[static_cast<size_t>(edge_id)];
-  DISTINCT_DCHECK(tuple >= 0 && static_cast<size_t>(tuple) <
-                                    adjacency.forward_target.size());
-  const int32_t* slot = &adjacency.forward_target[static_cast<size_t>(tuple)];
-  if (*slot < 0) {
-    return {};
-  }
-  return {slot, 1};
-}
-
-std::span<const int32_t> LinkGraph::Reverse(int edge_id,
-                                            int32_t tuple) const {
-  const EdgeAdjacency& adjacency = edges_[static_cast<size_t>(edge_id)];
-  DISTINCT_DCHECK(tuple >= 0 &&
-                  static_cast<size_t>(tuple) + 1 <
-                      adjacency.reverse_offsets.size());
-  const int64_t begin =
-      adjacency.reverse_offsets[static_cast<size_t>(tuple)];
-  const int64_t end =
-      adjacency.reverse_offsets[static_cast<size_t>(tuple) + 1];
-  return {adjacency.reverse_items.data() + begin,
-          static_cast<size_t>(end - begin)};
-}
-
 std::string LinkGraph::TupleLabel(int node_id, int32_t tuple) const {
   const SchemaNode& node = schema_->node(node_id);
   const Table& table = schema_->db().table(node.table_id);

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "relational/join_path.h"
 #include "relational/schema_graph.h"
@@ -51,11 +52,37 @@ class LinkGraph {
   int64_t NumTuples(int node_id) const;
 
   /// Tuples reached from `tuple` walking `edge_id` forward
-  /// (from_node -> to_node). Zero or one element for FK/attribute edges.
-  std::span<const int32_t> Forward(int edge_id, int32_t tuple) const;
+  /// (from_node -> to_node): zero elements for a NULL cell, else exactly
+  /// one, since every edge is an FK or a promoted attribute. Inline, as
+  /// propagation calls it once per frontier cell per forward step.
+  std::span<const int32_t> Forward(int edge_id, int32_t tuple) const {
+    const EdgeAdjacency& adjacency = edges_[static_cast<size_t>(edge_id)];
+    DISTINCT_DCHECK(tuple >= 0 && static_cast<size_t>(tuple) <
+                                      adjacency.forward_target.size());
+    const int32_t* slot =
+        &adjacency.forward_target[static_cast<size_t>(tuple)];
+    if (*slot < 0) {
+      return {};
+    }
+    return {slot, 1};
+  }
 
-  /// Tuples reached walking `edge_id` in reverse (to_node -> from_node).
-  std::span<const int32_t> Reverse(int edge_id, int32_t tuple) const;
+  /// Tuples reached walking `edge_id` in reverse (to_node -> from_node):
+  /// the rows whose one forward target is `tuple`, in ascending row order.
+  /// Every row with a target sits in exactly one reverse list of the edge,
+  /// so the reverse lists of distinct tuples are disjoint.
+  std::span<const int32_t> Reverse(int edge_id, int32_t tuple) const {
+    const EdgeAdjacency& adjacency = edges_[static_cast<size_t>(edge_id)];
+    DISTINCT_DCHECK(tuple >= 0 &&
+                    static_cast<size_t>(tuple) + 1 <
+                        adjacency.reverse_offsets.size());
+    const int64_t begin =
+        adjacency.reverse_offsets[static_cast<size_t>(tuple)];
+    const int64_t end =
+        adjacency.reverse_offsets[static_cast<size_t>(tuple) + 1];
+    return {adjacency.reverse_items.data() + begin,
+            static_cast<size_t>(end - begin)};
+  }
 
   /// Neighbors of `tuple` at `at_node` along `step`.
   std::span<const int32_t> Neighbors(const JoinStep& step,
@@ -66,6 +93,7 @@ class LinkGraph {
 
   /// Fanout in the direction opposite to `step`, evaluated at the tuple the
   /// step arrived at; this is the denominator of the reverse probability.
+  /// After a reverse step it is always 1 (the arrived row's one target).
   int64_t ReverseFanout(const JoinStep& step, int32_t arrived_tuple) const {
     return step.forward ? Reverse(step.edge_id, arrived_tuple).size()
                         : Forward(step.edge_id, arrived_tuple).size();

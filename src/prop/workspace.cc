@@ -245,6 +245,15 @@ namespace {
 /// level `to` (> from), pruning walks into `excluded` (-1 for none) at
 /// start-node levels. Every level's frontier is read in ascending tuple id.
 /// Returns the sorted slab of level `to`, which the caller releases.
+///
+/// Each step does only what its direction needs, and stores bit for bit the
+/// transition the depth-first walker computes from LinkGraph::Neighbors and
+/// ReverseFanout, summed through Slab::Add:
+///  * forward: at most one target, so the forward share divides by 1
+///    (x / 1.0 == x). Many rows can reach one target, so it accumulates.
+///  * reverse: each reached row's one forward target is the frontier tuple,
+///    so the back fan-out is 1 (x / 1.0 == x), and a row is in exactly one
+///    reverse list, so no row is reached twice: Append, a first touch.
 Slab& Sweep(const LinkGraph& link, const JoinPath& path,
             const std::vector<int>& node_at, size_t from, size_t to,
             int32_t tuple, int32_t excluded,
@@ -257,18 +266,31 @@ Slab& Sweep(const LinkGraph& link, const JoinPath& path,
     const JoinStep& step = path.steps[i];
     const bool exclude = excluded >= 0 && node_at[i + 1] == node_at[0];
     Slab& next = workspace.Acquire(node_at[i + 1]);
-    for (const Slab::Cell& cell : frontier) {
-      const std::span<const int32_t> targets = link.Neighbors(step, cell.tuple);
-      if (targets.empty()) {
-        continue;  // NULL FK or no referencing rows: this mass is lost
-      }
-      const double share = cell.forward / static_cast<double>(targets.size());
-      for (const int32_t target : targets) {
-        if (exclude && target == excluded) {
-          continue;  // walks through the origin carry no identity signal
+    if (step.forward) {
+      for (const Slab::Cell& cell : frontier) {
+        for (const int32_t target : link.Forward(step.edge_id, cell.tuple)) {
+          if (exclude && target == excluded) {
+            continue;  // walks through the origin carry no identity signal
+          }
+          const auto back = static_cast<double>(
+              link.Reverse(step.edge_id, target).size());
+          next.Add(target, cell.forward, cell.reverse / back, cell.count);
         }
-        const auto back = static_cast<double>(link.ReverseFanout(step, target));
-        next.Add(target, share, cell.reverse / back, cell.count);
+      }
+    } else {
+      for (const Slab::Cell& cell : frontier) {
+        const std::span<const int32_t> rows =
+            link.Reverse(step.edge_id, cell.tuple);
+        if (rows.empty()) {
+          continue;  // no referencing rows: this mass is lost
+        }
+        const double share = cell.forward / static_cast<double>(rows.size());
+        for (const int32_t row : rows) {
+          if (exclude && row == excluded) {
+            continue;
+          }
+          next.Append(row, share, cell.reverse, cell.count);
+        }
       }
     }
     if (cur != nullptr) workspace.Release(*cur);
@@ -387,15 +409,23 @@ std::optional<PathProfile> PropagateDense(
       for (const Slab::Cell& cell : hubs) {
         suffixes.push_back(subtree(cell.tuple));
       }
+      // On a reverse suffix the hubs' suffixes share no tuple (PathShape),
+      // so every entry is a first touch and is appended.
       Slab& out = workspace.Acquire(node_at[k]);
       for (size_t h = 0; h < hubs.size(); ++h) {
         const Slab::Cell& cell = hubs[h];
         const SubtreeDistribution& dist = *suffixes[h];
         const size_t skip = origin_index(dist);
         for (size_t e = 0; e < dist.size(); ++e) {
-          if (e != skip) {
-            out.Add(dist.tuples[e], cell.forward * dist.forward[e],
-                    cell.reverse * dist.reverse[e], 0.0);
+          if (e == skip) {
+            continue;
+          }
+          const double forward = cell.forward * dist.forward[e];
+          const double reverse = cell.reverse * dist.reverse[e];
+          if (shape.reverse_suffix) {
+            out.Append(dist.tuples[e], forward, reverse, 0.0);
+          } else {
+            out.Add(dist.tuples[e], forward, reverse, 0.0);
           }
         }
         const double dropped = skip < dist.size() ? dist.walks[skip] : 0.0;

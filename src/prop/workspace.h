@@ -11,8 +11,13 @@
 //    masses, instance count) per touched tuple in first-touch order. A
 //    slot names its tuple's cell only when that cell holds the tuple, so
 //    clearing a slab empties its cells and leaves the slots stale. Sweeps
-//    read a frontier's cells in sequence, with no hashing. A workspace
-//    belongs to one thread at a time and is recycled across references.
+//    read a frontier's cells in sequence, with no hashing. A forward step
+//    (many rows may reach one target) accumulates through the slot index
+//    with Add; a reverse step, which reaches each row once, and the merge
+//    of hub suffixes that share no tuple push cells with Append and never
+//    touch it. A frontier is sorted only when its cells are out of order.
+//    A workspace belongs to one thread at a time and is recycled across
+//    references.
 //
 //  * SubtreeCache memoizes, per join path, the distribution emanating from
 //    a junction tuple down the path's suffix. The junction (see
@@ -37,7 +42,10 @@
 // merges memoized suffixes in ascending junction-tuple order, and a cache
 // hit returns exactly the value a miss would recompute, so profiles are
 // bit-identical regardless of cache capacity, hit/miss pattern, or thread
-// count.
+// count. Specializing a step by direction changes no bit: a division by a
+// fan-out of 1 is the identity, Append's 0.0 + x is a first Add, and a
+// skipped sort leaves the cells in the one order a sort gives distinct
+// tuples.
 
 #ifndef DISTINCT_PROP_WORKSPACE_H_
 #define DISTINCT_PROP_WORKSPACE_H_
@@ -52,6 +60,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "obs/memory.h"
 #include "prop/link_graph.h"
 #include "prop/profile.h"
@@ -92,13 +101,33 @@ class PropagationWorkspace {
       cell.count += count;
     }
 
+    /// Appends a cell for `tuple`, which no Add or Append has touched since
+    /// Acquire, holding what a first-touch Add would: each field is
+    /// 0.0 + its input (so a -0.0 input reads +0.0). Neither reads nor
+    /// writes the tuple's slot, so no Add of the tuple may follow. For
+    /// callers that reach each tuple at most once: a reverse step, whose
+    /// rows each have one forward target, and a merge of hub suffixes that
+    /// share no tuple.
+    void Append(int32_t tuple, double forward, double reverse, double count) {
+      DISTINCT_DCHECK(slot_[static_cast<size_t>(tuple)] >= cells_.size() ||
+                      cells_[slot_[static_cast<size_t>(tuple)]].tuple !=
+                          tuple);
+      cells_.push_back(Cell{tuple, 0.0 + forward, 0.0 + reverse, 0.0 + count});
+    }
+
     /// The touched tuples' cells, in ascending tuple id after Sort().
     const std::vector<Cell>& cells() const { return cells_; }
 
     /// Orders the cells by tuple id, as every sweep does before reading a
-    /// frontier, so accumulation order is reproducible. Slots then no
-    /// longer name their cells: no Add may follow until the next Acquire.
-    void Sort() { std::ranges::sort(cells_, {}, &Cell::tuple); }
+    /// frontier, so accumulation order is reproducible. The tuples are
+    /// distinct, so cells already ascending are left as they are, which is
+    /// where a sort would put them. Slots then no longer name their cells:
+    /// no Add may follow until the next Acquire.
+    void Sort() {
+      if (!std::ranges::is_sorted(cells_, {}, &Cell::tuple)) {
+        std::ranges::sort(cells_, {}, &Cell::tuple);
+      }
+    }
 
    private:
     friend class PropagationWorkspace;
@@ -327,7 +356,9 @@ struct PathShape {
   /// A memoizable suffix of reverse steps only. Each end tuple then has
   /// exactly one way back to its hub (every step back is the one FK or
   /// attribute value of a row), so the suffixes of different hubs share
-  /// no tuple.
+  /// no tuple. PropagateDense's multi-hub merge relies on it to append
+  /// each hub's entries instead of accumulating them, and the profile
+  /// store to mark candidate pairs hub by hub.
   bool reverse_suffix = false;
 };
 

@@ -538,11 +538,15 @@ Status XmlStreamParser::Finish() {
   if (!failed_.ok()) {
     return failed_;
   }
+  // Both errors sit at the end of the input.
+  const size_t end = consumed_ + buffer_.size();
   if (!open_elements_.empty()) {
-    failed_ = DataLossError("XML parse error: unclosed element <" +
-                            open_elements_.back() + ">");
+    failed_ = DataLossError(StrFormat(
+        "XML parse error at byte %zu: unclosed element <%s>", end,
+        open_elements_.back().c_str()));
   } else if (!saw_element_) {
-    failed_ = DataLossError("XML parse error: no root element");
+    failed_ = DataLossError(
+        StrFormat("XML parse error at byte %zu: no root element", end));
   }
   return failed_;
 }

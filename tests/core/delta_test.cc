@@ -645,6 +645,10 @@ TEST_F(DeltaTest, NameIndexAfterDeltaMatchesFreshCreate) {
   EXPECT_EQ(engine->name_groups(), fresh->name_groups());
   ASSERT_EQ(engine->name_groups().size(), names_before + 1);
   EXPECT_EQ(engine->name_groups().back().first, "Brand New Name");
+  auto new_refs = engine->RefsForName("Brand New Name");
+  ASSERT_TRUE(new_refs.ok());
+  EXPECT_EQ(*new_refs, *fresh->RefsForName("Brand New Name"));
+  EXPECT_EQ(new_refs->size(), 1u);
   const int64_t ref_rows = (**db.FindTable(kPublishTable)).num_rows();
   for (int64_t row = 0; row < ref_rows; ++row) {
     EXPECT_EQ(engine->NameGroupOfRef(row), fresh->NameGroupOfRef(row))

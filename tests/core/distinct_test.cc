@@ -46,6 +46,57 @@ TEST(DistinctTest, RefsForNameFindsAllReferences) {
   EXPECT_TRUE(none->empty());
 }
 
+// A row that AppendRow rejects after interning its strings (here on a
+// duplicate primary key) leaves its name in the column's dictionary. The
+// name index reads dictionary ids, so that string has no group, whether it
+// arrived before Create or after it.
+TEST(DistinctTest, NameOnlyARejectedRowInternedHasNoGroup) {
+  Database db = testing_util::MakeMiniDblp();
+  Table* authors = *db.FindMutableTable(kAuthorsTable);
+  EXPECT_FALSE(
+      authors->AppendRow({Value::Int(0), Value::Str("Ghost Before")}).ok());
+  ASSERT_TRUE(authors->FindString(1, "Ghost Before").has_value());
+  Distinct engine = MiniEngine(db);
+  EXPECT_FALSE(
+      authors->AppendRow({Value::Int(1), Value::Str("Ghost After")}).ok());
+  ASSERT_TRUE(authors->FindString(1, "Ghost After").has_value());
+
+  for (const std::string name : {"Ghost Before", "Ghost After"}) {
+    auto refs = engine.RefsForName(name);
+    ASSERT_TRUE(refs.ok());
+    EXPECT_TRUE(refs->empty()) << name;
+    for (const auto& group : engine.name_groups()) {
+      EXPECT_NE(group.first, name);
+    }
+  }
+  EXPECT_EQ(engine.name_groups().size(), 5u);  // the five named authors
+  EXPECT_EQ(*engine.RefsForName("Wei Wang"),
+            (std::vector<int32_t>{0, 2, 6}));
+}
+
+// Two author rows with one string share its dictionary id, hence one group
+// holding the references of both, in reference-row order.
+TEST(DistinctTest, TwoRowsWithOneNameFormOneGroup) {
+  Database db = testing_util::MakeMiniDblp();
+  Table* authors = *db.FindMutableTable(kAuthorsTable);
+  Table* publish = *db.FindMutableTable(kPublishTable);
+  ASSERT_TRUE(authors->AppendRow({Value::Int(5), Value::Str("Wei Wang")}).ok());
+  const int64_t row = publish->num_rows();
+  ASSERT_TRUE(publish
+                  ->AppendRow({Value::Int(row + 1000), Value::Int(5),
+                               publish->GetValue(0, 2)})
+                  .ok());
+  Distinct engine = MiniEngine(db);
+  EXPECT_EQ(*engine.RefsForName("Wei Wang"),
+            (std::vector<int32_t>{0, 2, 6, static_cast<int32_t>(row)}));
+  int groups = 0;
+  for (const auto& [name, refs] : engine.name_groups()) {
+    groups += name == "Wei Wang" ? 1 : 0;
+  }
+  EXPECT_EQ(groups, 1);
+  EXPECT_EQ(engine.NameGroupOfRef(row), engine.NameGroupOfRef(0));
+}
+
 TEST(DistinctTest, ResolveNameUnknownNameIsNotFound) {
   Database db = testing_util::MakeMiniDblp();
   Distinct engine = MiniEngine(db);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "../test_util.h"
+#include "core/delta.h"
+#include "dblp/generator.h"
 
 namespace distinct {
 namespace {
@@ -107,6 +114,66 @@ TEST_F(LinkGraphTest, TupleLabelsAreReadable) {
     if (schema_->node(n).name == "Conferences.publisher") publisher_node = n;
   }
   EXPECT_EQ(link_->TupleLabel(publisher_node, 0), "P1");
+}
+
+/// The facts the propagation sweep's reverse step relies on, over every
+/// edge of `link`: each row in Reverse(e, t) has t as its one forward
+/// target, the list ascends, and every row with a target sits in exactly
+/// one reverse list (so reverse lists of distinct tuples are disjoint).
+void ExpectReverseListsPartitionTheRows(const LinkGraph& link) {
+  const SchemaGraph& schema = link.schema();
+  for (int e = 0; e < schema.num_edges(); ++e) {
+    const SchemaEdge& edge = schema.edge(e);
+    SCOPED_TRACE(edge.name);
+    std::vector<int> lists(static_cast<size_t>(link.NumTuples(edge.from_node)),
+                           0);
+    for (int32_t t = 0; t < link.NumTuples(edge.to_node); ++t) {
+      const std::span<const int32_t> rows = link.Reverse(e, t);
+      EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end())) << "tuple " << t;
+      for (const int32_t row : rows) {
+        const std::span<const int32_t> forward = link.Forward(e, row);
+        ASSERT_EQ(forward.size(), 1u) << "row " << row;
+        EXPECT_EQ(forward[0], t) << "row " << row;
+        ++lists[static_cast<size_t>(row)];
+      }
+    }
+    for (int32_t row = 0; row < link.NumTuples(edge.from_node); ++row) {
+      EXPECT_EQ(lists[static_cast<size_t>(row)],
+                link.Forward(e, row).empty() ? 0 : 1)
+          << "row " << row;
+    }
+  }
+}
+
+TEST_F(LinkGraphTest, EveryReverseItemPointsBackAtItsTuple) {
+  ExpectReverseListsPartitionTheRows(*link_);
+
+  // The seed-42 corpus, then again after its last 300 references arrive
+  // through ApplyAppend.
+  auto dataset = GenerateDblpDataset(GeneratorConfig{});
+  ASSERT_TRUE(dataset.ok());
+  auto split = MakeTailDelta(dataset->db, kPublishTable, 300);
+  ASSERT_TRUE(split.ok());
+  Database db = std::move(split->first);
+  auto schema = SchemaGraph::Build(db);
+  ASSERT_TRUE(schema.ok());
+  for (const auto& [table, column] : DblpDefaultPromotions()) {
+    ASSERT_TRUE(schema->PromoteAttribute(table, column).ok());
+  }
+  auto link = LinkGraph::Build(*schema);
+  ASSERT_TRUE(link.ok());
+  ExpectReverseListsPartitionTheRows(*link);
+
+  Table& publish = **db.FindMutableTable(kPublishTable);
+  const int64_t base_rows = publish.num_rows();
+  for (const DatabaseDelta::TableRows& batch : split->second.tables()) {
+    for (const std::vector<Value>& row : batch.rows) {
+      ASSERT_TRUE(publish.AppendRow(row).ok());
+    }
+  }
+  ASSERT_EQ(publish.num_rows(), base_rows + 300);
+  ASSERT_TRUE(link->ApplyAppend().ok());
+  ExpectReverseListsPartitionTheRows(*link);
 }
 
 TEST(LinkGraphNullTest, NullForeignKeysAreSkipped) {

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -185,6 +190,75 @@ TEST(SlabTest, SortOrdersTheCellsByTuple) {
   ExpectCell(slab.cells()[1], 3, 1.0, 0.5, 3.0);
   ExpectCell(slab.cells()[2], 6, 0.5, 0.25, 1.0);
   workspace.Release(slab);
+}
+
+/// The bits of `x`: EXPECT_EQ on doubles takes -0.0 for +0.0.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+void ExpectSameCellBits(const Cell& got, const Cell& want) {
+  EXPECT_EQ(got.tuple, want.tuple);
+  EXPECT_EQ(Bits(got.forward), Bits(want.forward)) << "tuple " << want.tuple;
+  EXPECT_EQ(Bits(got.reverse), Bits(want.reverse)) << "tuple " << want.tuple;
+  EXPECT_EQ(Bits(got.count), Bits(want.count)) << "tuple " << want.tuple;
+}
+
+// Append stands in for a tuple's first Add: the same 0.0 + x per field, so
+// a -0.0 input comes out +0.0 either way.
+TEST(SlabTest, AppendHoldsTheBitsOfAFirstAdd) {
+  const World world = MakeMiniWorld();
+  PropagationWorkspace workspace(*world.link);
+  PropagationWorkspace::Slab& added = workspace.Acquire(PublishNode(world));
+  PropagationWorkspace::Slab& appended = workspace.Acquire(PublishNode(world));
+  ASSERT_NE(&added, &appended);
+  const std::vector<Cell> inputs = {
+      {4, 0.1, 1.0 / 3.0, 2.0},
+      {0, -0.0, -0.0, -0.0},
+      {6, 4.9e-324, -1.5, 0.0},
+      {2, std::nextafter(1.0, 2.0), 1e300, 7.0},
+  };
+  for (const Cell& in : inputs) {
+    added.Add(in.tuple, in.forward, in.reverse, in.count);
+    appended.Append(in.tuple, in.forward, in.reverse, in.count);
+  }
+  ASSERT_EQ(appended.cells().size(), inputs.size());
+  for (size_t c = 0; c < inputs.size(); ++c) {
+    ExpectSameCellBits(appended.cells()[c], added.cells()[c]);
+  }
+  EXPECT_FALSE(std::signbit(appended.cells()[1].forward));
+  EXPECT_FALSE(std::signbit(appended.cells()[1].count));
+  workspace.Release(appended);
+  workspace.Release(added);
+}
+
+// The tuples of a slab are distinct, so there is one ascending order: cells
+// already in it stay where they are, and any other order is sorted into it.
+TEST(SlabTest, SortLeavesAscendingCellsAloneAndOrdersTheRest) {
+  const World world = MakeMiniWorld();
+  PropagationWorkspace workspace(*world.link);
+  const auto cells_after_sort = [&](const std::vector<int32_t>& tuples) {
+    PropagationWorkspace::Slab& slab = workspace.Acquire(PublishNode(world));
+    for (const int32_t tuple : tuples) {
+      slab.Append(tuple, 1.0 / (tuple + 1), tuple + 0.5, tuple);
+    }
+    slab.Sort();
+    std::vector<Cell> cells = slab.cells();
+    workspace.Release(slab);
+    return cells;
+  };
+  const std::vector<int32_t> ascending = {0, 2, 3, 5, 6};
+  for (const std::vector<int32_t>& order :
+       std::vector<std::vector<int32_t>>{
+           ascending, {6, 5, 3, 2, 0}, {0, 2, 3, 6, 5}, {2, 0, 3, 5, 6},
+           {5, 6, 0, 2, 3}}) {
+    const std::vector<Cell> cells = cells_after_sort(order);
+    ASSERT_EQ(cells.size(), ascending.size());
+    for (size_t c = 0; c < cells.size(); ++c) {
+      const int32_t t = ascending[c];
+      ExpectCell(cells[c], t, 1.0 / (t + 1), t + 0.5, t);
+    }
+  }
+  EXPECT_TRUE(cells_after_sort({}).empty());
+  EXPECT_EQ(cells_after_sort({4}).front().tuple, 4);
 }
 
 // The gauge holds a slab's slot index from its allocation and its cell
@@ -669,6 +743,273 @@ TEST(ApproxWorkspaceBytesTest, MultiHubMergeSharesTheLastNodesSlab) {
   const int64_t cells = gauge() - before - slot_indexes;
   EXPECT_GE(cells, 0);
   EXPECT_LT(cells, slot_index(4)) << "a second Publish slot index";
+}
+
+/// A direction-blind sweep: every step reads LinkGraph::Neighbors and
+/// ReverseFanout, accumulates through Slab::Add, and sorts every frontier.
+/// The oracle for the bits of PropagateDense's direction-specialized steps.
+std::vector<Cell> GenericSweep(const LinkGraph& link, const JoinPath& path,
+                               const std::vector<int>& node_at, size_t from,
+                               size_t to, int32_t tuple, int32_t excluded,
+                               PropagationWorkspace& workspace) {
+  std::vector<Cell> frontier = {Cell{tuple, 1.0, 1.0, 1.0}};
+  for (size_t i = from; i < to; ++i) {
+    const JoinStep& step = path.steps[i];
+    const bool exclude = excluded >= 0 && node_at[i + 1] == node_at[0];
+    PropagationWorkspace::Slab& next = workspace.Acquire(node_at[i + 1]);
+    for (const Cell& cell : frontier) {
+      const std::span<const int32_t> targets = link.Neighbors(step, cell.tuple);
+      if (targets.empty()) {
+        continue;
+      }
+      const double share = cell.forward / static_cast<double>(targets.size());
+      for (const int32_t target : targets) {
+        if (exclude && target == excluded) {
+          continue;
+        }
+        const auto back =
+            static_cast<double>(link.ReverseFanout(step, target));
+        next.Add(target, share, cell.reverse / back, cell.count);
+      }
+    }
+    frontier = next.cells();
+    workspace.Release(next);
+    std::ranges::sort(frontier, {}, &Cell::tuple);
+  }
+  return frontier;
+}
+
+/// PropagateDense over GenericSweep, with an accumulating merge and no
+/// memo: a hub slice (with its own copy of the suffix) or the merged
+/// entries, and whether the instance budget was exceeded.
+struct GenericProfile {
+  bool over_budget = false;
+  bool is_hub = false;
+  HubSlice hub;
+  std::vector<ProfileEntry> entries;
+};
+
+GenericProfile GenericPropagate(const LinkGraph& link, const JoinPath& path,
+                                int32_t start, const PropagationOptions& options,
+                                const PathShape& shape,
+                                PropagationWorkspace& workspace) {
+  const std::vector<int>& node_at = shape.node_at;
+  const size_t k = path.steps.size();
+  const size_t junction = shape.junction;
+  const std::vector<Cell> prefix =
+      GenericSweep(link, path, node_at, 0, junction, start,
+                   options.exclude_start_tuple ? start : -1, workspace);
+  GenericProfile out;
+  double total = 0.0;
+  if (junction == k) {
+    for (const Cell& cell : prefix) {
+      out.entries.push_back(ProfileEntry{cell.tuple, cell.forward,
+                                         cell.reverse});
+      total += cell.count;
+    }
+  } else {
+    const auto suffix = [&](int32_t hub) {
+      SubtreeDistribution dist;
+      for (const Cell& cell :
+           GenericSweep(link, path, node_at, junction, k, hub, -1, workspace)) {
+        dist.Append(cell.tuple, cell.forward, cell.reverse, cell.count);
+        dist.instances += cell.count;
+      }
+      return dist;
+    };
+    const int32_t origin =
+        options.exclude_start_tuple && node_at[k] == node_at[0] ? start : -1;
+    const auto skip_of = [origin](const SubtreeDistribution& dist) {
+      const auto it = std::ranges::lower_bound(dist.tuples, origin);
+      return it != dist.tuples.end() && *it == origin
+                 ? static_cast<size_t>(it - dist.tuples.begin())
+                 : dist.size();
+    };
+    const auto dropped = [](const SubtreeDistribution& dist, size_t skip) {
+      return skip < dist.size() ? dist.walks[skip] : 0.0;
+    };
+    if (prefix.size() == 1) {
+      const Cell& cell = prefix.front();
+      auto dist = std::make_shared<const SubtreeDistribution>(suffix(cell.tuple));
+      out.is_hub = true;
+      out.hub = HubSlice{dist, cell.tuple,
+                         static_cast<uint32_t>(skip_of(*dist)), cell.forward,
+                         cell.reverse};
+      total = cell.count * (dist->instances - dropped(*dist, out.hub.skip));
+    } else {
+      std::vector<SubtreeDistribution> dists;
+      for (const Cell& cell : prefix) {
+        dists.push_back(suffix(cell.tuple));
+      }
+      PropagationWorkspace::Slab& merged = workspace.Acquire(node_at[k]);
+      for (size_t h = 0; h < prefix.size(); ++h) {
+        const Cell& cell = prefix[h];
+        const SubtreeDistribution& dist = dists[h];
+        const size_t skip = skip_of(dist);
+        for (size_t e = 0; e < dist.size(); ++e) {
+          if (e != skip) {
+            merged.Add(dist.tuples[e], cell.forward * dist.forward[e],
+                       cell.reverse * dist.reverse[e], 0.0);
+          }
+        }
+        total += cell.count * (dist.instances - dropped(dist, skip));
+      }
+      std::vector<Cell> cells = merged.cells();
+      workspace.Release(merged);
+      std::ranges::sort(cells, {}, &Cell::tuple);
+      for (const Cell& cell : cells) {
+        out.entries.push_back(
+            ProfileEntry{cell.tuple, cell.forward, cell.reverse});
+      }
+    }
+  }
+  out.over_budget = total > static_cast<double>(options.max_instances);
+  return out;
+}
+
+void ExpectSameEntryBits(std::span<const ProfileEntry> got,
+                         std::span<const ProfileEntry> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t e = 0; e < want.size(); ++e) {
+    ASSERT_EQ(got[e].tuple, want[e].tuple) << "entry " << e;
+    EXPECT_EQ(Bits(got[e].forward), Bits(want[e].forward)) << "entry " << e;
+    EXPECT_EQ(Bits(got[e].reverse), Bits(want[e].reverse)) << "entry " << e;
+  }
+}
+
+void ExpectSameSuffixBits(const SubtreeDistribution& got,
+                          const SubtreeDistribution& want) {
+  ASSERT_EQ(got.tuples, want.tuples);
+  for (size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(Bits(got.forward[e]), Bits(want.forward[e])) << "entry " << e;
+    EXPECT_EQ(Bits(got.reverse[e]), Bits(want.reverse[e])) << "entry " << e;
+    EXPECT_EQ(Bits(got.walks[e]), Bits(want.walks[e])) << "entry " << e;
+  }
+  EXPECT_EQ(Bits(got.instances), Bits(want.instances));
+}
+
+/// The path through the schema nodes named `nodes`, each step along the one
+/// edge between consecutive nodes, forward or in reverse.
+JoinPath PathThrough(const SchemaGraph& schema,
+                     const std::vector<std::string>& nodes) {
+  const auto node_id = [&](const std::string& name) {
+    for (int n = 0; n < schema.num_nodes(); ++n) {
+      if (schema.node(n).name == name) return n;
+    }
+    DISTINCT_CHECK(false);
+    return -1;
+  };
+  JoinPath path;
+  path.start_node = node_id(nodes.front());
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    const int from = node_id(nodes[i - 1]);
+    const int to = node_id(nodes[i]);
+    for (int e = 0; e < schema.num_edges(); ++e) {
+      const SchemaEdge& edge = schema.edge(e);
+      if (edge.from_node == from && edge.to_node == to) {
+        path.steps.push_back(JoinStep{e, true});
+      } else if (edge.from_node == to && edge.to_node == from) {
+        path.steps.push_back(JoinStep{e, false});
+      }
+    }
+    DISTINCT_CHECK(path.steps.size() == i);
+  }
+  return path;
+}
+
+/// Which branches of PropagateDense a comparison ran through.
+struct BranchCounts {
+  int hubs = 0;
+  int reverse_merges = 0;  // multi-hub merges on a reverse suffix: Append
+  int mixed_merges = 0;    // on a suffix that steps forward again: Add
+};
+
+/// PropagateDense against GenericPropagate, bit for bit, for every path
+/// and reference, with origin exclusion on and off and the memo off and on
+/// (shared across references, so later ones hit).
+void ExpectMatchesTheGenericLoop(const LinkGraph& link,
+                                 const std::vector<JoinPath>& paths,
+                                 const std::vector<int32_t>& refs,
+                                 PropagationOptions options,
+                                 BranchCounts& counts) {
+  for (const bool exclude : {true, false}) {
+    options.exclude_start_tuple = exclude;
+    for (const bool memo : {false, true}) {
+      PropagationWorkspace workspace(link);
+      PropagationWorkspace oracle_workspace(link);
+      SubtreeCache cache(size_t{64} << 20);
+      for (size_t p = 0; p < paths.size(); ++p) {
+        const JoinPath& path = paths[p];
+        const PathShape shape = ShapePath(path, link.schema(), exclude);
+        for (const int32_t ref : refs) {
+          SCOPED_TRACE(path.Describe(link.schema()) + " ref " +
+                       std::to_string(ref) + " exclude " +
+                       std::to_string(exclude) + " memo " +
+                       std::to_string(memo));
+          const GenericProfile want = GenericPropagate(
+              link, path, ref, options, shape, oracle_workspace);
+          const std::optional<PathProfile> got =
+              PropagateDense(link, path, ref, options, shape, workspace,
+                             memo ? &cache : nullptr, static_cast<int>(p));
+          ASSERT_EQ(got.has_value(), !want.over_budget);
+          if (!got.has_value()) {
+            continue;
+          }
+          ASSERT_EQ(got->is_hub(), want.is_hub);
+          if (want.is_hub) {
+            ++counts.hubs;
+            EXPECT_EQ(got->hub.hub, want.hub.hub);
+            EXPECT_EQ(got->hub.skip, want.hub.skip);
+            EXPECT_EQ(Bits(got->hub.forward), Bits(want.hub.forward));
+            EXPECT_EQ(Bits(got->hub.reverse), Bits(want.hub.reverse));
+            ExpectSameSuffixBits(*got->hub.suffix, *want.hub.suffix);
+            continue;
+          }
+          if (shape.junction < path.steps.size()) {
+            ++(shape.reverse_suffix ? counts.reverse_merges
+                                    : counts.mixed_merges);
+          }
+          ExpectSameEntryBits(got->entries.entries(), want.entries);
+        }
+      }
+    }
+  }
+}
+
+// The direction-specialized sweep and the reverse-suffix merge keep every
+// bit of the generic loop: over every path of the seed-42 engine for the
+// 141 "Wei Wang" references, and over the paths of a small generated world
+// plus one longer path. On the DBLP schema only a longer path has a
+// multi-hub frontier above a suffix whose hubs reach common tuples, where
+// the merge must still accumulate through Add: the years of an author's
+// papers, then every conference holding a proceedings in each year.
+TEST(WorkspaceOracleTest, SpecializedSweepMatchesTheGenericLoopBitForBit) {
+  auto dataset = GenerateDblpDataset(GeneratorConfig{});
+  ASSERT_TRUE(dataset.ok());
+  DistinctConfig config;
+  config.supervised = false;
+  config.promotions = DblpDefaultPromotions();
+  auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+  ASSERT_TRUE(engine.ok());
+  auto refs = engine->RefsForName("Wei Wang");
+  ASSERT_TRUE(refs.ok());
+  ASSERT_EQ(refs->size(), 141u);
+
+  BranchCounts counts;
+  ExpectMatchesTheGenericLoop(engine->propagation_engine().link(),
+                              engine->paths(), *refs,
+                              engine->config().propagation, counts);
+  World world = MakeGeneratedWorld();
+  world.paths.push_back(PathThrough(
+      *world.schema,
+      {"Publish", "Authors", "Publish", "Publications", "Proceedings",
+       "Proceedings.year", "Proceedings", "Conferences"}));
+  ExpectMatchesTheGenericLoop(*world.link, world.paths, world.refs,
+                              PropagationOptions{}, counts);
+  // Every branch must have run.
+  EXPECT_GT(counts.hubs, 0);
+  EXPECT_GT(counts.reverse_merges, 0);
+  EXPECT_GT(counts.mixed_merges, 0);
 }
 
 /// The tentpole's end-to-end guarantee: identical clustering with the memo

@@ -2,9 +2,16 @@
 // mid-tag and mid-entity), malformed input surfaced as Status instead of
 // crashes or silent truncation, and the bounded-buffer OutOfRange guard.
 
+#include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "catalog/format.h"
+#include "catalog/ingest.h"
+#include "common/io_util.h"
+#include "common/rng.h"
+#include "dblp/xml_corpus.h"
 #include "gtest/gtest.h"
 #include "xml/xml_parser.h"
 
@@ -244,6 +251,149 @@ TEST(XmlStreamTest, EmptyChunksAreHarmless) {
   ASSERT_TRUE(parser.Feed("").ok());
   ASSERT_TRUE(parser.Finish().ok());
   EXPECT_EQ(handler.events, (std::vector<std::string>{"<a", ">a"}));
+}
+
+/// What one parse of a document produced: its coalesced events and status.
+struct ParseOutcome {
+  std::vector<std::string> events;
+  Status status = Status::Ok();
+};
+
+ParseOutcome ParseWholeDocument(std::string_view doc) {
+  ParseOutcome outcome;
+  RecordingHandler handler;
+  outcome.status = XmlParser::Parse(doc, handler);
+  outcome.events = std::move(handler.events);
+  return outcome;
+}
+
+ParseOutcome ParseByteAtATime(std::string_view doc) {
+  ParseOutcome outcome;
+  RecordingHandler handler;
+  XmlStreamParser parser(handler);
+  for (size_t at = 0; at < doc.size() && outcome.status.ok(); ++at) {
+    outcome.status = parser.Feed(doc.substr(at, 1));
+  }
+  if (outcome.status.ok()) {
+    outcome.status = parser.Finish();
+  }
+  outcome.events = std::move(handler.events);
+  return outcome;
+}
+
+/// The byte offset an XML error message names ("... at byte N: ..."), or
+/// -1 when it names none.
+int64_t ErrorOffset(const Status& status) {
+  const std::string message = status.ToString();
+  const size_t at = message.find("at byte ");
+  if (at == std::string::npos) {
+    return -1;
+  }
+  return std::stoll(message.substr(at + 8));
+}
+
+/// `edits` seeded edits of `doc`, each a byte replaced by another, a run of
+/// up to 16 bytes deleted, up to 8 bytes inserted (mostly markup
+/// characters), or the document truncated.
+std::string Mutate(std::string doc, int edits, Rng& rng) {
+  static constexpr char kMarkup[] = "<>&;#\"'/=!?[]-x \r\n";
+  for (int edit = 0; edit < edits && !doc.empty(); ++edit) {
+    const auto at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(doc.size()) - 1));
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        doc[at] = static_cast<char>(doc[at] ^ rng.UniformInt(1, 255));
+        break;
+      case 1:
+        doc.erase(at, static_cast<size_t>(rng.UniformInt(1, 16)));
+        break;
+      case 2: {
+        std::string inserted;
+        for (int64_t i = rng.UniformInt(1, 8); i > 0; --i) {
+          inserted += rng.Bernoulli(0.8)
+                          ? kMarkup[rng.UniformInt(0, sizeof(kMarkup) - 2)]
+                          : static_cast<char>(rng.UniformInt(0, 255));
+        }
+        doc.insert(at, inserted);
+        break;
+      }
+      default:
+        doc.resize(at);
+        break;
+    }
+  }
+  return doc;
+}
+
+// 600 seeded edits, four per document, of a ~200-reference synthetic
+// dblp.xml (entities in titles, CRLF inside attribute values, <www>
+// records): the whole-document parse and a byte-at-a-time feed agree on
+// every event and on the status; every error is DataLoss or OutOfRange at a
+// byte offset inside the document; and ingest returns a Status, committing
+// no manifest when it fails. Four edits per document keep the
+// byte-at-a-time feeds, which cost ~35x the whole-document parse per byte,
+// under a second.
+TEST(XmlStreamMutatorTest, SeededMutationsParseAlikeAndFailWithAnOffset) {
+  const std::string base = ::testing::TempDir() + "/xml_stream_mutator";
+  const std::string corpus_path = base + ".xml";
+  const std::string mutated_path = base + ".mutated.xml";
+  const std::string catalog_dir = base + ".catalog";
+  XmlCorpusConfig config;
+  config.seed = 20070415;
+  config.target_refs = 200;
+  config.entity_title_prob = 0.3;
+  config.noise_element_prob = 0.1;
+  ASSERT_TRUE(WriteSyntheticDblpXml(corpus_path, config).ok());
+  auto corpus = ReadFileToString(corpus_path);
+  ASSERT_TRUE(corpus.ok());
+  ASSERT_NE(corpus->find("\r\n\" key="), std::string::npos);
+  ASSERT_NE(corpus->find("&amp;"), std::string::npos);
+  ASSERT_NE(corpus->find("<www "), std::string::npos);
+  ASSERT_TRUE(ParseWholeDocument(*corpus).status.ok());
+
+  Rng rng(29);
+  int failed = 0;
+  int ingested = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::string doc = Mutate(*corpus, /*edits=*/4, rng);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    const ParseOutcome whole = ParseWholeDocument(doc);
+    const ParseOutcome bytewise = ParseByteAtATime(doc);
+    ASSERT_EQ(bytewise.status.ToString(), whole.status.ToString());
+    ASSERT_EQ(bytewise.events, whole.events);
+    if (!whole.status.ok()) {
+      ++failed;
+      EXPECT_TRUE(whole.status.code() == StatusCode::kDataLoss ||
+                  whole.status.code() == StatusCode::kOutOfRange)
+          << whole.status.ToString();
+      const int64_t offset = ErrorOffset(whole.status);
+      EXPECT_GE(offset, 0) << whole.status.ToString();
+      EXPECT_LE(offset, static_cast<int64_t>(doc.size()))
+          << whole.status.ToString();
+    }
+    // Ingest every third document: each ingest writes and syncs files.
+    if (trial % 3 != 0) {
+      continue;
+    }
+    ++ingested;
+    ASSERT_TRUE(WriteStringToFile(mutated_path, doc).ok());
+    std::filesystem::remove_all(catalog_dir);
+    auto stats = catalog::IngestDblpXml(mutated_path, catalog_dir);
+    if (!whole.status.ok()) {
+      EXPECT_FALSE(stats.ok());
+    }
+    if (!stats.ok()) {
+      EXPECT_FALSE(std::filesystem::exists(
+          std::filesystem::path(catalog_dir) / catalog::kManifestFile))
+          << stats.status().ToString();
+    }
+  }
+  // Most mutations must break the document, or this shows nothing.
+  EXPECT_GT(failed, 100);
+  EXPECT_EQ(ingested, 50);
+  std::filesystem::remove(corpus_path);
+  std::filesystem::remove(mutated_path);
+  std::filesystem::remove_all(catalog_dir);
 }
 
 }  // namespace
