@@ -186,14 +186,6 @@ StatusOr<DistinctConfig> EngineConfigFromFlags(const FlagParser& flags,
   config.propagation.cache_bytes = static_cast<size_t>(*cache_mb) << 20;
   config.supervised = !flags.GetBool("unsupervised");
   config.observability = obs::Enabled();
-  const std::string stopping = flags.GetString("stopping");
-  if (stopping == "largest-gap" || stopping == "gap") {
-    config.stopping = StoppingRule::kLargestGap;
-  } else if (stopping != "fixed") {
-    return InvalidArgumentError(
-        "--stopping must be 'fixed' or 'largest-gap', got '" + stopping +
-        "'");
-  }
   return config;
 }
 
@@ -669,8 +661,6 @@ int main(int argc, char** argv) {
                 "uniform path weights instead of SVM training (the paper's "
                 "unsupervised baseline; works on corpora without enough "
                 "rare names to train on)");
-  flags.AddString("stopping", "fixed",
-                  "merge stopping rule: fixed | largest-gap");
   flags.AddInt64("verbosity", 1,
                  "log verbosity: 0 = warnings/errors, 1 = +info, 2 = +debug");
   flags.AddBool("report", false,

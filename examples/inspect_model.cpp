@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no references named '%s'\n", name.c_str());
     return 1;
   }
-  auto matrices = engine->ComputeMatrices(*refs);
+  auto matrices = engine->ResolveRefsArtifacts(*refs);
   if (!matrices.ok()) {
     std::fprintf(stderr, "%s\n", matrices.status().ToString().c_str());
     return 1;
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
         }
         same = (ti >= 0 && ti == tj);
       }
-      (same ? same_resem : diff_resem).push_back(matrices->first.at(i, j));
-      (same ? same_walk : diff_walk).push_back(matrices->second.at(i, j));
+      (same ? same_resem : diff_resem).push_back(matrices->resem.at(i, j));
+      (same ? same_walk : diff_walk).push_back(matrices->walk.at(i, j));
     }
   }
 

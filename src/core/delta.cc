@@ -259,63 +259,6 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
   return report;
 }
 
-StatusOr<Distinct::ResolveArtifacts> Distinct::PatchResolveArtifacts(
-    ResolveArtifacts cached, const std::vector<int32_t>& refs,
-    const std::vector<int32_t>& dirty_refs,
-    const std::vector<uint64_t>& dirty_ref_path_masks) {
-  const std::vector<int32_t>& old_refs = cached.store.refs();
-  if (old_refs.size() > refs.size() ||
-      !std::equal(old_refs.begin(), old_refs.end(), refs.begin())) {
-    return InvalidArgumentError(
-        "PatchResolveArtifacts: cached artifacts do not cover a prefix of "
-        "`refs` — append-only deltas keep existing references in place");
-  }
-  const size_t old_n = old_refs.size();
-  const bool have_masks = dirty_ref_path_masks.size() == dirty_refs.size() &&
-                          !dirty_ref_path_masks.empty();
-
-  // Positions whose profiles the delta may have changed; the appended
-  // suffix is dirty by definition (it has no cached state at all).
-  std::vector<size_t> positions;
-  std::vector<uint64_t> path_masks;
-  std::vector<char> dirty(refs.size(), 0);
-  for (size_t i = 0; i < old_n; ++i) {
-    const auto it =
-        std::lower_bound(dirty_refs.begin(), dirty_refs.end(), refs[i]);
-    if (it == dirty_refs.end() || *it != refs[i]) {
-      continue;
-    }
-    positions.push_back(i);
-    dirty[i] = 1;
-    if (have_masks) {
-      path_masks.push_back(dirty_ref_path_masks[static_cast<size_t>(
-          it - dirty_refs.begin())]);
-    }
-  }
-  for (size_t i = old_n; i < refs.size(); ++i) {
-    dirty[i] = 1;
-  }
-
-  {
-    DISTINCT_TRACE_SPAN("profile_store");
-    cached.store.Update(*engine_, paths_, config_.propagation,
-                        positions,
-                        std::vector<int32_t>(refs.begin() + old_n, refs.end()),
-                        pool_.get(), memo_.get(), workspaces_.get(),
-                        have_masks ? &path_masks : nullptr);
-  }
-  auto matrices = [&] {
-    DISTINCT_TRACE_SPAN("pair_matrix");
-    return UpdatePairMatrices(cached.store, model_, dirty, cached.resem,
-                              cached.walk, pool_.get());
-  }();
-  DISTINCT_TRACE_SPAN("cluster");
-  ClusteringResult clustering =
-      ClusterReferences(matrices.first, matrices.second, cluster_options());
-  return ResolveArtifacts{std::move(cached.store), std::move(matrices.first),
-                          std::move(matrices.second), std::move(clustering)};
-}
-
 StatusOr<std::pair<Database, DatabaseDelta>> MakeTailDelta(
     const Database& db, const std::string& table, int64_t tail_rows) {
   auto target_id = db.TableId(table);

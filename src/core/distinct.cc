@@ -1,5 +1,7 @@
 #include "core/distinct.h"
 
+#include <algorithm>
+
 #include "common/dictionary.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -179,7 +181,6 @@ AgglomerativeOptions Distinct::cluster_options() const {
   options.min_sim = config_.min_sim;
   options.measure = config_.measure;
   options.combine = config_.combine;
-  options.stopping = config_.stopping;
   return options;
 }
 
@@ -201,44 +202,40 @@ StatusOr<std::vector<int32_t>> Distinct::RefsForName(
   return name_groups_[static_cast<size_t>(group)].second;
 }
 
-ProfileStore Distinct::BuildProfileStore(const std::vector<int32_t>& refs) {
-  DISTINCT_TRACE_SPAN("profile_store");
-  return ProfileStore::Build(*engine_, paths_, config_.propagation, refs,
-                             pool_.get(), ProfileStore::kMinParallelRefs,
-                             memo_.get(), workspaces_.get());
-}
-
-StatusOr<std::pair<PairMatrix, PairMatrix>> Distinct::ComputeMatrices(
-    const std::vector<int32_t>& refs) {
-  // Phase 1: n propagations per path, each independent. Phase 2: tiled
-  // lower-triangle fill. Both fan out over the engine pool when configured;
-  // with num_threads == 1 this is exactly the old serial loop.
-  const ProfileStore store = BuildProfileStore(refs);
-  DISTINCT_TRACE_SPAN("pair_matrix");
-  return ComputePairMatrices(store, model_, pool_.get());
+Status Distinct::CheckReferenceRows(const std::vector<int32_t>& refs) const {
+  // The link graph's tuples, not the table's rows: a row appended to the
+  // table without ApplyDelta has no tuple to propagate from.
+  const int64_t rows = link_graph_->NumTuples(resolved_.reference_table_id);
+  for (const int32_t ref : refs) {
+    if (ref < 0 || ref >= rows) {
+      return InvalidArgumentError(StrFormat(
+          "reference row %d is outside the reference table (%lld rows)", ref,
+          static_cast<long long>(rows)));
+    }
+  }
+  return Status::Ok();
 }
 
 StatusOr<ClusteringResult> Distinct::ResolveRefs(
     const std::vector<int32_t>& refs) {
-  const auto matrices = ComputeMatrices(refs);
-  DISTINCT_RETURN_IF_ERROR(matrices.status());
-  DISTINCT_TRACE_SPAN("cluster");
-  return ClusterReferences(matrices->first, matrices->second,
-                           cluster_options());
+  auto artifacts = ResolveRefsArtifacts(refs);
+  DISTINCT_RETURN_IF_ERROR(artifacts.status());
+  return std::move(artifacts->clustering);
 }
 
 StatusOr<Distinct::ResolveArtifacts> Distinct::ResolveRefsArtifacts(
     const std::vector<int32_t>& refs) {
-  ProfileStore store = BuildProfileStore(refs);
-  auto matrices = [&] {
-    DISTINCT_TRACE_SPAN("pair_matrix");
-    return ComputePairMatrices(store, model_, pool_.get());
-  }();
-  DISTINCT_TRACE_SPAN("cluster");
-  ClusteringResult clustering =
-      ClusterReferences(matrices.first, matrices.second, cluster_options());
-  return ResolveArtifacts{std::move(store), std::move(matrices.first),
-                          std::move(matrices.second), std::move(clustering)};
+  return ResolveGroup(*this, refs, pool_.get(), memo_.get(),
+                      workspaces_.get(), /*cancel=*/nullptr, /*traced=*/true);
+}
+
+StatusOr<Distinct::ResolveArtifacts> Distinct::PatchResolveArtifacts(
+    ResolveArtifacts cached, const std::vector<int32_t>& refs,
+    const std::vector<int32_t>& dirty_refs,
+    const std::vector<uint64_t>& dirty_ref_path_masks) {
+  return ResolveGroup(*this, refs, pool_.get(), memo_.get(),
+                      workspaces_.get(), /*cancel=*/nullptr, /*traced=*/true,
+                      std::move(cached), dirty_refs, dirty_ref_path_masks);
 }
 
 StatusOr<Distinct::ResolveResult> Distinct::ResolveName(
@@ -254,6 +251,87 @@ StatusOr<Distinct::ResolveResult> Distinct::ResolveName(
   result.refs = *std::move(refs);
   result.clustering = *std::move(clustering);
   return result;
+}
+
+StatusOr<Distinct::ResolveArtifacts> ResolveGroup(
+    const Distinct& engine, const std::vector<int32_t>& refs,
+    ThreadPool* pool, SubtreeCache* memo, WorkspacePool* workspaces,
+    const CancelToken* cancel, bool traced,
+    std::optional<Distinct::ResolveArtifacts> cached,
+    const std::vector<int32_t>& dirty_refs,
+    const std::vector<uint64_t>& dirty_ref_path_masks) {
+  DISTINCT_RETURN_IF_ERROR(engine.CheckReferenceRows(refs));
+  std::optional<obs::ScopedSpan> stage;
+  const auto open_stage = [&](const char* name) {
+    stage.reset();
+    if (traced) {
+      stage.emplace(name);
+    }
+  };
+  const PairKernelOptions kernel{cancel};
+  std::optional<ProfileStore> store;
+  std::optional<std::pair<PairMatrix, PairMatrix>> matrices;
+  if (!cached.has_value()) {
+    open_stage("profile_store");
+    store.emplace(ProfileStore::Build(
+        engine.propagation_engine(), engine.paths(),
+        engine.config().propagation, refs, pool,
+        ProfileStore::kMinParallelRefs, memo, workspaces));
+    open_stage("pair_matrix");
+    matrices.emplace(
+        ComputePairMatrices(*store, engine.model(), pool, kernel));
+  } else {
+    const std::vector<int32_t>& old_refs = cached->store.refs();
+    if (old_refs.size() > refs.size() ||
+        !std::equal(old_refs.begin(), old_refs.end(), refs.begin())) {
+      return InvalidArgumentError(
+          "cached artifacts do not cover a prefix of the group's references "
+          "— append-only deltas keep existing references in place");
+    }
+    const size_t old_n = old_refs.size();
+    const bool have_masks = dirty_ref_path_masks.size() == dirty_refs.size() &&
+                            !dirty_ref_path_masks.empty();
+    // Positions whose profiles the delta may have changed; the appended
+    // suffix is dirty by definition (it has no cached state at all).
+    std::vector<size_t> positions;
+    std::vector<uint64_t> path_masks;
+    std::vector<char> dirty(refs.size(), 0);
+    for (size_t i = 0; i < old_n; ++i) {
+      const auto it =
+          std::lower_bound(dirty_refs.begin(), dirty_refs.end(), refs[i]);
+      if (it == dirty_refs.end() || *it != refs[i]) {
+        continue;
+      }
+      positions.push_back(i);
+      dirty[i] = 1;
+      if (have_masks) {
+        path_masks.push_back(dirty_ref_path_masks[static_cast<size_t>(
+            it - dirty_refs.begin())]);
+      }
+    }
+    std::fill(dirty.begin() + static_cast<ptrdiff_t>(old_n), dirty.end(), 1);
+
+    open_stage("profile_store");
+    store.emplace(std::move(cached->store));
+    store->Update(engine.propagation_engine(), engine.paths(),
+                  engine.config().propagation, positions,
+                  std::vector<int32_t>(refs.begin() + old_n, refs.end()),
+                  pool, memo, workspaces, have_masks ? &path_masks : nullptr);
+    open_stage("pair_matrix");
+    matrices.emplace(UpdatePairMatrices(*store, engine.model(), dirty,
+                                        cached->resem, cached->walk, pool,
+                                        kernel));
+  }
+  if (cancel != nullptr && cancel->aborted()) {
+    // The fill stopped at a tile/row boundary; the matrices are partial.
+    return DeadlineExceededError("deadline expired in pair kernel");
+  }
+  open_stage("cluster");
+  ClusteringResult clustering = ClusterReferences(
+      matrices->first, matrices->second, engine.cluster_options());
+  return Distinct::ResolveArtifacts{
+      *std::move(store), std::move(matrices->first),
+      std::move(matrices->second), std::move(clustering)};
 }
 
 }  // namespace distinct

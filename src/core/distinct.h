@@ -11,6 +11,11 @@
 // weights — the paper's offline phase. ResolveName()/ResolveRefs() run the
 // per-name clustering — the paper's online phase.
 //
+// The online phase is one sequence, ResolveGroup() below. ResolveRefs,
+// ResolveRefsArtifacts and PatchResolveArtifacts call it with spans on; the
+// scan's group loop (core/scan_shard.h) and the server (serve/service.h)
+// with spans off. bench/e2e's ReplayGroups is the one copy left outside.
+//
 // The engine is the only builder of what it derives from its database:
 // the name index (name -> reference rows, and reference row -> name group)
 // and the warm propagation state (the subtree memo and the dense workspace
@@ -22,11 +27,13 @@
 #define DISTINCT_CORE_DISTINCT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/agglomerative.h"
+#include "common/cancel.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "prop/propagation.h"
@@ -77,9 +84,6 @@ struct DistinctConfig {
   bool auto_min_sim = false;
   ClusterMeasure measure = ClusterMeasure::kComposite;
   CombineRule combine = CombineRule::kGeometricMean;
-  /// When to stop merging: the paper's fixed min-sim floor, or the
-  /// threshold-free largest-gap extension.
-  StoppingRule stopping = StoppingRule::kFixedThreshold;
 
   // --- Execution ---
   /// Worker threads for the intra-name similarity kernel: per-reference
@@ -151,7 +155,8 @@ class Distinct {
   /// absent).
   StatusOr<ResolveResult> ResolveName(const std::string& name);
 
-  /// Groups an explicit set of (resembling) references.
+  /// Groups an explicit set of (resembling) references: the clustering of
+  /// ResolveRefsArtifacts(refs).
   StatusOr<ClusteringResult> ResolveRefs(const std::vector<int32_t>& refs);
 
   /// Everything ResolveRefs computes on the way to a clustering, kept so a
@@ -162,6 +167,7 @@ class Distinct {
   /// profiles: 20 bytes per explicit entry plus a 4-byte offset per
   /// (reference, path), or a 40-byte hub slice over a suffix it pins,
   /// each distinct suffix counted once; the matrices are O(refs²) doubles.
+  /// Cells are exact below config.min_sim too, so min-sim sweeps re-cluster.
   struct ResolveArtifacts {
     ProfileStore store;
     PairMatrix resem;
@@ -169,8 +175,8 @@ class Distinct {
     ClusteringResult clustering;
   };
 
-  /// ResolveRefs, returning the intermediate artifacts for caching (the
-  /// clustering inside is exactly what ResolveRefs(refs) returns).
+  /// ResolveGroup over `refs` on the engine's pool, memo and workspaces,
+  /// with the stage spans on: the artifacts, to cache or to sweep.
   StatusOr<ResolveArtifacts> ResolveRefsArtifacts(
       const std::vector<int32_t>& refs);
 
@@ -183,8 +189,8 @@ class Distinct {
   /// each dirty reference's profile recompute to the flagged paths; empty
   /// means all paths. Bit-identical to ResolveRefsArtifacts(refs), at cost
   /// proportional to the dirty rows rather than the whole group.
-  /// InvalidArgument when cached.store.refs() is not a prefix of `refs`
-  /// (append-only deltas keep existing references in place).
+  /// InvalidArgument as ResolveGroup's (append-only deltas keep existing
+  /// references in place, so the cache must cover a prefix of `refs`).
   StatusOr<ResolveArtifacts> PatchResolveArtifacts(
       ResolveArtifacts cached, const std::vector<int32_t>& refs,
       const std::vector<int32_t>& dirty_refs,
@@ -210,13 +216,10 @@ class Distinct {
   /// record it so --resume can reject plans that predate appended data.
   int64_t tuple_watermark() const { return tuple_watermark_; }
 
-  /// Pairwise model-combined similarity matrices for `refs` — (set
-  /// resemblance, random walk). Useful for min-sim sweeps: compute once,
-  /// cluster many times with ClusterReferences(). Every cell carries its
-  /// exact value, below config.min_sim too. ResolveRefs clusters exactly
-  /// these matrices.
-  StatusOr<std::pair<PairMatrix, PairMatrix>> ComputeMatrices(
-      const std::vector<int32_t>& refs);
+  /// InvalidArgument naming the first row of `refs` outside the reference
+  /// table as the engine holds it (a row appended without ApplyDelta is
+  /// outside); the check ResolveGroup and the sharded scan make.
+  Status CheckReferenceRows(const std::vector<int32_t>& refs) const;
 
   /// All reference rows whose name equals `name` (possibly empty). Served
   /// from the name index built at Create() time — no table scan per query.
@@ -271,10 +274,6 @@ class Distinct {
  private:
   Distinct() = default;
 
-  /// Builds the profiles of `refs` on the engine's pool, memo and
-  /// workspaces.
-  ProfileStore BuildProfileStore(const std::vector<int32_t>& refs);
-
   /// Absorbs name-table rows from `first_name_row` and reference-table
   /// rows from `first_ref_row` into the name index, in first-seen order.
   /// Create() absorbs every row; ApplyDelta() absorbs the appended ones,
@@ -318,6 +317,27 @@ class Distinct {
   int64_t catalog_version_ = 0;
   int64_t tuple_watermark_ = 0;
 };
+
+/// The one resolve sequence, the only code in the library that runs a
+/// group's stages: ProfileStore::Build over `refs` on `pool`, `memo` and
+/// `workspaces` (null ones fall back to call-local ones), then
+/// ComputePairMatrices under `cancel`, then ClusterReferences. Handed
+/// `cached` artifacts over a prefix of `refs`, the first two stages are
+/// ProfileStore::Update — re-propagating the cached rows in `dirty_refs`
+/// (sorted; on the paths of the aligned `dirty_ref_path_masks` when given)
+/// and appending the rest — and UpdatePairMatrices. The result is
+/// bit-identical at every thread count, memo history and cache state.
+/// `traced` opens the profile_store, pair_matrix and cluster spans on the
+/// calling thread; untraced it opens none, so pool workers may run it.
+/// InvalidArgument for a row outside the reference table or a cache that
+/// is no prefix; DeadlineExceeded when `cancel` fired during the fill.
+StatusOr<Distinct::ResolveArtifacts> ResolveGroup(
+    const Distinct& engine, const std::vector<int32_t>& refs,
+    ThreadPool* pool, SubtreeCache* memo, WorkspacePool* workspaces,
+    const CancelToken* cancel, bool traced = false,
+    std::optional<Distinct::ResolveArtifacts> cached = std::nullopt,
+    const std::vector<int32_t>& dirty_refs = {},
+    const std::vector<uint64_t>& dirty_ref_path_masks = {});
 
 }  // namespace distinct
 

@@ -52,12 +52,12 @@ StatusOr<std::vector<CaseMatrices>> ComputeCaseMatrices(
   std::vector<CaseMatrices> matrices;
   matrices.reserve(cases.size());
   for (const AmbiguousCase& c : cases) {
-    auto pair = engine.ComputeMatrices(c.publish_rows);
-    DISTINCT_RETURN_IF_ERROR(pair.status());
+    auto artifacts = engine.ResolveRefsArtifacts(c.publish_rows);
+    DISTINCT_RETURN_IF_ERROR(artifacts.status());
     CaseMatrices m;
     m.ambiguous_case = &c;
-    m.resem = std::move(pair->first);
-    m.walk = std::move(pair->second);
+    m.resem = std::move(artifacts->resem);
+    m.walk = std::move(artifacts->walk);
     matrices.push_back(std::move(m));
   }
   return matrices;

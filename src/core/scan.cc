@@ -4,8 +4,6 @@
 #include <iterator>
 
 #include "core/scan_shard.h"
-#include "sim/parallel_kernel.h"
-#include "sim/profile_store.h"
 
 namespace distinct {
 
@@ -39,27 +37,6 @@ void BulkStats::Add(const BulkResolution& resolution) {
 int64_t EstimatedGroupMatrixBytes(int64_t n) {
   return n * (n - 1) * static_cast<int64_t>(sizeof(double)) +
          2 * n * static_cast<int64_t>(sizeof(int));
-}
-
-StatusOr<ClusteringResult> ResolveGroup(const Distinct& engine,
-                                        const std::vector<int32_t>& refs,
-                                        ThreadPool* pool, SubtreeCache* memo,
-                                        WorkspacePool* workspaces,
-                                        const CancelToken* cancel) {
-  const ProfileStore store = ProfileStore::Build(
-      engine.propagation_engine(), engine.paths(),
-      engine.config().propagation, refs, pool, ProfileStore::kMinParallelRefs,
-      memo, workspaces);
-  PairKernelOptions kernel;
-  kernel.cancel = cancel;
-  const auto matrices =
-      ComputePairMatrices(store, engine.model(), pool, kernel);
-  if (cancel != nullptr && cancel->aborted()) {
-    // The fill stopped at a tile/row boundary; the matrices are partial.
-    return DeadlineExceededError("deadline expired in pair kernel");
-  }
-  return ClusterReferences(matrices.first, matrices.second,
-                           engine.cluster_options());
 }
 
 StatusOr<BulkStats> ResolveAllNamesParallel(

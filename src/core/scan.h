@@ -7,7 +7,8 @@
 // of the engine's name index, the one grouping of references by name that
 // Create() builds and ApplyDelta() grows. Every batch of names runs through
 // the sharded scan (core/scan_shard.h), whose group loop resolves each name
-// with ResolveGroup; ResolveAllNamesParallel is its one-shard form.
+// with ResolveGroup (core/distinct.h), the one resolve sequence, spans off;
+// ResolveAllNamesParallel is its one-shard form.
 
 #ifndef DISTINCT_CORE_SCAN_H_
 #define DISTINCT_CORE_SCAN_H_
@@ -16,11 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "common/cancel.h"
-#include "common/thread_pool.h"
 #include "core/distinct.h"
-#include "prop/workspace.h"
-#include "sim/profile_store.h"
 
 namespace distinct {
 
@@ -75,27 +72,6 @@ struct BulkStats {
 /// scan's admission check and the serve admission controller both price a
 /// group with this same estimate.
 int64_t EstimatedGroupMatrixBytes(int64_t n);
-
-/// The untraced resolver of one group: ProfileStore::Build over `refs` on
-/// `pool`, `memo` and `workspaces`, then the pair fill under `cancel`,
-/// then ClusterReferences with the engine's cluster options. The bulk
-/// scan's group loop and the server's query executor both call it; the
-/// traced single-name path (Distinct::ResolveRefs) runs the same stages
-/// with a span around each. The result is bit-identical to
-/// engine.ResolveRefs(refs) at every thread count, memo size and memo
-/// history: a memo hit returns exactly what a miss computes, and a null or
-/// unfired token changes nothing.
-///
-/// DeadlineExceeded when `cancel` fired during the fill (the partial
-/// matrices are dropped, never clustered). Opens no span, so it may run on
-/// pool workers and connection threads. A null `memo` or `workspaces`
-/// falls back to call-local ones (see ProfileStore::Build). `refs` must
-/// lie inside the reference table.
-StatusOr<ClusteringResult> ResolveGroup(const Distinct& engine,
-                                        const std::vector<int32_t>& refs,
-                                        ThreadPool* pool, SubtreeCache* memo,
-                                        WorkspacePool* workspaces,
-                                        const CancelToken* cancel);
 
 /// Resolves every group as a one-shard RunShardedScan (core/scan_shard.h)
 /// of `num_threads` workers, the engine's memo budget, no memory bound, no

@@ -94,7 +94,8 @@ ScanState MakeScanState(const Distinct& engine,
 /// shards share it never change a result.
 ///
 /// Every group is checked before any is resolved: a reference outside the
-/// reference table is InvalidArgument; a group whose matrix estimate plus
+/// reference table is InvalidArgument (Distinct::CheckReferenceRows, the
+/// check ResolveGroup makes); a group whose matrix estimate plus
 /// `state.standing_bytes` exceeds `state.budget_bytes` (when set) is
 /// OutOfRange. `progress` (optional) counts resolved groups and refs.
 /// Opens no span, so the caller owns the span tree.
@@ -103,22 +104,14 @@ Status ResolveGroups(const Distinct& engine,
                      const std::vector<size_t>& indices, ScanState& state,
                      obs::ProgressState* progress,
                      std::vector<BulkResolution>* out) {
-  // Up-front validation so a bad group fails cleanly instead of crashing
-  // a worker mid-kernel.
-  const std::vector<JoinPath>& paths = engine.paths();
-  const int64_t num_start_tuples =
-      paths.empty() ? 0
-                    : engine.propagation_engine().link().NumTuples(
-                          paths.front().start_node);
+  // Up-front validation, with the resolve sequence's own row check, so a
+  // bad group fails its shard before any group of it resolves.
   for (const size_t g : indices) {
     const NameGroup& group = groups[g];
-    for (const int32_t ref : group.refs) {
-      if (!paths.empty() && (ref < 0 || ref >= num_start_tuples)) {
-        return InvalidArgumentError(StrFormat(
-            "group '%s' has out-of-range reference %d (universe %lld)",
-            group.name.c_str(), ref,
-            static_cast<long long>(num_start_tuples)));
-      }
+    if (Status rows = engine.CheckReferenceRows(group.refs); !rows.ok()) {
+      return InvalidArgumentError(
+          StrFormat("group '%s': %s", group.name.c_str(),
+                    rows.message().c_str()));
     }
     if (state.budget_bytes > 0) {
       const int64_t matrix_bytes =
@@ -140,14 +133,14 @@ Status ResolveGroups(const Distinct& engine,
   ThreadPool& pool = state.pool;
   ParallelFor(pool, static_cast<int64_t>(indices.size()), [&](int64_t i) {
     const NameGroup& group = groups[indices[static_cast<size_t>(i)]];
-    // Without a token the resolver cannot fail.
-    auto clustering =
+    // Checked rows and no token: the resolver cannot fail.
+    auto artifacts =
         ResolveGroup(engine, group.refs, &pool, state.memo.get(),
                      state.workspaces.get(), /*cancel=*/nullptr);
     BulkResolution& resolution = (*out)[static_cast<size_t>(i)];
     resolution.name = group.name;
     resolution.num_refs = group.refs.size();
-    resolution.clustering = *std::move(clustering);
+    resolution.clustering = std::move(artifacts->clustering);
     if (progress != nullptr) {
       progress->groups_done.fetch_add(1, std::memory_order_relaxed);
       progress->refs_done.fetch_add(static_cast<int64_t>(group.refs.size()),

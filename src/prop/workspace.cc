@@ -53,7 +53,6 @@ SubtreeCache::~SubtreeCache() {
 std::shared_ptr<const SubtreeDistribution> SubtreeCache::Find(
     int path_id, int32_t tuple) {
   if (capacity_bytes_ == 0) {
-    DISTINCT_COUNTER_ADD("prop.memo_misses", 1);
     return nullptr;
   }
   const uint64_t key = Key(path_id, tuple);
@@ -61,9 +60,7 @@ std::shared_ptr<const SubtreeDistribution> SubtreeCache::Find(
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    ++shard.misses;
-    DISTINCT_COUNTER_ADD("prop.memo_misses", 1);
-    return nullptr;
+    return nullptr;  // the Insert after the sweep counts the lookup
   }
   ++shard.hits;
   DISTINCT_COUNTER_ADD("prop.memo_hits", 1);
@@ -75,6 +72,7 @@ std::shared_ptr<const SubtreeDistribution> SubtreeCache::Insert(
   dist.ShrinkToFit();
   auto resident = std::make_shared<const SubtreeDistribution>(std::move(dist));
   if (capacity_bytes_ == 0) {
+    DISTINCT_COUNTER_ADD("prop.memo_misses", 1);
     return resident;
   }
   const size_t size = resident->ByteSize();
@@ -82,9 +80,15 @@ std::shared_ptr<const SubtreeDistribution> SubtreeCache::Insert(
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (auto it = shard.map.find(key); it != shard.map.end()) {
-    // Another thread computed the identical value first.
+    // Another thread swept the key first and stored the identical value:
+    // the lookup is a hit, and this sweep was a duplicate.
+    ++shard.hits;
+    DISTINCT_COUNTER_ADD("prop.memo_hits", 1);
+    DISTINCT_COUNTER_ADD("prop.memo_duplicate_sweeps", 1);
     return it->second.value;
   }
+  ++shard.misses;
+  DISTINCT_COUNTER_ADD("prop.memo_misses", 1);
   if (size > shard_capacity_) {
     ++shard.evictions;  // would never fit; dropped immediately
     DISTINCT_COUNTER_ADD("prop.memo_evictions", 1);

@@ -260,6 +260,9 @@ struct SubtreeCacheStats {
 /// (path id, junction tuple). Sharded: lookups touch one mutex; values are
 /// shared_ptrs so an entry being merged from stays alive across eviction.
 /// Also feeds the prop.memo_* counters of the global MetricsRegistry.
+/// A lookup (Find, else sweep and Insert) counts one hit or one miss: the
+/// Insert that stores counts the miss, so with nothing evicted hits and
+/// misses do not depend on how workers interleave.
 class SubtreeCache {
  public:
   /// `capacity_bytes` bounds resident entry payload; 0 disables storage
@@ -270,14 +273,15 @@ class SubtreeCache {
   /// Releases the resident payload from the kSubtreeCache byte gauge.
   ~SubtreeCache();
 
-  /// The memoized distribution, or nullptr on miss.
+  /// The memoized distribution (a hit), or nullptr (counted by Insert).
   std::shared_ptr<const SubtreeDistribution> Find(int path_id, int32_t tuple);
 
   /// Stores `dist` (evicting FIFO-oldest entries of the shard to fit) and
   /// returns the resident copy — the previously inserted one when another
-  /// thread won the race (values are identical by construction). With
-  /// capacity 0, or a suffix larger than a shard, returns a copy it does
-  /// not store; a hub slice keeps that copy alive.
+  /// thread won the race (values are identical by construction; a hit and
+  /// a prop.memo_duplicate_sweeps). With capacity 0, or a suffix larger
+  /// than a shard, returns a copy it does not store (a miss); a hub slice
+  /// keeps that copy alive.
   std::shared_ptr<const SubtreeDistribution> Insert(int path_id,
                                                     int32_t tuple,
                                                     SubtreeDistribution dist);

@@ -306,17 +306,17 @@ StatusOr<std::shared_ptr<const ResolveAnswer>> ServeService::ComputeAnswer(
     }
   }
 
-  // The untraced batch resolver on the engine's warm state: memo hits
-  // return precisely what misses would compute, so the answer is
+  // The one resolve sequence, spans off, on the engine's warm state: memo
+  // hits return precisely what misses would compute, so the answer is
   // bit-identical to a cold batch run. A fill the deadline stopped comes
   // back as DeadlineExceeded and is never cached.
-  auto clustering = ResolveGroup(engine_, refs, pool_.get(), engine_.memo(),
-                                 engine_.workspaces(),
-                                 token.has_value() ? &*token : nullptr);
-  DISTINCT_RETURN_IF_ERROR(clustering.status());
+  auto artifacts = ResolveGroup(engine_, refs, pool_.get(), engine_.memo(),
+                                engine_.workspaces(),
+                                token.has_value() ? &*token : nullptr);
+  DISTINCT_RETURN_IF_ERROR(artifacts.status());
   auto answer = std::make_shared<ResolveAnswer>();
   answer->refs = refs;
-  answer->clustering = *std::move(clustering);
+  answer->clustering = std::move(artifacts->clustering);
   return std::shared_ptr<const ResolveAnswer>(std::move(answer));
 }
 

@@ -32,11 +32,11 @@
 //    bound holds with margin rather than by luck.
 //
 // Answers are bit-identical to the batch path: the executor is
-// ResolveGroup (core/scan.h), the untraced resolver the bulk scan runs for
-// every name — the same ProfileStore::Build → ComputePairMatrices →
-// ClusterReferences sequence as Distinct::ResolveRefs, on the engine's
-// memo — and memo hits return what misses would compute, so warmth never
-// changes a result.
+// ResolveGroup (core/distinct.h), the one resolve sequence that
+// Distinct::ResolveRefs and the bulk scan run too (ProfileStore::Build →
+// ComputePairMatrices → ClusterReferences), here with spans off on the
+// engine's memo — and memo hits return what misses would compute, so
+// warmth never changes a result.
 
 #ifndef DISTINCT_SERVE_SERVICE_H_
 #define DISTINCT_SERVE_SERVICE_H_

@@ -1,5 +1,6 @@
 #include "xml/xml_parser.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/string_util.h"
@@ -273,10 +274,17 @@ Status XmlStreamParser::Pump(bool at_eof) {
     return DataLossError(StrFormat("XML parse error at byte %zu: %s",
                                    consumed_ + offset, what.c_str()));
   };
+  // The last Pump's terminator search of the construct at buffer_[0]; only
+  // that construct (start == 0) resumes, and a break below saves the
+  // search of the construct it leaves incomplete.
+  const size_t resume = std::exchange(scan_, 0);
+  const char resume_quote = std::exchange(scan_quote_, '\0');
+  const int resume_depth = std::exchange(scan_depth_, 0);
 
   while (start < buffer_.size() && status.ok()) {
     const std::string_view rest =
         std::string_view(buffer_).substr(start);
+    const size_t from = start == 0 ? resume : 0;
 
     if (rest[0] != '<') {
       // Character data up to the next tag.
@@ -316,17 +324,31 @@ Status XmlStreamParser::Pump(bool at_eof) {
     }
     const size_t pending = buffer_.size() - start;
     const bool over_budget = pending > options_.max_token_bytes;
+    // An unterminated `what`: OutOfRange past the token bound, `eof_error`
+    // at `eof_offset` at the end of input, else OK (wait for more bytes).
+    const auto unterminated = [&](const char* what, size_t eof_offset,
+                                  const char* eof_error) -> Status {
+      if (over_budget) {
+        return OutOfRangeError(StrFormat(
+            "XML parse error at byte %zu: %s exceeds the %zu-byte token "
+            "buffer", consumed_ + start, what, options_.max_token_bytes));
+      }
+      return at_eof ? error_at(start + eof_offset, eof_error) : Status::Ok();
+    };
+    // Where `terminator` starts after the `open` bytes, resuming the last
+    // Pump's search; npos, saving where to resume, until it arrives.
+    const auto find_end = [&](size_t open, std::string_view terminator) {
+      const size_t end = rest.find(terminator, std::max(open, from));
+      if (end == std::string_view::npos) {
+        scan_ = std::max(open, rest.size() + 1 - terminator.size());
+      }
+      return end;
+    };
 
     if (rest.rfind("<!--", 0) == 0) {
-      const size_t end = rest.find("-->", 4);
+      const size_t end = find_end(4, "-->");
       if (end == std::string_view::npos) {
-        if (over_budget) {
-          status = OutOfRangeError(StrFormat(
-              "XML parse error at byte %zu: comment exceeds the %zu-byte "
-              "token buffer", consumed_ + start, options_.max_token_bytes));
-        } else if (at_eof) {
-          status = error_at(start + 4, "unterminated comment");
-        }
+        status = unterminated("comment", 4, "unterminated comment");
         break;
       }
       start += end + 3;
@@ -334,16 +356,9 @@ Status XmlStreamParser::Pump(bool at_eof) {
     }
 
     if (rest.rfind("<![CDATA[", 0) == 0) {
-      const size_t end = rest.find("]]>", 9);
+      const size_t end = find_end(9, "]]>");
       if (end == std::string_view::npos) {
-        if (over_budget) {
-          status = OutOfRangeError(StrFormat(
-              "XML parse error at byte %zu: CDATA section exceeds the "
-              "%zu-byte token buffer", consumed_ + start,
-              options_.max_token_bytes));
-        } else if (at_eof) {
-          status = error_at(start + 9, "unterminated CDATA section");
-        }
+        status = unterminated("CDATA section", 9, "unterminated CDATA section");
         break;
       }
       if (!open_elements_.empty()) {
@@ -355,9 +370,9 @@ Status XmlStreamParser::Pump(bool at_eof) {
 
     if (rest.rfind("<!DOCTYPE", 0) == 0) {
       // Skip, honoring an optional internal subset in brackets.
-      int depth = 0;
+      int depth = from > 0 ? resume_depth : 0;
       size_t end = std::string_view::npos;
-      for (size_t i = 9; i < rest.size(); ++i) {
+      for (size_t i = std::max<size_t>(9, from); i < rest.size(); ++i) {
         const char c = rest[i];
         if (c == '[') {
           ++depth;
@@ -369,13 +384,9 @@ Status XmlStreamParser::Pump(bool at_eof) {
         }
       }
       if (end == std::string_view::npos) {
-        if (over_budget) {
-          status = OutOfRangeError(StrFormat(
-              "XML parse error at byte %zu: DOCTYPE exceeds the %zu-byte "
-              "token buffer", consumed_ + start, options_.max_token_bytes));
-        } else if (at_eof) {
-          status = error_at(start + 9, "unterminated DOCTYPE");
-        }
+        scan_ = rest.size();
+        scan_depth_ = depth;
+        status = unterminated("DOCTYPE", 9, "unterminated DOCTYPE");
         break;
       }
       start += end + 1;
@@ -383,16 +394,10 @@ Status XmlStreamParser::Pump(bool at_eof) {
     }
 
     if (rest.rfind("<?", 0) == 0) {
-      const size_t end = rest.find("?>", 2);
+      const size_t end = find_end(2, "?>");
       if (end == std::string_view::npos) {
-        if (over_budget) {
-          status = OutOfRangeError(StrFormat(
-              "XML parse error at byte %zu: processing instruction exceeds "
-              "the %zu-byte token buffer", consumed_ + start,
-              options_.max_token_bytes));
-        } else if (at_eof) {
-          status = error_at(start + 2, "unterminated processing instruction");
-        }
+        status = unterminated("processing instruction", 2,
+                              "unterminated processing instruction");
         break;
       }
       start += end + 2;
@@ -400,15 +405,9 @@ Status XmlStreamParser::Pump(bool at_eof) {
     }
 
     if (rest.rfind("</", 0) == 0) {
-      const size_t end = rest.find('>', 2);
+      const size_t end = find_end(2, ">");
       if (end == std::string_view::npos) {
-        if (over_budget) {
-          status = OutOfRangeError(StrFormat(
-              "XML parse error at byte %zu: end tag exceeds the %zu-byte "
-              "token buffer", consumed_ + start, options_.max_token_bytes));
-        } else if (at_eof) {
-          status = error_at(start + 2, "malformed end tag");
-        }
+        status = unterminated("end tag", 2, "malformed end tag");
         break;
       }
       Cursor cursor(rest.substr(0, end + 1), consumed_ + start);
@@ -438,8 +437,8 @@ Status XmlStreamParser::Pump(bool at_eof) {
     // (XML allows a literal '>' inside quotes).
     {
       size_t end = std::string_view::npos;
-      char quote = '\0';
-      for (size_t i = 1; i < rest.size(); ++i) {
+      char quote = from > 0 ? resume_quote : '\0';
+      for (size_t i = std::max<size_t>(1, from); i < rest.size(); ++i) {
         const char c = rest[i];
         if (quote != '\0') {
           if (c == quote) {
@@ -453,11 +452,11 @@ Status XmlStreamParser::Pump(bool at_eof) {
         }
       }
       if (end == std::string_view::npos) {
-        if (over_budget) {
-          status = OutOfRangeError(StrFormat(
-              "XML parse error at byte %zu: start tag exceeds the %zu-byte "
-              "token buffer", consumed_ + start, options_.max_token_bytes));
-        } else if (at_eof) {
+        scan_ = rest.size();
+        scan_quote_ = quote;
+        if (over_budget || !at_eof) {
+          status = unterminated("start tag", 1, "unterminated start tag");
+        } else {
           // Distinguish "<" + garbage from a genuinely truncated tag so
           // the message names what was being parsed.
           Cursor cursor(rest, consumed_ + start);

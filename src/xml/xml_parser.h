@@ -92,6 +92,13 @@ class XmlStreamParser {
   XmlStreamOptions options_;
   std::string buffer_;  // unconsumed tail; bounded by max_token_bytes
   size_t consumed_ = 0;  // global offset of buffer_[0]
+  // Where the terminator search of the incomplete construct at buffer_[0]
+  // stopped (0: none), with the start tag's open quote and the DOCTYPE's
+  // bracket depth there, so the next Pump scans each byte once: a feed in
+  // small chunks stays linear in a construct's length.
+  size_t scan_ = 0;
+  char scan_quote_ = '\0';
+  int scan_depth_ = 0;
   std::vector<std::string> open_elements_;
   bool saw_element_ = false;  // any start tag parsed yet
   Status failed_ = Status::Ok();  // sticky error

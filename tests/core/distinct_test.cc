@@ -119,16 +119,61 @@ TEST(DistinctTest, MatricesAreSymmetricAndSized) {
   Database db = testing_util::MakeMiniDblp();
   Distinct engine = MiniEngine(db);
   auto refs = engine.RefsForName("Wei Wang");
-  auto matrices = engine.ComputeMatrices(*refs);
+  auto matrices = engine.ResolveRefsArtifacts(*refs);
   ASSERT_TRUE(matrices.ok());
-  EXPECT_EQ(matrices->first.size(), 3u);
-  EXPECT_EQ(matrices->second.size(), 3u);
+  EXPECT_EQ(matrices->resem.size(), 3u);
+  EXPECT_EQ(matrices->walk.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < i; ++j) {
-      EXPECT_GE(matrices->first.at(i, j), 0.0);
-      EXPECT_GE(matrices->second.at(i, j), 0.0);
+      EXPECT_GE(matrices->resem.at(i, j), 0.0);
+      EXPECT_GE(matrices->walk.at(i, j), 0.0);
     }
   }
+}
+
+// A row outside the reference table comes back from every entry point of
+// the resolve sequence as InvalidArgument naming the row, instead of
+// indexing past the link graph (a huge row) or resolving (row -1).
+TEST(DistinctTest, ReferenceRowsOutsideTheTableAreInvalidArgument) {
+  Database db = testing_util::MakeMiniDblp();
+  Distinct engine = MiniEngine(db);
+  const int32_t num_rows =
+      static_cast<int32_t>((**db.FindTable(kPublishTable)).num_rows());
+  for (const int32_t bad : {999999, -1, num_rows}) {
+    SCOPED_TRACE(::testing::Message() << "row " << bad);
+    const std::vector<int32_t> refs = {0, bad};
+    const auto expect_rejected = [&](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find("row " + std::to_string(bad)),
+                std::string::npos)
+          << status.ToString();
+    };
+    expect_rejected(engine.ResolveRefs(refs).status());
+    expect_rejected(engine.ResolveRefsArtifacts(refs).status());
+    expect_rejected(ResolveGroup(engine, refs, nullptr, engine.memo(),
+                                 engine.workspaces(), /*cancel=*/nullptr)
+                        .status());
+    // A splice whose appended row lies outside the table.
+    auto cached = engine.ResolveRefsArtifacts({0, 2});
+    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+    expect_rejected(engine
+                        .PatchResolveArtifacts(*std::move(cached), {0, 2, bad},
+                                               /*dirty_refs=*/{})
+                        .status());
+  }
+  // A row appended to the table without ApplyDelta has no link-graph tuple
+  // to propagate from: still outside the table the engine holds.
+  auto publish = db.FindMutableTable(kPublishTable);
+  ASSERT_TRUE(publish.ok());
+  ASSERT_TRUE((*publish)
+                  ->AppendRow({Value::Int(99),
+                               Value::Int(testing_util::kJianPei),
+                               Value::Int(0)})
+                  .ok());
+  const Status unabsorbed = engine.ResolveRefs({0, num_rows}).status();
+  EXPECT_EQ(unabsorbed.code(), StatusCode::kInvalidArgument)
+      << unabsorbed.ToString();
 }
 
 TEST(DistinctTest, MinSimControlsGranularity) {
@@ -162,14 +207,12 @@ TEST(DistinctTest, ClusterOptionsMirrorConfig) {
   config.min_sim = 0.25;
   config.measure = ClusterMeasure::kWalkOnly;
   config.combine = CombineRule::kArithmeticMean;
-  config.stopping = StoppingRule::kLargestGap;
   auto engine = Distinct::Create(db, DblpReferenceSpec(), config);
   ASSERT_TRUE(engine.ok());
   const AgglomerativeOptions options = engine->cluster_options();
   EXPECT_DOUBLE_EQ(options.min_sim, 0.25);
   EXPECT_EQ(options.measure, ClusterMeasure::kWalkOnly);
   EXPECT_EQ(options.combine, CombineRule::kArithmeticMean);
-  EXPECT_EQ(options.stopping, StoppingRule::kLargestGap);
 }
 
 // The subtree-memo budget has one setting: whatever the caller puts in

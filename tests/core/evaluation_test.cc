@@ -82,14 +82,14 @@ TEST_F(EvaluationTest, MatricesMatchDirectComputation) {
   EXPECT_EQ((*matrices)[0].resem.size(), 3u);
   EXPECT_EQ((*matrices)[0].ambiguous_case, &cases[0]);
 
-  auto direct = engine_->ComputeMatrices(mini_case_.publish_rows);
+  auto direct = engine_->ResolveRefsArtifacts(mini_case_.publish_rows);
   ASSERT_TRUE(direct.ok());
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < i; ++j) {
       EXPECT_DOUBLE_EQ((*matrices)[0].resem.at(i, j),
-                       direct->first.at(i, j));
+                       direct->resem.at(i, j));
       EXPECT_DOUBLE_EQ((*matrices)[0].walk.at(i, j),
-                       direct->second.at(i, j));
+                       direct->walk.at(i, j));
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -227,6 +228,45 @@ TEST_F(ShardedScanTest, MemoMissesDoNotDependOnShardCount) {
   EXPECT_GT(misses[0], 0);
   EXPECT_EQ(misses[1], misses[0]) << "2 shards";
   EXPECT_EQ(misses[2], misses[0]) << "7 shards";
+}
+
+// The memo counts a lookup once, as a hit or a miss, whichever worker
+// sweeps a key first: a second sweep of a stored key is a hit (and a
+// duplicate sweep). With nothing evicted the misses are the distinct keys
+// looked up, so a seed-42 scan counts the same hits and misses at every
+// thread count.
+TEST(ScanMemoCountersTest, HitsAndMissesDoNotDependOnThreadCount) {
+  auto dataset = GenerateDblpDataset(GeneratorConfig{});  // seed 42
+  ASSERT_TRUE(dataset.ok());
+  DistinctConfig config;
+  config.supervised = false;
+  config.promotions = DblpDefaultPromotions();
+  auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ScanOptions filter;
+  filter.min_refs = 2;
+  auto groups = ScanNameGroups(*engine, filter);
+  ASSERT_TRUE(groups.ok());
+
+  const bool was_enabled = obs::Enabled();
+  std::vector<std::pair<int64_t, int64_t>> counts;  // (hits, misses)
+  for (const int threads : {1, 2, 4}) {
+    ShardedScanOptions options;
+    options.num_threads = threads;
+    obs::SetEnabled(true);
+    obs::MetricsRegistry::Global().Reset();
+    auto result = RunShardedScan(*engine, *groups, options);
+    const auto metrics = obs::MetricsRegistry::Global().Snapshot();
+    obs::SetEnabled(was_enabled);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(metrics.CounterValue("prop.memo_evictions"), 0) << threads;
+    counts.emplace_back(metrics.CounterValue("prop.memo_hits"),
+                        metrics.CounterValue("prop.memo_misses"));
+  }
+  EXPECT_GT(counts[0].first, 0);
+  EXPECT_GT(counts[0].second, 0);
+  EXPECT_EQ(counts[1], counts[0]) << "2 threads";
+  EXPECT_EQ(counts[2], counts[0]) << "4 threads";
 }
 
 // Admission counts the bytes that stood when the scan began, not the memo

@@ -24,12 +24,12 @@ TEST(MiniWorldTest, LinkedWeiWangsAreMoreSimilarThanUnlinked) {
   auto engine = Distinct::Create(db, DblpReferenceSpec(), config);
   ASSERT_TRUE(engine.ok());
 
-  auto matrices = engine->ComputeMatrices({0, 2, 6});
+  auto matrices = engine->ResolveRefsArtifacts({0, 2, 6});
   ASSERT_TRUE(matrices.ok());
-  const PairMatrix& resem = matrices->first;
+  const PairMatrix& resem = matrices->resem;
   EXPECT_GT(resem.at(0, 1), resem.at(0, 2));
   EXPECT_GT(resem.at(0, 1), resem.at(1, 2));
-  const PairMatrix& walk = matrices->second;
+  const PairMatrix& walk = matrices->walk;
   EXPECT_GT(walk.at(0, 1), walk.at(0, 2));
 }
 

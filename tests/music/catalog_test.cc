@@ -124,14 +124,14 @@ TEST(MusicCatalogTest, DistinctResolvesThePlantedTitle) {
   // assert that SOME threshold separates the planted songs near-perfectly
   // — i.e. the linkage signal is there and the engine exposes it.
   const MusicCase& c = dataset->cases[0];
-  auto matrices = engine->ComputeMatrices(c.track_rows);
+  auto matrices = engine->ResolveRefsArtifacts(c.track_rows);
   ASSERT_TRUE(matrices.ok());
   double best_f1 = 0.0;
   AgglomerativeOptions options = engine->cluster_options();
   for (double min_sim = 1e-4; min_sim < 1.0; min_sim *= 1.5) {
     options.min_sim = min_sim;
     const ClusteringResult clustering =
-        ClusterReferences(matrices->first, matrices->second, options);
+        ClusterReferences(matrices->resem, matrices->walk, options);
     best_f1 = std::max(
         best_f1, PairwisePrecisionRecall(c.truth, clustering.assignment).f1);
   }

@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "core/delta.h"
 #include "core/distinct.h"
 #include "core/scan.h"
+#include "dblp/schema.h"
 #include "obs/metrics.h"
 
 namespace distinct {
@@ -118,6 +120,63 @@ TEST_F(TraceTest, SpanTreeDeterministicAcrossEngineThreadCounts) {
       EXPECT_EQ(structure, baseline) << "threads=" << threads;
     }
   }
+}
+
+/// The three stage spans of one traced resolution, as roots on the calling
+/// thread.
+const std::vector<std::string> kStageSpans = {
+    "profile_store(-1,0)", "pair_matrix(-1,0)", "cluster(-1,0)"};
+
+// The span list of each traced resolve entry point, pinned exactly: run
+// reports and bench_e2e's layer split read these names. The untraced
+// resolver opens none, so it may run on pool workers.
+TEST_F(TraceTest, ResolveEntryPointsOpenExactlyTheStageSpans) {
+  Database db = testing_util::MakeMiniDblp();
+  DistinctConfig config;
+  config.supervised = false;
+  config.num_threads = 2;
+  auto engine = Distinct::Create(db, DblpReferenceSpec(), config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::vector<int32_t> refs = {testing_util::kWeiWangRef0,
+                                     testing_util::kWeiWangRef1,
+                                     testing_util::kWeiWangRef2};
+
+  Tracer::Global().Reset();
+  ASSERT_TRUE(engine->ResolveRefs(refs).ok());
+  EXPECT_EQ(Structure(Tracer::Global().Snapshot()), kStageSpans);
+
+  Tracer::Global().Reset();
+  ASSERT_TRUE(engine->ResolveRefsArtifacts(refs).ok());
+  EXPECT_EQ(Structure(Tracer::Global().Snapshot()), kStageSpans);
+
+  Tracer::Global().Reset();
+  ASSERT_TRUE(ResolveGroup(*engine, refs, nullptr, engine->memo(),
+                           engine->workspaces(), /*cancel=*/nullptr)
+                  .ok());
+  EXPECT_TRUE(Tracer::Global().Snapshot().empty());
+
+  // A delta splice: apply_delta, then the three stage spans once per
+  // re-resolved name. Jiong Yang joins paper 2, which also dirties Wei
+  // Wang (both are spliced), and Jian Pei's second reference brings a
+  // name into the catalog (resolved fresh).
+  ScanOptions scan;
+  scan.min_refs = 2;
+  IncrementalCatalog catalog(*engine, scan);
+  ASSERT_TRUE(catalog.Build().ok());
+  DatabaseDelta delta;
+  delta.Add(kPublishTable, {Value::Int(7), Value::Int(testing_util::kJiongYang),
+                            Value::Int(2)});
+  delta.Add(kPublishTable, {Value::Int(8), Value::Int(testing_util::kJianPei),
+                            Value::Int(0)});
+  Tracer::Global().Reset();
+  auto report = catalog.Apply(db, delta);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GE(report->names_reresolved, 3);
+  std::vector<std::string> want = {"apply_delta(-1,0)"};
+  for (int64_t n = 0; n < report->names_reresolved; ++n) {
+    want.insert(want.end(), kStageSpans.begin(), kStageSpans.end());
+  }
+  EXPECT_EQ(Structure(Tracer::Global().Snapshot()), want);
 }
 
 TEST_F(TraceTest, ParallelBulkScanRecordsOneSpanPerRun) {

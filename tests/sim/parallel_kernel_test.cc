@@ -130,17 +130,17 @@ TEST_F(ParallelKernelTest, KernelIsBitIdenticalAcrossThreadCounts) {
 
 TEST_F(ParallelKernelTest, EngineComputeMatricesMatchesAcrossThreadCounts) {
   DistinctConfig config = engine_->config();
-  auto serial = engine_->ComputeMatrices(refs_);
+  auto serial = engine_->ResolveRefsArtifacts(refs_);
   ASSERT_TRUE(serial.ok());
   for (const int threads : {2, 8}) {
     config.num_threads = threads;
     auto parallel_engine =
         Distinct::Create(dataset_->db, DblpReferenceSpec(), config);
     ASSERT_TRUE(parallel_engine.ok());
-    auto parallel = parallel_engine->ComputeMatrices(refs_);
+    auto parallel = parallel_engine->ResolveRefsArtifacts(refs_);
     ASSERT_TRUE(parallel.ok());
-    ExpectBitIdentical(parallel->first, serial->first);
-    ExpectBitIdentical(parallel->second, serial->second);
+    ExpectBitIdentical(parallel->resem, serial->resem);
+    ExpectBitIdentical(parallel->walk, serial->walk);
   }
 }
 

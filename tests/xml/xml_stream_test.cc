@@ -2,6 +2,9 @@
 // mid-tag and mid-entity), malformed input surfaced as Status instead of
 // crashes or silent truncation, and the bounded-buffer OutOfRange guard.
 
+#include <time.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -279,6 +282,63 @@ ParseOutcome ParseByteAtATime(std::string_view doc) {
   }
   outcome.events = std::move(handler.events);
   return outcome;
+}
+
+/// A comment, a CDATA section and a start tag whose quoted attribute value
+/// holds '>', each of `n` filler bytes with a near-miss of its terminator
+/// ('-', ']' or '>') every 16 bytes.
+std::string LongConstructDocument(size_t n) {
+  const auto filler = [n](char near_miss) {
+    std::string text(n, 'x');
+    for (size_t i = 8; i < n; i += 16) {
+      text[i] = near_miss;
+    }
+    return text;
+  };
+  return "<r><!--" + filler('-') + "--><![CDATA[" + filler(']') +
+         "]]><a v=\"" + filler('>') + "\"/></r>";
+}
+
+/// CPU seconds the calling thread has run: unlike wall time, not inflated
+/// while other processes hold the CPU.
+double ThreadCpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+/// Best of three byte-at-a-time parses of `doc`, in CPU seconds.
+double BestByteAtATimeSeconds(const std::string& doc) {
+  double best = 0.0;
+  for (int run = 0; run < 3; ++run) {
+    const double begin = ThreadCpuSeconds();
+    const ParseOutcome outcome = ParseByteAtATime(doc);
+    const double elapsed = ThreadCpuSeconds() - begin;
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    best = run == 0 ? elapsed : std::min(best, elapsed);
+  }
+  return best;
+}
+
+// A construct fed one byte at a time is scanned once: each Feed resumes the
+// terminator search where the last one stopped (with a start tag's quote
+// state) instead of rescanning from '<'. Four times the length must then
+// cost under eight times the time; a rescan from '<' costs about sixteen.
+TEST(XmlStreamTest, ByteAtATimeFeedIsLinearInConstructLength) {
+  constexpr size_t kShort = 16 << 10;
+  const std::string small = LongConstructDocument(kShort);
+  const std::string large = LongConstructDocument(4 * kShort);
+  const ParseOutcome whole = ParseWholeDocument(large);
+  ASSERT_TRUE(whole.status.ok()) << whole.status.ToString();
+  ASSERT_EQ(whole.events.size(), 5u);  // <r, the CDATA text, <a, >a, >r
+  ASSERT_EQ(ParseByteAtATime(large).events, whole.events);
+
+  const double small_seconds = BestByteAtATimeSeconds(small);
+  const double large_seconds = BestByteAtATimeSeconds(large);
+  EXPECT_LT(large_seconds, 8.0 * small_seconds)
+      << small_seconds << " s for " << small.size() << " bytes, "
+      << large_seconds << " s for " << large.size();
 }
 
 /// The byte offset an XML error message names ("... at byte N: ..."), or
